@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from .enumeration import distinct_principal_ideals, find_absolute_zero_divisor
 from .errors import NotAnIdeal, NotThreeGraded, UndecidedError, ValidationError
 from .lie import GradedLieAlgebra
-from .linalg import Subspace, determinant, kernel_basis, span
+from .linalg import determinant, kernel_basis, mat_vec, preimage, span
 
 # The commutant splitter solves an n^2-unknown linear system in exact
 # arithmetic; past this dimension it would dominate every caller, and no
@@ -150,10 +150,6 @@ def is_strongly_nondegenerate(alg, graded=False, budget=None):
                                          budget=budget) is None
 
 
-def is_absolute_zero_divisor(alg, x):
-    return alg.is_in_quadratic_annihilator(x)
-
-
 def killing_complement(alg, sub):
     """Orthogonal complement of a subspace under the Killing form."""
     k = killing_matrix(alg)
@@ -249,12 +245,8 @@ def _splitting_ideal_from_commutant(alg):
         factors = _minpoly_factors(f, t)
         if len(factors) < 2:
             continue
-        block = _apply_poly(f, factors[0], t)
-        # T acts on row vectors as v @ T, so {v : v @ f1(T) = 0} has one
-        # equation per output column of the evaluated matrix.
-        ker = kernel_basis(
-            f, tuple(tuple(block[r][c] for r in range(alg.dim))
-                     for c in range(alg.dim)), alg.dim)
+        # T acts on row vectors as v @ T: the kernel is {v : v @ f1(T) = 0}
+        ker = preimage(alg.zero_space(), [_apply_poly(f, factors[0], t)])
         if 0 < ker.dim < alg.dim:
             return ker
     raise UndecidedError(
@@ -311,18 +303,9 @@ def _split_simple(alg):
     for part in (proper, comp):
         sub_alg, rows = alg.restrict(part, require_graded=False)
         for piece in _split_simple(sub_alg):
-            lifted = [_lift(alg.field, r, rows, alg.dim) for r in piece.rows]
+            lifted = [mat_vec(r, rows, alg.field) for r in piece.rows]
             out.append(span(alg.field, alg.dim, lifted))
     return out
-
-
-def _lift(field, coeffs, rows, ambient):
-    v = [field.zero] * ambient
-    for c, r in zip(coeffs, rows):
-        if c != field.zero:
-            for j in range(ambient):
-                v[j] = field.of(v[j] + c * r[j])
-    return tuple(v)
 
 
 def socle(alg, budget=None):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .analysis import graded_socle, is_semiprime, socle
-from .enumeration import check_budget, projective_count, scan_points
+from .enumeration import distinct_principal_ideals, scan_points
 from .errors import (
     DecompositionIncomplete,
     NonzeroCenter,
@@ -30,7 +30,15 @@ from .errors import (
     ValidationError,
 )
 from .lie import GradedLieAlgebra, GradingGroup
-from .linalg import Subspace, kernel_basis, mat_vec, solve_linear, span
+from .linalg import (
+    Subspace,
+    closure,
+    kernel_basis,
+    mat_vec,
+    preimage,
+    solve_linear,
+    span,
+)
 
 
 @dataclass
@@ -83,37 +91,11 @@ class QuotientEmbedding:
         return self.small.dim == self.big.dim
 
 
-def _membership_equations(sub):
-    """Linear functionals cutting out a subspace (one per non-pivot coord)."""
-    n = sub.ambient
-    f = sub.field
-    pivots = sub.pivots()
-    eqs = []
-    for c in range(n):
-        if c in pivots:
-            continue
-        eq = [f.zero] * n
-        eq[c] = f.one
-        for r, pc in zip(sub.rows, pivots):
-            eq[pc] = f.neg(r[c])
-        eqs.append(tuple(eq))
-    return eqs
-
-
 def envelope(emb, q):
     """Smallest subspace of Q containing q and closed under bracketing by L."""
     big = emb.big
-    cur = span(big.field, big.dim, [big.vec(q)])
-    while True:
-        fresh = []
-        for x in emb.small.rows:
-            for w in cur.rows:
-                b = big.bracket(x, w)
-                if not cur.contains(b):
-                    fresh.append(b)
-        if not fresh:
-            return cur
-        cur = cur.add(span(big.field, big.dim, fresh))
+    return closure(span(big.field, big.dim, [big.vec(q)]),
+                   lambda w: [big.bracket(x, w) for x in emb.small.rows])
 
 
 def denominator_ideal(emb, q):
@@ -125,28 +107,9 @@ def denominator_ideal(emb, q):
     ideal-closure pass.  Graded whenever q is homogeneous.
     """
     big = emb.big
-    f = big.field
-    env = envelope(emb, q)
-    eqs = list(_membership_equations(emb.small))
-    for w in env.rows:
-        rw = big.right_matrix(w)
-        reduced = [emb.small.reduce(row) for row in rw]
-        for c in range(big.dim):
-            eq = tuple(reduced[j][c] for j in range(big.dim))
-            if any(x != f.zero for x in eq):
-                eqs.append(eq)
-    return kernel_basis(f, eqs, big.dim)
-
-
-def annihilator_in(big, sub):
-    """{x in Q : [x, sub] = 0} computed inside the big algebra."""
-    f = big.field
-    eqs = []
-    for r in sub.rows:
-        rm = big.right_matrix(r)
-        for k in range(big.dim):
-            eqs.append(tuple(rm[j][k] for j in range(big.dim)))
-    return kernel_basis(f, eqs, big.dim)
+    return preimage(emb.small,
+                    [big.right_matrix(w) for w in envelope(emb, q).rows],
+                    within=emb.small)
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +137,7 @@ class DerivationSpace:
 
     def apply(self, i, coeffs):
         """Image of the domain vector with the given I-coordinates."""
-        f = self.algebra.field
-        n = self.algebra.dim
-        flat = self.basis[i]
-        out = [f.zero] * n
-        for u, c in enumerate(coeffs):
-            if c != f.zero:
-                base = u * n
-                for k in range(n):
-                    v = flat[base + k]
-                    if v != f.zero:
-                        out[k] = f.of(out[k] + c * v)
-        return tuple(out)
+        return mat_vec(coeffs, self.matrix(i), self.algebra.field)
 
 
 def _map_degree(alg, domain_degrees, u, k):
@@ -208,7 +160,7 @@ def derivation_space(alg, ideal):
     independent degree blocks and the solution space is the direct sum of
     its graded components; the blocks are solved separately and the union
     is re-echelonized in the fixed row-major flattening for a canonical
-    basis.
+    basis.  Otherwise all cells form one block and components is None.
     """
     alg.require_ideal(ideal)
     f = alg.field
@@ -217,97 +169,59 @@ def derivation_space(alg, ideal):
     if m == 0:
         return DerivationSpace(alg, ideal, (), {})
     rmats = [alg.right_matrix(r) for r in rows]
-    alpha = {}
+    graded = alg.group.kind != "trivial" and alg.is_graded_subspace(ideal)
+    dom_deg = tuple(alg.degree_of(r) for r in rows) if graded else None
+
+    # cells (u, k) of the map matrix, grouped by map degree; block_of
+    # gives each cell's degree and its position inside that block
+    cells = {}
+    block_of = {}
+    for u in range(m):
+        for k in range(n):
+            sigma = _map_degree(alg, dom_deg, u, k) if graded else 0
+            block = cells.setdefault(sigma, [])
+            block_of[(u, k)] = (sigma, len(block))
+            block.append((u, k))
+
+    block_eqs = {sigma: set() for sigma in cells}
     for s in range(m):
         for t in range(s + 1, m):
-            coords = ideal.coords(alg.bracket(rows[s], rows[t]))
-            if coords is None:
+            a = ideal.coords(alg.bracket(rows[s], rows[t]))
+            if a is None:
                 raise NotAnIdeal("bracket of ideal rows left the ideal")
-            alpha[(s, t)] = coords
-
-    graded = alg.group.kind != "trivial" and alg.is_graded_subspace(ideal)
-    if not graded:
-        eqs = []
-        for (s, t), a in alpha.items():
             for k in range(n):
-                eq = [f.zero] * (m * n)
-                for u in range(m):
-                    if a[u] != f.zero:
-                        eq[u * n + k] = f.of(eq[u * n + k] + a[u])
+                terms = [((u, k), a[u]) for u in range(m) if a[u] != f.zero]
                 for j in range(n):
                     c = rmats[t][j][k]
                     if c != f.zero:
-                        eq[s * n + j] = f.of(eq[s * n + j] - c)
+                        terms.append(((s, j), f.neg(c)))
                     c = rmats[s][j][k]
                     if c != f.zero:
-                        eq[t * n + j] = f.of(eq[t * n + j] + c)
-                if any(x != f.zero for x in eq):
-                    eqs.append(tuple(eq))
-        sol = kernel_basis(f, eqs, m * n)
-        return DerivationSpace(alg, ideal, sol.rows, None)
-
-    dom_deg = tuple(alg.degree_of(r) for r in rows)
-    cells = {}
-    for u in range(m):
-        for k in range(n):
-            cells.setdefault(_map_degree(alg, dom_deg, u, k), []).append((u, k))
-    block_eqs = {sigma: [] for sigma in cells}
-    local = {sigma: {cell: i for i, cell in enumerate(cs)}
-             for sigma, cs in cells.items()}
-
-    def sub_deg(a, b):
-        if alg.group.kind == "Zn":
-            return (a - b) % alg.group.n
-        return a - b
-
-    for (s, t), a in alpha.items():
-        for k in range(n):
-            sigma = sub_deg(sub_deg(alg.degrees[k], dom_deg[s]), dom_deg[t])
-            if sigma not in cells:
-                continue
-            idx = local[sigma]
-            eq = [f.zero] * len(cells[sigma])
-            used = False
-            for u in range(m):
-                if a[u] != f.zero:
-                    pos = idx.get((u, k))
-                    if pos is None:
-                        raise ValidationError("degree bookkeeping failure")
-                    eq[pos] = f.of(eq[pos] + a[u])
-                    used = True
-            for j in range(n):
-                c = rmats[t][j][k]
-                if c != f.zero:
-                    pos = idx.get((s, j))
-                    if pos is None:
-                        raise ValidationError("degree bookkeeping failure")
-                    eq[pos] = f.of(eq[pos] - c)
-                    used = True
-                c = rmats[s][j][k]
-                if c != f.zero:
-                    pos = idx.get((t, j))
-                    if pos is None:
-                        raise ValidationError("degree bookkeeping failure")
+                        terms.append(((t, j), c))
+                if not terms:
+                    continue
+                sigmas = {block_of[cell][0] for cell, _ in terms}
+                if len(sigmas) > 1:
+                    raise ValidationError("degree bookkeeping failure")
+                sigma = sigmas.pop()
+                eq = [f.zero] * len(cells[sigma])
+                for cell, c in terms:
+                    pos = block_of[cell][1]
                     eq[pos] = f.of(eq[pos] + c)
-                    used = True
-            if used and any(x != f.zero for x in eq):
-                block_eqs[sigma].append(tuple(eq))
+                if any(x != f.zero for x in eq):
+                    block_eqs[sigma].add(tuple(eq))
 
     all_rows = []
-    comp_rows = {}
     for sigma in sorted(cells):
-        uniq = sorted(set(block_eqs[sigma]))
-        sol = kernel_basis(f, uniq, len(cells[sigma]))
-        lifted = []
+        sol = kernel_basis(f, block_eqs[sigma], len(cells[sigma]))
         for row in sol.rows:
             flat = [f.zero] * (m * n)
             for (u, k), c in zip(cells[sigma], row):
                 flat[u * n + k] = c
-            lifted.append(tuple(flat))
-        if lifted:
-            comp_rows[sigma] = tuple(lifted)
-            all_rows.extend(lifted)
+            all_rows.append(tuple(flat))
     total = span(f, m * n, all_rows)
+    if not graded:
+        return DerivationSpace(alg, ideal, total.rows, None)
     # rows of different degrees occupy disjoint cells, so re-echelonizing
     # keeps each basis row inside a single degree block
     comps = {}
@@ -389,6 +303,10 @@ def maximal_quotients(alg, graded=False, budget=None):
     essential and perfect, which closes the bracket and makes the
     embedding injective (an element killing an essential ideal is zero).
     """
+    if alg.field.p is not None:
+        # the scan behind semiprimeness and the socle: refused over budget
+        # even when the answer is memoized
+        distinct_principal_ideals(alg, homogeneous_only=graded, budget=budget)
     key = (alg, bool(graded))
     got = _mq_cache.get(key)
     if got is not None:
@@ -403,21 +321,14 @@ def maximal_quotients(alg, graded=False, budget=None):
 
     def compose(flat_a, flat_b):
         # (a o b)(r_s) = a(b(r_s)); requires b(E0) inside E0
-        out = [f.zero] * (m * n)
+        rows_a = [flat_a[u * n:(u + 1) * n] for u in range(m)]
+        out = []
         for s in range(m):
-            img = tuple(flat_b[s * n + k] for k in range(n))
-            coords = e0.coords(img)
+            coords = e0.coords(flat_b[s * n:(s + 1) * n])
             if coords is None:
                 raise ValidationError(
                     "derivation image left the essential ideal")
-            for u, c in enumerate(coords):
-                if c != f.zero:
-                    base_u = u * n
-                    base_s = s * n
-                    for k in range(n):
-                        v = flat_a[base_u + k]
-                        if v != f.zero:
-                            out[base_s + k] = f.of(out[base_s + k] + c * v)
+            out.extend(mat_vec(coords, rows_a, f))
         return out
 
     basis_space = span(f, m * n, list(der.basis))
@@ -461,9 +372,7 @@ def maximal_quotients(alg, graded=False, budget=None):
         embedding.append(tuple(coords))
     embedding = tuple(embedding)
 
-    ker = kernel_basis(f, tuple(tuple(embedding[i][j] for i in range(n))
-                                for j in range(d)), n)
-    if not ker.is_zero():
+    if not preimage(qm.zero_space(), [embedding]).is_zero():
         raise ValidationError("ad-embedding unexpectedly has a kernel")
 
     result = MaximalQuotients(qm, embedding, e0, der)
@@ -564,7 +473,7 @@ def is_quotient(emb, graded=False, budget=None):
     inter = big.full_space()
     for i in range(big.dim):
         inter = inter.intersect(denominator_ideal(emb, big.basis_vector(i)))
-    ann = annihilator_in(big, inter)
+    ann = big.annihilator(inter)
     if ann.is_zero():
         return Verdict("true",
                        reason="absorbing ideal has zero annihilator",
@@ -584,7 +493,7 @@ def is_quotient(emb, graded=False, budget=None):
     for i in range(big.dim):
         q = big.basis_vector(i)
         dq = denominator_ideal(emb, q)
-        aq = annihilator_in(big, dq)
+        aq = big.annihilator(dq)
         if not aq.is_zero():
             witness = _max_degree_witness(big, aq)
             return Verdict(
@@ -596,7 +505,7 @@ def is_quotient(emb, graded=False, budget=None):
     if f.p is not None:
         for q in scan_points(big, homogeneous_only=graded, budget=budget):
             dq = denominator_ideal(emb, q)
-            aq = annihilator_in(big, dq)
+            aq = big.annihilator(dq)
             if not aq.is_zero():
                 witness = _max_degree_witness(big, aq)
                 return Verdict("false", witness=witness,
@@ -614,15 +523,7 @@ def _weak_ok_at(emb, p):
     big = emb.big
     f = big.field
     rp = big.right_matrix(big.vec(p))
-    eqs = list(_membership_equations(emb.small))
-    reduced = [emb.small.reduce(row) for row in rp]
-    for c in range(big.dim):
-        eq = tuple(reduced[j][c] for j in range(big.dim))
-        if any(x != f.zero for x in eq):
-            eqs.append(eq)
-    k_p = kernel_basis(f, eqs, big.dim)
-    if k_p.is_zero():
-        return False
+    k_p = preimage(emb.small, [rp], within=emb.small)
     for x in k_p.rows:
         if any(v != f.zero for v in mat_vec(x, rp, f)):
             return True
@@ -657,16 +558,10 @@ def is_weak_quotient(emb, graded=False, budget=None):
         blocks = [big.full_space()]
     certified = True
     for comp in blocks:
-        eqs = list(_membership_equations(emb.small))
-        for w in comp.rows:
-            rw = big.right_matrix(w)
-            reduced = [emb.small.reduce(row) for row in rw]
-            for c in range(big.dim):
-                eq = tuple(reduced[j][c] for j in range(big.dim))
-                if any(x != f.zero for x in eq):
-                    eqs.append(eq)
-        absorber = kernel_basis(f, eqs, big.dim)
-        bad = comp.intersect(annihilator_in(big, absorber))
+        absorber = preimage(emb.small,
+                            [big.right_matrix(w) for w in comp.rows],
+                            within=emb.small)
+        bad = comp.intersect(big.annihilator(absorber))
         if not bad.is_zero():
             certified = False
             break
@@ -752,8 +647,8 @@ def check_axiomatic(emb, budget=None):
 
     e0_small = graded_socle(small_alg, budget=budget)
     e0_big = span(f, big.dim,
-                  [_combine(f, c, small_rows, big.dim) for c in e0_small.rows])
-    ann_s = annihilator_in(big, e0_big)
+                  [mat_vec(c, small_rows, f) for c in e0_small.rows])
+    ann_s = big.annihilator(e0_big)
     if not ann_s.is_zero():
         report.faithful = False
         report.witnesses["faithful"] = _max_degree_witness(big, ann_s)
@@ -770,7 +665,7 @@ def check_axiomatic(emb, budget=None):
             for u, r in enumerate(e0_rows_big):
                 rr = big.right_matrix(r)
                 target = tuple(flat[u * n + k] for k in range(n))
-                target_big = _combine(f, target, small_rows, big.dim)
+                target_big = mat_vec(target, small_rows, f)
                 # [s, r] = s @ R(r), one scalar equation per coordinate
                 for c in range(big.dim):
                     eqs.append(tuple(rr[j][c] for j in range(big.dim)))
@@ -790,12 +685,3 @@ def check_axiomatic(emb, budget=None):
         if not report.realized:
             break
     return report
-
-
-def _combine(field, coeffs, rows, ambient):
-    v = [field.zero] * ambient
-    for c, r in zip(coeffs, rows):
-        if c != field.zero:
-            for j in range(ambient):
-                v[j] = field.of(v[j] + c * r[j])
-    return tuple(v)

@@ -73,16 +73,7 @@ def structure_tensor(alg):
     return t
 
 
-def _inv_table(p):
-    import numpy as np
-
-    inv = np.zeros(p, dtype=np.int64)
-    for a in range(1, p):
-        inv[a] = pow(a, p - 2, p)
-    return inv
-
-
-def _rref_mod(m, p, inv):
+def _rref_mod(m, p):
     """In-place style RREF of an int64 matrix mod p; returns the pivot rows."""
     import numpy as np
 
@@ -103,7 +94,7 @@ def _rref_mod(m, p, inv):
             m[[r, pr]] = m[[pr, r]]
         piv = m[r, c]
         if piv != 1:
-            m[r] = (m[r] * inv[piv]) % p
+            m[r] = (m[r] * pow(int(piv), -1, p)) % p
         others = m[:, c].copy()
         others[r] = 0
         hit = np.nonzero(others)[0]
@@ -131,22 +122,6 @@ def iter_projective(p, positions, ambient):
             yield tuple(v)
 
 
-def iter_projective_in(field, rows):
-    """Projective points of the row space of an exact basis (F_p only)."""
-    p = field.p
-    rows = [tuple(r) for r in rows]
-    if not rows:
-        return
-    ambient = len(rows[0])
-    for coeffs in iter_projective(p, list(range(len(rows))), len(rows)):
-        v = [0] * ambient
-        for c, r in zip(coeffs, rows):
-            if c:
-                for j, x in enumerate(r):
-                    v[j] = (v[j] + c * x) % p
-        yield tuple(v)
-
-
 def homogeneous_positions(alg):
     """Coordinate positions of each degree, in support order."""
     out = {}
@@ -168,19 +143,17 @@ def scan_points(alg, homogeneous_only=False, budget=None):
         yield from iter_projective(p, b, alg.dim)
 
 
-def principal_ideal_np(alg, v, tensor=None, inv=None):
+def principal_ideal_np(alg, v, tensor=None):
     """Smallest ideal of a mod-p algebra containing v, via numpy closure."""
     import numpy as np
 
     p = alg.field.p
     t = structure_tensor(alg) if tensor is None else tensor
-    if inv is None:
-        inv = _inv_table(p)
     n = alg.dim
-    e = _rref_mod(np.array([v], dtype=np.int64), p, inv)
+    e = _rref_mod(np.array([v], dtype=np.int64), p)
     while e.shape[0] < n:
         new = np.einsum("ijk,rj->irk", t, e) % p
-        e2 = _rref_mod(np.vstack([e, new.reshape(-1, n)]), p, inv)
+        e2 = _rref_mod(np.vstack([e, new.reshape(-1, n)]), p)
         if e2.shape[0] == e.shape[0]:
             break
         e = e2
@@ -193,18 +166,24 @@ def distinct_principal_ideals(alg, homogeneous_only=False, budget=None):
 
     Every nonzero (graded) ideal contains one of these, which is what the
     exhaustive semiprimeness / essentiality / socle oracles need.  Results
-    are cached per algebra since the scan can take seconds in dimension 8.
+    are cached per algebra since the scan can take seconds in dimension 8;
+    the budget is checked first, so a cached answer is refused exactly
+    when a fresh scan would be.
     """
+    p = alg.field.p
+    if homogeneous_only:
+        blocks = homogeneous_positions(alg)
+    else:
+        blocks = [range(alg.dim)]
+    check_budget(sum(projective_count(p, len(b)) for b in blocks), budget)
     key = (alg, bool(homogeneous_only))
     got = _ideal_cache.get(key)
     if got is not None:
         return got
-    p = alg.field.p
     t = structure_tensor(alg)
-    inv = _inv_table(p)
     seen = {}
     for v in scan_points(alg, homogeneous_only=homogeneous_only, budget=budget):
-        ideal = principal_ideal_np(alg, v, tensor=t, inv=inv)
+        ideal = principal_ideal_np(alg, v, tensor=t)
         seen.setdefault(ideal.rows, ideal)
     out = tuple(seen.values())
     _ideal_cache[key] = out

@@ -34,9 +34,10 @@ from .errors import (
 from .lie import GradedLieAlgebra, GradingGroup
 from .linalg import (
     Subspace,
-    kernel_basis,
+    closure,
     mat_mul,
     mat_vec,
+    preimage,
     rank,
     solve_linear,
     span,
@@ -406,35 +407,42 @@ def is_pair_ideal(pair, sub):
 
 
 def pair_ideal_generated(pair, sub):
-    """Smallest pair ideal containing the given subpair."""
+    """Smallest pair ideal containing the given subpair.
+
+    A closure on W+ (+) W-: the generators and all their images lie on a
+    single side, so the result is a direct sum, and its echelon basis is
+    the union of the echelon bases of its two parts.
+    """
     f = pair.field
-    cur = sub
-    while True:
-        grew = False
-        for sign in (1, -1):
-            mine, other = cur.part(sign), cur.part(-sign)
-            fresh = []
-            vs_same = _basis(f, pair.dim(sign))
-            vs_opp = _basis(f, pair.dim(-sign))
-            for a in mine.rows:
-                for y in vs_opp:
-                    for v in vs_same:
-                        t = pair.triple(sign, a, y, v)
-                        if not mine.contains(t):
-                            fresh.append(t)
-            for b in other.rows:
-                for v in vs_same:
-                    for w in vs_same:
-                        t = pair.triple(sign, v, b, w)
-                        if not mine.contains(t):
-                            fresh.append(t)
-            if fresh:
-                grew = True
-                newpart = mine.add(span(f, pair.dim(sign), fresh))
-                cur = SubPair(newpart, cur.minus) if sign > 0 else \
-                    SubPair(cur.plus, newpart)
-        if not grew:
-            return cur
+    n, m = pair.dim_plus, pair.dim_minus
+    basis = {1: _basis(f, n), -1: _basis(f, m)}
+
+    def joined(sign, v):
+        if sign > 0:
+            return tuple(v) + pair.zero(-1)
+        return pair.zero(1) + tuple(v)
+
+    def images(vec):
+        out = []
+        for sign, part in ((1, vec[:n]), (-1, vec[n:])):
+            if not any(part):
+                continue
+            same, opp = basis[sign], basis[-sign]
+            # {a, W-opp, W-same} stays on the side of a
+            out += [joined(sign, pair.triple(sign, part, y, v))
+                    for y in opp for v in same]
+            # {W-opp, a, W-opp} lands on the other side
+            out += [joined(-sign, pair.triple(-sign, v, part, w))
+                    for v in opp for w in opp]
+        return out
+
+    start = span(f, n + m, [joined(1, r) for r in sub.plus.rows]
+                 + [joined(-1, r) for r in sub.minus.rows])
+    rows = closure(start, images).rows
+    plus = [r[:n] for r in rows if any(r[:n])]
+    minus = [r[n:] for r in rows if not any(r[:n])]
+    return SubPair(Subspace(f, n, plus, _canonical=True),
+                   Subspace(f, m, minus, _canonical=True))
 
 
 def pair_annihilator(pair, sub):
@@ -446,25 +454,17 @@ def pair_annihilator(pair, sub):
         n, m = pair.dim(sign), pair.dim(-sign)
         x_opp = sub.part(-sign).rows
         x_same = sub.part(sign).rows
-        eqs = []
         es = _basis(f, n)
         eo = _basis(f, m)
-        for t in x_opp:
-            for v in es:
-                rows = [pair.triple(sign, e, t, v) for e in es]
-                for c in range(n):
-                    eqs.append(tuple(rows[k][c] for k in range(n)))
-        for y in eo:
-            for s in x_same:
-                rows = [pair.triple(sign, e, y, s) for e in es]
-                for c in range(n):
-                    eqs.append(tuple(rows[k][c] for k in range(n)))
-        for y in eo:
-            for t in x_opp:
-                rows = [pair.triple(-sign, y, e, t) for e in es]
-                for c in range(m):
-                    eqs.append(tuple(rows[k][c] for k in range(n)))
-        parts[sign] = kernel_basis(f, eqs, n)
+        into_same = [[pair.triple(sign, e, t, v) for e in es]
+                     for t in x_opp for v in es]
+        into_same += [[pair.triple(sign, e, y, s) for e in es]
+                      for y in eo for s in x_same]
+        into_opp = [[pair.triple(-sign, y, e, t) for e in es]
+                    for y in eo for t in x_opp]
+        kills_same = preimage(Subspace.zero(f, n), into_same)
+        parts[sign] = preimage(Subspace.zero(f, m), into_opp,
+                               within=kills_same)
     return SubPair(parts[1], parts[-1])
 
 
@@ -788,29 +788,18 @@ def associated_pair(alg, budget=None):
     # verify: homomorphism, kernel = C_V, surjective
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            lhs = _push_rows(f, alg.table[i][j], map_rows, t.dim)
+            lhs = mat_vec(alg.table[i][j], map_rows, f)
             rhs = t.bracket(map_rows[i], map_rows[j])
             if lhs != tuple(rhs):
                 raise ValidationError(
                     "canonical map fails to preserve the bracket")
-    ker = kernel_basis(f, tuple(tuple(map_rows[i][c] for i in range(alg.dim))
-                                for c in range(t.dim)), alg.dim)
-    if ker != c_v:
+    if preimage(t.zero_space(), [map_rows]) != c_v:
         raise ValidationError("kernel of the canonical map differs from "
                               "Z(L) cap L_0")
     if rank(f, map_rows) != t.dim:
         raise ValidationError("canonical map is not onto the TKK algebra")
 
     return AssociatedPair(pair, c_v, t, map_rows, plus_idx, minus_idx)
-
-
-def _push_rows(field, coords, rows, ambient):
-    out = [field.zero] * ambient
-    for c, row in zip(coords, rows):
-        if c != field.zero:
-            for j in range(ambient):
-                out[j] = field.of(out[j] + c * row[j])
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1022,56 +1011,19 @@ def _absorber_sets(emb, sign, q):
     f = big.field
     v_same = emb.sub.part(sign)
     v_opp = emb.sub.part(-sign)
-    n_same = big.dim(sign)
-    n_opp = big.dim(-sign)
+    basis_same = _basis(f, big.dim(sign))
+    basis_opp = _basis(f, big.dim(-sign))
 
     # t in V-opp with {q, t, V-same} in V-same and {t, q, V-opp} in V-opp
-    eqs = _member_eqs(v_opp)
-    basis_opp = _basis(f, n_opp)
-    for v in v_same.rows:
-        imgs = [big.triple(sign, q, e, v) for e in basis_opp]
-        reduced = [v_same.reduce(img) for img in imgs]
-        for c in range(n_same):
-            eq = tuple(reduced[j][c] for j in range(n_opp))
-            if any(x != f.zero for x in eq):
-                eqs.append(eq)
-    for u in v_opp.rows:
-        imgs = [big.triple(-sign, e, q, u) for e in basis_opp]
-        reduced = [v_opp.reduce(img) for img in imgs]
-        for c in range(n_opp):
-            eq = tuple(reduced[j][c] for j in range(n_opp))
-            if any(x != f.zero for x in eq):
-                eqs.append(eq)
-    s_opp = kernel_basis(f, eqs, n_opp)
+    s_opp = preimage(v_same, [[big.triple(sign, q, e, v) for e in basis_opp]
+                              for v in v_same.rows], within=v_opp)
+    s_opp = preimage(v_opp, [[big.triple(-sign, e, q, u) for e in basis_opp]
+                             for u in v_opp.rows], within=s_opp)
 
     # s in V-same with {q, V-opp, s} in V-same
-    eqs = _member_eqs(v_same)
-    basis_same = _basis(f, n_same)
-    for y in v_opp.rows:
-        imgs = [big.triple(sign, q, y, e) for e in basis_same]
-        reduced = [v_same.reduce(img) for img in imgs]
-        for c in range(n_same):
-            eq = tuple(reduced[j][c] for j in range(n_same))
-            if any(x != f.zero for x in eq):
-                eqs.append(eq)
-    s_same = kernel_basis(f, eqs, n_same)
+    s_same = preimage(v_same, [[big.triple(sign, q, y, e) for e in basis_same]
+                               for y in v_opp.rows], within=v_same)
     return s_same, s_opp
-
-
-def _member_eqs(sub):
-    f = sub.field
-    n = sub.ambient
-    pivots = sub.pivots()
-    eqs = []
-    for c in range(n):
-        if c in pivots:
-            continue
-        eq = [f.zero] * n
-        eq[c] = f.one
-        for r, pc in zip(sub.rows, pivots):
-            eq[pc] = f.neg(r[c])
-        eqs.append(tuple(eq))
-    return eqs
 
 
 def largest_pair_ideal_inside(emb, bound):
@@ -1086,39 +1038,24 @@ def largest_pair_ideal_inside(emb, bound):
     cur = bound
     while True:
         nxt = {}
-        changed = False
         for sign in (1, -1):
-            mine = cur.part(sign)
-            n_amb = big.dim(sign)
-            eqs = _member_eqs(mine)
+            mine, other = cur.part(sign), cur.part(-sign)
             vs_same = emb.sub.part(sign).rows
             vs_opp = emb.sub.part(-sign).rows
-            basis_amb = _basis(f, n_amb)
-            for y in vs_opp:
-                for v in vs_same:
-                    imgs = [big.triple(sign, e, y, v) for e in basis_amb]
-                    reduced = [mine.reduce(img) for img in imgs]
-                    for c in range(n_amb):
-                        eq = tuple(reduced[j][c] for j in range(n_amb))
-                        if any(x != f.zero for x in eq):
-                            eqs.append(eq)
-            other = cur.part(-sign)
-            n_opp = big.dim(-sign)
-            for y in vs_opp:
-                for w in vs_opp:
-                    imgs = [big.triple(-sign, y, e, w) for e in basis_amb]
-                    reduced = [other.reduce(img) for img in imgs]
-                    for c in range(n_opp):
-                        eq = tuple(reduced[j][c] for j in range(n_amb))
-                        if any(x != f.zero for x in eq):
-                            eqs.append(eq)
-            res = kernel_basis(f, eqs, n_amb)
-            if res != mine:
-                changed = True
-            nxt[sign] = res
-        cur = SubPair(nxt[1], nxt[-1])
-        if not changed:
+            es = _basis(f, big.dim(sign))
+            # x in mine with {x, V-opp, V-same} in mine ...
+            res = preimage(mine, [[big.triple(sign, e, y, v) for e in es]
+                                  for y in vs_opp for v in vs_same],
+                           within=mine)
+            # ... and {V-opp, x, V-opp} in the other part
+            nxt[sign] = preimage(other,
+                                 [[big.triple(-sign, y, e, w) for e in es]
+                                  for y in vs_opp for w in vs_opp],
+                                 within=res)
+        nxt = SubPair(nxt[1], nxt[-1])
+        if nxt == cur:
             return cur
+        cur = nxt
 
 
 def _q_verdict_at(emb, sign, q, ideal):
@@ -1236,33 +1173,20 @@ def _nonvanishing_kernel_zero(emb, sign, ideal):
     ideal equal to zero (the failing set is a subspace of W)."""
     big = emb.big
     f = big.field
-    n = big.dim(sign)
-    eqs = []
-    basis_q = _basis(f, n)
+    basis_q = _basis(f, big.dim(sign))
     v_same = emb.sub.part(sign).rows
     v_opp = emb.sub.part(-sign).rows
-    for t in ideal.part(-sign).rows:
-        for v in v_same:
-            imgs = [big.triple(sign, e, t, v) for e in basis_q]
-            for c in range(big.dim(sign)):
-                eq = tuple(imgs[j][c] for j in range(n))
-                if any(x != f.zero for x in eq):
-                    eqs.append(eq)
-    for y in v_opp:
-        for s in ideal.part(sign).rows:
-            imgs = [big.triple(sign, e, y, s) for e in basis_q]
-            for c in range(big.dim(sign)):
-                eq = tuple(imgs[j][c] for j in range(n))
-                if any(x != f.zero for x in eq):
-                    eqs.append(eq)
-    for t in ideal.part(-sign).rows:
-        for u in v_opp:
-            imgs = [big.triple(-sign, t, e, u) for e in basis_q]
-            for c in range(big.dim(-sign)):
-                eq = tuple(imgs[j][c] for j in range(n))
-                if any(x != f.zero for x in eq):
-                    eqs.append(eq)
-    return kernel_basis(f, eqs, n).is_zero()
+    i_same = ideal.part(sign).rows
+    i_opp = ideal.part(-sign).rows
+    into_same = [[big.triple(sign, e, t, v) for e in basis_q]
+                 for t in i_opp for v in v_same]
+    into_same += [[big.triple(sign, e, y, s) for e in basis_q]
+                  for y in v_opp for s in i_same]
+    into_opp = [[big.triple(-sign, t, e, u) for e in basis_q]
+                for t in i_opp for u in v_opp]
+    kills_same = preimage(Subspace.zero(f, big.dim(sign)), into_same)
+    return preimage(Subspace.zero(f, big.dim(-sign)), into_opp,
+                    within=kills_same).is_zero()
 
 
 def tkk_embedding(emb):
@@ -1343,7 +1267,7 @@ def maximal_pair_quotients(pair, budget=None):
                     src = pair.triple(sign,
                                       _basis(f, n)[i], _basis(f, m)[j],
                                       _basis(f, n)[l])
-                    lhs = _push_rows(f, src, mymap, big.dim(sign))
+                    lhs = mat_vec(src, mymap, f)
                     rhs = big.triple(sign, mymap[i], omap[j], mymap[l])
                     if lhs != rhs:
                         raise ValidationError(
@@ -1461,24 +1385,15 @@ def maximal_triple_quotients(triple, budget=None):
     der = mq.derivations
     basis_space = span(f, e0.dim * data.algebra.dim, list(der.basis))
     h_rows = []
+    n_l = data.algebra.dim
     for flat in der.basis:
-        n_l = data.algebra.dim
+        images = [flat[u * n_l:(u + 1) * n_l] for u in range(e0.dim)]
         new_flat = []
         for r in e0.rows:
-            pre = tuple(mat_vec(r, eta, f))
-            co = e0.coords(pre)
+            co = e0.coords(mat_vec(r, eta, f))
             if co is None:
                 raise ValidationError("exchange moved the witness ideal")
-            img = [f.zero] * n_l
-            for u, c in enumerate(co):
-                if c != f.zero:
-                    base = u * n_l
-                    for k in range(n_l):
-                        val = flat[base + k]
-                        if val != f.zero:
-                            img[k] = f.of(img[k] + c * val)
-            post = mat_vec(tuple(img), eta, f)
-            new_flat.extend(post)
+            new_flat.extend(mat_vec(mat_vec(co, images, f), eta, f))
         co = basis_space.coords(tuple(new_flat))
         if co is None:
             raise ValidationError("exchange conjugation left the "
@@ -1526,7 +1441,7 @@ def maximal_triple_quotients(triple, budget=None):
             for l in range(n):
                 src = triple.triple(_basis(f, n)[i], _basis(f, n)[j],
                                     _basis(f, n)[l])
-                lhs = _push_rows(f, src, embedding, nb)
+                lhs = mat_vec(src, embedding, f)
                 rhs = result.triple(embedding[i], embedding[j], embedding[l])
                 if lhs != rhs:
                     raise ValidationError(
@@ -1666,7 +1581,7 @@ def maximal_jordan_algebra_quotients(jalg, budget=None):
     emb = mtq.embedding
     n = jalg.dim
     nb = big_t.dim
-    e_img = _push_rows(f, tuple(e), emb, nb)
+    e_img = mat_vec(e, emb, f)
     half = f.inv(f.of(2))
     es = _basis(f, nb)
     table = []
@@ -1680,7 +1595,7 @@ def maximal_jordan_algebra_quotients(jalg, budget=None):
     for i in range(n):
         for j in range(n):
             src = jalg.product(_basis(f, n)[i], _basis(f, n)[j])
-            lhs = _push_rows(f, src, emb, nb)
+            lhs = mat_vec(src, emb, f)
             rhs = result.product(emb[i], emb[j])
             if lhs != rhs:
                 raise ValidationError(

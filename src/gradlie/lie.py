@@ -24,7 +24,7 @@ from .errors import (
     NotGraded,
     ValidationError,
 )
-from .linalg import Subspace, kernel_basis, mat_mul, span
+from .linalg import Subspace, closure, mat_mul, preimage, span
 from .scalars import Field
 
 
@@ -345,18 +345,10 @@ class GradedLieAlgebra:
             raise NotAnIdeal("%s is not an ideal" % what)
 
     def ideal_generated(self, vectors):
-        """Smallest ideal containing the given vectors (fixpoint closure)."""
-        cur = span(self.field, self.dim, list(vectors))
-        while True:
-            new_rows = []
-            for i in range(self.dim):
-                for r in cur.rows:
-                    w = self.bracket(self._e(i), r)
-                    if not cur.contains(w):
-                        new_rows.append(w)
-            if not new_rows:
-                return cur
-            cur = cur.add(span(self.field, self.dim, new_rows))
+        """Smallest ideal containing the given vectors: the closure under
+        every ad(b_i), whose values at v are the rows of right_matrix(v)."""
+        return closure(span(self.field, self.dim, list(vectors)),
+                       self.right_matrix)
 
     def subalgebra_generated(self, vectors):
         cur = span(self.field, self.dim, list(vectors))
@@ -371,16 +363,11 @@ class GradedLieAlgebra:
     def annihilator(self, s):
         """Ann_L(S) = {x in L : [x, S] = 0} as a subspace.
 
-        For S an ideal this is again an ideal; computed as the kernel of
-        the joint right multiplication by a basis of S.
+        For S an ideal this is again an ideal; computed as the preimage of
+        zero under right multiplication by each basis row of S.
         """
-        equations = []
-        for r in s.rows:
-            rm = self.right_matrix(r)
-            # equation per output coordinate k: sum_j x_j rm[j][k] = 0
-            for k in range(self.dim):
-                equations.append(tuple(rm[j][k] for j in range(self.dim)))
-        return kernel_basis(self.field, equations, self.dim)
+        return preimage(self.zero_space(),
+                        [self.right_matrix(r) for r in s.rows])
 
     def center(self):
         return self.annihilator(self.full_space())

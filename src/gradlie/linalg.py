@@ -9,6 +9,12 @@ The rational elimination path is fraction-free: rows are scaled to integers,
 gcd-normalized after every combination, and divided by their pivot only at
 the very end.  Structure constants in this package are integers almost
 always, so this keeps the inner loops in small-int arithmetic.
+
+Two constructions serve the rest of the package.  ``preimage`` gives the
+vectors that every map of a family sends into a subspace (annihilators,
+denominator ideals, absorbers, kernels), and ``closure`` gives the
+smallest subspace that contains a start and is stable under a family of
+maps (ideals generated by elements, envelopes, pair ideals).
 """
 
 from fractions import Fraction
@@ -54,9 +60,14 @@ def _first_nonzero(row):
     return None
 
 
-def _echelon_q(rows):
-    """Insertion echelon over Z (row space over Q). Returns {pivot_col: row}."""
-    piv = {}
+def _echelon_q(rows, piv=None):
+    """Insertion echelon over Z (row space over Q). Returns {pivot_col: row}.
+
+    Rows are inserted one at a time into piv, which may be given to
+    continue an earlier echelon.
+    """
+    if piv is None:
+        piv = {}
     for raw in rows:
         row = _int_row(raw)
         while True:
@@ -77,9 +88,10 @@ def _echelon_q(rows):
     return piv
 
 
-def _echelon_p(rows, p):
+def _echelon_p(rows, p, piv=None):
     """Insertion echelon mod p, rows normalized to leading 1. {pivot_col: row}."""
-    piv = {}
+    if piv is None:
+        piv = {}
     for raw in rows:
         row = [x % p for x in raw]
         while True:
@@ -233,6 +245,23 @@ class Subspace:
     def contains_space(self, other) -> bool:
         return all(self.contains(r) for r in other.rows)
 
+    def equations(self):
+        """Functionals cutting out this subspace, one per non-pivot
+        coordinate c: x is a member iff x[c] = sum of x[pc] * row[c] over
+        the echelon rows, pc the row's pivot."""
+        f = self.field
+        pivots = self.pivots()
+        eqs = []
+        for c in range(self.ambient):
+            if c in pivots:
+                continue
+            eq = [f.zero] * self.ambient
+            eq[c] = f.one
+            for r, pc in zip(self.rows, pivots):
+                eq[pc] = f.neg(r[c])
+            eqs.append(tuple(eq))
+        return eqs
+
     def add(self, other):
         assert self.ambient == other.ambient
         return Subspace(self.field, self.ambient, self.rows + other.rows)
@@ -290,9 +319,57 @@ def kernel_basis(field, rows, ncols):
     return Subspace(field, ncols, basis)
 
 
-def solution_space(field, equations, nunknowns):
-    """Alias of kernel_basis with intent-revealing name for big systems."""
-    return kernel_basis(field, equations, nunknowns)
+def preimage(target, maps, within=None):
+    """{x in within : x @ M in target for every M} as a Subspace.
+
+    Each map M is a matrix with one row per coordinate of x and one column
+    per coordinate of target's ambient space.  x @ M lies in target iff
+    its residual after reduction by target's echelon rows vanishes, and
+    that residual is x times the matrix of reduced rows, so every column
+    of that matrix is one linear equation on x.  within defaults to the
+    whole space of the maps' row count (of target's ambient when there
+    are no maps).
+    """
+    field = target.field
+    if within is not None:
+        n = within.ambient
+        eqs = within.equations()
+    else:
+        n = len(maps[0]) if maps else target.ambient
+        eqs = []
+    for m in maps:
+        if target.rows:
+            m = [target.reduce(row) for row in m]
+        eqs.extend(eq for eq in zip(*m) if any(eq))
+    return kernel_basis(field, eqs, n)
+
+
+def closure(start, images):
+    """Smallest subspace containing start and stable under a family of
+    linear maps, given by images(v): the values of all the maps at v.
+
+    Worklist over vectors: a vector's images are computed once, when the
+    vector enters the echelon as a new dimension, so the generators of
+    the result all have their images inside it and it is stable.
+    """
+    field = start.field
+    p = field.p
+    piv = {}
+
+    def grows(v):
+        before = len(piv)
+        if p is None:
+            _echelon_q([v], piv)
+        else:
+            _echelon_p([v], p, piv)
+        return len(piv) > before
+
+    todo = [v for v in start.rows if grows(v)]
+    while todo:
+        for w in images(todo.pop()):
+            if grows(w):
+                todo.append(w)
+    return Subspace(field, start.ambient, [piv[c] for c in sorted(piv)])
 
 
 # ---------------------------------------------------------------------------

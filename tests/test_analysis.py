@@ -5,6 +5,7 @@ The sl2 Killing matrix is recomputed in-test from traces of adjoint
 products, independent of the library's own accumulation order.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from gradlie.analysis import (
     graded_socle,
     structure_report,
 )
-from gradlie.errors import NotThreeGraded, UndecidedError
+from gradlie.errors import DimensionTooLarge, NotThreeGraded, UndecidedError
 from gradlie.gallery import (
     build_lie,
     first_component,
@@ -234,3 +235,20 @@ def test_structure_report_fields():
     rep_h5 = structure_report(heis3(F5))
     assert rep_h5.socle_dim == 1
     assert rep_h5.methods["socle"] == "exhaustive-Fp"
+
+
+def test_budget_is_checked_even_when_the_scan_is_memoized():
+    # the same question must get the same answer whatever ran before it
+    s5 = sl2sum(F5)
+    assert is_semiprime(s5)
+    with pytest.raises(DimensionTooLarge):
+        is_semiprime(s5, budget=10)
+
+
+def test_budget_refusal_comes_before_work_linear_in_p():
+    big_p = GF(1000003)
+    h = heis3(big_p)
+    start = time.perf_counter()
+    with pytest.raises(DimensionTooLarge):
+        is_semiprime(h)
+    assert time.perf_counter() - start < 0.5

@@ -10,7 +10,6 @@ import pytest
 
 from gradlie.derivations import (
     QuotientEmbedding,
-    annihilator_in,
     check_axiomatic,
     denominator_ideal,
     derivation_space,
@@ -21,7 +20,12 @@ from gradlie.derivations import (
     maximal_quotients,
     maximal_quotients_match,
 )
-from gradlie.errors import NonzeroCenter, NotAnIdeal, NotSemiprime
+from gradlie.errors import (
+    DimensionTooLarge,
+    NonzeroCenter,
+    NotAnIdeal,
+    NotSemiprime,
+)
 from gradlie.gallery import (
     first_component,
     heis3,
@@ -166,6 +170,13 @@ def test_maximal_quotients_results_are_cached():
     assert maximal_quotients(a) is maximal_quotients(a)
 
 
+def test_memoized_maximal_quotients_still_respect_the_budget():
+    a = sl2(F5)
+    assert maximal_quotients(a).algebra.dim == 3
+    with pytest.raises(DimensionTooLarge):
+        maximal_quotients(a, budget=1)
+
+
 def test_graded_and_plain_maximal_quotients_match():
     for alg in (sl2(), sl2sum()):
         plain, graded, report = maximal_quotients_match(alg)
@@ -230,7 +241,7 @@ def test_central_algebras_are_refused():
 
 def test_annihilator_in_ambient():
     s = sl2sum()
-    ann = annihilator_in(s, first_component(s, 3))
+    ann = s.annihilator(first_component(s, 3))
     assert ann == span(QQ, 6, [s.basis_vector(i) for i in (3, 4, 5)])
 
 

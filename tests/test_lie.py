@@ -180,6 +180,19 @@ def test_ideal_generated():
         span(QQ, 3, [vec(h, x=1), vec(h, z=1)])
 
 
+@pytest.mark.parametrize("make", [sl2, heis3, sl2sum, p_mod_i],
+                         ids=["sl2", "heis3", "sl2sum", "p_mod_i"])
+@given(data=st.data())
+def test_ideal_generated_agrees_with_numpy_closure(make, data):
+    # the exact worklist closure against the numpy oracle of the F_p scans
+    from gradlie.enumeration import principal_ideal_np
+
+    alg = make(F5)
+    v = tuple(data.draw(st.lists(f5_scalars, min_size=alg.dim,
+                                 max_size=alg.dim)))
+    assert alg.ideal_generated([v]) == principal_ideal_np(alg, v)
+
+
 def test_subalgebra_generated():
     a = sl2()
     assert a.subalgebra_generated([vec(a, e=1), vec(a, f=1)]).dim == 3
