@@ -7,13 +7,15 @@ element budget first and raises DimensionTooLarge beyond it; the default
 of 10**6 can be overridden by the GRADLIE_BUDGET environment variable or a
 per-call argument.
 
-The inner loops are numpy int64 arithmetic on the structure tensor
-T[i, j, k] = [b_i, b_j]_k; results are converted back to exact Subspace
-values, so callers never see floating point or raw arrays.  numpy is
-imported inside the functions that use it, so it is loaded only when a
-mod-p scan runs: ``import gradlie`` and the CLI commands over Q never pay
-for it at start-up (sympy, used by the commutant splitter over Q in
-analysis, is deferred the same way).
+The principal-ideal scan closes one point at a time in exact integer
+arithmetic through linalg.closure, reading brackets off a sparse table of
+the structure constants.  Only the batched absolute-zero-divisor scan uses
+numpy: int64 arithmetic on the structure tensor T[i, j, k] = [b_i, b_j]_k,
+with the hit converted back to an exact tuple, so callers never see raw
+arrays.  numpy is imported inside the functions that use it, so it is
+loaded only when that scan runs: ``import gradlie``, the CLI commands over
+Q and the principal-ideal scans never pay for it (sympy, used by the
+commutant splitter over Q in analysis, is deferred the same way).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import itertools
 import os
 
 from .errors import DimensionTooLarge, ValidationError
-from .linalg import Subspace, span
+from .linalg import closure, span
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -73,38 +75,6 @@ def structure_tensor(alg):
     return t
 
 
-def _rref_mod(m, p):
-    """In-place style RREF of an int64 matrix mod p; returns the pivot rows."""
-    import numpy as np
-
-    m = m % p
-    m = m[np.any(m, axis=1)]
-    if m.size == 0:
-        return m.reshape(0, m.shape[1] if m.ndim == 2 else 0)
-    rows, n = m.shape
-    r = 0
-    for c in range(n):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + nz[0]
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        piv = m[r, c]
-        if piv != 1:
-            m[r] = (m[r] * pow(int(piv), -1, p)) % p
-        others = m[:, c].copy()
-        others[r] = 0
-        hit = np.nonzero(others)[0]
-        if hit.size:
-            m[hit] = (m[hit] - np.outer(others[hit], m[r])) % p
-        r += 1
-    m = m[np.any(m, axis=1)]
-    return m
-
-
 def iter_projective(p, positions, ambient):
     """Projective points supported on the given coordinate positions.
 
@@ -143,22 +113,34 @@ def scan_points(alg, homogeneous_only=False, budget=None):
         yield from iter_projective(p, b, alg.dim)
 
 
-def principal_ideal_np(alg, v, tensor=None):
-    """Smallest ideal of a mod-p algebra containing v, via numpy closure."""
-    import numpy as np
-
-    p = alg.field.p
-    t = structure_tensor(alg) if tensor is None else tensor
+def _bracket_columns(alg):
+    """Sparse structure constants by column: entry j lists the nonzero
+    (k, t, c) with [b_k, b_j]_t = c."""
     n = alg.dim
-    e = _rref_mod(np.array([v], dtype=np.int64), p)
-    while e.shape[0] < n:
-        new = np.einsum("ijk,rj->irk", t, e) % p
-        e2 = _rref_mod(np.vstack([e, new.reshape(-1, n)]), p)
-        if e2.shape[0] == e.shape[0]:
-            break
-        e = e2
-    rows = [tuple(int(x) for x in row) for row in e]
-    return span(alg.field, n, rows)
+    return [[(k, t, c) for k in range(n)
+             for t, c in enumerate(alg.table[k][j]) if c]
+            for j in range(n)]
+
+
+def principal_ideal_np(alg, v, columns=None):
+    """Smallest ideal of a mod-p algebra containing v: the closure of v
+    under every ad(b_k), with [b_k, w] read off the sparse columns.
+
+    The per-point entry of distinct_principal_ideals, which passes the
+    columns it builds once per scan; perfbench counts scan closures by
+    wrapping this name."""
+    n = alg.dim
+    cols = _bracket_columns(alg) if columns is None else columns
+
+    def images(w):
+        out = [[0] * n for _ in range(n)]
+        for j, wj in enumerate(w):
+            if wj:
+                for k, t, c in cols[j]:
+                    out[k][t] += wj * c
+        return [row for row in out if any(row)]
+
+    return closure(span(alg.field, n, [v]), images)
 
 
 def distinct_principal_ideals(alg, homogeneous_only=False, budget=None):
@@ -180,10 +162,10 @@ def distinct_principal_ideals(alg, homogeneous_only=False, budget=None):
     got = _ideal_cache.get(key)
     if got is not None:
         return got
-    t = structure_tensor(alg)
+    cols = _bracket_columns(alg)
     seen = {}
     for v in scan_points(alg, homogeneous_only=homogeneous_only, budget=budget):
-        ideal = principal_ideal_np(alg, v, tensor=t)
+        ideal = principal_ideal_np(alg, v, columns=cols)
         seen.setdefault(ideal.rows, ideal)
     out = tuple(seen.values())
     _ideal_cache[key] = out

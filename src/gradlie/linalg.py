@@ -89,24 +89,40 @@ def _echelon_q(rows, piv=None):
 
 
 def _echelon_p(rows, p, piv=None):
-    """Insertion echelon mod p, rows normalized to leading 1. {pivot_col: row}."""
+    """Insertion echelon mod p, rows normalized to leading 1. {pivot_col: row}.
+
+    A row is reduced once by each pivot row, in column order (a pivot
+    row vanishes left of its pivot), and taken mod p at the end.  Rows
+    are inserted one at a time into piv, which may be given to continue
+    an earlier echelon.
+    """
     if piv is None:
         piv = {}
-    for raw in rows:
-        row = [x % p for x in raw]
-        while True:
-            c = _first_nonzero(row)
-            if c is None:
-                break
-            if c in piv:
-                q = piv[c]
-                b = row[c]
-                row = [(x - b * y) % p for x, y in zip(row, q)]
-            else:
-                inv = pow(row[c], -1, p)
-                piv[c] = [x * inv % p for x in row]
-                break
+    for row in rows:
+        for c in sorted(piv):
+            t = row[c] % p
+            if t:
+                row = [x - t * y for x, y in zip(row, piv[c])]
+        row = [x % p for x in row]
+        c = _first_nonzero(row)
+        if c is not None:
+            inv = pow(row[c], -1, p)
+            piv[c] = [x * inv % p for x in row]
     return piv
+
+
+def _back_eliminate_p(piv, p):
+    """Canonical RREF rows of an echelon from _echelon_p."""
+    cols = sorted(piv)
+    for i in range(len(cols) - 1, -1, -1):
+        c = cols[i]
+        q = piv[c]
+        for c2 in cols[:i]:
+            r = piv[c2]
+            if r[c]:
+                b = r[c]
+                piv[c2] = [(x - b * y) % p for x, y in zip(r, q)]
+    return [tuple(piv[c]) for c in cols]
 
 
 def rref(field, rows):
@@ -135,17 +151,7 @@ def rref(field, rows):
             lead = r[c]
             out.append(tuple(Fraction(x, lead) for x in r))
         return out
-    piv = _echelon_p(rows, p)
-    cols = sorted(piv)
-    for i in range(len(cols) - 1, -1, -1):
-        c = cols[i]
-        q = piv[c]
-        for c2 in cols[:i]:
-            r = piv[c2]
-            if r[c]:
-                b = r[c]
-                piv[c2] = [(x - b * y) % p for x, y in zip(r, q)]
-    return [tuple(piv[c]) for c in cols]
+    return _back_eliminate_p(_echelon_p(rows, p), p)
 
 
 def rank(field, rows):
@@ -177,10 +183,11 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient):
-        one, z = field.one, field.zero
-        rows = tuple(
-            tuple(one if j == i else z for j in range(ambient)) for i in range(ambient)
-        )
+        rows = []
+        for i in range(ambient):
+            row = [field.zero] * ambient
+            row[i] = field.one
+            rows.append(tuple(row))
         return cls(field, ambient, rows, _canonical=True)
 
     @property
@@ -350,9 +357,12 @@ def closure(start, images):
 
     Worklist over vectors: a vector's images are computed once, when the
     vector enters the echelon as a new dimension, so the generators of
-    the result all have their images inside it and it is stable.
+    the result all have their images inside it and it is stable.  Once
+    the echelon has full rank the whole space is stable, and the
+    worklist stops there.
     """
     field = start.field
+    n = start.ambient
     p = field.p
     piv = {}
 
@@ -365,11 +375,17 @@ def closure(start, images):
         return len(piv) > before
 
     todo = [v for v in start.rows if grows(v)]
-    while todo:
+    while todo and len(piv) < n:
         for w in images(todo.pop()):
             if grows(w):
                 todo.append(w)
-    return Subspace(field, start.ambient, [piv[c] for c in sorted(piv)])
+                if len(piv) == n:
+                    break
+    if len(piv) == n:
+        return Subspace.full(field, n)
+    if p is None:
+        return Subspace(field, n, [piv[c] for c in sorted(piv)])
+    return Subspace(field, n, _back_eliminate_p(piv, p), _canonical=True)
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,15 @@ def _is_prime(n):
 class Field:
     """The rationals (p is None) or the prime field of size p."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "zero", "one")
 
     def __init__(self, p=None):
         if p is not None and not _is_prime(p):
             raise ParseError(f"{p} is not prime")
         self.p = p
+        # immutable values, so one instance of each serves every caller
+        self.zero = Fraction(0) if p is None else 0
+        self.one = Fraction(1) if p is None else 1
 
     @property
     def char(self):
@@ -48,14 +51,6 @@ class Field:
         return "QQ" if self.p is None else f"GF({self.p})"
 
     # -- element construction ------------------------------------------------
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p is None else 1
 
     def of(self, x):
         """Coerce an int, Fraction, or scalar string into a field element."""

@@ -6,7 +6,7 @@ over F5, and each command runs in-process through ``cli.main`` with
 ``tests/golden/`` byte for byte, so a refactor that changes a verdict, a
 witness, a basis or the canonical JSON shows up here.
 
-Five F5 cases are left out because each takes 20 to 50 s: plain qmax and
+Five F5 cases are left out because each takes 11 to 22 s: plain qmax and
 analyze of p_mod_i and of sln_e11(3), and ``check-quotient --weak`` of
 p_mod_i.  jmax of pair_rect(1,2) over F5 stays in: its exhaustive
 97,656-point scan of the 8-dimensional TKK algebra is the slowest case

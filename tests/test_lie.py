@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from _naive import naive_ideal
 from gradlie.errors import (
     AntisymmetryViolation,
     GradingViolation,
@@ -184,13 +185,16 @@ def test_ideal_generated():
                          ids=["sl2", "heis3", "sl2sum", "p_mod_i"])
 @given(data=st.data())
 def test_ideal_generated_agrees_with_numpy_closure(make, data):
-    # the exact worklist closure against the numpy oracle of the F_p scans
+    # both closures (ideal_generated and the per-point entry of the F_p
+    # scans) against the plain fixpoint cur = span(cur + {[b_i, r]})
     from gradlie.enumeration import principal_ideal_np
 
     alg = make(F5)
     v = tuple(data.draw(st.lists(f5_scalars, min_size=alg.dim,
                                  max_size=alg.dim)))
-    assert alg.ideal_generated([v]) == principal_ideal_np(alg, v)
+    want = naive_ideal(alg, [v])
+    assert alg.ideal_generated([v]) == want
+    assert principal_ideal_np(alg, v) == want
 
 
 def test_subalgebra_generated():

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradlie.errors import ParseError
+from gradlie.gallery import sl2
 from gradlie.linalg import (
     Subspace,
+    closure,
     determinant,
     kernel_basis,
     mat_identity,
@@ -179,6 +181,28 @@ def test_zero_and_full_subspaces():
     assert f.dim == 3 and f.contains((Fraction(1), Fraction(2), Fraction(3)))
     assert f.intersect(z) == z
     assert f.add(z) == f
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_closure_stops_at_full_rank(field):
+    # sl2 is simple, so the ideal of e is everything: the images of e
+    # bring in h ([f, e] = -h) and those of h bring in f ([f, h] = 2f).
+    # Two calls reach full rank; the images of f are never asked for
+    alg = sl2(field)
+    n = alg.dim
+    calls = []
+
+    def images(v):
+        calls.append(v)
+        return alg.right_matrix(v)
+
+    full = Subspace.full(field, n)
+    got = closure(span(field, n, [(1, 0, 0)]), images)
+    assert got.rows == full.rows and got == full
+    assert len(calls) < n  # fewer than n * n image vectors
+    calls.clear()
+    assert closure(full, images).rows == full.rows
+    assert not calls
 
 
 # -- solving and determinants ---------------------------------------------

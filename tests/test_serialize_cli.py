@@ -218,8 +218,9 @@ def test_cli_check_quotient_exit_codes(pmi_file, capsys):
     assert "witness: x3" in out
 
 
-# numpy (mod-p scans) and sympy (Q commutant splitter) are imported where
-# they are used; a fresh process doing work over Q must never load them.
+# numpy (absolute-zero-divisor scan) and sympy (Q commutant splitter) are
+# imported where they are used; a fresh process doing work over Q must
+# never load them, nor one running the mod-p principal-ideal scan.
 _HEAVY = {"numpy", "sympy"}
 
 _RUN_CLI_THEN_REPORT = """
@@ -244,6 +245,15 @@ def test_import_gradlie_loads_neither_numpy_nor_sympy():
         "-c", "import sys, gradlie; "
         "print('loaded', sorted(set(sys.modules) & %r))" % (_HEAVY,))
     assert last == "loaded []"
+
+
+def test_principal_ideal_scan_loads_neither_numpy_nor_sympy():
+    last = _fresh_python(
+        "-c", "import sys; from gradlie import GF, gallery; "
+        "from gradlie.enumeration import distinct_principal_ideals; "
+        "n = len(distinct_principal_ideals(gallery.sl2sum(GF(5)))); "
+        "print(n, 'loaded', sorted(set(sys.modules) & %r))" % (_HEAVY,))
+    assert last == "3 loaded []"
 
 
 def test_cli_check_quotient_over_q_loads_neither_numpy_nor_sympy(pmi_file):
