@@ -1,13 +1,12 @@
 """Jordan pairs, triples, and algebras; TKK; pairs of quotients.
 
 Axioms are verified as polynomial identities in formal coordinates: a
-trilinear product turns each side of an identity into a vector of
+multilinear product turns each side of an identity into a vector of
 polynomials in the coordinates of the formal arguments, and comparing
 coefficients monomial by monomial is exactly the fully multilinearized
 identity family, which is what validity under all scalar extensions
-means.  The per-variable degrees stay below 5, so over F_p with p >= 5
-an exhaustive point evaluation proves the same thing; it runs as a
-cross-check when the point count fits the budget.
+means.  That comparison is the proof, over Q and over F_p alike; no
+point evaluation cross-checks it at runtime.
 
 The quotients decider works through one canonical candidate per element
 q of the big pair: the set of elements of the small pair satisfying the
@@ -49,10 +48,6 @@ from .linalg import (
 # sorted tuples of variable tags)
 
 
-def _pzero():
-    return {}
-
-
 def _padd(f, a, b):
     out = dict(a)
     for m, c in b.items():
@@ -87,28 +82,44 @@ def _formal(f, tag, dim):
     return [{((tag, i),): f.one} for i in range(dim)]
 
 
-def _vec_eq(a, b):
-    return all(x == y for x, y in zip(a, b)) and len(a) == len(b)
+def _poly_product(f, table, args, out_dim):
+    """The multilinear product of vectors of polynomials: table is indexed
+    by one basis index per argument and then holds a cell of out_dim
+    coefficients."""
+    out = [{} for _ in range(out_dim)]
 
+    def walk(cells, mono, rest):
+        if not rest:
+            for k, coeff in enumerate(cells):
+                if coeff != f.zero:
+                    out[k] = _padd(f, out[k], _pscale(f, mono, coeff))
+            return
+        for i, poly in enumerate(rest[0]):
+            if poly:
+                walk(cells[i], _pmul(f, mono, poly), rest[1:])
 
-def _tri_poly(f, table, a, b, c, out_dim):
-    out = [_pzero() for _ in range(out_dim)]
-    for i, pa in enumerate(a):
-        if not pa:
-            continue
-        for j, pb in enumerate(b):
-            if not pb:
-                continue
-            ab = _pmul(f, pa, pb)
-            for l, pc in enumerate(c):
-                if not pc:
-                    continue
-                abc = _pmul(f, ab, pc)
-                cell = table[i][j][l]
-                for k, coeff in enumerate(cell):
-                    if coeff != f.zero:
-                        out[k] = _padd(f, out[k], _pscale(f, abc, coeff))
+    walk(table, {(): f.one}, args)
     return out
+
+
+def _basis(field, n):
+    return [tuple(field.one if i == j else field.zero for i in range(n))
+            for j in range(n)]
+
+
+def _trilinear_table(n, m, g):
+    """The table with table[i][j][l] = g(i, j, l), i and l below n, j
+    below m."""
+    return tuple(tuple(tuple(g(i, j, l) for l in range(n)) for j in range(m))
+                 for i in range(n))
+
+
+def _cut(f, idx, v, message):
+    """The coordinates of v on the block idx; raises ValidationError with
+    the message when v has a nonzero coordinate outside the block."""
+    if any(c != f.zero for pos, c in enumerate(v) if pos not in idx):
+        raise ValidationError(message)
+    return tuple(v[i] for i in idx)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +144,7 @@ class JordanPair:
                  "table_minus", "half", "_key")
 
     def __init__(self, field, names_plus, names_minus, table_plus,
-                 table_minus, budget=None):
+                 table_minus):
         if field.p in (2, 3):
             raise BadCharacteristic(
                 "Jordan systems need invertible 2 and 3; p = %d" % field.p)
@@ -145,7 +156,7 @@ class JordanPair:
         self.half = field.inv(field.of(2))
         self._key = (field.p, self.names_plus, self.names_minus,
                      self.table_plus, self.table_minus)
-        self._validate(budget)
+        self._validate()
 
     def __eq__(self, other):
         return isinstance(other, JordanPair) and self._key == other._key
@@ -200,29 +211,19 @@ class JordanPair:
 
     def d_matrix(self, sign, x, y):
         """Matrix of D_{x,y} on the sign side (row convention v @ M)."""
-        f = self.field
-        n = self.dim(sign)
-        basis = [tuple(f.one if i == l else f.zero for i in range(n))
-                 for l in range(n)]
-        return tuple(self.triple(sign, x, y, e) for e in basis)
+        return tuple(self.triple(sign, x, y, e)
+                     for e in _basis(self.field, self.dim(sign)))
 
     def q_matrix(self, sign, x):
-        """Matrix of Q_x = half D-squared trick: row j is Q_x b_j."""
-        f = self.field
-        m = self.dim(-sign)
-        rows = []
-        for j in range(m):
-            e = tuple(f.one if i == j else f.zero for i in range(m))
-            rows.append(tuple(f.of(self.half * c)
-                              for c in self.triple(sign, x, e, x)))
-        return tuple(rows)
+        """Matrix of Q_x: row j is Q_x b_j."""
+        return tuple(self.q_apply(sign, x, e)
+                     for e in _basis(self.field, self.dim(-sign)))
 
     def q_apply(self, sign, x, y):
         f = self.field
         return tuple(f.of(self.half * c) for c in self.triple(sign, x, y, x))
 
-    def _validate(self, budget):
-        f = self.field
+    def _validate(self):
         for sign in (1, -1):
             t = self.table(sign)
             n, m = self.dim(sign), self.dim(-sign)
@@ -238,108 +239,32 @@ class JordanPair:
                                 "outer symmetry",
                                 " at (%d, %d, %d), sign %+d" % (i, j, l, sign))
         self._check_axioms_formal()
-        if f.p is not None:
-            self._check_axioms_points(budget)
 
     def _check_axioms_formal(self):
         f = self.field
+
+        def tri(sign, a, b, c):
+            return _poly_product(f, self.table(sign), (a, b, c),
+                                 self.dim(sign))
+
+        def q(sign, a, b):
+            return [_pscale(f, p, self.half) for p in tri(sign, a, b, a)]
+
         for sign in (1, -1):
             n, m = self.dim(sign), self.dim(-sign)
-            x = _formal(f, "x", n)
-            y = _formal(f, "y", m)
-            w = _formal(f, "w", m)
-            z = _formal(f, "z", n)
-            t_s = self.table(sign)
-            t_o = self.table(-sign)
-
-            def tri_s(a, b, c):
-                return _tri_poly(f, t_s, a, b, c, n)
-
-            def tri_o(a, b, c):
-                return _tri_poly(f, t_o, a, b, c, m)
-
-            def q_s(a, b):
-                return [ _pscale(f, p, self.half) for p in tri_s(a, b, a) ]
-
-            def q_o(a, b):
-                return [ _pscale(f, p, self.half) for p in tri_o(a, b, a) ]
-
-            qxw = q_s(x, w)
-            lhs1 = tri_s(x, y, qxw)
-            dyxw = tri_o(y, x, w)
-            rhs1 = q_s(x, dyxw)
-            if not _vec_eq(lhs1, rhs1):
+            x, z = _formal(f, "x", n), _formal(f, "z", n)
+            y, w = _formal(f, "y", m), _formal(f, "w", m)
+            qxw = q(sign, x, w)
+            if tri(sign, x, y, qxw) != q(sign, x, tri(-sign, y, x, w)):
                 raise AxiomViolation("D_{x,y} Q_x = Q_x D_{y,x}",
                                      " on the %+d side" % sign)
-            qxy = q_s(x, y)
-            lhs2 = tri_s(qxy, y, z)
-            qyx = q_o(y, x)
-            rhs2 = tri_s(x, qyx, z)
-            if not _vec_eq(lhs2, rhs2):
+            qxy = q(sign, x, y)
+            if tri(sign, qxy, y, z) != tri(sign, x, q(-sign, y, x), z):
                 raise AxiomViolation("D_{Q_x y, y} = D_{x, Q_y x}",
                                      " on the %+d side" % sign)
-            qxw2 = q_s(x, w)
-            lhs3 = [ _pscale(f, p, self.half)
-                     for p in tri_s(qxy, w, qxy) ]
-            rhs3 = q_s(x, q_o(y, q_s(x, w)))
-            if not _vec_eq(lhs3, rhs3):
+            if q(sign, qxy, w) != q(sign, x, q(-sign, y, qxw)):
                 raise AxiomViolation("Q_{Q_x y} = Q_x Q_y Q_x",
                                      " on the %+d side" % sign)
-
-    def _check_axioms_points(self, budget):
-        # operator-level evaluation at every scalar point; per-variable
-        # degrees are below p for p >= 5, so this is a true cross-check
-        from .enumeration import resolve_budget
-
-        f = self.field
-        p = f.p
-        cap = resolve_budget(budget)
-        for sign in (1, -1):
-            n, m = self.dim(sign), self.dim(-sign)
-            # each point costs a handful of n x n matrix products; weigh
-            # the count so the default budget keeps validation interactive
-            if p ** (n + m) * max(1, n) ** 3 > cap:
-                return
-            for x in _all_points(p, n):
-                qx = self.q_matrix(sign, x)
-                for y in _all_points(p, m):
-                    dxy = self.d_matrix(sign, x, y)
-                    dyx = self.d_matrix(-sign, y, x)
-                    qy = self.q_matrix(-sign, y)
-                    if mat_mul(qx, dxy, f) != mat_mul(dyx, qx, f):
-                        raise AxiomViolation(
-                            "D_{x,y} Q_x = Q_x D_{y,x}",
-                            " at a point, sign %+d" % sign)
-                    qxy = self.q_apply(sign, x, y)
-                    qyx = self.q_apply(-sign, y, x)
-                    if self.d_matrix(sign, qxy, y) != \
-                            self.d_matrix(sign, x, qyx):
-                        raise AxiomViolation(
-                            "D_{Q_x y, y} = D_{x, Q_y x}",
-                            " at a point, sign %+d" % sign)
-                    lhs = self.q_matrix(sign, qxy)
-                    rhs = mat_mul(mat_mul(qx, qy, f), qx, f)
-                    if lhs != rhs:
-                        raise AxiomViolation(
-                            "Q_{Q_x y} = Q_x Q_y Q_x",
-                            " at a point, sign %+d" % sign)
-
-
-def _all_points(p, dim):
-    total = p ** dim
-    for idx in range(total):
-        v = []
-        rest = idx
-        for _ in range(dim):
-            v.append(rest % p)
-            rest //= p
-        yield tuple(v)
-
-
-def construct_pair(field, names_plus, names_minus, table_plus, table_minus,
-                   budget=None):
-    return JordanPair(field, names_plus, names_minus, table_plus,
-                      table_minus, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +304,6 @@ def zero_subpair(pair):
     f = pair.field
     return SubPair(Subspace.zero(f, pair.dim_plus),
                    Subspace.zero(f, pair.dim_minus))
-
-
-def _basis(field, n):
-    return [tuple(field.one if i == j else field.zero for i in range(n))
-            for j in range(n)]
 
 
 def is_pair_ideal(pair, sub):
@@ -667,46 +587,25 @@ def tkk_ideal(pair, sub):
 
 
 def pair_from_lie_blocks(alg, plus_idx, minus_idx, names_plus=None,
-                         names_minus=None, budget=None):
+                         names_minus=None):
     """Jordan pair on two coordinate blocks of a Lie algebra via
     {x,y,z} = [[x,y],z]."""
     f = alg.field
-
-    def lift(idx, coords):
-        v = [f.zero] * alg.dim
-        for i, c in zip(idx, coords):
-            v[i] = c
-        return tuple(v)
-
-    def cut(idx, v):
-        return tuple(v[i] for i in idx)
+    e = alg.basis_vector
 
     def build(idx_a, idx_b):
-        n, m = len(idx_a), len(idx_b)
-        table = []
-        for i in range(n):
-            plane = []
-            ei = lift(idx_a, _basis(f, n)[i])
-            for j in range(m):
-                ej = lift(idx_b, _basis(f, m)[j])
-                inner = alg.bracket(ei, ej)
-                row = []
-                for l in range(n):
-                    el = lift(idx_a, _basis(f, n)[l])
-                    out = alg.bracket(inner, el)
-                    for pos, c in enumerate(out):
-                        if c != f.zero and pos not in idx_a:
-                            raise ValidationError(
-                                "triple product left its block")
-                    row.append(cut(idx_a, out))
-                plane.append(tuple(row))
-            table.append(tuple(plane))
-        return tuple(table)
+        inner = [[alg.bracket(e(i), e(j)) for j in idx_b] for i in idx_a]
+
+        def g(i, j, l):
+            return _cut(f, idx_a, alg.bracket(inner[i][j], e(idx_a[l])),
+                        "triple product left its block")
+
+        return _trilinear_table(len(idx_a), len(idx_b), g)
 
     np_ = names_plus or tuple(alg.names[i] for i in plus_idx)
     nm_ = names_minus or tuple(alg.names[i] for i in minus_idx)
     return JordanPair(f, np_, nm_, build(plus_idx, minus_idx),
-                      build(minus_idx, plus_idx), budget=budget)
+                      build(minus_idx, plus_idx))
 
 
 @dataclass
@@ -726,7 +625,8 @@ def associated_pair(alg, budget=None):
     L -> TKK(pair) (identity on the outer components, [x, y] to
     delta(x, y) in the middle) and verifies it is a surjective graded
     homomorphism with kernel Z(L) cap L_0, which realizes the canonical
-    isomorphism L / (Z(L) cap L_0) = TKK(pair).
+    isomorphism L / (Z(L) cap L_0) = TKK(pair).  Nothing here scans
+    points, so budget is accepted and never consulted.
     """
     from .analysis import require_three_graded
 
@@ -736,19 +636,19 @@ def associated_pair(alg, budget=None):
         raise BadCharacteristic("associated pairs need invertible 2")
     plus_idx = tuple(i for i in range(alg.dim) if alg.degrees[i] == 1)
     minus_idx = tuple(i for i in range(alg.dim) if alg.degrees[i] == -1)
-    zero_idx = tuple(i for i in range(alg.dim) if alg.degrees[i] == 0)
     l0 = alg.degree_component(0)
     lplus = alg.degree_component(1)
     lminus = alg.degree_component(-1)
     if alg.bracket_space(lplus, lminus) != l0:
         raise NotJordanThreeGraded("[L_1, L_-1] is a proper part of L_0")
 
-    pair = pair_from_lie_blocks(alg, plus_idx, minus_idx, budget=budget)
+    pair = pair_from_lie_blocks(alg, plus_idx, minus_idx)
     c_v = alg.center().intersect(l0)
 
     data = tkk_data(pair)
     t = data.algebra
     n, m = len(plus_idx), len(minus_idx)
+    ep, em = _basis(f, n), _basis(f, m)
 
     # bracket pairs [e_i^+, e_j^-] span L_0; solve for preimages of the
     # standard degree-0 coordinates
@@ -764,10 +664,10 @@ def associated_pair(alg, budget=None):
         deg = alg.degrees[k]
         if deg == 1:
             pos = plus_idx.index(k)
-            row = data.embed_plus(_basis(f, n)[pos])
+            row = data.embed_plus(ep[pos])
         elif deg == -1:
             pos = minus_idx.index(k)
-            row = data.embed_minus(_basis(f, m)[pos])
+            row = data.embed_minus(em[pos])
         else:
             target = alg.basis_vector(k)
             eqs = tuple(tuple(bracket_vecs[p][c] for p in range(len(pair_list)))
@@ -779,7 +679,7 @@ def associated_pair(alg, budget=None):
             acc = [f.zero] * t.dim
             for c, (i, j) in zip(sol, pair_list):
                 if c != f.zero:
-                    dv = data.embed_delta(_basis(f, n)[i], _basis(f, m)[j])
+                    dv = data.embed_delta(ep[i], em[j])
                     acc = [f.of(a + c * b) for a, b in zip(acc, dv)]
             row = tuple(acc)
         map_rows.append(tuple(row))
@@ -944,7 +844,6 @@ class PairEmbedding:
     __slots__ = ("big", "sub", "small", "plus_rows", "minus_rows")
 
     def __init__(self, big, sub):
-        f = big.field
         for sign in (1, -1):
             mine, other = sub.part(sign), sub.part(-sign)
             for a in mine.rows:
@@ -965,24 +864,16 @@ class PairEmbedding:
         np_, nm_ = self.sub.plus.dim, self.sub.minus.dim
 
         def build(sign):
-            mine = self.sub.part(sign)
-            other = self.sub.part(-sign)
-            n, m = mine.dim, other.dim
-            table = []
-            for i in range(n):
-                plane = []
-                for j in range(m):
-                    row = []
-                    for l in range(n):
-                        t = self.big.triple(sign, mine.rows[i],
-                                            other.rows[j], mine.rows[l])
-                        co = mine.coords(t)
-                        if co is None:
-                            raise ValidationError("triple left the subpair")
-                        row.append(tuple(co))
-                    plane.append(tuple(row))
-                table.append(tuple(plane))
-            return tuple(table)
+            mine, other = self.sub.part(sign), self.sub.part(-sign)
+
+            def g(i, j, l):
+                co = mine.coords(self.big.triple(
+                    sign, mine.rows[i], other.rows[j], mine.rows[l]))
+                if co is None:
+                    raise ValidationError("triple left the subpair")
+                return tuple(co)
+
+            return _trilinear_table(mine.dim, other.dim, g)
 
         names_p = tuple("v%d" % i for i in range(np_))
         names_m = tuple("w%d" % i for i in range(nm_))
@@ -1228,7 +1119,6 @@ def maximal_pair_quotients(pair, budget=None):
     from .derivations import maximal_quotients
 
     f = pair.field
-    _require_invertible_6(f)
     if not pair_is_strongly_nondegenerate(pair, budget=budget):
         raise NotStronglyNondegenerate(
             "maximal pair quotients need strong nondegeneracy")
@@ -1239,34 +1129,25 @@ def maximal_pair_quotients(pair, budget=None):
         raise ValidationError("maximal quotients left the 3-graded world")
     plus_idx = tuple(i for i in range(qm.dim) if qm.degrees[i] == 1)
     minus_idx = tuple(i for i in range(qm.dim) if qm.degrees[i] == -1)
-    big = pair_from_lie_blocks(qm, plus_idx, minus_idx, budget=budget)
+    big = pair_from_lie_blocks(qm, plus_idx, minus_idx)
 
-    def cut(idx, v):
-        for pos, c in enumerate(v):
-            if c != f.zero and pos not in idx:
-                raise ValidationError("embedding is not graded")
-        return tuple(v[i] for i in idx)
-
-    plus_map = []
-    for i in range(pair.dim_plus):
-        img = mq.embedding[i]
-        plus_map.append(cut(plus_idx, img))
-    minus_map = []
-    for j in range(pair.dim_minus):
-        img = mq.embedding[pair.dim_plus + data.ider.dim + j]
-        minus_map.append(cut(minus_idx, img))
-    plus_map, minus_map = tuple(plus_map), tuple(minus_map)
+    off = pair.dim_plus + data.ider.dim
+    plus_map = tuple(_cut(f, plus_idx, mq.embedding[i],
+                          "embedding is not graded")
+                     for i in range(pair.dim_plus))
+    minus_map = tuple(_cut(f, minus_idx, mq.embedding[off + j],
+                           "embedding is not graded")
+                      for j in range(pair.dim_minus))
 
     # products must be preserved through the embedding
     for sign, mymap, omap in ((1, plus_map, minus_map),
                               (-1, minus_map, plus_map)):
         n, m = pair.dim(sign), pair.dim(-sign)
+        es, eo = _basis(f, n), _basis(f, m)
         for i in range(n):
             for j in range(m):
                 for l in range(n):
-                    src = pair.triple(sign,
-                                      _basis(f, n)[i], _basis(f, m)[j],
-                                      _basis(f, n)[l])
+                    src = pair.triple(sign, es[i], eo[j], es[l])
                     lhs = mat_vec(src, mymap, f)
                     rhs = big.triple(sign, mymap[i], omap[j], mymap[l])
                     if lhs != rhs:
@@ -1280,11 +1161,6 @@ def maximal_pair_quotients(pair, budget=None):
     return MaximalPairQuotients(big, plus_map, minus_map, mq, verdict)
 
 
-def _require_invertible_6(f):
-    if f.p in (2, 3):
-        raise BadCharacteristic("these constructions need invertible 6")
-
-
 # triples
 
 
@@ -1293,12 +1169,12 @@ class JordanTriple:
 
     __slots__ = ("field", "names", "table", "double")
 
-    def __init__(self, field, names, table, budget=None):
+    def __init__(self, field, names, table):
         self.field = field
         self.names = tuple(names)
         self.table = _freeze3(field, table)
         self.double = JordanPair(field, self.names, self.names,
-                                 self.table, self.table, budget=budget)
+                                 self.table, self.table)
 
     @property
     def dim(self):
@@ -1354,9 +1230,7 @@ def _exchange_matrix(data):
         rows.append(tuple(v))
     mat = tuple(rows)
     # involutive automorphism
-    if mat_mul(mat, mat, f) != tuple(tuple(f.one if i == j else f.zero
-                                           for j in range(alg.dim))
-                                     for i in range(alg.dim)):
+    if mat_mul(mat, mat, f) != tuple(_basis(f, alg.dim)):
         raise ValidationError("exchange squared is not the identity")
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
@@ -1371,7 +1245,6 @@ def maximal_triple_quotients(triple, budget=None):
     """First component of the maximal pair quotients of the double pair,
     with the triple product transported through the exchange symmetry."""
     f = triple.field
-    _require_invertible_6(f)
     v = triple.double
     mpq = maximal_pair_quotients(v, budget=budget)
     data = tkk_data(v)
@@ -1404,43 +1277,25 @@ def maximal_triple_quotients(triple, budget=None):
     plus_idx = tuple(i for i in range(qm.dim) if qm.degrees[i] == 1)
     minus_idx = tuple(i for i in range(qm.dim) if qm.degrees[i] == -1)
     nb = len(plus_idx)
+    e = [qm.basis_vector(i) for i in plus_idx]
+    swapped = [tuple(mat_vec(ej, h, f)) for ej in e]
+    inner = [[qm.bracket(ei, yj) for yj in swapped] for ei in e]
 
-    def lift_plus(x):
-        vfull = [f.zero] * qm.dim
-        for i, c in zip(plus_idx, x):
-            vfull[i] = c
-        return tuple(vfull)
+    def g(i, j, l):
+        return _cut(f, plus_idx, qm.bracket(inner[i][j], e[l]),
+                    "triple product left the plus block")
 
-    def cut_plus(vfull):
-        for pos, c in enumerate(vfull):
-            if c != f.zero and pos not in plus_idx:
-                raise ValidationError("triple product left the plus block")
-        return tuple(vfull[i] for i in plus_idx)
-
-    basis_p = _basis(f, nb)
-    table = []
-    for i in range(nb):
-        plane = []
-        for j in range(nb):
-            yswap = mat_vec(lift_plus(basis_p[j]), h, f)
-            inner = [qm.bracket(lift_plus(basis_p[i]), tuple(yswap))]
-            row = []
-            for l in range(nb):
-                out = qm.bracket(inner[0], lift_plus(basis_p[l]))
-                row.append(cut_plus(out))
-            plane.append(tuple(row))
-        table.append(tuple(plane))
     names = tuple("t%d" % i for i in range(nb))
-    result = JordanTriple(f, names, tuple(table), budget=budget)
+    result = JordanTriple(f, names, _trilinear_table(nb, nb, g))
 
     embedding = mpq.plus_map
     # embedding must preserve the triple product
     n = triple.dim
+    es = _basis(f, n)
     for i in range(n):
         for j in range(n):
             for l in range(n):
-                src = triple.triple(_basis(f, n)[i], _basis(f, n)[j],
-                                    _basis(f, n)[l])
+                src = triple.triple(es[i], es[j], es[l])
                 lhs = mat_vec(src, embedding, f)
                 rhs = result.triple(embedding[i], embedding[j], embedding[l])
                 if lhs != rhs:
@@ -1497,26 +1352,12 @@ class JordanAlgebra:
                                          " at (%d, %d)" % (i, j))
 
         def mul(a, b):
-            out = [_pzero() for _ in range(n)]
-            for i, pa in enumerate(a):
-                if not pa:
-                    continue
-                for j, pb in enumerate(b):
-                    if not pb:
-                        continue
-                    ab = _pmul(f, pa, pb)
-                    cell = self.table[i][j]
-                    for k, c in enumerate(cell):
-                        if c != f.zero:
-                            out[k] = _padd(f, out[k], _pscale(f, ab, c))
-            return out
+            return _poly_product(f, self.table, (a, b), n)
 
         x = _formal(f, "x", n)
         y = _formal(f, "y", n)
         xx = mul(x, x)
-        lhs = mul(mul(xx, y), x)
-        rhs = mul(xx, mul(y, x))
-        if not _vec_eq(lhs, rhs):
+        if mul(mul(xx, y), x) != mul(xx, mul(y, x)):
             raise AxiomViolation("(x.x . y) . x = x.x . (y . x)")
 
     def unit(self):
@@ -1533,26 +1374,21 @@ class JordanAlgebra:
         sol = solve_linear(f, eqs, rhs, nunknowns=n)
         return None if sol is None else tuple(sol)
 
-    def derived_triple(self, budget=None):
+    def derived_triple(self):
         """The triple {x,y,z} = 2(x(zy) + z(xy) - (xz)y)."""
         f = self.field
         n = self.dim
         es = _basis(f, n)
+        prod = [[self.product(a, b) for b in es] for a in es]
         two = f.of(2)
-        table = []
-        for i in range(n):
-            plane = []
-            for j in range(n):
-                row = []
-                for l in range(n):
-                    a = self.product(es[i], self.product(es[l], es[j]))
-                    b = self.product(es[l], self.product(es[i], es[j]))
-                    c = self.product(self.product(es[i], es[l]), es[j])
-                    row.append(tuple(f.of(two * (p + q - r))
-                                     for p, q, r in zip(a, b, c)))
-                plane.append(tuple(row))
-            table.append(tuple(plane))
-        return JordanTriple(f, self.names, tuple(table), budget=budget)
+
+        def g(i, j, l):
+            a = self.product(es[i], prod[l][j])
+            b = self.product(es[l], prod[i][j])
+            c = self.product(prod[i][l], es[j])
+            return tuple(f.of(two * (p + q - r)) for p, q, r in zip(a, b, c))
+
+        return JordanTriple(f, self.names, _trilinear_table(n, n, g))
 
 
 @dataclass
@@ -1571,11 +1407,10 @@ def maximal_jordan_algebra_quotients(jalg, budget=None):
     otherwise) and strong nondegeneracy of the derived triple.
     """
     f = jalg.field
-    _require_invertible_6(f)
     e = jalg.unit()
     if e is None:
         raise ValidationError("quotients recovery needs a unital algebra")
-    trip = jalg.derived_triple(budget=budget)
+    trip = jalg.derived_triple()
     mtq = maximal_triple_quotients(trip, budget=budget)
     big_t = mtq.triple
     emb = mtq.embedding
@@ -1592,9 +1427,10 @@ def maximal_jordan_algebra_quotients(jalg, budget=None):
             row.append(tuple(f.of(half * c) for c in t))
         table.append(tuple(row))
     result = JordanAlgebra(f, big_t.names, tuple(table))
+    es = _basis(f, n)
     for i in range(n):
         for j in range(n):
-            src = jalg.product(_basis(f, n)[i], _basis(f, n)[j])
+            src = jalg.product(es[i], es[j])
             lhs = mat_vec(src, emb, f)
             rhs = result.product(emb[i], emb[j])
             if lhs != rhs:

@@ -1,8 +1,9 @@
-"""Textbook oracles for the ideal closures, shared by several test modules."""
+"""Textbook oracles for the ideal closures and the Jordan pair axioms,
+shared by several test modules."""
 
 import itertools
 
-from gradlie.linalg import rref, span
+from gradlie.linalg import mat_mul, rref, span
 
 
 def naive_ideal(alg, vectors):
@@ -53,3 +54,27 @@ def naive_principal_ideals(alg, graded):
         ideal = naive_ideal(alg, [v])
         seen.setdefault(ideal.rows, ideal)
     return tuple(seen.values())
+
+
+def pair_axioms_hold_at_points(pair):
+    """The three Jordan pair identities as operator equations at every
+    point (x, y) of F_p^n x F_p^m, on both sides.  Each entry is a
+    polynomial of degree at most 4 in each coordinate, so for p >= 5 this
+    decides the same identities as the formal check in the constructor."""
+    f, p = pair.field, pair.field.p
+    for sign in (1, -1):
+        for x in itertools.product(range(p), repeat=pair.dim(sign)):
+            qx = pair.q_matrix(sign, x)
+            for y in itertools.product(range(p), repeat=pair.dim(-sign)):
+                dxy = pair.d_matrix(sign, x, y)
+                dyx = pair.d_matrix(-sign, y, x)
+                qxy = pair.q_apply(sign, x, y)
+                qyx = pair.q_apply(-sign, y, x)
+                qy = pair.q_matrix(-sign, y)
+                if (mat_mul(qx, dxy, f) != mat_mul(dyx, qx, f)
+                        or pair.d_matrix(sign, qxy, y)
+                        != pair.d_matrix(sign, x, qyx)
+                        or pair.q_matrix(sign, qxy)
+                        != mat_mul(mat_mul(qx, qy, f), qx, f)):
+                    return False
+    return True
