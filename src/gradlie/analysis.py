@@ -32,26 +32,25 @@ COMMUTANT_DIM_CAP = 10
 
 
 def killing_matrix(alg):
-    """Gram matrix of the trace form (x, y) -> tr(ad x ad y)."""
-    f = alg.field
+    """Gram matrix of the trace form (x, y) -> tr(ad x ad y).
+
+    With (ad b_i)[r][s] = [b_i, b_r]_s the entry at (i, j) is the sum of
+    [b_i, b_r]_s [b_j, b_s]_r over the nonzero structure constants of b_i.
+    """
+    p = alg.field.p
     n = alg.dim
-    t = alg.table
-    out = []
+    ads = [{(r, s): c for r, s, c in nz} for nz in alg.nonzero]
+    out = [[alg.field.zero] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
-            acc = f.zero
-            for r in range(n):
-                tjr = t[j][r]
-                for s in range(n):
-                    c = tjr[s]
-                    if c != f.zero:
-                        d = t[i][s][r]
-                        if d != f.zero:
-                            acc = f.of(acc + c * d)
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+        for j in range(i, n):
+            acc = alg.field.zero
+            adj = ads[j]
+            for r, s, c in alg.nonzero[i]:
+                d = adj.get((s, r))
+                if d:
+                    acc += c * d
+            out[i][j] = out[j][i] = acc if p is None else acc % p
+    return tuple(tuple(row) for row in out)
 
 
 def killing_determinant(alg):
@@ -125,7 +124,7 @@ def absolute_zero_divisor_witness(alg, graded=False, budget=None):
     Over Q this is decided in both directions: a semisimple algebra has no
     nonzero absolute zero divisors at all (such an element would embed in
     an sl2 triple with impossible weights), while any nonzero abelian
-    ideal consists of them.  Over F_p: batched exhaustive scan.
+    ideal consists of them.  Over F_p: exhaustive scan.
     """
     if alg.field.p is not None:
         return find_absolute_zero_divisor(alg, homogeneous_only=graded,
@@ -387,20 +386,20 @@ def is_essential_ideal(alg, ideal, graded=False, budget=None):
 def is_prime(alg, graded=False, budget=None):
     """[I, J] != 0 for all nonzero (graded) ideals I, J.
 
-    Complete over principal pairs: if [I, J] = 0 then any principal ideals
-    inside I and J also bracket to zero.  Over Q: semiprime algebras are
+    Over F_p it suffices to bracket the minimal (graded) ideals pairwise,
+    each with itself too: if [I, J] = 0 then any minimal I' inside I and
+    J' inside J also bracket to zero, and every minimal ideal is
+    principal, so the scan finds it.  Over Q: semiprime algebras are
     prime iff simple here (one minimal ideal); others are refused.
     """
     if alg.dim == 0:
         return True
     if alg.field.p is not None:
-        ideals = [i for i in distinct_principal_ideals(
-            alg, homogeneous_only=graded, budget=budget) if not i.is_zero()]
-        for a in ideals:
-            for b in ideals:
-                if alg.bracket_space(a, b).is_zero():
-                    return False
-        return True
+        minimal = (minimal_graded_ideals(alg, budget=budget) if graded
+                   else minimal_ideals(alg, budget=budget))
+        return not any(alg.bracket_space(a, b).is_zero()
+                       for a, b in itertools.combinations_with_replacement(
+                           minimal, 2))
     if not is_semiprime(alg):
         return False  # an abelian ideal brackets itself to zero
     return len(minimal_ideals(alg)) == 1

@@ -7,28 +7,22 @@ element budget first and raises DimensionTooLarge beyond it; the default
 of 10**6 can be overridden by the GRADLIE_BUDGET environment variable or a
 per-call argument.
 
-The principal-ideal scan closes one point at a time in exact integer
-arithmetic through linalg.closure, reading brackets off a sparse table of
-the structure constants.  Only the batched absolute-zero-divisor scan uses
-numpy: int64 arithmetic on the structure tensor T[i, j, k] = [b_i, b_j]_k,
-with the hit converted back to an exact tuple, so callers never see raw
-arrays.  numpy is imported inside the functions that use it, so it is
-loaded only when that scan runs: ``import gradlie``, the CLI commands over
-Q and the principal-ideal scans never pay for it (sympy, used by the
-commutant splitter over Q in analysis, is deferred the same way).
+Both scans are exact Python integer arithmetic on the sparse structure
+constants of the algebra (GradedLieAlgebra.nonzero), so no prime is too
+large for them and no value wraps around: the principal-ideal scan closes
+one point at a time through GradedLieAlgebra.ideal_generated, and the
+absolute-zero-divisor scan returns the first point passing
+GradedLieAlgebra.is_in_quadratic_annihilator.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 
-from .errors import DimensionTooLarge, ValidationError
-from .linalg import closure, span
+from .errors import DimensionTooLarge
 
 DEFAULT_BUDGET = 10 ** 6
 
-_tensor_cache = {}
 _ideal_cache = {}
 
 
@@ -54,42 +48,27 @@ def check_budget(npoints, budget=None):
     return cap
 
 
-def structure_tensor(alg):
-    """Structure constants of a mod-p algebra as an int64 (n, n, n) array."""
-    import numpy as np
-
-    key = alg
-    t = _tensor_cache.get(key)
-    if t is None:
-        p = alg.field.p
-        if p is None:
-            raise ValidationError("structure_tensor needs a prime field algebra")
-        n = alg.dim
-        t = np.zeros((n, n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                t[i, j] = alg.table[i][j]
-        t %= p
-        t.setflags(write=False)
-        _tensor_cache[key] = t
-    return t
-
-
 def iter_projective(p, positions, ambient):
     """Projective points supported on the given coordinate positions.
 
     Yields int tuples of length ambient whose first nonzero entry (within
-    positions, scanned in order) equals 1.
+    positions, scanned in order) equals 1; after the leading 1 the later
+    positions count up like an odometer, the last one fastest.  Nothing
+    of size p is materialized, so a large p costs nothing up front.
     """
-    d = len(positions)
-    for lead in range(d):
-        tail = positions[lead + 1:]
-        for rest in itertools.product(range(p), repeat=len(tail)):
-            v = [0] * ambient
-            v[positions[lead]] = 1
-            for pos, c in zip(tail, rest):
-                v[pos] = c
+    for lead, first in enumerate(positions):
+        tail = positions[lead + 1:][::-1]
+        v = [0] * ambient
+        v[first] = 1
+        while True:
             yield tuple(v)
+            for pos in tail:
+                if v[pos] < p - 1:
+                    v[pos] += 1
+                    break
+                v[pos] = 0
+            else:
+                break
 
 
 def homogeneous_positions(alg):
@@ -113,34 +92,12 @@ def scan_points(alg, homogeneous_only=False, budget=None):
         yield from iter_projective(p, b, alg.dim)
 
 
-def _bracket_columns(alg):
-    """Sparse structure constants by column: entry j lists the nonzero
-    (k, t, c) with [b_k, b_j]_t = c."""
-    n = alg.dim
-    return [[(k, t, c) for k in range(n)
-             for t, c in enumerate(alg.table[k][j]) if c]
-            for j in range(n)]
+def principal_ideal_np(alg, v):
+    """Smallest ideal of a mod-p algebra containing v.
 
-
-def principal_ideal_np(alg, v, columns=None):
-    """Smallest ideal of a mod-p algebra containing v: the closure of v
-    under every ad(b_k), with [b_k, w] read off the sparse columns.
-
-    The per-point entry of distinct_principal_ideals, which passes the
-    columns it builds once per scan; perfbench counts scan closures by
-    wrapping this name."""
-    n = alg.dim
-    cols = _bracket_columns(alg) if columns is None else columns
-
-    def images(w):
-        out = [[0] * n for _ in range(n)]
-        for j, wj in enumerate(w):
-            if wj:
-                for k, t, c in cols[j]:
-                    out[k][t] += wj * c
-        return [row for row in out if any(row)]
-
-    return closure(span(alg.field, n, [v]), images)
+    The per-point entry of distinct_principal_ideals; perfbench counts
+    scan closures by wrapping this name."""
+    return alg.ideal_generated([v])
 
 
 def distinct_principal_ideals(alg, homogeneous_only=False, budget=None):
@@ -162,37 +119,21 @@ def distinct_principal_ideals(alg, homogeneous_only=False, budget=None):
     got = _ideal_cache.get(key)
     if got is not None:
         return got
-    cols = _bracket_columns(alg)
     seen = {}
     for v in scan_points(alg, homogeneous_only=homogeneous_only, budget=budget):
-        ideal = principal_ideal_np(alg, v, columns=cols)
+        ideal = principal_ideal_np(alg, v)
         seen.setdefault(ideal.rows, ideal)
     out = tuple(seen.values())
     _ideal_cache[key] = out
     return out
 
 
-def find_absolute_zero_divisor(alg, homogeneous_only=False, budget=None,
-                               chunk=4096):
+def find_absolute_zero_divisor(alg, homogeneous_only=False, budget=None):
     """First projective point x with (ad x)^2 = 0, or None.
 
     Quadratic in the argument, so projective representatives suffice.
-    Batched: ad matrices for a whole chunk of points come from one einsum.
     """
-    import numpy as np
-
-    p = alg.field.p
-    t = structure_tensor(alg)
-    n = alg.dim
-    points = scan_points(alg, homogeneous_only=homogeneous_only, budget=budget)
-    while True:
-        block = list(itertools.islice(points, chunk))
-        if not block:
-            return None
-        v = np.array(block, dtype=np.int64)
-        ads = np.einsum("bi,ijk->bjk", v, t) % p
-        sq = np.matmul(ads, ads) % p
-        flat = np.all(sq.reshape(sq.shape[0], -1) == 0, axis=1)
-        hits = np.nonzero(flat)[0]
-        if hits.size:
-            return tuple(int(x) for x in block[hits[0]])
+    for x in scan_points(alg, homogeneous_only=homogeneous_only, budget=budget):
+        if alg.is_in_quadratic_annihilator(x):
+            return x
+    return None

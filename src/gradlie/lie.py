@@ -7,6 +7,13 @@ degree to every basis vector.  All axioms (antisymmetry, the Jacobi
 identity, compatibility of the bracket with the grading) are checked at
 construction time; downstream code may therefore assume they hold.
 
+The dense table is what the serializers read and what equality compares.
+Every computation reads the sparse view built once next to it:
+nonzero[i] lists the (j, k, c) with [b_i, b_j]_k = c != 0.  Brackets, ad
+matrices, the Jacobi check, ideal closures, (ad x)^2 and the Killing form
+of analysis all loop over it, accumulate exactly and reduce mod p once
+per output row.
+
 Vectors are plain tuples of field elements in the fixed basis, matrices
 are tuples of row vectors, and the row-vector convention of linalg is
 used throughout: ``v @ ad_matrix(L, x)`` is the bracket ``[x, v]``.
@@ -24,7 +31,7 @@ from .errors import (
     NotGraded,
     ValidationError,
 )
-from .linalg import Subspace, closure, mat_mul, preimage, span
+from .linalg import Subspace, closure, preimage, span
 from .scalars import Field
 
 
@@ -101,12 +108,14 @@ def _freeze_vec(field, vec, n):
 class GradedLieAlgebra:
     """Finite dimensional Lie algebra with a group grading.
 
-    table[i][j] is the coordinate tuple of [b_i, b_j].  Construction
-    validates antisymmetry, the grading compatibility, and Jacobi, in that
-    order, raising the matching ValidationError subclass on failure.
+    table[i][j] is the coordinate tuple of [b_i, b_j], and nonzero[i] the
+    (j, k, c) with table[i][j][k] = c != 0.  Construction validates
+    antisymmetry, the grading compatibility, and Jacobi, in that order,
+    raising the matching ValidationError subclass on failure.
     """
 
-    __slots__ = ("field", "names", "table", "group", "degrees", "_hash")
+    __slots__ = ("field", "names", "table", "nonzero", "group", "degrees",
+                 "_hash")
 
     def __init__(self, field, names, table, group=None, degrees=None):
         if not isinstance(field, Field):
@@ -131,6 +140,9 @@ class GradedLieAlgebra:
                 raise ValidationError("table row %d has wrong length" % i)
             rows.append(row)
         self.table = tuple(rows)
+        self.nonzero = tuple(tuple((j, k, c) for j, cell in enumerate(row)
+                                   for k, c in enumerate(cell) if c)
+                             for row in self.table)
 
         self._check_antisymmetry()
         self._check_grading()
@@ -152,24 +164,40 @@ class GradedLieAlgebra:
                     raise AntisymmetryViolation(i, j, "[b_i,b_j] != -[b_j,b_i]")
 
     def _check_grading(self):
-        zero = self.field.zero
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                want = self.group.add(self.degrees[i], self.degrees[j])
-                for k, c in enumerate(self.table[i][j]):
-                    if c != zero and self.degrees[k] != want:
-                        raise GradingViolation(i, j, k)
+        for i, nz in enumerate(self.nonzero):
+            for j, k, _ in nz:
+                if j > i and self.degrees[k] != self.group.add(
+                        self.degrees[i], self.degrees[j]):
+                    raise GradingViolation(i, j, k)
 
     def _check_jacobi(self):
+        """First triple i < j < k whose cyclic sum [[b_i, b_j], b_k] +
+        [[b_j, b_k], b_i] + [[b_k, b_i], b_j] is nonzero."""
         n = self.dim
+        # cells[i][j]: the (k, c) of [b_i, b_j], regrouped from nonzero[i]
+        cells = [{} for _ in range(n)]
+        for i, nz in enumerate(self.nonzero):
+            for j, k, c in nz:
+                cells[i].setdefault(j, []).append((k, c))
+
+        def add(acc, u, b):
+            for m, a in u:
+                for t, c in cells[m].get(b, ()):
+                    acc[t] += a * c
+
         for i in range(n):
             for j in range(i + 1, n):
-                tij = self.table[i][j]
+                tij = cells[i].get(j, ())
                 for k in range(j + 1, n):
-                    r = self._vadd3(self.bracket(tij, self._e(k)),
-                                    self.bracket(self.table[j][k], self._e(i)),
-                                    self.bracket(self.table[k][i], self._e(j)))
-                    if any(c != self.field.zero for c in r):
+                    tjk, tki = cells[j].get(k, ()), cells[k].get(i, ())
+                    if not (tij or tjk or tki):
+                        continue
+                    acc = [self.field.zero] * n
+                    add(acc, tij, k)
+                    add(acc, tjk, i)
+                    add(acc, tki, j)
+                    r = self._reduce(acc)
+                    if any(r):
                         raise JacobiViolation(i, j, k, residue=r)
 
     # -- basics -----------------------------------------------------
@@ -188,70 +216,44 @@ class GradedLieAlgebra:
     def zero_vector(self):
         return (self.field.zero,) * self.dim
 
-    def _vadd3(self, a, b, c):
-        f = self.field
-        return tuple(f.of(a[i] + b[i] + c[i]) for i in range(self.dim))
-
     def vec(self, coords):
         return _freeze_vec(self.field, coords, self.dim)
 
-    def bracket(self, x, y):
-        """[x, y] by bilinearity over the structure table."""
-        f = self.field
+    def _reduce(self, acc):
+        """An exactly accumulated vector as a tuple of field elements."""
+        p = self.field.p
+        return tuple(acc) if p is None else tuple(a % p for a in acc)
+
+    def _ad_rows(self, x):
+        """Rows of ad x before reduction mod p: row j is [x, b_j]."""
         n = self.dim
-        zero = f.zero
-        acc = [zero] * n
+        zero = self.field.zero
+        rows = [[zero] * n for _ in range(n)]
         for i, xi in enumerate(x):
-            if xi == zero:
-                continue
-            ti = self.table[i]
-            for j, yj in enumerate(y):
-                if yj == zero:
-                    continue
-                row = ti[j]
-                c = f.of(xi * yj)
-                if c == zero:
-                    continue
-                for k, t in enumerate(row):
-                    if t != zero:
-                        acc[k] = f.of(acc[k] + c * t)
-        return tuple(acc)
+            if xi:
+                for j, k, c in self.nonzero[i]:
+                    rows[j][k] += xi * c
+        return rows
+
+    def bracket(self, x, y):
+        """[x, y] by bilinearity over the nonzero structure constants."""
+        acc = [self.field.zero] * self.dim
+        for i, xi in enumerate(x):
+            if xi:
+                for j, k, c in self.nonzero[i]:
+                    yj = y[j]
+                    if yj:
+                        acc[k] += xi * yj * c
+        return self._reduce(acc)
 
     def ad_matrix(self, x):
         """Matrix of ad x in row convention: v @ M = [x, v]."""
-        f = self.field
-        n = self.dim
-        zero = f.zero
-        rows = []
-        for j in range(n):
-            acc = [zero] * n
-            for i, xi in enumerate(x):
-                if xi == zero:
-                    continue
-                row = self.table[i][j]
-                for k, t in enumerate(row):
-                    if t != zero:
-                        acc[k] = f.of(acc[k] + xi * t)
-            rows.append(tuple(acc))
-        return tuple(rows)
+        return tuple(self._reduce(r) for r in self._ad_rows(x))
 
     def right_matrix(self, y):
-        """Matrix of right bracketing: v @ R(y) = [v, y]."""
-        f = self.field
-        n = self.dim
-        zero = f.zero
-        rows = []
-        for k in range(n):
-            acc = [zero] * n
-            for m, ym in enumerate(y):
-                if ym == zero:
-                    continue
-                row = self.table[k][m]
-                for t_idx, t in enumerate(row):
-                    if t != zero:
-                        acc[t_idx] = f.of(acc[t_idx] + ym * t)
-            rows.append(tuple(acc))
-        return tuple(rows)
+        """Matrix of right bracketing: v @ R(y) = [v, y].  By antisymmetry,
+        checked at construction, R(y) = -ad y."""
+        return tuple(self._reduce([-a for a in r]) for r in self._ad_rows(y))
 
     def __eq__(self, other):
         return (isinstance(other, GradedLieAlgebra)
@@ -346,9 +348,11 @@ class GradedLieAlgebra:
 
     def ideal_generated(self, vectors):
         """Smallest ideal containing the given vectors: the closure under
-        every ad(b_i), whose values at v are the rows of right_matrix(v)."""
+        every ad(b_k).  The rows [w, b_k] of ad w span the same images as
+        the [b_k, w]; only the nonzero ones go to the echelon, unreduced
+        (it reduces mod p itself)."""
         return closure(span(self.field, self.dim, list(vectors)),
-                       self.right_matrix)
+                       lambda w: [r for r in self._ad_rows(w) if any(r)])
 
     def subalgebra_generated(self, vectors):
         cur = span(self.field, self.dim, list(vectors))
@@ -373,11 +377,36 @@ class GradedLieAlgebra:
         return self.annihilator(self.full_space())
 
     def is_in_quadratic_annihilator(self, x):
-        """True iff [x, [x, L]] = 0, i.e. ad(x)^2 vanishes."""
-        m = self.ad_matrix(self.vec(x))
-        zero = self.field.zero
-        sq = mat_mul(m, m, self.field)
-        return all(c == zero for row in sq for c in row)
+        """True iff [x, [x, L]] = 0, i.e. ad(x)^2 vanishes.
+
+        u_m = sum of x_i c e_k over the (i, k, c) of nonzero[m] is
+        [b_m, x] = -[x, b_m], so [x, [x, b_j]] is the sum of (u_j)_m u_m.
+        Each u_m is built when first needed, and the test stops at the
+        first j with [x, [x, b_j]] != 0.
+        """
+        n, p, zero = self.dim, self.field.p, self.field.zero
+        nonzero = self.nonzero
+        cols = [None] * n
+
+        def col(m):
+            u = cols[m] = [zero] * n
+            for i, k, c in nonzero[m]:
+                xi = x[i]
+                if xi:
+                    u[k] += xi * c
+            return u
+
+        for j in range(n):
+            acc = None
+            for m, a in enumerate(cols[j] or col(j)):
+                if a:
+                    u = cols[m] or col(m)
+                    acc = ([a * b for b in u] if acc is None
+                           else [s + a * b for s, b in zip(acc, u)])
+            if acc is not None and (any(acc) if p is None
+                                    else any(v % p for v in acc)):
+                return False
+        return True
 
     def derived_space(self, s):
         """[S, S] for a subspace S."""

@@ -9,7 +9,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from _naive import naive_is_prime
 from gradlie.analysis import (
     _apply_poly,
     _minpoly_factors,
@@ -40,6 +42,7 @@ from gradlie.gallery import (
     sl2sum,
     sln_e11,
 )
+from gradlie.lie import direct_sum
 from gradlie.linalg import mat_mul, mat_vec, span
 from gradlie.scalars import GF, QQ
 
@@ -153,6 +156,20 @@ def test_prime_predicates():
     assert is_prime(sl2(F5))
     assert not is_prime(sl2sum(F5))
     assert not is_prime(heis3(F5))
+
+
+@given(p=st.sampled_from([5, 7]), graded=st.booleans(),
+       pieces=st.lists(st.sampled_from(["sl2", "heis3", "sln_e11(2)"]),
+                       min_size=1, max_size=2))
+def test_prime_over_fp_matches_all_pairs_oracle(p, graded, pieces):
+    # is_prime brackets the minimal ideals pairwise; the oracle brackets
+    # every ordered pair of nonzero principal ideals.  A plain scan of a
+    # 6-dimensional sum over F7 takes 1-2 s, so there sums are graded.
+    assume(p == 5 or graded or len(pieces) == 1)
+    make = {"sl2": sl2, "heis3": heis3, "sln_e11(2)": lambda f: sln_e11(2, f)}
+    algs = [make[name](GF(p)) for name in sorted(pieces)]
+    alg = algs[0] if len(algs) == 1 else direct_sum(*algs)
+    assert is_prime(alg, graded=graded) == naive_is_prime(alg, graded)
 
 
 def _qmat(rows):

@@ -8,9 +8,18 @@ algebra [x,y]=z carry small enough tables to check every claim by hand.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from _naive import naive_ideal
+from _naive import (
+    change_basis,
+    homogeneous_bases,
+    naive_ad,
+    naive_bracket,
+    naive_ideal,
+    naive_jacobi_violation,
+    naive_killing,
+)
+from gradlie.analysis import killing_matrix
 from gradlie.errors import (
     AntisymmetryViolation,
     GradingViolation,
@@ -34,6 +43,16 @@ from gradlie.scalars import GF, QQ
 
 F5 = GF(5)
 f5_scalars = st.integers(min_value=0, max_value=4)
+
+# the gallery algebras of the sparse-kernel tests, and their fields
+KERNEL_ALGEBRAS = {
+    "sl2": sl2,
+    "heis3": heis3,
+    "sl2sum": sl2sum,
+    "sl2+heis3": lambda f: direct_sum(sl2(f), heis3(f)),
+    "p_mod_i": p_mod_i,
+}
+fields = st.sampled_from([QQ, F5, GF(7)])
 
 
 def vec(alg, **coords):
@@ -107,6 +126,49 @@ def test_ad_and_right_matrices_follow_row_convention():
                 from gradlie.linalg import mat_vec
                 assert mat_vec(v, ad, alg.field) == alg.bracket(x, v)
                 assert mat_vec(v, rm, alg.field) == alg.bracket(v, x)
+
+
+@pytest.mark.parametrize("name", list(KERNEL_ALGEBRAS))
+@given(data=st.data())
+def test_sparse_kernel_matches_dense_loop(name, data):
+    # bracket, ad, right multiplication and the Killing form read the
+    # nonzero view; the oracle reads every cell of the dense table
+    base = KERNEL_ALGEBRAS[name](data.draw(fields))
+    alg = change_basis(base, data.draw(homogeneous_bases(base)))
+    f, n = alg.field, alg.dim
+    x, y = (tuple(f.of(c) for c in data.draw(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+        for _ in range(2))
+    assert alg.bracket(x, y) == naive_bracket(f, alg.table, x, y)
+    assert alg.ad_matrix(x) == naive_ad(alg, x)
+    assert alg.right_matrix(y) == tuple(
+        naive_bracket(f, alg.table, b, y) for b in
+        (alg.basis_vector(i) for i in range(n)))
+    assert killing_matrix(alg) == naive_killing(alg)
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl2+heis3", "p_mod_i"])
+@given(data=st.data())
+def test_jacobi_violation_names_the_dense_first_triple(name, data):
+    # a grading-compatible change of one bracket and its mirror keeps
+    # antisymmetry and the grading, so only Jacobi can fail
+    base = KERNEL_ALGEBRAS[name](data.draw(fields))
+    alg = change_basis(base, data.draw(homogeneous_bases(base)))
+    f, n = alg.field, alg.dim
+    i, j = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                     max_size=2, unique=True)))
+    want = alg.group.add(alg.degrees[i], alg.degrees[j])
+    k = data.draw(st.sampled_from(
+        [k for k in range(n) if alg.degrees[k] == want] or [None]))
+    assume(k is not None)
+    table = [[list(cell) for cell in row] for row in alg.table]
+    table[i][j][k] = f.of(table[i][j][k] + 1)
+    table[j][i][k] = f.of(table[j][i][k] - 1)
+    first = naive_jacobi_violation(f, table)
+    assume(first is not None)
+    with pytest.raises(JacobiViolation) as err:
+        GradedLieAlgebra(f, alg.names, table, alg.group, alg.degrees)
+    assert err.value.indices == first
 
 
 # -- grading --------------------------------------------------------------
@@ -185,8 +247,9 @@ def test_ideal_generated():
                          ids=["sl2", "heis3", "sl2sum", "p_mod_i"])
 @given(data=st.data())
 def test_ideal_generated_agrees_with_numpy_closure(make, data):
-    # both closures (ideal_generated and the per-point entry of the F_p
-    # scans) against the plain fixpoint cur = span(cur + {[b_i, r]})
+    # both entries of the closure (ideal_generated and principal_ideal_np,
+    # the per-point entry of the F_p scans, once a numpy fixpoint) against
+    # the plain fixpoint cur = span(cur + {[b_i, r]}) on the dense table
     from gradlie.enumeration import principal_ideal_np
 
     alg = make(F5)

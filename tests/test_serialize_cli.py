@@ -25,6 +25,7 @@ from gradlie.gallery import (
     pair_rect,
     padded_subpair,
     sl2,
+    sl2sum,
     triple_2xyz,
 )
 from gradlie.serialize import (
@@ -218,9 +219,9 @@ def test_cli_check_quotient_exit_codes(pmi_file, capsys):
     assert "witness: x3" in out
 
 
-# numpy (absolute-zero-divisor scan) and sympy (Q commutant splitter) are
-# imported where they are used; a fresh process doing work over Q must
-# never load them, nor one running the mod-p principal-ideal scan.
+# sympy (Q commutant splitter) is imported where it is used, and gradlie
+# never uses numpy; a fresh process doing work over Q must load neither,
+# nor one running the mod-p scans.
 _HEAVY = {"numpy", "sympy"}
 
 _RUN_CLI_THEN_REPORT = """
@@ -263,6 +264,14 @@ def test_cli_check_quotient_over_q_loads_neither_numpy_nor_sympy(pmi_file):
     strict = _fresh_python("-c", _RUN_CLI_THEN_REPORT, "check-quotient",
                            "--graded", pmi_file)
     assert strict == "exit 1 loaded []"
+
+
+def test_cli_analyze_over_f5_loads_no_numpy(tmp_path):
+    # analyze runs both F_p scans, the absolute-zero-divisor one included
+    path = tmp_path / "sl2sum5.json"
+    dump_path(str(path), sl2sum(F5))
+    last = _fresh_python("-c", _RUN_CLI_THEN_REPORT, "analyze", str(path))
+    assert last == "exit 0 loaded []"
 
 
 def test_cli_tkk_emits_a_lie_file(tmp_path, capsys):
