@@ -12,7 +12,8 @@ constants of the algebra (GradedLieAlgebra.nonzero), so no prime is too
 large for them and no value wraps around: the principal-ideal scan closes
 one point at a time through GradedLieAlgebra.ideal_generated, and the
 absolute-zero-divisor scan returns the first point passing
-GradedLieAlgebra.is_in_quadratic_annihilator.
+GradedLieAlgebra.is_in_quadratic_annihilator, testing only the points of
+the Killing radical, where every absolute zero divisor lies when p != 2.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import os
 
 from .errors import DimensionTooLarge
+from .linalg import mat_vec, span
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -129,11 +131,28 @@ def distinct_principal_ideals(alg, homogeneous_only=False, budget=None):
 
 
 def find_absolute_zero_divisor(alg, homogeneous_only=False, budget=None):
-    """First projective point x with (ad x)^2 = 0, or None.
+    """First projective point x with (ad x)^2 = 0, or None, in the order
+    of scan_points.
 
     Quadratic in the argument, so projective representatives suffice.
+    For p != 2 every such x lies in the radical K of the Killing form:
+    with a = ad x, a^2 = 0 gives 0 = ad [x, [x, y]] = -2 a (ad y) a, so
+    (a ad y)^2 = 0 and tr(a ad y) = 0.  K is graded, and on the points of
+    K inside a scanned block the scan order is the order of their
+    coordinates in the canonical basis of that part of K, so only those
+    points are tested.  The budget is charged for the whole scan.
     """
-    for x in scan_points(alg, homogeneous_only=homogeneous_only, budget=budget):
-        if alg.is_in_quadratic_annihilator(x):
-            return x
+    from .analysis import killing_radical  # analysis imports this module
+
+    p, n = alg.field.p, alg.dim
+    blocks = homogeneous_positions(alg) if homogeneous_only else [range(n)]
+    check_budget(sum(projective_count(p, len(b)) for b in blocks), budget)
+    rad = alg.full_space() if p == 2 else killing_radical(alg)
+    for b in blocks:
+        rows = rad.intersect(span(alg.field, n, [alg.basis_vector(i)
+                                                 for i in b])).rows
+        for c in iter_projective(p, range(len(rows)), len(rows)):
+            x = mat_vec(c, rows, alg.field)
+            if alg.is_in_quadratic_annihilator(x):
+                return x
     return None

@@ -42,7 +42,7 @@ def test_scan_matches_naive_fixpoint_scan(monkeypatch, name, p, graded):
 
 
 @pytest.mark.parametrize("graded", [False, True], ids=["plain", "graded"])
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("name", list(ALGEBRAS))
 def test_zero_divisor_scan_matches_dense_scan(name, p, graded):
     alg = ALGEBRAS[name](GF(p))
