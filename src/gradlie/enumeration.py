@@ -73,25 +73,25 @@ def iter_projective(p, positions, ambient):
                 break
 
 
-def homogeneous_positions(alg):
-    """Coordinate positions of each degree, in support order."""
-    out = {}
-    for i, d in enumerate(alg.degrees):
-        out.setdefault(d, []).append(i)
-    return [out[d] for d in sorted(out)]
+def scan_blocks(alg, homogeneous_only=False, budget=None):
+    """Coordinate blocks of a scan, all positions or those of each degree
+    in support order, once their projective points fit the budget."""
+    if homogeneous_only:
+        out = {}
+        for i, d in enumerate(alg.degrees):
+            out.setdefault(d, []).append(i)
+        blocks = [out[d] for d in sorted(out)]
+    else:
+        blocks = [list(range(alg.dim))]
+    check_budget(sum(projective_count(alg.field.p, len(b)) for b in blocks),
+                 budget)
+    return blocks
 
 
 def scan_points(alg, homogeneous_only=False, budget=None):
     """All projective points of the algebra, optionally degree by degree."""
-    p = alg.field.p
-    if homogeneous_only:
-        blocks = homogeneous_positions(alg)
-    else:
-        blocks = [list(range(alg.dim))]
-    total = sum(projective_count(p, len(b)) for b in blocks)
-    check_budget(total, budget)
-    for b in blocks:
-        yield from iter_projective(p, b, alg.dim)
+    for b in scan_blocks(alg, homogeneous_only, budget):
+        yield from iter_projective(alg.field.p, b, alg.dim)
 
 
 def principal_ideal_np(alg, v):
@@ -111,12 +111,7 @@ def distinct_principal_ideals(alg, homogeneous_only=False, budget=None):
     the budget is checked first, so a cached answer is refused exactly
     when a fresh scan would be.
     """
-    p = alg.field.p
-    if homogeneous_only:
-        blocks = homogeneous_positions(alg)
-    else:
-        blocks = [range(alg.dim)]
-    check_budget(sum(projective_count(p, len(b)) for b in blocks), budget)
+    scan_blocks(alg, homogeneous_only, budget)
     key = (alg, bool(homogeneous_only))
     got = _ideal_cache.get(key)
     if got is not None:
@@ -145,8 +140,7 @@ def find_absolute_zero_divisor(alg, homogeneous_only=False, budget=None):
     from .analysis import killing_radical  # analysis imports this module
 
     p, n = alg.field.p, alg.dim
-    blocks = homogeneous_positions(alg) if homogeneous_only else [range(n)]
-    check_budget(sum(projective_count(p, len(b)) for b in blocks), budget)
+    blocks = scan_blocks(alg, homogeneous_only, budget)
     rad = alg.full_space() if p == 2 else killing_radical(alg)
     for b in blocks:
         rows = rad.intersect(span(alg.field, n, [alg.basis_vector(i)
