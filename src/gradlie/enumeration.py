@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 
 from .errors import DimensionTooLarge
-from .linalg import mat_vec, span
+from .linalg import span
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -50,25 +50,33 @@ def check_budget(npoints, budget=None):
     return cap
 
 
-def iter_projective(p, positions, ambient):
-    """Projective points supported on the given coordinate positions.
+def iter_projective(p, rows):
+    """Projective points of the span of independent rows, in scan order.
 
-    Yields int tuples of length ambient whose first nonzero entry (within
-    positions, scanned in order) equals 1; after the leading 1 the later
-    positions count up like an odometer, the last one fastest.  Nothing
-    of size p is materialized, so a large p costs nothing up front.
+    The point with coefficients c is the sum of c_t rows[t]: the first
+    nonzero coefficient is 1 and the later ones count up like an
+    odometer, the last one fastest.  A step adds the rows of the digits
+    it moves to the current point (a digit wrapping from p - 1 to 0 adds
+    its row once more), so nothing of size p is materialized.  For unit
+    vectors these are the points whose first nonzero entry among their
+    positions is 1, in lexicographic order.
     """
-    for lead, first in enumerate(positions):
-        tail = positions[lead + 1:][::-1]
-        v = [0] * ambient
-        v[first] = 1
+    sparse = [[(k, c) for k, c in enumerate(r) if c] for r in rows]
+    for lead, first in enumerate(sparse):
+        v = [0] * len(rows[lead])
+        for k, c in first:
+            v[k] = c
+        tail = sparse[lead + 1:][::-1]
+        digits = [0] * len(tail)
         while True:
             yield tuple(v)
-            for pos in tail:
-                if v[pos] < p - 1:
-                    v[pos] += 1
+            for t, row in enumerate(tail):
+                for k, c in row:
+                    v[k] = (v[k] + c) % p
+                if digits[t] < p - 1:
+                    digits[t] += 1
                     break
-                v[pos] = 0
+                digits[t] = 0
             else:
                 break
 
@@ -91,7 +99,8 @@ def scan_blocks(alg, homogeneous_only=False, budget=None):
 def scan_points(alg, homogeneous_only=False, budget=None):
     """All projective points of the algebra, optionally degree by degree."""
     for b in scan_blocks(alg, homogeneous_only, budget):
-        yield from iter_projective(alg.field.p, b, alg.dim)
+        yield from iter_projective(alg.field.p,
+                                   [alg.basis_vector(i) for i in b])
 
 
 def principal_ideal_np(alg, v):
@@ -143,10 +152,9 @@ def find_absolute_zero_divisor(alg, homogeneous_only=False, budget=None):
     blocks = scan_blocks(alg, homogeneous_only, budget)
     rad = alg.full_space() if p == 2 else killing_radical(alg)
     for b in blocks:
-        rows = rad.intersect(span(alg.field, n, [alg.basis_vector(i)
-                                                 for i in b])).rows
-        for c in iter_projective(p, range(len(rows)), len(rows)):
-            x = mat_vec(c, rows, alg.field)
+        part = rad.intersect(span(alg.field, n, [alg.basis_vector(i)
+                                                 for i in b]))
+        for x in iter_projective(p, part.rows):
             if alg.is_in_quadratic_annihilator(x):
                 return x
     return None

@@ -727,7 +727,7 @@ def pair_absolute_zero_divisor(pair, budget=None):
                 continue
             check_budget(projective_count(f.p, n), budget)
             zrow = tuple(f.zero for _ in range(pair.dim(-sign)))
-            for x in iter_projective(f.p, list(range(n)), n):
+            for x in iter_projective(f.p, _basis(f, n)):
                 qm = pair.q_matrix(sign, x)
                 if all(r == zrow for r in qm):
                     return (sign, x)
@@ -819,7 +819,7 @@ def distinct_principal_pair_ideals(pair, budget=None):
         n = pair.dim(sign)
         if n == 0:
             continue
-        for x in iter_projective(f.p, list(range(n)), n):
+        for x in iter_projective(f.p, _basis(f, n)):
             gen = span(f, n, [x])
             other = Subspace.zero(f, pair.dim(-sign))
             sub = SubPair(gen, other) if sign > 0 else SubPair(other, gen)
@@ -1041,7 +1041,7 @@ def is_pair_of_quotients(emb, budget=None):
             n = big.dim(sign)
             if n == 0:
                 continue
-            for q in iter_projective(f.p, list(range(n)), n):
+            for q in iter_projective(f.p, _basis(f, n)):
                 if not examine(sign, q):
                     return Verdict("false", witness=(sign, q),
                                    reason="no admissible ideal absorbs this "
