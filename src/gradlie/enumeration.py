@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import DimensionTooLarge
+from .errors import DimensionTooLarge, ValidationError
 from .linalg import span
 
 DEFAULT_BUDGET = 10 ** 6
@@ -84,6 +84,8 @@ def iter_projective(p, rows):
 def scan_blocks(alg, homogeneous_only=False, budget=None):
     """Coordinate blocks of a scan, all positions or those of each degree
     in support order, once their projective points fit the budget."""
+    if alg.field.p is None:
+        raise ValidationError("exhaustive scans are the F_p path")
     if homogeneous_only:
         out = {}
         for i, d in enumerate(alg.degrees):

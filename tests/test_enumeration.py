@@ -18,9 +18,10 @@ from _naive import (
     naive_zero_divisor,
 )
 from gradlie import enumeration
+from gradlie.errors import ValidationError
 from gradlie.gallery import heis3, p_mod_i, sl2, sl2sum
 from gradlie.lie import GradedLieAlgebra, direct_sum
-from gradlie.scalars import GF
+from gradlie.scalars import GF, QQ
 
 ALGEBRAS = {
     "sl2": sl2,
@@ -74,3 +75,10 @@ def test_zero_divisor_scan_is_exact_past_int64():
     assert max(c for nz in alg.nonzero for _, _, c in nz) > 2 ** 30
     assert enumeration.find_absolute_zero_divisor(
         alg, budget=10 ** 19) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("scan", [enumeration.distinct_principal_ideals,
+                                  enumeration.find_absolute_zero_divisor])
+def test_scans_refuse_the_rationals(scan):
+    with pytest.raises(ValidationError):
+        scan(heis3(QQ))
