@@ -143,10 +143,10 @@ def find_absolute_zero_divisor(alg, homogeneous_only=False, budget=None):
     Quadratic in the argument, so projective representatives suffice.
     For p != 2 every such x lies in the radical K of the Killing form:
     with a = ad x, a^2 = 0 gives 0 = ad [x, [x, y]] = -2 a (ad y) a, so
-    (a ad y)^2 = 0 and tr(a ad y) = 0.  K is graded, and on the points of
-    K inside a scanned block the scan order is the order of their
-    coordinates in the canonical basis of that part of K, so only those
-    points are tested.  The budget is charged for the whole scan.
+    (a ad y)^2 = 0 and tr(a ad y) = 0.  So only the points of K inside
+    each scanned block are tested; their scan order is the order of their
+    coordinates in the canonical basis of that part of K, so the first
+    hit is the same.  The budget is charged for the whole scan.
     """
     from .analysis import killing_radical  # analysis imports this module
 
