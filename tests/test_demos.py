@@ -1,9 +1,6 @@
 """Smoke test of the narrative demos: each runs in a fresh interpreter and
 its stdout must equal the text recorded under ``tests/golden/demos/``.
 
-Demo 02 is left out: it takes about 33 s, and its sln_e11(3) scans over
-F5 are already timed by acceptance criterion AC04.
-
 Regenerate the recorded text after an intended output change with
 ``PYTHONPATH=src python tests/test_demos.py``.
 """
@@ -16,8 +13,8 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXPECTED = os.path.join(ROOT, "tests", "golden", "demos")
-DEMOS = ("01_graded_algebras", "03_graded_core", "04_maximal_quotients",
-         "05_jordan_pairs", "06_matrix_involutions")
+DEMOS = ("01_graded_algebras", "02_semiprimeness", "03_graded_core",
+         "04_maximal_quotients", "05_jordan_pairs", "06_matrix_involutions")
 
 
 def _run_demo(name):

@@ -6,11 +6,7 @@ over F5, and each command runs in-process through ``cli.main`` with
 ``tests/golden/`` byte for byte, so a refactor that changes a verdict, a
 witness, a basis or the canonical JSON shows up here.
 
-Five F5 cases are left out because each takes 11 to 22 s: plain qmax and
-analyze of p_mod_i and of sln_e11(3), and ``check-quotient --weak`` of
-p_mod_i.  jmax of pair_rect(1,2) over F5 stays in: its exhaustive
-97,656-point scan of the 8-dimensional TKK algebra is the slowest case
-kept.
+Every command runs on every gallery file, over both fields.
 
 Regenerate the golden files after an intended output change with
 ``PYTHONPATH=src python tests/test_golden_cli.py``.
@@ -32,12 +28,6 @@ LIE = ("sl2", "sl2sum", "heis3", "p_mod_i", "sln_e11(3)")
 PAIRS = ("pair_field", "pair_padded", "pair_rect(1,2)", "pair_zero")
 FIELDS = ("Q", "5")
 
-SLOW_F5 = {
-    ("p_mod_i", "qmax"), ("sln_e11(3)", "qmax"),
-    ("p_mod_i", "analyze"), ("sln_e11(3)", "analyze"),
-    ("p_mod_i", "check-quotient --weak"),
-}
-
 
 def _commands(name):
     if name in LIE:
@@ -58,8 +48,7 @@ def _slug(name, field):
 
 CASES = [(name, field, cmd)
          for field in FIELDS for name in LIE + PAIRS
-         for cmd in ["gallery"] + _commands(name)
-         if not (field == "5" and (name, cmd) in SLOW_F5)]
+         for cmd in ["gallery"] + _commands(name)]
 
 
 def _run(argv):
