@@ -1,29 +1,47 @@
 """Structural predicates: semiprime, prime, essential, socle, graded core.
 
-Two decision tiers.  Over Q everything routes through the Killing form: in
-characteristic zero a finite dimensional Lie algebra is semiprime (no
-nonzero abelian ideal) iff its Killing form is nondegenerate, and then it
-is a direct sum of simple ideals, which settles the socle, essentiality
-(via annihilators), and strong nondegeneracy in both directions.  Over a
-prime field the same questions are answered by exhaustive enumeration of
-principal ideals within a configurable element budget; every nonzero
+Two decision tiers.  Over Q a finite dimensional Lie algebra is semiprime
+(no nonzero abelian ideal) iff its Killing form is nondegenerate, and then
+it is a direct sum of simple ideals, which settles the socle and strong
+nondegeneracy in both directions.  Everything else about the ideal
+lattice is read off the radical of the ad-envelope A, the associative
+algebra generated by ad L (plus the degree projections for graded
+ideals): the (graded) ideals are the A-submodules of L, so the socle is
+the part of L killed by the Jacobson radical J(A), and semiprime, prime
+and essential follow from the socle.  J(A) is the radical of the trace
+form; in characteristic p that radical is certified nilpotent, and where
+the certificate fails the answers come from the exhaustive scan of
+principal ideals within the element budget instead (every nonzero
 (graded) ideal contains an ideal generated by one (homogeneous) element,
-so quantifying over those is complete.
+so quantifying over those is complete).
 
 "Undecided" is a first class outcome (UndecidedError), never a guess: it
 is raised over Q when a predicate genuinely needs a decomposition the
-splitter could not certify.
+splitter could not certify, or an envelope over the budget.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 
-from .enumeration import distinct_principal_ideals, find_absolute_zero_divisor
-from .errors import NotAnIdeal, NotThreeGraded, UndecidedError, ValidationError
-from .lie import GradedLieAlgebra
-from .linalg import determinant, kernel_basis, mat_vec, preimage, span
+from .enumeration import (
+    distinct_principal_ideals,
+    find_absolute_zero_divisor,
+    resolve_budget,
+)
+from .errors import NotThreeGraded, UndecidedError, ValidationError
+from .linalg import (
+    closure,
+    determinant,
+    kernel_basis,
+    mat_mul,
+    mat_vec,
+    preimage,
+    rank,
+    span,
+)
 
 # The commutant splitter solves an n^2-unknown linear system in exact
 # arithmetic; past this dimension it would dominate every caller, and no
@@ -90,32 +108,234 @@ def abelian_ideal_witness(alg):
     return _last_derived_term(alg, rad)
 
 
+# ---------------------------------------------------------------------------
+# the ideal lattice from the radical of the ad-envelope
+
+
+ENVELOPE_RADICAL = "envelope-radical"
+CERTIFICATE_FAILED = "exhaustive-Fp (certificate failed)"
+EXHAUSTIVE = "exhaustive-Fp"
+
+_Structure = namedtuple("_Structure", "socle semiprime prime method")
+
+
+def _lie_generators(alg):
+    """Basis vectors generating L as a Lie algebra, chosen greedily in
+    basis order.  The ad of a bracket is a commutator of ads, so their ads
+    generate the whole envelope, with fewer image rows than all of ad L."""
+    gens, sub = [], alg.zero_space()
+    for i in range(alg.dim):
+        b = alg.basis_vector(i)
+        if not sub.contains(b):
+            gens.append(b)
+            # right-normed brackets of generators span what they generate
+            sub = closure(span(alg.field, alg.dim, gens),
+                          lambda w: [alg.bracket(g, w) for g in gens])
+    return gens
+
+
+def _envelope(field, n, gens):
+    """The unital algebra generated by n x n matrices, as a subspace of
+    flattened matrices (entry (r, c) at r * n + c): the closure of the
+    identity under right multiplication by each generator."""
+    sparse = [[[(c, x) for c, x in enumerate(row) if x] for row in g]
+              for g in gens]
+
+    def images(v):
+        out = []
+        for g in sparse:
+            w = [field.zero] * (n * n)
+            for idx, a in enumerate(v):
+                if a:
+                    base = idx - idx % n
+                    for c, x in g[idx % n]:
+                        w[base + c] += a * x
+            out.append(w)
+        return out
+
+    one = [field.zero] * (n * n)
+    for i in range(n):
+        one[i * n + i] = field.one
+    return closure(span(field, n * n, [one]), images)
+
+
+def _trace_radical(field, n, env):
+    """Radical of the trace form (a, b) -> tr(ab) on an envelope, as n x n
+    matrices.  tr(ab) is the entrywise sum of a[r][s] b[s][r]."""
+    p = field.p
+    rows = env.rows
+    support = [[(k, a) for k, a in enumerate(r) if a] for r in rows]
+    transposed = [[r[(k % n) * n + k // n] for k in range(n * n)]
+                  for r in rows]
+    gram = [[field.zero] * len(rows) for _ in rows]
+    for i, nz in enumerate(support):
+        for j in range(i, len(rows)):
+            t = transposed[j]
+            acc = sum(a * t[k] for k, a in nz)
+            gram[i][j] = gram[j][i] = acc if p is None else acc % p
+    rad = kernel_basis(field, gram, len(rows))
+    return [_square(mat_vec(c, rows, field), n) for c in rad.rows]
+
+
+def _is_nilpotent(alg, mats):
+    """Whether L @ R^k reaches 0, R the span of the matrices: the chain
+    only shrinks, so it does within dim L steps or stalls above 0."""
+    cur = alg.full_space()
+    while cur.rows:
+        nxt = span(alg.field, alg.dim,
+                   [mat_vec(v, m, alg.field) for v in cur.rows for m in mats])
+        if nxt.dim == cur.dim:
+            return False
+        cur = nxt
+    return True
+
+
+def _commutant(field, mats, n):
+    """The n x n matrices commuting with each of the given ones, flattened
+    row-major (T[r][c] at r * n + c), as a subspace."""
+    equations = []
+    for a in mats:
+        for r in range(n):
+            for c in range(n):
+                # (T a - a T)[r][c] = sum_k T[r][k] a[k][c] - a[r][k] T[k][c]
+                coeff = [field.zero] * (n * n)
+                for k in range(n):
+                    coeff[r * n + k] = field.of(coeff[r * n + k] + a[k][c])
+                    coeff[k * n + c] = field.of(coeff[k * n + c] - a[r][k])
+                equations.append(tuple(coeff))
+    return kernel_basis(field, equations, n * n)
+
+
+def _square(flat, n):
+    return tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(n))
+
+
+def _mat_pow(m, e, field):
+    out = None
+    while e:
+        if e & 1:
+            out = m if out is None else mat_mul(out, m, field)
+        e >>= 1
+        if e:
+            m = mat_mul(m, m, field)
+    return out
+
+
+def _endomorphisms_form_a_field(field, mats, n):
+    """Whether the commutant of matrices acting semisimply on F_p^n is a
+    field.  It is semisimple, so it is one iff it is commutative and its
+    Frobenius-fixed subspace {x : x^p = x} has dimension 1 (Berlekamp:
+    that dimension counts its simple factors)."""
+    flat = _commutant(field, mats, n)
+    basis = [_square(row, n) for row in flat.rows]
+    if any(mat_mul(a, b, field) != mat_mul(b, a, field)
+           for a, b in itertools.combinations(basis, 2)):
+        return False
+    frobenius_minus_one = []
+    for i, m in enumerate(basis):
+        row = flat.coords(sum(_mat_pow(m, field.p, field), ()))
+        row[i] -= field.one
+        frobenius_minus_one.append(row)
+    return len(basis) - rank(field, frobenius_minus_one) == 1
+
+
+def _from_envelope(alg, graded):
+    """The _Structure from the radical of the envelope A of ad L
+    (with the degree projections when graded), or None when the trace
+    radical of A fails its nilpotence certificate in characteristic p.
+
+    The (graded) ideals are the A-submodules of L, so Soc(L) = {v :
+    v J(A) = 0}.  A minimal ideal is abelian or perfect and distinct ones
+    bracket to zero, so L is semiprime iff [Soc, Soc] = Soc; it is prime
+    iff moreover Soc is the only minimal ideal, i.e. End_A(Soc) is a
+    field (only decided over F_p here).  J(A) lies inside the radical of
+    the trace form, and equals it over Q (Dickson) or when that radical
+    is nilpotent.  A = End(L) makes L simple as a module, J(A) = 0, and
+    End_A(L) the scalars, with no trace form needed.
+    """
+    f, n = alg.field, alg.dim
+    gens = [alg.ad_matrix(g) for g in _lie_generators(alg)]
+    if graded and len(alg.support()) > 1:
+        gens += [_degree_projector(alg, d) for d in alg.support()]
+    env = _envelope(f, n, gens)
+    if env.dim == n * n:
+        semi = alg.bracket_space(alg.full_space(), alg.full_space()).dim == n
+        return _Structure(alg.full_space(), semi, semi, ENVELOPE_RADICAL)
+    rad = _trace_radical(f, n, env)
+    if f.p is not None and not _is_nilpotent(alg, rad):
+        return None
+    soc = preimage(alg.zero_space(), rad) if rad else alg.full_space()
+    semi = alg.bracket_space(soc, soc) == soc
+    on_soc = [[soc.coords(mat_vec(r, g, f)) for r in soc.rows] for g in gens]
+    prime = semi and (None if f.p is None else
+                      _endomorphisms_form_a_field(f, on_soc, soc.dim))
+    return _Structure(soc, semi, prime, ENVELOPE_RADICAL)
+
+
+def _from_scan(alg, graded, budget, method):
+    """The _Structure from the minimal ideals of the exhaustive scan:
+    L is prime iff no two minimal ideals, or one with itself, bracket to
+    zero (every nonzero ideal contains a minimal one)."""
+    minimal = (minimal_graded_ideals(alg, budget=budget) if graded
+               else minimal_ideals(alg, budget=budget))
+    soc = alg.zero_space()
+    for m in minimal:
+        soc = soc.add(m)
+    prime = not any(alg.bracket_space(a, b).is_zero()
+                    for a, b in itertools.combinations_with_replacement(
+                        minimal, 2))
+    return _Structure(soc, alg.bracket_space(soc, soc) == soc, prime,
+                          method)
+
+
+def _ideal_structure(alg, graded=False, budget=None):
+    """Socle, semiprimeness and primeness of the (graded) ideal lattice,
+    and the method that decided them.
+
+    The a-priori cost of the envelope, dim A <= n^2 rows of n^2 cells for
+    each of at most n + (number of degrees) generators, is charged to the
+    budget before any work, also when the answer is memoized on the
+    algebra.  Over budget, or where the certificate fails, F_p falls back
+    to the exhaustive scan, which checks its own budget; Q is refused.
+    Over Q, prime is None for semiprime input.
+    """
+    f, n = alg.field, alg.dim
+    if n ** 4 * (n + len(alg.support())) > resolve_budget(budget):
+        if f.p is None:
+            raise UndecidedError("the envelope of dimension %d is over "
+                                 "the budget" % n)
+        return _from_scan(alg, graded, budget, EXHAUSTIVE)
+    memo = alg.ideal_memo
+    if graded not in memo:
+        memo[graded] = _from_envelope(alg, graded)
+    if memo[graded] is None:
+        return _from_scan(alg, graded, budget, CERTIFICATE_FAILED)
+    return memo[graded]
+
+
 def is_semiprime(alg, graded=False, budget=None):
     """No nonzero (graded) ideal with zero self-bracket.
 
     Over Q decided by the Killing criterion; in characteristic zero a
     nonzero radical always contains a nonzero abelian ideal, and abelian
     ideals sit inside the radical, so graded and ungraded agree (the
-    radical is graded).  Over F_p decided exhaustively.
+    radical is graded).  Over F_p: [Soc, Soc] = Soc (ideal_structure).
     """
     if alg.field.p is None:
         return killing_radical(alg).is_zero()
-    for ideal in distinct_principal_ideals(alg, homogeneous_only=graded,
-                                           budget=budget):
-        if not ideal.is_zero() and alg.bracket_space(ideal, ideal).is_zero():
-            return False
-    return True
+    return _ideal_structure(alg, graded, budget).semiprime
 
 
 def semiprime_witness(alg, graded=False, budget=None):
-    """A nonzero abelian (graded) ideal, or None when semiprime."""
+    """A nonzero abelian (graded) ideal, or None when semiprime.
+
+    Over F_p this is Soc ∩ Ann(Soc), the sum of the abelian minimal
+    (graded) ideals."""
     if alg.field.p is None:
         return abelian_ideal_witness(alg)
-    for ideal in distinct_principal_ideals(alg, homogeneous_only=graded,
-                                           budget=budget):
-        if not ideal.is_zero() and alg.bracket_space(ideal, ideal).is_zero():
-            return ideal
-    return None
+    soc = _ideal_structure(alg, graded, budget).socle
+    witness = soc.intersect(alg.annihilator(soc))
+    return None if witness.is_zero() else witness
 
 
 def absolute_zero_divisor_witness(alg, graded=False, budget=None):
@@ -161,30 +381,6 @@ def killing_complement(alg, sub):
     return kernel_basis(f, equations, alg.dim)
 
 
-def _commutant(alg):
-    """Matrices commuting with every ad(b_i), as a list of n x n tuples."""
-    n = alg.dim
-    f = alg.field
-    ads = [alg.ad_matrix(alg.basis_vector(i)) for i in range(n)]
-    # unknown T flattened row-major: T[r][c] = t[r * n + c]
-    equations = []
-    for a in ads:
-        for r in range(n):
-            for c in range(n):
-                # (T a - a T)[r][c] = sum_k T[r][k] a[k][c] - a[r][k] T[k][c]
-                coeff = [f.zero] * (n * n)
-                for k in range(n):
-                    coeff[r * n + k] = f.of(coeff[r * n + k] + a[k][c])
-                    coeff[k * n + c] = f.of(coeff[k * n + c] - a[r][k])
-                equations.append(tuple(coeff))
-    sol = kernel_basis(f, equations, n * n)
-    mats = []
-    for row in sol.rows:
-        mats.append(tuple(tuple(row[r * n + c] for c in range(n))
-                          for r in range(n)))
-    return mats
-
-
 def _minpoly_factors(field, mat):
     """Distinct irreducible factors of the char poly over Q, via sympy."""
     import sympy  # deferred: only the commutant splitter needs it
@@ -223,7 +419,9 @@ def _splitting_ideal_from_commutant(alg):
     kernel (the kernel of f1(T) is ad-invariant because T is).
     """
     f = alg.field
-    mats = _commutant(alg)
+    mats = [_square(row, alg.dim) for row in _commutant(
+        f, [alg.ad_matrix(alg.basis_vector(i)) for i in range(alg.dim)],
+        alg.dim).rows]
     if len(mats) == 1:
         return None  # centroid is the base field: simple
     candidates = list(mats)
@@ -308,20 +506,15 @@ def _split_simple(alg):
 
 
 def socle(alg, budget=None):
-    """Sum of all minimal ideals.
+    """Sum of all minimal ideals; the minimum essential ideal.
 
     Over Q, semiprime means semisimple in finite dimension, so the socle
-    is everything; non-semiprime input is refused rather than guessed.
+    is everything (Killing criterion); other input, and F_p, read it off
+    the radical of the ad-envelope.
     """
-    if alg.field.p is None:
-        if not is_semiprime(alg):
-            raise UndecidedError("socle over Q needs a semiprime algebra")
+    if alg.field.p is None and killing_radical(alg).is_zero():
         return alg.full_space()
-    parts = minimal_ideals(alg, budget=budget)
-    out = alg.zero_space()
-    for p in parts:
-        out = out.add(p)
-    return out
+    return _ideal_structure(alg, False, budget).socle
 
 
 def minimal_graded_ideals(alg, budget=None):
@@ -351,55 +544,33 @@ def graded_socle(alg, budget=None):
     Over Q a semiprime algebra splits into graded pieces under the Killing
     form, making the graded socle the whole algebra.
     """
-    if alg.field.p is None:
-        if not is_semiprime(alg):
-            raise UndecidedError("graded socle over Q needs semiprime input")
+    if alg.field.p is None and killing_radical(alg).is_zero():
         return alg.full_space()
-    parts = minimal_graded_ideals(alg, budget=budget)
-    out = alg.zero_space()
-    for p in parts:
-        out = out.add(p)
-    return out
+    return _ideal_structure(alg, True, budget).socle
 
 
 def is_essential_ideal(alg, ideal, graded=False, budget=None):
-    """Nonzero intersection with every nonzero (graded) ideal.
-
-    For (graded) semiprime algebras this is the annihilator criterion;
-    otherwise over F_p the exhaustive principal-ideal oracle runs, and
-    over Q the question is refused.
-    """
+    """Nonzero intersection with every nonzero (graded) ideal, that is,
+    the ideal contains every minimal (graded) ideal: I contains the
+    (graded) socle."""
     alg.require_ideal(ideal)
     if graded:
         alg.graded_closure_check(ideal)
-    if is_semiprime(alg, graded=graded, budget=budget):
-        return alg.annihilator(ideal).is_zero()
-    if alg.field.p is None:
-        raise UndecidedError("essentiality over Q needs a semiprime algebra")
-    for other in distinct_principal_ideals(alg, homogeneous_only=graded,
-                                           budget=budget):
-        if not other.is_zero() and ideal.intersect(other).is_zero():
-            return False
-    return True
+    soc = (graded_socle if graded else socle)(alg, budget=budget)
+    return ideal.contains_space(soc)
 
 
 def is_prime(alg, graded=False, budget=None):
     """[I, J] != 0 for all nonzero (graded) ideals I, J.
 
-    Over F_p it suffices to bracket the minimal (graded) ideals pairwise,
-    each with itself too: if [I, J] = 0 then any minimal I' inside I and
-    J' inside J also bracket to zero, and every minimal ideal is
-    principal, so the scan finds it.  Over Q: semiprime algebras are
-    prime iff simple here (one minimal ideal); others are refused.
+    Over F_p: semiprime with a single minimal (graded) ideal
+    (_ideal_structure).  Over Q: semiprime algebras are prime iff simple
+    here (one minimal ideal); others are refused.
     """
+    if alg.field.p is not None:
+        return _ideal_structure(alg, graded, budget).prime
     if alg.dim == 0:
         return True
-    if alg.field.p is not None:
-        minimal = (minimal_graded_ideals(alg, budget=budget) if graded
-                   else minimal_ideals(alg, budget=budget))
-        return not any(alg.bracket_space(a, b).is_zero()
-                       for a, b in itertools.combinations_with_replacement(
-                           minimal, 2))
     if not is_semiprime(alg):
         return False  # an abelian ideal brackets itself to zero
     return len(minimal_ideals(alg)) == 1
@@ -489,40 +660,39 @@ class StructureReport:
 def structure_report(alg, budget=None):
     """One-stop summary used by the command line analyze output."""
     f = alg.field
-    methods = {}
     center = alg.center()
+    soc = None
     if f.p is None:
         kd = killing_determinant(alg)
-        methods["semiprime"] = "killing-criterion"
-        methods["strongly-nondegenerate"] = "killing-criterion"
+        semi = is_semiprime(alg)
+        methods = {"semiprime": "killing-criterion",
+                   "strongly-nondegenerate": "killing-criterion"}
+        try:
+            prime = is_prime(alg)
+            methods["prime"] = methods["semiprime"]
+        except UndecidedError:
+            prime = None
+            methods["prime"] = "undecided"
+        try:
+            soc = socle(alg, budget=budget)
+            methods["socle"] = ("semisimple-identity" if semi
+                                else ENVELOPE_RADICAL)
+        except UndecidedError:
+            methods["socle"] = "undecided"
     else:
         kd = None
-        methods["semiprime"] = "exhaustive-Fp"
-        methods["strongly-nondegenerate"] = "exhaustive-Fp"
-    semi = is_semiprime(alg, budget=budget)
-    try:
-        prime = is_prime(alg, budget=budget)
-        methods["prime"] = methods["semiprime"]
-    except UndecidedError:
-        prime = None
-        methods["prime"] = "undecided"
+        st = _ideal_structure(alg, budget=budget)
+        semi, prime, soc = st.semiprime, st.prime, st.socle
+        methods = {"semiprime": st.method, "prime": st.method,
+                   "socle": st.method, "strongly-nondegenerate": EXHAUSTIVE}
     snd = is_strongly_nondegenerate(alg, budget=budget)
-    try:
-        soc = socle(alg, budget=budget)
-        soc_dim = soc.dim
-        methods["socle"] = ("semisimple-identity" if f.p is None
-                            else "exhaustive-Fp")
-    except UndecidedError:
-        soc = None
-        soc_dim = None
-        methods["socle"] = "undecided"
     return StructureReport(
         center_dim=center.dim,
         killing_det=kd,
         semiprime=semi,
         prime=prime,
         strongly_nondegenerate=snd,
-        socle_dim=soc_dim,
+        socle_dim=None if soc is None else soc.dim,
         socle=soc,
         methods=methods,
     )

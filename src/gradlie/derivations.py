@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .analysis import graded_socle, is_semiprime, socle
-from .enumeration import distinct_principal_ideals, scan_points
+from .enumeration import scan_points
 from .errors import (
     DecompositionIncomplete,
     NonzeroCenter,
@@ -303,16 +303,13 @@ def maximal_quotients(alg, graded=False, budget=None):
     essential and perfect, which closes the bracket and makes the
     embedding injective (an element killing an essential ideal is zero).
     """
-    if alg.field.p is not None:
-        # the scan behind semiprimeness and the socle: refused over budget
-        # even when the answer is memoized
-        distinct_principal_ideals(alg, homogeneous_only=graded, budget=budget)
+    # charges the budget of the socle computation, also on a memo hit
+    if not is_semiprime(alg, graded=graded, budget=budget):
+        raise NotSemiprime("maximal quotients need a (graded) semiprime algebra")
     key = (alg, bool(graded))
     got = _mq_cache.get(key)
     if got is not None:
         return got
-    if not is_semiprime(alg, graded=graded, budget=budget):
-        raise NotSemiprime("maximal quotients need a (graded) semiprime algebra")
     e0 = graded_socle(alg, budget=budget) if graded else socle(alg, budget=budget)
     der = derivation_space(alg, e0)
     f = alg.field

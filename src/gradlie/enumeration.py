@@ -7,6 +7,11 @@ element budget first and raises DimensionTooLarge beyond it; the default
 of 10**6 can be overridden by the GRADLIE_BUDGET environment variable or a
 per-call argument.
 
+The ideal predicates of analysis read the radical of the ad-envelope
+instead; the principal-ideal scan is their fallback, where the envelope
+is over the budget or its nilpotence certificate fails, the listing of
+minimal ideals, and the oracle the tests check them against.
+
 Both scans are exact Python integer arithmetic on the sparse structure
 constants of the algebra (GradedLieAlgebra.nonzero), so no prime is too
 large for them and no value wraps around: the principal-ideal scan closes
@@ -117,7 +122,7 @@ def distinct_principal_ideals(alg, homogeneous_only=False, budget=None):
     """All distinct ideals generated by a single (homogeneous) element.
 
     Every nonzero (graded) ideal contains one of these, which is what the
-    exhaustive semiprimeness / essentiality / socle oracles need.  Results
+    exhaustive minimal-ideal listing and the predicate oracles need.  Results
     are cached per algebra since the scan can take seconds in dimension 8;
     the budget is checked first, so a cached answer is refused exactly
     when a fresh scan would be.

@@ -109,13 +109,15 @@ class GradedLieAlgebra:
     """Finite dimensional Lie algebra with a group grading.
 
     table[i][j] is the coordinate tuple of [b_i, b_j], and nonzero[i] the
-    (j, k, c) with table[i][j][k] = c != 0.  Construction validates
+    (j, k, c) with table[i][j][k] = c != 0.  ideal_memo holds what
+    analysis derives about the ideal lattice, per graded flag; it takes
+    no part in equality.  Construction validates
     antisymmetry, the grading compatibility, and Jacobi, in that order,
     raising the matching ValidationError subclass on failure.
     """
 
     __slots__ = ("field", "names", "table", "nonzero", "group", "degrees",
-                 "_hash")
+                 "ideal_memo", "_hash")
 
     def __init__(self, field, names, table, group=None, degrees=None):
         if not isinstance(field, Field):
@@ -149,6 +151,7 @@ class GradedLieAlgebra:
         self._check_jacobi()
         self._hash = hash((field.p, self.names, self.degrees,
                            self.group, self.table))
+        self.ideal_memo = {}
 
     # -- validation -------------------------------------------------
 

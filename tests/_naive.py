@@ -1,7 +1,8 @@
 """Textbook oracles for the structure constants, the ideal closures, the
-ideal predicates and the Jordan pair axioms, shared by several test
-modules.  The Lie oracles read the dense table cell by cell, apart from
-the library's sparse kernel."""
+ideal predicates (quantified over the principal-ideal scan) and the
+Jordan pair axioms, shared by several test modules.  The Lie oracles
+read the dense table cell by cell, apart from the library's sparse
+kernel."""
 
 import itertools
 
@@ -123,13 +124,38 @@ def naive_zero_divisor(alg, graded):
     return None
 
 
+def _nonzero_principal_ideals(alg, graded):
+    return [i for i in distinct_principal_ideals(alg, homogeneous_only=graded)
+            if not i.is_zero()]
+
+
 def naive_is_prime(alg, graded):
     """Every ordered pair of nonzero principal (graded) ideals has a
     nonzero bracket."""
-    ideals = [i for i in distinct_principal_ideals(alg, homogeneous_only=graded)
-              if not i.is_zero()]
+    ideals = _nonzero_principal_ideals(alg, graded)
     return all(not alg.bracket_space(a, b).is_zero()
                for a in ideals for b in ideals)
+
+
+def naive_is_semiprime(alg, graded):
+    """No nonzero principal (graded) ideal brackets itself to zero."""
+    return not any(alg.bracket_space(i, i).is_zero()
+                   for i in _nonzero_principal_ideals(alg, graded))
+
+
+def naive_socle(alg, graded):
+    """Sum of the principal (graded) ideals containing no smaller one."""
+    ideals = _nonzero_principal_ideals(alg, graded)
+    rows = [r for i in ideals
+            if not any(o.dim < i.dim and i.contains_space(o) for o in ideals)
+            for r in i.rows]
+    return span(alg.field, alg.dim, rows)
+
+
+def naive_is_essential(alg, ideal, graded):
+    """The ideal meets every nonzero principal (graded) ideal."""
+    return all(not ideal.intersect(i).is_zero()
+               for i in _nonzero_principal_ideals(alg, graded))
 
 
 def naive_ideal(alg, vectors):

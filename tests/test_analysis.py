@@ -5,13 +5,19 @@ The sl2 Killing matrix is recomputed in-test from traces of adjoint
 products, independent of the library's own accumulation order.
 """
 
+import itertools
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from _naive import naive_is_prime
+from _naive import (
+    naive_is_essential,
+    naive_is_prime,
+    naive_is_semiprime,
+    naive_socle,
+)
 from gradlie.analysis import (
     _apply_poly,
     _minpoly_factors,
@@ -32,7 +38,8 @@ from gradlie.analysis import (
     graded_socle,
     structure_report,
 )
-from gradlie.errors import DimensionTooLarge, NotThreeGraded, UndecidedError
+from gradlie.enumeration import distinct_principal_ideals, projective_count
+from gradlie.errors import DimensionTooLarge, NotThreeGraded
 from gradlie.gallery import (
     build_lie,
     first_component,
@@ -42,7 +49,7 @@ from gradlie.gallery import (
     sl2sum,
     sln_e11,
 )
-from gradlie.lie import direct_sum
+from gradlie.lie import GradedLieAlgebra, direct_sum
 from gradlie.linalg import mat_mul, mat_vec, span
 from gradlie.scalars import GF, QQ
 
@@ -133,9 +140,12 @@ def test_socle_of_heisenberg_over_f5():
     assert graded_socle(h) == soc
 
 
-def test_socle_of_heisenberg_over_q_is_refused():
-    with pytest.raises(UndecidedError):
-        socle(heis3())
+def test_socle_of_heisenberg_over_q_is_its_center():
+    # heis3 is not semiprime, so the Killing criterion does not give the
+    # socle; the radical of its ad-envelope does
+    h = heis3()
+    assert socle(h) == span(QQ, 3, [(0, 0, 1)])
+    assert graded_socle(h) == socle(h)
 
 
 def test_essential_ideals():
@@ -162,14 +172,90 @@ def test_prime_predicates():
        pieces=st.lists(st.sampled_from(["sl2", "heis3", "sln_e11(2)"]),
                        min_size=1, max_size=2))
 def test_prime_over_fp_matches_all_pairs_oracle(p, graded, pieces):
-    # is_prime brackets the minimal ideals pairwise; the oracle brackets
-    # every ordered pair of nonzero principal ideals.  A plain scan of a
-    # 6-dimensional sum over F7 takes 1-2 s, so there sums are graded.
+    # is_prime reads the commutant of the envelope on the socle; the
+    # oracle brackets every ordered pair of nonzero principal ideals.  A
+    # plain scan of a 6-dimensional sum over F7 takes 1-2 s, so there
+    # sums are graded.
     assume(p == 5 or graded or len(pieces) == 1)
     make = {"sl2": sl2, "heis3": heis3, "sln_e11(2)": lambda f: sln_e11(2, f)}
     algs = [make[name](GF(p)) for name in sorted(pieces)]
     alg = algs[0] if len(algs) == 1 else direct_sum(*algs)
     assert is_prime(alg, graded=graded) == naive_is_prime(alg, graded)
+
+
+PIECES = {"sl2": sl2, "heis3": heis3, "sl2sum": sl2sum, "p_mod_i": p_mod_i,
+          "sln_e11(2)": lambda f: sln_e11(2, f)}
+
+
+@st.composite
+def _sums_and_quotients(draw):
+    """One or two gallery pieces over F5 or F7 summed, maybe divided by
+    the ideal of a basis vector, and whether to ask graded: always when a
+    plain scan would walk more than 4,000 points."""
+    f = GF(draw(st.sampled_from([5, 7])))
+    names = draw(st.lists(st.sampled_from(sorted(PIECES)), min_size=1,
+                          max_size=2))
+    algs = [PIECES[name](f) for name in names]
+    alg = algs[0] if len(algs) == 1 else direct_sum(*algs)
+    if draw(st.booleans()):
+        b = alg.basis_vector(draw(st.integers(0, alg.dim - 1)))
+        alg = alg.quotient_by_ideal(alg.ideal_generated([b]))[0]
+    graded = draw(st.booleans()) or projective_count(f.p, alg.dim) > 4000
+    return alg, graded
+
+
+@given(case=_sums_and_quotients())
+def test_envelope_radical_matches_the_principal_ideal_scan(case):
+    alg, graded = case
+    soc = (graded_socle if graded else socle)(alg)
+    assert soc == naive_socle(alg, graded)
+    semi = is_semiprime(alg, graded=graded)
+    assert semi == naive_is_semiprime(alg, graded)
+    assert is_prime(alg, graded=graded) == naive_is_prime(alg, graded)
+    witness = semiprime_witness(alg, graded=graded)
+    assert (witness is None) == semi
+    if witness is not None:
+        assert alg.is_ideal(witness)
+        assert alg.bracket_space(witness, witness).is_zero()
+        assert not graded or alg.is_graded_subspace(witness)
+    for ideal in distinct_principal_ideals(alg, homogeneous_only=graded):
+        if not ideal.is_zero():
+            assert (is_essential_ideal(alg, ideal, graded=graded)
+                    == naive_is_essential(alg, ideal, graded))
+
+
+def test_certificate_failure_falls_back_to_the_scan():
+    # abelian of dimension 5 over F5: the envelope is the scalars, and
+    # tr(1) = 5 = 0 puts 1 in the trace radical, which is not nilpotent
+    zero = (0,) * 5
+    a = GradedLieAlgebra(F5, "abcde", [[zero] * 5 for _ in range(5)])
+    rep = structure_report(a)
+    assert rep.methods["socle"] == "exhaustive-Fp (certificate failed)"
+    assert (rep.semiprime, rep.prime, rep.socle_dim) == (False, False, 5)
+    for graded in (False, True):
+        assert not is_semiprime(a, graded=graded)
+        assert not is_prime(a, graded=graded)
+        assert semiprime_witness(a, graded=graded) == a.full_space()
+    line = span(F5, 5, [a.basis_vector(0)])
+    assert not is_essential_ideal(a, line)
+    assert is_essential_ideal(a, a.full_space())
+
+
+def test_prime_with_a_commutant_bigger_than_the_field():
+    # sl2 over F25 = F5[t]/(t^2 - 2) as a 6-dimensional F5-algebra: simple,
+    # so prime, while End_A(L) = F25 has dimension 2 with a fixed line
+    base = sl2(F5)
+    n = base.dim
+    table = [[[0] * (2 * n) for _ in range(2 * n)] for _ in range(2 * n)]
+    for i, j, s, t in itertools.product(range(n), range(n), (0, 1), (0, 1)):
+        for k, c in enumerate(base.table[i][j]):
+            scale, u = (2, 0) if s + t == 2 else (1, s + t)
+            table[i + n * s][j + n * t][k + n * u] = F5.of(scale * c)
+    a = GradedLieAlgebra(F5, [x + y for y in ("", "t") for x in base.names],
+                         table, base.group, base.degrees * 2)
+    for graded in (False, True):
+        assert is_prime(a, graded=graded) and naive_is_prime(a, graded)
+    assert structure_report(a).methods["prime"] == "envelope-radical"
 
 
 def _qmat(rows):
@@ -248,10 +334,10 @@ def test_structure_report_fields():
     assert rep_h.center_dim == 1
     assert not rep_h.semiprime
     assert rep_h.prime is False
-    assert rep_h.socle_dim is None  # socle needs the exhaustive field
+    assert rep_h.socle_dim == 1
     rep_h5 = structure_report(heis3(F5))
     assert rep_h5.socle_dim == 1
-    assert rep_h5.methods["socle"] == "exhaustive-Fp"
+    assert rep_h5.methods["socle"] == "envelope-radical"
 
 
 def test_budget_is_checked_even_when_the_scan_is_memoized():
@@ -267,5 +353,14 @@ def test_budget_refusal_comes_before_work_linear_in_p():
     h = heis3(big_p)
     start = time.perf_counter()
     with pytest.raises(DimensionTooLarge):
-        is_semiprime(h)
+        distinct_principal_ideals(h)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_semiprimeness_over_a_large_prime_takes_no_scan():
+    # the principal-ideal scan of heis3 over this field is refused above;
+    # the radical of the ad-envelope does not depend on p
+    h = heis3(GF(1000003))
+    start = time.perf_counter()
+    assert is_semiprime(h) is False
     assert time.perf_counter() - start < 0.5
