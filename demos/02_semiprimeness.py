@@ -2,9 +2,9 @@
 
 Over Q the decision runs through the Killing form (finite dimensional,
 characteristic zero: semiprime = semisimple = nondegenerate Killing
-form).  Over F_p the package instead enumerates all distinct principal
-ideals and quantifies exhaustively, so the two routes cross-validate
-each other on small instances.
+form).  Over F_p the package instead reads the socle off the radical of
+the associative envelope of ad L and asks whether [Soc, Soc] = Soc, so
+the two routes cross-validate each other on small instances.
 """
 
 from gradlie.analysis import (

@@ -221,22 +221,23 @@ def _mat_pow(m, e, field):
     return out
 
 
-def _endomorphisms_form_a_field(field, mats, n):
-    """Whether the commutant of matrices acting semisimply on F_p^n is a
-    field.  It is semisimple, so it is one iff it is commutative and its
-    Frobenius-fixed subspace {x : x^p = x} has dimension 1 (Berlekamp:
-    that dimension counts its simple factors)."""
-    flat = _commutant(field, mats, n)
-    basis = [_square(row, n) for row in flat.rows]
-    if any(mat_mul(a, b, field) != mat_mul(b, a, field)
-           for a, b in itertools.combinations(basis, 2)):
-        return False
+def _endomorphisms_form_a_field(field, socle, gens):
+    """Whether the maps of the socle of a semiprime algebra commuting with
+    the generators of its envelope form a field.  A module map from a
+    minimal ideal I to another J commutes with ad I, so it kills
+    [I, I] = I: these maps are the product of the finite fields End(I),
+    x -> x^p is linear on it and fixes one line per factor (Berlekamp's
+    count of simple factors)."""
+    n = socle.dim
+    flat = _commutant(field, [[socle.coords(mat_vec(r, g, field))
+                               for r in socle.rows] for g in gens], n)
     frobenius_minus_one = []
-    for i, m in enumerate(basis):
-        row = flat.coords(sum(_mat_pow(m, field.p, field), ()))
-        row[i] -= field.one
-        frobenius_minus_one.append(row)
-    return len(basis) - rank(field, frobenius_minus_one) == 1
+    for i, row in enumerate(flat.rows):
+        power = _mat_pow(_square(row, n), field.p, field)
+        image = flat.coords(sum(power, ()))
+        image[i] -= field.one
+        frobenius_minus_one.append(image)
+    return len(flat.rows) - rank(field, frobenius_minus_one) == 1
 
 
 def _from_envelope(alg, graded):
@@ -266,9 +267,8 @@ def _from_envelope(alg, graded):
         return None
     soc = preimage(alg.zero_space(), rad) if rad else alg.full_space()
     semi = alg.bracket_space(soc, soc) == soc
-    on_soc = [[soc.coords(mat_vec(r, g, f)) for r in soc.rows] for g in gens]
-    prime = semi and (None if f.p is None else
-                      _endomorphisms_form_a_field(f, on_soc, soc.dim))
+    prime = semi and (None if f.p is None
+                      else _endomorphisms_form_a_field(f, soc, gens))
     return _Structure(soc, semi, prime, ENVELOPE_RADICAL)
 
 
@@ -284,8 +284,7 @@ def _from_scan(alg, graded, budget, method):
     prime = not any(alg.bracket_space(a, b).is_zero()
                     for a, b in itertools.combinations_with_replacement(
                         minimal, 2))
-    return _Structure(soc, alg.bracket_space(soc, soc) == soc, prime,
-                          method)
+    return _Structure(soc, alg.bracket_space(soc, soc) == soc, prime, method)
 
 
 def _ideal_structure(alg, graded=False, budget=None):
@@ -319,7 +318,7 @@ def is_semiprime(alg, graded=False, budget=None):
     Over Q decided by the Killing criterion; in characteristic zero a
     nonzero radical always contains a nonzero abelian ideal, and abelian
     ideals sit inside the radical, so graded and ungraded agree (the
-    radical is graded).  Over F_p: [Soc, Soc] = Soc (ideal_structure).
+    radical is graded).  Over F_p: [Soc, Soc] = Soc (_ideal_structure).
     """
     if alg.field.p is None:
         return killing_radical(alg).is_zero()
