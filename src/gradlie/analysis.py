@@ -511,7 +511,7 @@ def socle(alg, budget=None):
     is everything (Killing criterion); other input, and F_p, read it off
     the radical of the ad-envelope.
     """
-    if alg.field.p is None and killing_radical(alg).is_zero():
+    if alg.field.p is None and is_semiprime(alg):
         return alg.full_space()
     return _ideal_structure(alg, False, budget).socle
 
@@ -543,7 +543,7 @@ def graded_socle(alg, budget=None):
     Over Q a semiprime algebra splits into graded pieces under the Killing
     form, making the graded socle the whole algebra.
     """
-    if alg.field.p is None and killing_radical(alg).is_zero():
+    if alg.field.p is None and is_semiprime(alg):
         return alg.full_space()
     return _ideal_structure(alg, True, budget).socle
 
