@@ -148,6 +148,13 @@ def test_socle_of_heisenberg_over_q_is_its_center():
     assert graded_socle(h) == socle(h)
 
 
+def test_envelope_over_the_budget_leaves_the_q_socle_undecided():
+    # over Q there is no scan to fall back to
+    rep = structure_report(heis3(), budget=1)
+    assert rep.socle_dim is None and rep.methods["socle"] == "undecided"
+    assert not rep.semiprime
+
+
 def test_essential_ideals():
     s = sl2sum()
     comp = first_component(s, 3)
