@@ -4,20 +4,22 @@ Two decision tiers.  Over Q a finite dimensional Lie algebra is semiprime
 (no nonzero abelian ideal) iff its Killing form is nondegenerate, and then
 it is a direct sum of simple ideals, which settles the socle and strong
 nondegeneracy in both directions.  Everything else about the ideal
-lattice is read off the radical of the ad-envelope A, the associative
-algebra generated by ad L (plus the degree projections for graded
-ideals): the (graded) ideals are the A-submodules of L, so the socle is
-the part of L killed by the Jacobson radical J(A), and semiprime, prime
-and essential follow from the socle.  J(A) is the radical of the trace
-form; in characteristic p that radical is certified nilpotent, and where
-the certificate fails the answers come from the exhaustive scan of
-principal ideals within the element budget instead (every nonzero
-(graded) ideal contains an ideal generated by one (homogeneous) element,
-so quantifying over those is complete).
+lattice is read off the ad-envelope A, the associative algebra generated
+by ad L (plus the degree projections for graded ideals): the (graded)
+ideals are the A-submodules of L, so the socle is the part of L killed by
+the Jacobson radical J(A), and semiprime and essential follow from the
+socle.  On the socle of a semiprime algebra the centroid End_A(Soc) is a
+product of fields, one per minimal (graded) ideal: prime means it is a
+field, counted by Frobenius over F_p and by factoring a primitive element
+over Q, whose factors also cut out the minimal ideals.  J(A) is the
+radical of the trace form; in characteristic p that radical is certified
+nilpotent, and where the certificate fails the answers come from the
+exhaustive scan of principal ideals within the element budget instead
+(every nonzero (graded) ideal contains an ideal generated by one
+(homogeneous) element, so quantifying over those is complete).
 
 "Undecided" is a first class outcome (UndecidedError), never a guess: it
-is raised over Q when a predicate genuinely needs a decomposition the
-splitter could not certify, or an envelope over the budget.
+is raised over Q when a question needs an envelope over the budget.
 """
 
 from __future__ import annotations
@@ -33,21 +35,21 @@ from .enumeration import (
 )
 from .errors import NotThreeGraded, UndecidedError, ValidationError
 from .linalg import (
+    Subspace,
     closure,
     determinant,
     kernel_basis,
+    mat_add,
+    mat_eq_zero,
+    mat_identity,
     mat_mul,
+    mat_scale,
+    mat_sub,
     mat_vec,
     preimage,
     rank,
     span,
 )
-
-# The commutant splitter solves an n^2-unknown linear system in exact
-# arithmetic; past this dimension it would dominate every caller, and no
-# supported workflow needs simplicity certificates that large.
-COMMUTANT_DIM_CAP = 10
-
 
 def killing_matrix(alg):
     """Gram matrix of the trace form (x, y) -> tr(ad x ad y).
@@ -116,7 +118,7 @@ ENVELOPE_RADICAL = "envelope-radical"
 CERTIFICATE_FAILED = "exhaustive-Fp (certificate failed)"
 EXHAUSTIVE = "exhaustive-Fp"
 
-_Structure = namedtuple("_Structure", "socle semiprime prime method")
+_Structure = namedtuple("_Structure", "socle semiprime prime method minimal")
 
 
 def _lie_generators(alg):
@@ -221,23 +223,85 @@ def _mat_pow(m, e, field):
     return out
 
 
-def _endomorphisms_form_a_field(field, socle, gens):
-    """Whether the maps of the socle of a semiprime algebra commuting with
-    the generators of its envelope form a field.  A module map from a
-    minimal ideal I to another J commutes with ad I, so it kills
-    [I, I] = I: these maps are the product of the finite fields End(I),
-    x -> x^p is linear on it and fixes one line per factor (Berlekamp's
+def _centroid(field, socle, gens):
+    """End_A(Soc): the maps of the socle, in its coordinates, commuting
+    with the generators of the envelope, as flattened n x n matrices.
+    On the socle of a semiprime algebra they form a product of fields,
+    one per minimal ideal: a module map from a minimal ideal I to another
+    J commutes with ad I, so it kills [I, I] = I, and End_A(I) lies in the
+    centroid of the perfect algebra I, which is commutative."""
+    return _commutant(field, [[socle.coords(mat_vec(r, g, field))
+                               for r in socle.rows] for g in gens],
+                      socle.dim)
+
+
+def _frobenius_fixed_dim(field, flat, n):
+    """Dimension of the subspace fixed by x -> x^p, which is linear on a
+    product of finite fields and fixes one line per factor (Berlekamp's
     count of simple factors)."""
-    n = socle.dim
-    flat = _commutant(field, [[socle.coords(mat_vec(r, g, field))
-                               for r in socle.rows] for g in gens], n)
     frobenius_minus_one = []
     for i, row in enumerate(flat.rows):
         power = _mat_pow(_square(row, n), field.p, field)
         image = flat.coords(sum(power, ()))
         image[i] -= field.one
         frobenius_minus_one.append(image)
-    return len(flat.rows) - rank(field, frobenius_minus_one) == 1
+    return len(flat.rows) - rank(field, frobenius_minus_one)
+
+
+def _primitive_element(field, mats):
+    """t_j = sum_k j^k c_k for the first j = 1, 2, ... with I, t, ...,
+    t^(D-1) independent, D the number of c_k, so that the c_k span Q[t].
+    The elements that are not primitive lie in finitely many proper
+    subalgebras, and this curve meets each one at fewer than D values of
+    j (a functional vanishing there is a nonzero polynomial in j of
+    degree below D), so the walk ends."""
+    n, d = len(mats[0]), len(mats)
+    for j in itertools.count(1):
+        t = tuple(tuple(field.of(sum(j ** k * m[r][c]
+                                     for k, m in enumerate(mats)))
+                        for c in range(n)) for r in range(n))
+        power, powers = mat_identity(field, n), []
+        for _ in range(d):
+            powers.append([x for row in power for x in row])
+            power = mat_mul(power, t, field)
+        if rank(field, powers) == d:
+            return t
+
+
+def _components(field, flat, n):
+    """The summands of the socle cut out by the factor fields of its
+    centroid, in socle coordinates: the kernels of the irreducible factors
+    of a primitive element (t acts on row vectors as v @ t)."""
+    if flat.dim == 1:
+        return [Subspace.full(field, n)]
+    t = _primitive_element(field, [_square(row, n) for row in flat.rows])
+    zero = Subspace.zero(field, n)
+    return [preimage(zero, [_apply_poly(field, f, t)])
+            for f in _minpoly_factors(field, t)]
+
+
+def _minpoly_factors(field, mat):
+    """Distinct irreducible factors of the char poly over Q, via sympy."""
+    import sympy  # deferred: only a centroid of dimension > 1 needs it
+
+    x = sympy.Symbol("x")
+    m = sympy.Matrix([[sympy.Rational(c) for c in row] for row in mat])
+    poly = m.charpoly(x)
+    _, factors = sympy.factor_list(poly.as_expr())
+    return [f for f, _mult in factors if f.has(x)]
+
+
+def _apply_poly(field, expr, mat):
+    """A rational-coefficient sympy polynomial at a matrix (Horner)."""
+    import sympy
+
+    n = len(mat)
+    acc = [[field.zero] * n for _ in range(n)]
+    for c in sympy.Poly(expr, sympy.Symbol("x")).all_coeffs():
+        acc = [list(row) for row in mat_mul(acc, mat, field)]
+        for i in range(n):
+            acc[i][i] += field.of(str(c))
+    return acc
 
 
 def _from_envelope(alg, graded):
@@ -249,9 +313,10 @@ def _from_envelope(alg, graded):
     v J(A) = 0}.  A minimal ideal is abelian or perfect and distinct ones
     bracket to zero, so L is semiprime iff [Soc, Soc] = Soc; it is prime
     iff moreover Soc is the only minimal ideal, i.e. End_A(Soc) is a
-    field (only decided over F_p here).  J(A) lies inside the radical of
-    the trace form, and equals it over Q (Dickson) or when that radical
-    is nilpotent.  A = End(L) makes L simple as a module, J(A) = 0, and
+    field.  Over Q the minimal ideals of a semiprime L are listed as the
+    components of that centroid.  J(A) lies inside the radical of the
+    trace form, and equals it over Q (Dickson) or when that radical is
+    nilpotent.  A = End(L) makes L simple as a module, J(A) = 0, and
     End_A(L) the scalars, with no trace form needed.
     """
     f, n = alg.field, alg.dim
@@ -260,43 +325,51 @@ def _from_envelope(alg, graded):
         gens += [_degree_projector(alg, d) for d in alg.support()]
     env = _envelope(f, n, gens)
     if env.dim == n * n:
-        semi = alg.bracket_space(alg.full_space(), alg.full_space()).dim == n
-        return _Structure(alg.full_space(), semi, semi, ENVELOPE_RADICAL)
+        full = alg.full_space()
+        semi = alg.bracket_space(full, full).dim == n
+        return _Structure(full, semi, semi, ENVELOPE_RADICAL,
+                          (full,) if semi else None)
     rad = _trace_radical(f, n, env)
     if f.p is not None and not _is_nilpotent(alg, rad):
         return None
     soc = preimage(alg.zero_space(), rad) if rad else alg.full_space()
-    semi = alg.bracket_space(soc, soc) == soc
-    prime = semi and (None if f.p is None
-                      else _endomorphisms_form_a_field(f, soc, gens))
-    return _Structure(soc, semi, prime, ENVELOPE_RADICAL)
+    if alg.bracket_space(soc, soc) != soc:
+        return _Structure(soc, False, False, ENVELOPE_RADICAL, None)
+    flat = _centroid(f, soc, gens)
+    if f.p is not None:
+        return _Structure(soc, True, _frobenius_fixed_dim(f, flat, soc.dim)
+                          == 1, ENVELOPE_RADICAL, None)
+    minimal = tuple(span(f, n, [mat_vec(r, soc.rows, f) for r in c.rows])
+                    for c in _components(f, flat, soc.dim))
+    return _Structure(soc, True, len(minimal) == 1, ENVELOPE_RADICAL,
+                      minimal)
 
 
 def _from_scan(alg, graded, budget, method):
     """The _Structure from the minimal ideals of the exhaustive scan:
     L is prime iff no two minimal ideals, or one with itself, bracket to
     zero (every nonzero ideal contains a minimal one)."""
-    minimal = (minimal_graded_ideals(alg, budget=budget) if graded
-               else minimal_ideals(alg, budget=budget))
+    minimal = _minimal_ideals(alg, graded, budget)
     soc = alg.zero_space()
     for m in minimal:
         soc = soc.add(m)
     prime = not any(alg.bracket_space(a, b).is_zero()
                     for a, b in itertools.combinations_with_replacement(
                         minimal, 2))
-    return _Structure(soc, alg.bracket_space(soc, soc) == soc, prime, method)
+    return _Structure(soc, alg.bracket_space(soc, soc) == soc, prime, method,
+                      None)
 
 
 def _ideal_structure(alg, graded=False, budget=None):
     """Socle, semiprimeness and primeness of the (graded) ideal lattice,
-    and the method that decided them.
+    the method that decided them, and the minimal (graded) ideals where
+    they are known (always over Q for semiprime input; else None).
 
     The a-priori cost of the envelope, dim A <= n^2 rows of n^2 cells for
     each of at most n + (number of degrees) generators, is charged to the
     budget before any work, also when the answer is memoized on the
     algebra.  Over budget, or where the certificate fails, F_p falls back
     to the exhaustive scan, which checks its own budget; Q is refused.
-    Over Q, prime is None for semiprime input.
     """
     f, n = alg.field, alg.dim
     if n ** 4 * (n + len(alg.support())) > resolve_budget(budget):
@@ -368,86 +441,18 @@ def is_strongly_nondegenerate(alg, graded=False, budget=None):
                                          budget=budget) is None
 
 
-def killing_complement(alg, sub):
-    """Orthogonal complement of a subspace under the Killing form."""
-    k = killing_matrix(alg)
-    f = alg.field
-    equations = []
-    for r in sub.rows:
-        equations.append(tuple(
-            f.of(sum(k[i][j] * r[j] for j in range(alg.dim)))
-            for i in range(alg.dim)))
-    return kernel_basis(f, equations, alg.dim)
-
-
-def _minpoly_factors(field, mat):
-    """Distinct irreducible factors of the char poly over Q, via sympy."""
-    import sympy  # deferred: only the commutant splitter needs it
-
-    x = sympy.Symbol("x")
-    m = sympy.Matrix([[sympy.Rational(c) for c in row] for row in mat])
-    poly = m.charpoly(x)
-    _, factors = sympy.factor_list(poly.as_expr())
-    return [f for f, _mult in factors if f.has(x)]
-
-
-def _apply_poly(field, expr, mat):
-    """Evaluate a rational-coefficient sympy polynomial at a matrix (Horner)."""
-    import sympy
-
-    from .linalg import mat_add, mat_identity, mat_mul, mat_scale
-
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(expr, x)
-    n = len(mat)
-    coeffs = [field.of(str(c)) for c in poly.all_coeffs()]
-    acc = [[field.zero] * n for _ in range(n)]
-    for c in coeffs:
-        acc = mat_mul(acc, mat, field)
-        acc = mat_add(acc, mat_scale(mat_identity(field, n), c, field), field)
-    return acc
-
-
-def _splitting_ideal_from_commutant(alg):
-    """A proper nonzero ideal found through the commutant, or None.
-
-    The commutant of ad(L) in a semisimple algebra is the product of the
-    centroids of the simple summands: one dimensional means central
-    simple, and any element whose characteristic polynomial has two
-    distinct irreducible factors splits the algebra through a primary
-    kernel (the kernel of f1(T) is ad-invariant because T is).
-    """
-    f = alg.field
-    mats = [_square(row, alg.dim) for row in _commutant(
-        f, [alg.ad_matrix(alg.basis_vector(i)) for i in range(alg.dim)],
-        alg.dim).rows]
-    if len(mats) == 1:
-        return None  # centroid is the base field: simple
-    candidates = list(mats)
-    candidates += [tuple(tuple(f.of(a + b) for a, b in zip(ra, rb))
-                         for ra, rb in zip(ma, mb))
-                   for ma, mb in itertools.combinations(mats, 2)]
-    for j in range(2, 6):
-        mixed = None
-        for idx, m in enumerate(mats):
-            scaled = tuple(tuple(f.of(c * (j ** idx)) for c in row) for row in m)
-            if mixed is None:
-                mixed = scaled
-            else:
-                mixed = tuple(tuple(f.of(a + b) for a, b in zip(ra, rb))
-                              for ra, rb in zip(mixed, scaled))
-        candidates.append(mixed)
-    for t in candidates:
-        factors = _minpoly_factors(f, t)
-        if len(factors) < 2:
-            continue
-        # T acts on row vectors as v @ T: the kernel is {v : v @ f1(T) = 0}
-        ker = preimage(alg.zero_space(), [_apply_poly(f, factors[0], t)])
-        if 0 < ker.dim < alg.dim:
-            return ker
-    raise UndecidedError(
-        "commutant has dimension %d but no splitting element was found"
-        % len(mats))
+def _minimal_ideals(alg, graded, budget):
+    if alg.dim == 0:
+        return ()
+    if alg.field.p is None:
+        if not is_semiprime(alg):
+            raise UndecidedError("minimal ideals over Q need semiprime input")
+        return _ideal_structure(alg, graded, budget).minimal
+    ideals = [i for i in distinct_principal_ideals(
+        alg, homogeneous_only=graded, budget=budget) if not i.is_zero()]
+    return tuple(i for i in ideals
+                 if not any(o.dim < i.dim and i.contains_space(o)
+                            for o in ideals))
 
 
 def minimal_ideals(alg, budget=None):
@@ -455,53 +460,10 @@ def minimal_ideals(alg, budget=None):
 
     Over F_p these are the minimal elements among ideals generated by one
     element (complete: every nonzero ideal contains such an ideal).  Over
-    Q the algebra must be semiprime; it is then split into simple ideals
-    by principal-ideal probes and, when those all come out full, by a
-    commutant element with a reducible characteristic polynomial.
+    Q the algebra must be semiprime; they are then the summands cut out by
+    the factor fields of the centroid End_A(L) (_ideal_structure).
     """
-    if alg.dim == 0:
-        return ()
-    f = alg.field
-    if f.p is not None:
-        ideals = [i for i in distinct_principal_ideals(alg, budget=budget)
-                  if not i.is_zero()]
-        out = [i for i in ideals
-               if not any(o.dim < i.dim and i.contains_space(o)
-                          for o in ideals)]
-        return tuple(out)
-    if not is_semiprime(alg):
-        raise UndecidedError("minimal ideals over Q need a semiprime algebra")
-    return tuple(_split_simple(alg))
-
-
-def _split_simple(alg):
-    """Simple summands of a semiprime algebra over Q, in ambient coords."""
-    if alg.dim == 0:
-        return []
-    proper = None
-    for i in range(alg.dim):
-        ideal = alg.ideal_generated([alg.basis_vector(i)])
-        if 0 < ideal.dim < alg.dim:
-            if proper is None or ideal.dim < proper.dim:
-                proper = ideal
-    if proper is None:
-        if alg.dim > COMMUTANT_DIM_CAP:
-            raise UndecidedError(
-                "no principal split in dimension %d and the commutant "
-                "probe is capped at %d" % (alg.dim, COMMUTANT_DIM_CAP))
-        proper = _splitting_ideal_from_commutant(alg)
-        if proper is None:
-            return [alg.full_space()]
-    comp = killing_complement(alg, proper)
-    if not proper.intersect(comp).is_zero() or proper.dim + comp.dim != alg.dim:
-        raise UndecidedError("Killing complement failed to split the algebra")
-    out = []
-    for part in (proper, comp):
-        sub_alg, rows = alg.restrict(part, require_graded=False)
-        for piece in _split_simple(sub_alg):
-            lifted = [mat_vec(r, rows, alg.field) for r in piece.rows]
-            out.append(span(alg.field, alg.dim, lifted))
-    return out
+    return _minimal_ideals(alg, False, budget)
 
 
 def socle(alg, budget=None):
@@ -517,21 +479,11 @@ def socle(alg, budget=None):
 
 
 def minimal_graded_ideals(alg, budget=None):
-    """Minimal nonzero graded ideals (F_p: homogeneous-principal poset)."""
-    if alg.field.p is None:
-        if not is_semiprime(alg):
-            raise UndecidedError("graded socle over Q needs semiprime input")
-        # Killing-orthogonal splitting by graded ideals keeps everything
-        # graded, so the graded socle is the whole algebra, but the
-        # individual minimal graded ideals are not needed on this path.
-        raise UndecidedError("minimal graded ideals are only enumerated "
-                             "over prime fields")
-    ideals = [i for i in distinct_principal_ideals(alg, homogeneous_only=True,
-                                                   budget=budget)
-              if not i.is_zero()]
-    return tuple(i for i in ideals
-                 if not any(o.dim < i.dim and i.contains_space(o)
-                            for o in ideals))
+    """Minimal nonzero graded ideals: over F_p the minimal ideals
+    generated by one homogeneous element, over Q (semiprime input only)
+    the summands cut out by the factor fields of End_A(L), A with the
+    degree projections."""
+    return _minimal_ideals(alg, True, budget)
 
 
 def graded_socle(alg, budget=None):
@@ -559,20 +511,31 @@ def is_essential_ideal(alg, ideal, graded=False, budget=None):
     return ideal.contains_space(soc)
 
 
+def _prime_over_q(alg, graded, budget):
+    """is_prime over Q and the method that decided it.  A basis vector is
+    homogeneous, so a proper ideal it generates is graded, and in a
+    semiprime algebra its Killing complement is a nonzero graded ideal
+    bracketing it to zero: no sympy, no envelope, no budget."""
+    if not is_semiprime(alg):
+        return False, "killing-criterion"  # an abelian ideal: [I, I] = 0
+    if any(alg.ideal_generated([alg.basis_vector(i)]).dim < alg.dim
+           for i in range(alg.dim)):
+        return False, "principal-ideal-probe"
+    st = _ideal_structure(alg, graded, budget)
+    return st.prime, st.method
+
+
 def is_prime(alg, graded=False, budget=None):
     """[I, J] != 0 for all nonzero (graded) ideals I, J.
 
-    Over F_p: semiprime with a single minimal (graded) ideal
-    (_ideal_structure).  Over Q: semiprime algebras are prime iff simple
-    here (one minimal ideal); others are refused.
+    Semiprime with a single minimal (graded) ideal, i.e. the centroid
+    End_A(Soc) is a field (_ideal_structure).  Over Q two cheap steps come
+    first: the Killing criterion and a basis vector generating a proper
+    ideal each certify "not prime".
     """
-    if alg.field.p is not None:
-        return _ideal_structure(alg, graded, budget).prime
-    if alg.dim == 0:
-        return True
-    if not is_semiprime(alg):
-        return False  # an abelian ideal brackets itself to zero
-    return len(minimal_ideals(alg)) == 1
+    if alg.field.p is None:
+        return _prime_over_q(alg, graded, budget)[0]
+    return _ideal_structure(alg, graded, budget).prime
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +571,6 @@ def graded_core(alg, ideal):
     require_three_graded(alg)
     alg.require_ideal(ideal)
     f = alg.field
-    from .linalg import mat_add, mat_eq_zero, mat_mul, mat_scale, mat_sub
-
     p1 = _degree_projector(alg, 1)
     pm1 = _degree_projector(alg, -1)
     delta = mat_sub(p1, pm1, f)
@@ -667,8 +628,7 @@ def structure_report(alg, budget=None):
         methods = {"semiprime": "killing-criterion",
                    "strongly-nondegenerate": "killing-criterion"}
         try:
-            prime = is_prime(alg)
-            methods["prime"] = methods["semiprime"]
+            prime, methods["prime"] = _prime_over_q(alg, False, budget)
         except UndecidedError:
             prime = None
             methods["prime"] = "undecided"

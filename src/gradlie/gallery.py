@@ -30,17 +30,49 @@ def build_lie(field, names, degrees, sparse, group=None):
                             tuple(degrees) if degrees else None)
 
 
+# [a, b] = k c in sl2, as (a, b) -> (c, k)
+_SL2 = {("e", "f"): ("h", 1), ("h", "e"): ("e", 2), ("h", "f"): ("f", -2)}
+
+
 def sl2(field=QQ):
     """Traceless 2x2 matrices; e, f, h with degrees +1, -1, 0."""
     return build_lie(field, ["e", "f", "h"], [1, -1, 0],
-                     {("e", "f"): {"h": 1}, ("h", "e"): {"e": 2},
-                      ("h", "f"): {"f": -2}})
+                     {ab: {c: k} for ab, (c, k) in _SL2.items()})
 
 
 def sl2sum(field=QQ):
     """Two commuting copies of sl2; the first component is a graded ideal
     that is not essential."""
     return direct_sum(sl2(field), sl2(field))
+
+
+def sl2_sqrt2(field=QQ):
+    """sl2 over k[t]/(t^2 - 2) as a 6-dimensional algebra e, f, h, te, tf,
+    th.  Over Q it is simple (prime, one minimal ideal) with centroid
+    Q(sqrt 2) of dimension 2; over F5 it is sl2 over F25, over F7 sl2 + sl2."""
+    sparse = {}
+    for (a, b), (c, k) in _SL2.items():
+        sparse[(a, b)] = {c: k}
+        sparse[("t" + a, b)] = sparse[(a, "t" + b)] = {"t" + c: k}
+        sparse[("t" + a, "t" + b)] = {c: 2 * k}
+    return build_lie(field, ["e", "f", "h", "te", "tf", "th"],
+                     [1, -1, 0] * 2, sparse)
+
+
+def sl2sum_swap(field=QQ):
+    """sl2 + sl2 in the basis u_b = b + b' (degree 0) and v_b = b - b'
+    (degree 1 of Z/2), b in e, f, h: [u_a, u_b] = [v_a, v_b] = u_[a,b] and
+    [u_a, v_b] = v_[a,b].  Every basis vector meets both summands, so none
+    generates a proper ideal: not prime, two minimal ideals of dim 3.  The
+    grading automorphism swaps the summands, so the only graded ideals
+    are 0 and L: graded prime.  Needs p != 2."""
+    sparse = {}
+    for (a, b), (c, k) in _SL2.items():
+        for x in "uv":
+            for y in "uv":
+                sparse[(x + a, y + b)] = {("u" if x == y else "v") + c: k}
+    return build_lie(field, ["ue", "uf", "uh", "ve", "vf", "vh"],
+                     [0, 0, 0, 1, 1, 1], sparse, GradingGroup.mod(2))
 
 
 def heis3(field=QQ):

@@ -5,7 +5,6 @@ The sl2 Killing matrix is recomputed in-test from traces of adjoint
 products, independent of the library's own accumulation order.
 """
 
-import itertools
 import time
 from fractions import Fraction
 
@@ -31,6 +30,7 @@ from gradlie.analysis import (
     killing_determinant,
     killing_matrix,
     killing_radical,
+    minimal_graded_ideals,
     minimal_ideals,
     require_three_graded,
     semiprime_witness,
@@ -39,14 +39,16 @@ from gradlie.analysis import (
     structure_report,
 )
 from gradlie.enumeration import distinct_principal_ideals, projective_count
-from gradlie.errors import DimensionTooLarge, NotThreeGraded
+from gradlie.errors import DimensionTooLarge, NotThreeGraded, UndecidedError
 from gradlie.gallery import (
     build_lie,
     first_component,
     heis3,
     p_mod_i,
     sl2,
+    sl2_sqrt2,
     sl2sum,
+    sl2sum_swap,
     sln_e11,
 )
 from gradlie.lie import GradedLieAlgebra, direct_sum
@@ -155,6 +157,19 @@ def test_envelope_over_the_budget_leaves_the_q_socle_undecided():
     assert not rep.semiprime
 
 
+def test_structure_report_charges_the_q_prime_question_to_its_budget():
+    # sl3 is simple, so no basis vector generates a proper ideal and only
+    # the envelope can answer; sl2sum is split by a basis vector for free
+    rep = structure_report(sln_e11(3), budget=1)
+    assert rep.prime is None and rep.methods["prime"] == "undecided"
+    assert rep.semiprime and rep.socle_dim == 8
+    rep = structure_report(sl2sum(), budget=1)
+    assert rep.prime is False
+    assert rep.methods["prime"] == "principal-ideal-probe"
+    with pytest.raises(UndecidedError):
+        is_prime(sln_e11(3), budget=1)
+
+
 def test_essential_ideals():
     s = sl2sum()
     comp = first_component(s, 3)
@@ -251,18 +266,67 @@ def test_certificate_failure_falls_back_to_the_scan():
 def test_prime_with_a_commutant_bigger_than_the_field():
     # sl2 over F25 = F5[t]/(t^2 - 2) as a 6-dimensional F5-algebra: simple,
     # so prime, while End_A(L) = F25 has dimension 2 with a fixed line
-    base = sl2(F5)
-    n = base.dim
-    table = [[[0] * (2 * n) for _ in range(2 * n)] for _ in range(2 * n)]
-    for i, j, s, t in itertools.product(range(n), range(n), (0, 1), (0, 1)):
-        for k, c in enumerate(base.table[i][j]):
-            scale, u = (2, 0) if s + t == 2 else (1, s + t)
-            table[i + n * s][j + n * t][k + n * u] = F5.of(scale * c)
-    a = GradedLieAlgebra(F5, [x + y for y in ("", "t") for x in base.names],
-                         table, base.group, base.degrees * 2)
+    a = sl2_sqrt2(F5)
     for graded in (False, True):
         assert is_prime(a, graded=graded) and naive_is_prime(a, graded)
     assert structure_report(a).methods["prime"] == "envelope-radical"
+
+
+def test_sl2_over_q_sqrt2_is_prime_with_one_minimal_ideal():
+    # the centroid Q(sqrt 2) has dimension 2 and is a field: the primitive
+    # element's characteristic polynomial has one irreducible factor
+    a = sl2_sqrt2()
+    for graded in (False, True):
+        assert is_prime(a, graded=graded)
+    assert minimal_ideals(a) == (a.full_space(),)
+    assert minimal_graded_ideals(a) == (a.full_space(),)
+    # over F7, t^2 - 2 splits and so does the algebra
+    assert not is_prime(sl2_sqrt2(GF(7)))
+
+
+def test_swap_graded_sl2sum_over_q():
+    # no basis vector generates a proper ideal, so the plain answer comes
+    # from factoring the 2-dimensional centroid; the degree projections
+    # cut the graded centroid down to the scalars
+    a = sl2sum_swap()
+    assert is_prime(a, graded=True) and not is_prime(a)
+    assert [m.dim for m in minimal_graded_ideals(a)] == [6]
+    plain = minimal_ideals(a)
+    assert sorted(m.dim for m in plain) == [3, 3]
+    for m in plain:
+        assert a.is_ideal(m) and not a.is_graded_subspace(m)
+    assert a.bracket_space(*plain).is_zero()
+    assert structure_report(a).methods["prime"] == "envelope-radical"
+    for p in (5, 7):
+        ap = sl2sum_swap(GF(p))
+        assert is_prime(ap, graded=True) and not is_prime(ap)
+    a5 = sl2sum_swap(F5)
+    assert naive_is_prime(a5, True) and not naive_is_prime(a5, False)
+    assert [m.dim for m in minimal_graded_ideals(a5)] == [6]
+    assert sorted(m.dim for m in minimal_ideals(a5)) == [3, 3]
+
+
+@given(graded=st.booleans(), quotient=st.booleans(), data=st.data(),
+       pieces=st.lists(st.sampled_from(["sl2", "heis3", "sln_e11(2)"]),
+                       min_size=1, max_size=2))
+def test_q_and_f7_agree_on_semiprime_and_prime(graded, quotient, data,
+                                               pieces):
+    # integer structure constants with good reduction at 7: the ideal
+    # lattices over Q and F7 match, so the two decision paths must agree.
+    # Below dimension 7 the F7 certificate cannot fail (no module
+    # multiplicity reaches 7), so no question falls back to a scan.
+    make = {"sl2": sl2, "heis3": heis3, "sln_e11(2)": lambda f: sln_e11(2, f)}
+    index = data.draw(st.integers(0, 3 * len(pieces) - 1))
+    verdicts = []
+    for f in (QQ, GF(7)):
+        algs = [make[name](f) for name in pieces]
+        alg = algs[0] if len(algs) == 1 else direct_sum(*algs)
+        if quotient:
+            ideal = alg.ideal_generated([alg.basis_vector(index)])
+            alg = alg.quotient_by_ideal(ideal)[0]
+        verdicts.append((is_semiprime(alg, graded=graded),
+                         is_prime(alg, graded=graded)))
+    assert verdicts[0] == verdicts[1]
 
 
 def _qmat(rows):
@@ -270,8 +334,8 @@ def _qmat(rows):
 
 
 def test_commutant_splitter_factors_and_evaluates_polynomials():
-    # the gallery only reaches the splitter with a one dimensional
-    # commutant, so this is the one test that runs its sympy helpers
+    # the sympy helpers behind a centroid of dimension > 1 (sl2sum_swap
+    # and sl2_sqrt2 reach them), pinned on small diagonal and block inputs
     d = _qmat([(1, 0, 0), (0, 1, 0), (0, 0, 2)])
     factors = {str(f): f for f in _minpoly_factors(QQ, d)}
     assert sorted(factors) == ["x - 1", "x - 2"]

@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from _naive import change_basis
 from gradlie.cli import main
 from gradlie.errors import JacobiViolation, ParseError
 from gradlie.gallery import (
@@ -26,6 +27,7 @@ from gradlie.gallery import (
     padded_subpair,
     sl2,
     sl2sum,
+    sln_e11,
     triple_2xyz,
 )
 from gradlie.serialize import (
@@ -219,9 +221,9 @@ def test_cli_check_quotient_exit_codes(pmi_file, capsys):
     assert "witness: x3" in out
 
 
-# sympy (Q commutant splitter) is imported where it is used, and gradlie
-# never uses numpy; a fresh process doing work over Q must load neither,
-# nor one running the mod-p scans.
+# sympy (factoring a centroid of dimension > 1 over Q) is imported where
+# it is used, and gradlie never uses numpy; a fresh process doing work
+# over Q must load neither, nor one running the mod-p scans.
 _HEAVY = {"numpy", "sympy"}
 
 _RUN_CLI_THEN_REPORT = """
@@ -272,6 +274,31 @@ def test_cli_analyze_over_f5_loads_no_numpy(tmp_path):
     dump_path(str(path), sl2sum(F5))
     last = _fresh_python("-c", _RUN_CLI_THEN_REPORT, "analyze", str(path))
     assert last == "exit 0 loaded []"
+
+
+def test_structure_report_over_q_loads_no_sympy(tmp_path):
+    # sl2 and sl3 have full envelopes and sl2sum splits at a basis vector,
+    # so no centroid is factored.  The dense basis change has upper
+    # unitriangular all-ones blocks, one per degree; its last row in each
+    # block stays inside one summand of sl2sum.  A basis in which every
+    # vector meets both summands (gallery.sl2sum_swap) is split by
+    # factoring, which does load sympy.
+    paths = []
+    for alg in (sl2(), sl2sum(), sln_e11(3)):
+        n = alg.dim
+        rows = [tuple(int(alg.degrees[c] == alg.degrees[r] and c >= r)
+                      for c in range(n)) for r in range(n)]
+        for name, a in (("gallery", alg), ("dense", change_basis(alg, rows))):
+            path = tmp_path / ("%s_%d.json" % (name, n))
+            dump_path(str(path), a)
+            paths.append(str(path))
+    last = _fresh_python(
+        "-c", "import sys; from gradlie.analysis import structure_report; "
+        "from gradlie.serialize import load_path; "
+        "print([structure_report(load_path(p).algebra).prime "
+        "for p in sys.argv[1:]], 'loaded', "
+        "sorted(set(sys.modules) & %r))" % (_HEAVY,), *paths)
+    assert last == "[True, True, False, False, True, True] loaded []"
 
 
 def test_cli_tkk_emits_a_lie_file(tmp_path, capsys):
