@@ -10,8 +10,10 @@ ideals are the A-submodules of L, so the socle is the part of L killed by
 the Jacobson radical J(A), and semiprime and essential follow from the
 socle.  On the socle of a semiprime algebra the centroid End_A(Soc) is a
 product of fields, one per minimal (graded) ideal: prime means it is a
-field, counted by Frobenius over F_p and by factoring a primitive element
-over Q, whose factors also cut out the minimal ideals.  J(A) is the
+field.  Over F_p the fields are counted by Frobenius; over Q, where the
+socle of a semiprime algebra is all of L, a basis vector generating a
+proper ideal splits L first, and the factors of a primitive element of
+the centroid cut out the minimal ideals of what is left.  J(A) is the
 radical of the trace form; in characteristic p that radical is certified
 nilpotent, and where the certificate fails the answers come from the
 exhaustive scan of principal ideals within the element budget instead
@@ -19,7 +21,8 @@ exhaustive scan of principal ideals within the element budget instead
 (homogeneous) element, so quantifying over those is complete).
 
 "Undecided" is a first class outcome (UndecidedError), never a guess: it
-is raised over Q when a question needs an envelope over the budget.
+is raised over Q when a question needs an envelope or a centroid over
+the budget.
 """
 
 from __future__ import annotations
@@ -39,12 +42,8 @@ from .linalg import (
     closure,
     determinant,
     kernel_basis,
-    mat_add,
-    mat_eq_zero,
     mat_identity,
     mat_mul,
-    mat_scale,
-    mat_sub,
     mat_vec,
     preimage,
     rank,
@@ -118,22 +117,32 @@ ENVELOPE_RADICAL = "envelope-radical"
 CERTIFICATE_FAILED = "exhaustive-Fp (certificate failed)"
 EXHAUSTIVE = "exhaustive-Fp"
 
-_Structure = namedtuple("_Structure", "socle semiprime prime method minimal")
+CENTROID = "centroid"
+
+_Structure = namedtuple("_Structure", "socle semiprime prime method")
 
 
-def _lie_generators(alg):
-    """Basis vectors generating L as a Lie algebra, chosen greedily in
-    basis order.  The ad of a bracket is a commutator of ads, so their ads
-    generate the whole envelope, with fewer image rows than all of ad L."""
+def _envelope_generators(alg, graded):
+    """Matrices generating the envelope A, so End_A(L) is their commutant:
+    the ads of basis vectors generating L as a Lie algebra, chosen
+    greedily in basis order (the ad of a bracket is a commutator of ads,
+    so they generate A with fewer image rows than all of ad L), and the
+    degree projections when graded."""
+    f, n = alg.field, alg.dim
     gens, sub = [], alg.zero_space()
-    for i in range(alg.dim):
+    for i in range(n):
         b = alg.basis_vector(i)
         if not sub.contains(b):
             gens.append(b)
             # right-normed brackets of generators span what they generate
-            sub = closure(span(alg.field, alg.dim, gens),
+            sub = closure(span(f, n, gens),
                           lambda w: [alg.bracket(g, w) for g in gens])
-    return gens
+    mats = [alg.ad_matrix(g) for g in gens]
+    if graded and len(alg.support()) > 1:
+        mats += [tuple(tuple(f.one if i == j and alg.degrees[i] == d
+                             else f.zero for j in range(n)) for i in range(n))
+                 for d in alg.support()]
+    return mats
 
 
 def _envelope(field, n, gens):
@@ -197,14 +206,16 @@ def _commutant(field, mats, n):
     row-major (T[r][c] at r * n + c), as a subspace."""
     equations = []
     for a in mats:
-        for r in range(n):
-            for c in range(n):
-                # (T a - a T)[r][c] = sum_k T[r][k] a[k][c] - a[r][k] T[k][c]
-                coeff = [field.zero] * (n * n)
-                for k in range(n):
-                    coeff[r * n + k] = field.of(coeff[r * n + k] + a[k][c])
-                    coeff[k * n + c] = field.of(coeff[k * n + c] - a[r][k])
-                equations.append(tuple(coeff))
+        # (T a - a T)[r][c] = sum_k T[r][k] a[k][c] - a[r][k] T[k][c], so
+        # a[i][j] enters the equations (m, j) and (i, m), left unreduced
+        eqs = [[0] * (n * n) for _ in range(n * n)]
+        for i, row in enumerate(a):
+            for j, x in enumerate(row):
+                if x:
+                    for m in range(n):
+                        eqs[m * n + j][m * n + i] += x
+                        eqs[i * n + m][j * n + m] -= x
+        equations += eqs
     return kernel_basis(field, equations, n * n)
 
 
@@ -221,18 +232,6 @@ def _mat_pow(m, e, field):
         if e:
             m = mat_mul(m, m, field)
     return out
-
-
-def _centroid(field, socle, gens):
-    """End_A(Soc): the maps of the socle, in its coordinates, commuting
-    with the generators of the envelope, as flattened n x n matrices.
-    On the socle of a semiprime algebra they form a product of fields,
-    one per minimal ideal: a module map from a minimal ideal I to another
-    J commutes with ad I, so it kills [I, I] = I, and End_A(I) lies in the
-    centroid of the perfect algebra I, which is commutative."""
-    return _commutant(field, [[socle.coords(mat_vec(r, g, field))
-                               for r in socle.rows] for g in gens],
-                      socle.dim)
 
 
 def _frobenius_fixed_dim(field, flat, n):
@@ -269,9 +268,9 @@ def _primitive_element(field, mats):
 
 
 def _components(field, flat, n):
-    """The summands of the socle cut out by the factor fields of its
-    centroid, in socle coordinates: the kernels of the irreducible factors
-    of a primitive element (t acts on row vectors as v @ t)."""
+    """The summands cut out by the factor fields of a centroid: the
+    kernels of the irreducible factors of a primitive element (t acts on
+    row vectors as v @ t)."""
     if flat.dim == 1:
         return [Subspace.full(field, n)]
     t = _primitive_element(field, [_square(row, n) for row in flat.rows])
@@ -312,37 +311,76 @@ def _from_envelope(alg, graded):
     The (graded) ideals are the A-submodules of L, so Soc(L) = {v :
     v J(A) = 0}.  A minimal ideal is abelian or perfect and distinct ones
     bracket to zero, so L is semiprime iff [Soc, Soc] = Soc; it is prime
-    iff moreover Soc is the only minimal ideal, i.e. End_A(Soc) is a
-    field.  Over Q the minimal ideals of a semiprime L are listed as the
-    components of that centroid.  J(A) lies inside the radical of the
-    trace form, and equals it over Q (Dickson) or when that radical is
-    nilpotent.  A = End(L) makes L simple as a module, J(A) = 0, and
-    End_A(L) the scalars, with no trace form needed.
+    iff moreover Soc is the only minimal ideal, i.e. the centroid
+    End_A(Soc) is a field.  That centroid is a product of fields, one per
+    minimal ideal: a module map from a minimal ideal I to another J
+    commutes with ad I, so it kills [I, I] = I, and End_A(I) lies in the
+    centroid of the perfect algebra I, which is commutative.  J(A) lies
+    inside the radical of the trace form, and equals it over Q (Dickson)
+    or when that radical is nilpotent.  A = End(L) makes L simple as a
+    module, J(A) = 0, and End_A(L) the scalars, with no trace form
+    needed.  Over Q only the socle of non-semiprime input is asked for.
     """
     f, n = alg.field, alg.dim
-    gens = [alg.ad_matrix(g) for g in _lie_generators(alg)]
-    if graded and len(alg.support()) > 1:
-        gens += [_degree_projector(alg, d) for d in alg.support()]
+    gens = _envelope_generators(alg, graded)
     env = _envelope(f, n, gens)
     if env.dim == n * n:
         full = alg.full_space()
         semi = alg.bracket_space(full, full).dim == n
-        return _Structure(full, semi, semi, ENVELOPE_RADICAL,
-                          (full,) if semi else None)
+        return _Structure(full, semi, semi, ENVELOPE_RADICAL)
     rad = _trace_radical(f, n, env)
     if f.p is not None and not _is_nilpotent(alg, rad):
         return None
     soc = preimage(alg.zero_space(), rad) if rad else alg.full_space()
     if alg.bracket_space(soc, soc) != soc:
-        return _Structure(soc, False, False, ENVELOPE_RADICAL, None)
-    flat = _centroid(f, soc, gens)
-    if f.p is not None:
-        return _Structure(soc, True, _frobenius_fixed_dim(f, flat, soc.dim)
-                          == 1, ENVELOPE_RADICAL, None)
-    minimal = tuple(span(f, n, [mat_vec(r, soc.rows, f) for r in c.rows])
-                    for c in _components(f, flat, soc.dim))
-    return _Structure(soc, True, len(minimal) == 1, ENVELOPE_RADICAL,
-                      minimal)
+        return _Structure(soc, False, False, ENVELOPE_RADICAL)
+    flat = _commutant(f, [[soc.coords(mat_vec(r, g, f)) for r in soc.rows]
+                          for g in gens], soc.dim)
+    return _Structure(soc, True, _frobenius_fixed_dim(f, flat, soc.dim) == 1,
+                      ENVELOPE_RADICAL)
+
+
+def _centroid_summands(alg, graded, budget):
+    """The minimal (graded) ideals of a semiprime algebra over Q, where
+    Soc = L: the components of End_A(L), the commutant of the envelope's
+    generators.  Solving for it, n^2 unknowns in n^2 equations for each
+    generator, is charged to the budget first."""
+    f, n = alg.field, alg.dim
+    if n == 0:
+        return ()
+    gens = _envelope_generators(alg, graded)
+    if len(gens) * n ** 4 > resolve_budget(budget):
+        raise UndecidedError("the centroid of dimension %d is over the "
+                             "budget" % n)
+    return _components(f, _commutant(f, gens, n), n)
+
+
+def _splitting_ideal(alg):
+    """A proper ideal generated by one basis vector, or None."""
+    for i in range(alg.dim):
+        ideal = alg.ideal_generated([alg.basis_vector(i)])
+        if ideal.dim < alg.dim:
+            return ideal
+    return None
+
+
+def _summands(alg, graded, budget):
+    """The minimal (graded) ideals of a semiprime algebra over Q.  It is
+    the direct sum of its simple ideals, so a proper ideal I is the sum of
+    some of them and Ann(I) the sum of the rest; when a basis vector
+    generates I, both are graded (the vector is homogeneous).  Each part
+    splits on its own, its ideals being ideals of L; a part that no basis
+    vector splits is cut by its centroid."""
+    f, n = alg.field, alg.dim
+    ideal = _splitting_ideal(alg)
+    if ideal is None:
+        return tuple(_centroid_summands(alg, graded, budget))
+    out = []
+    for part in (ideal, alg.annihilator(ideal)):
+        sub, rows = alg.restrict(part, require_graded=graded)
+        out += [span(f, n, [mat_vec(r, rows, f) for r in piece.rows])
+                for piece in _summands(sub, graded, budget)]
+    return tuple(out)
 
 
 def _from_scan(alg, graded, budget, method):
@@ -356,14 +394,12 @@ def _from_scan(alg, graded, budget, method):
     prime = not any(alg.bracket_space(a, b).is_zero()
                     for a, b in itertools.combinations_with_replacement(
                         minimal, 2))
-    return _Structure(soc, alg.bracket_space(soc, soc) == soc, prime, method,
-                      None)
+    return _Structure(soc, alg.bracket_space(soc, soc) == soc, prime, method)
 
 
 def _ideal_structure(alg, graded=False, budget=None):
     """Socle, semiprimeness and primeness of the (graded) ideal lattice,
-    the method that decided them, and the minimal (graded) ideals where
-    they are known (always over Q for semiprime input; else None).
+    and the method that decided them.
 
     The a-priori cost of the envelope, dim A <= n^2 rows of n^2 cells for
     each of at most n + (number of degrees) generators, is charged to the
@@ -425,15 +461,9 @@ def absolute_zero_divisor_witness(alg, graded=False, budget=None):
     if witness is None:
         return None
     # every row is homogeneous and kills the algebra twice over
-    row = max(witness.rows, key=lambda r: _row_degree(alg, r))
     if not graded:
-        row = witness.rows[0]
-    return row
-
-
-def _row_degree(alg, row):
-    d = alg.degree_of(row)
-    return 0 if d is None else d
+        return witness.rows[0]
+    return max(witness.rows, key=lambda r: alg.degree_of(r) or 0)
 
 
 def is_strongly_nondegenerate(alg, graded=False, budget=None):
@@ -447,7 +477,7 @@ def _minimal_ideals(alg, graded, budget):
     if alg.field.p is None:
         if not is_semiprime(alg):
             raise UndecidedError("minimal ideals over Q need semiprime input")
-        return _ideal_structure(alg, graded, budget).minimal
+        return _summands(alg, graded, budget)
     ideals = [i for i in distinct_principal_ideals(
         alg, homogeneous_only=graded, budget=budget) if not i.is_zero()]
     return tuple(i for i in ideals
@@ -460,8 +490,9 @@ def minimal_ideals(alg, budget=None):
 
     Over F_p these are the minimal elements among ideals generated by one
     element (complete: every nonzero ideal contains such an ideal).  Over
-    Q the algebra must be semiprime; they are then the summands cut out by
-    the factor fields of the centroid End_A(L) (_ideal_structure).
+    Q the algebra must be semiprime; it is split at the proper ideals that
+    basis vectors generate, and what no basis vector splits is cut by the
+    factor fields of its centroid End_A(L) (_summands).
     """
     return _minimal_ideals(alg, False, budget)
 
@@ -481,8 +512,8 @@ def socle(alg, budget=None):
 def minimal_graded_ideals(alg, budget=None):
     """Minimal nonzero graded ideals: over F_p the minimal ideals
     generated by one homogeneous element, over Q (semiprime input only)
-    the summands cut out by the factor fields of End_A(L), A with the
-    degree projections."""
+    the parts of the split of minimal_ideals, with A taking the degree
+    projections when a centroid cuts a part."""
     return _minimal_ideals(alg, True, budget)
 
 
@@ -512,17 +543,15 @@ def is_essential_ideal(alg, ideal, graded=False, budget=None):
 
 
 def _prime_over_q(alg, graded, budget):
-    """is_prime over Q and the method that decided it.  A basis vector is
-    homogeneous, so a proper ideal it generates is graded, and in a
-    semiprime algebra its Killing complement is a nonzero graded ideal
-    bracketing it to zero: no sympy, no envelope, no budget."""
+    """is_prime over Q and the method that decided it.  A proper ideal
+    generated by a basis vector and its annihilator are nonzero graded
+    ideals bracketing to zero (_summands): no sympy, no centroid, no
+    budget."""
     if not is_semiprime(alg):
         return False, "killing-criterion"  # an abelian ideal: [I, I] = 0
-    if any(alg.ideal_generated([alg.basis_vector(i)]).dim < alg.dim
-           for i in range(alg.dim)):
+    if _splitting_ideal(alg) is not None:
         return False, "principal-ideal-probe"
-    st = _ideal_structure(alg, graded, budget)
-    return st.prime, st.method
+    return len(_centroid_summands(alg, graded, budget)) <= 1, CENTROID
 
 
 def is_prime(alg, graded=False, budget=None):
@@ -531,7 +560,8 @@ def is_prime(alg, graded=False, budget=None):
     Semiprime with a single minimal (graded) ideal, i.e. the centroid
     End_A(Soc) is a field (_ideal_structure).  Over Q two cheap steps come
     first: the Killing criterion and a basis vector generating a proper
-    ideal each certify "not prime".
+    ideal each certify "not prime"; otherwise L is semisimple, Soc = L,
+    and its centroid is factored (_centroid_summands).
     """
     if alg.field.p is None:
         return _prime_over_q(alg, graded, budget)[0]
@@ -540,14 +570,6 @@ def is_prime(alg, graded=False, budget=None):
 
 # ---------------------------------------------------------------------------
 # graded core of an ideal in a 3-graded algebra
-
-
-def _degree_projector(alg, d):
-    """Diagonal matrix of the projection onto the degree-d component."""
-    f = alg.field
-    return tuple(tuple(
-        (f.one if (i == j and alg.degrees[i] == d) else f.zero)
-        for j in range(alg.dim)) for i in range(alg.dim))
 
 
 def require_three_graded(alg):
@@ -563,26 +585,11 @@ def graded_core(alg, ideal):
     algebra.
 
     The result is graded, contained in I, and (for semiprime algebras)
-    essential exactly when I is.  The grading derivation delta = pi_1 -
-    pi_{-1} satisfies 2 pi_1 = delta^2 + delta and 2 pi_{-1} = delta^2 -
-    delta as matrices; both identities are asserted here because the
-    projections rely on them.
+    essential exactly when I is.
     """
     require_three_graded(alg)
     alg.require_ideal(ideal)
     f = alg.field
-    p1 = _degree_projector(alg, 1)
-    pm1 = _degree_projector(alg, -1)
-    delta = mat_sub(p1, pm1, f)
-    d2 = mat_mul(delta, delta, f)
-    two = f.of(2)
-    if not mat_eq_zero(mat_sub(mat_scale(p1, two, f),
-                               mat_add(d2, delta, f), f)):
-        raise ValidationError("projection identity 2*pi_1 = d^2 + d failed")
-    if not mat_eq_zero(mat_sub(mat_scale(pm1, two, f),
-                               mat_sub(d2, delta, f), f)):
-        raise ValidationError("projection identity 2*pi_-1 = d^2 - d failed")
-
     inner = alg.bracket_space(ideal, ideal)
     j = alg.bracket_space(inner, inner)
     rows = list(j.rows)

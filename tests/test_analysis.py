@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from _naive import (
+    change_basis,
     naive_is_essential,
     naive_is_prime,
     naive_is_semiprime,
@@ -159,7 +160,7 @@ def test_envelope_over_the_budget_leaves_the_q_socle_undecided():
 
 def test_structure_report_charges_the_q_prime_question_to_its_budget():
     # sl3 is simple, so no basis vector generates a proper ideal and only
-    # the envelope can answer; sl2sum is split by a basis vector for free
+    # its centroid can answer; sl2sum is split by a basis vector for free
     rep = structure_report(sln_e11(3), budget=1)
     assert rep.prime is None and rep.methods["prime"] == "undecided"
     assert rep.semiprime and rep.socle_dim == 8
@@ -296,7 +297,7 @@ def test_swap_graded_sl2sum_over_q():
     for m in plain:
         assert a.is_ideal(m) and not a.is_graded_subspace(m)
     assert a.bracket_space(*plain).is_zero()
-    assert structure_report(a).methods["prime"] == "envelope-radical"
+    assert structure_report(a).methods["prime"] == "centroid"
     for p in (5, 7):
         ap = sl2sum_swap(GF(p))
         assert is_prime(ap, graded=True) and not is_prime(ap)
@@ -306,27 +307,64 @@ def test_swap_graded_sl2sum_over_q():
     assert sorted(m.dim for m in minimal_ideals(a5)) == [3, 3]
 
 
+def _unitriangular_product_basis(alg, entries):
+    """Rows of lower times upper unitriangular integer blocks, one block
+    per degree, off-diagonal entries taken from entries in turn: a basis
+    of determinant 1, so it stays a basis mod every prime."""
+    f, n = alg.field, alg.dim
+    entries = iter(entries)
+    rows = [None] * n
+    for d in sorted(set(alg.degrees)):
+        idx = [i for i in range(n) if alg.degrees[i] == d]
+        b = len(idx)
+        lo = [[1 if r == c else next(entries) if r > c else 0
+               for c in range(b)] for r in range(b)]
+        up = [[1 if r == c else next(entries) if r < c else 0
+               for c in range(b)] for r in range(b)]
+        for r, i in enumerate(idx):
+            row = [f.zero] * n
+            for c, j in enumerate(idx):
+                row[j] = f.of(sum(lo[r][k] * up[k][c] for k in range(b)))
+            rows[i] = tuple(row)
+    return rows
+
+
 @given(graded=st.booleans(), quotient=st.booleans(), data=st.data(),
-       pieces=st.lists(st.sampled_from(["sl2", "heis3", "sln_e11(2)"]),
-                       min_size=1, max_size=2))
+       pieces=st.lists(st.sampled_from(["sl2", "sln_e11(2)", "heis3"]),
+                       min_size=2, max_size=2),
+       entries=st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=36,
+                        max_size=36))
 def test_q_and_f7_agree_on_semiprime_and_prime(graded, quotient, data,
-                                               pieces):
+                                               pieces, entries):
     # integer structure constants with good reduction at 7: the ideal
     # lattices over Q and F7 match, so the two decision paths must agree.
     # Below dimension 7 the F7 certificate cannot fail (no module
-    # multiplicity reaches 7), so no question falls back to a scan.
+    # multiplicity reaches 7), so no question falls back to a scan.  The
+    # basis change mixes the summands within each degree, so that over Q
+    # the basis vectors of a sum rarely split it and its centroid is
+    # factored instead.
     make = {"sl2": sl2, "heis3": heis3, "sln_e11(2)": lambda f: sln_e11(2, f)}
-    index = data.draw(st.integers(0, 3 * len(pieces) - 1))
+    index = data.draw(st.integers(0, 5))
     verdicts = []
     for f in (QQ, GF(7)):
-        algs = [make[name](f) for name in pieces]
-        alg = algs[0] if len(algs) == 1 else direct_sum(*algs)
+        alg = direct_sum(*[make[name](f) for name in pieces])
         if quotient:
             ideal = alg.ideal_generated([alg.basis_vector(index)])
             alg = alg.quotient_by_ideal(ideal)[0]
+        alg = change_basis(alg, _unitriangular_product_basis(alg, entries))
         verdicts.append((is_semiprime(alg, graded=graded),
                          is_prime(alg, graded=graded)))
     assert verdicts[0] == verdicts[1]
+
+
+def test_sl3_sum_splits_at_a_basis_vector_within_the_default_budget():
+    # each summand is left to the centroid, charged at dimension 8
+    a = direct_sum(sln_e11(3), sln_e11(3))
+    assert [m.dim for m in minimal_ideals(a)] == [8, 8]
+    assert [m.dim for m in minimal_graded_ideals(a)] == [8, 8]
+    assert not is_prime(a)
+    b = direct_sum(a, sl2())
+    assert sorted(m.dim for m in minimal_ideals(b)) == [3, 8, 8]
 
 
 def _qmat(rows):

@@ -277,12 +277,14 @@ def test_cli_analyze_over_f5_loads_no_numpy(tmp_path):
 
 
 def test_structure_report_over_q_loads_no_sympy(tmp_path):
-    # sl2 and sl3 have full envelopes and sl2sum splits at a basis vector,
-    # so no centroid is factored.  The dense basis change has upper
-    # unitriangular all-ones blocks, one per degree; its last row in each
-    # block stays inside one summand of sl2sum.  A basis in which every
-    # vector meets both summands (gallery.sl2sum_swap) is split by
-    # factoring, which does load sympy.
+    # sl2 and sl3 have one dimensional centroids and sl2sum splits at a
+    # basis vector into two pieces with one dimensional centroids, so no
+    # centroid is factored, neither for primeness nor for the minimal
+    # ideals.  The dense basis change has upper unitriangular all-ones
+    # blocks, one per degree; its last row in each block stays inside one
+    # summand of sl2sum.  A basis in which every vector meets both
+    # summands (gallery.sl2sum_swap) is split by factoring, which does
+    # load sympy.
     paths = []
     for alg in (sl2(), sl2sum(), sln_e11(3)):
         n = alg.dim
@@ -293,12 +295,14 @@ def test_structure_report_over_q_loads_no_sympy(tmp_path):
             dump_path(str(path), a)
             paths.append(str(path))
     last = _fresh_python(
-        "-c", "import sys; from gradlie.analysis import structure_report; "
-        "from gradlie.serialize import load_path; "
-        "print([structure_report(load_path(p).algebra).prime "
-        "for p in sys.argv[1:]], 'loaded', "
-        "sorted(set(sys.modules) & %r))" % (_HEAVY,), *paths)
-    assert last == "[True, True, False, False, True, True] loaded []"
+        "-c", "import sys; from gradlie.analysis import minimal_ideals, "
+        "structure_report; from gradlie.serialize import load_path; "
+        "algs = [load_path(p).algebra for p in sys.argv[1:]]; "
+        "print([structure_report(a).prime for a in algs], "
+        "[[m.dim for m in minimal_ideals(a)] for a in algs[2:4]], "
+        "'loaded', sorted(set(sys.modules) & %r))" % (_HEAVY,), *paths)
+    assert last == ("[True, True, False, False, True, True] "
+                    "[[3, 3], [3, 3]] loaded []")
 
 
 def test_cli_tkk_emits_a_lie_file(tmp_path, capsys):
