@@ -6,6 +6,16 @@ and their central quotients.  The double A (+) A-opposite with the
 exchange involution turns commutator statements into skew-element
 statements: its skew part is exactly {(a, -a)} and bracketing there copies
 the commutator of A, which this module constructs and verifies.
+
+Construction checks associativity and the involution on the sparse view
+of the table in Python ints.  Over Q the table is multiplied by the lcm
+d of its denominators, and the involution by its own lcm e
+(Field.integral).  (b_i b_j) b_k - b_i (b_j b_k) is quadratic in the
+table, so the scaled difference is d^2 times the true one.  (b_i b_j)* is
+scaled by d e, and b_j* b_i* by d e^2, so the former is multiplied by e
+once more before the two are compared.  A scaled difference vanishes
+exactly when the true one does, so the integer check is still the proof;
+over F_p, d = e = 1 and values are reduced mod p only when compared.
 """
 
 from __future__ import annotations
@@ -26,12 +36,14 @@ from .linalg import Subspace, mat_add, mat_identity, mat_vec, preimage, span
 class AssocAlgebra:
     """Finite dimensional graded associative algebra, optional involution.
 
-    table[i][j] is the coordinate tuple of b_i * b_j.  The involution, when
+    table[i][j] is the coordinate tuple of b_i * b_j, and nonzero[i] the
+    (j, k, c) with table[i][j][k] = c != 0.  The involution, when
     present, is a matrix whose row i gives the coordinates of b_i* and must
     be a degree-preserving anti-automorphism of order at most two.
     """
 
-    __slots__ = ("field", "names", "table", "group", "degrees", "involution")
+    __slots__ = ("field", "names", "table", "nonzero", "group", "degrees",
+                 "involution")
 
     def __init__(self, field, names, table, group=None, degrees=None,
                  involution=None):
@@ -40,6 +52,9 @@ class AssocAlgebra:
         n = len(self.names)
         self.table = tuple(tuple(tuple(field.of(c) for c in cell)
                                  for cell in row) for row in table)
+        self.nonzero = tuple(tuple((j, k, c) for j, cell in enumerate(row)
+                                   for k, c in enumerate(cell) if c)
+                             for row in self.table)
         if group is None:
             group = GradingGroup.trivial()
         self.group = group
@@ -59,63 +74,88 @@ class AssocAlgebra:
     def _validate(self):
         n = self.dim
         f = self.field
-        if len(self.table) != n or any(len(r) != n for r in self.table):
+        if len(self.table) != n or any(len(r) != n for r in self.table) or \
+                any(len(c) != n for r in self.table for c in r):
             raise ValidationError("structure table has the wrong shape")
+        deg, add = self.degrees, self.group.add
+        for i, nz in enumerate(self.nonzero):
+            for j, k, _ in nz:
+                if add(deg[i], deg[j]) != deg[k]:
+                    raise GradingViolation(i, j, k)
+        # cells[i][j]: the (k, c) of b_i b_j times d, an int
+        d, ints = f.integral(c for nz in self.nonzero for _, _, c in nz)
+        ints = iter(ints)
+        cells = [[[] for _ in range(n)] for _ in range(n)]
+        for i, nz in enumerate(self.nonzero):
+            for j, k, _ in nz:
+                cells[i][j].append((k, next(ints)))
         for i in range(n):
             for j in range(n):
-                for k, c in enumerate(self.table[i][j]):
-                    if c != f.zero and self.group.add(
-                            self.degrees[i], self.degrees[j]) != self.degrees[k]:
-                        raise GradingViolation(i, j, k)
-        for i in range(n):
-            for j in range(n):
-                ij = self.table[i][j]
+                ij = cells[i][j]
                 for k in range(n):
-                    left = self._mul_coords(ij, self.basis_vector(k))
-                    right = self._mul_coords(self.basis_vector(i),
-                                             self.table[j][k])
-                    if left != right:
+                    # (b_i b_j) b_k - b_i (b_j b_k), times d^2
+                    acc = [0] * n
+                    for m, a in ij:
+                        for t, c in cells[m][k]:
+                            acc[t] += a * c
+                    for m, a in cells[j][k]:
+                        for t, c in cells[i][m]:
+                            acc[t] -= a * c
+                    if not f.vanishes(acc):
                         raise AssociativityViolation(i, j, k)
-        if self.involution is not None:
-            inv = self.involution
-            for i in range(n):
-                # order two
-                again = mat_vec(inv[i], inv, f)
-                if tuple(again) != self.basis_vector(i):
+        if self.involution is None:
+            return
+        if len(self.involution) != n or \
+                any(len(r) != n for r in self.involution):
+            raise InvolutionViolation("the matrix has the wrong shape")
+        # stars[i]: the (k, c) of b_i* times e, an int
+        e, ints = f.integral(c for row in self.involution for c in row)
+        stars = [[(k, c) for k, c in enumerate(ints[i * n:(i + 1) * n]) if c]
+                 for i in range(n)]
+        for i in range(n):
+            # order two: b_i** - b_i, times e^2
+            acc = [0] * n
+            acc[i] = -e * e
+            for m, a in stars[i]:
+                for t, c in stars[m]:
+                    acc[t] += a * c
+            if not f.vanishes(acc):
+                raise InvolutionViolation(
+                    "involution applied twice moves basis vector %d" % i)
+            # degree preserving
+            if any(deg[k] != deg[i] for k, _ in stars[i]):
+                raise InvolutionViolation(
+                    "involution mixes degrees at basis vector %d" % i)
+        for i in range(n):
+            for j in range(n):
+                # (b_i b_j)* - b_j* b_i*, both sides times d e^2
+                acc = [0] * n
+                for m, a in cells[i][j]:
+                    for t, c in stars[m]:
+                        acc[t] += e * a * c
+                for r, u in stars[j]:
+                    for s, v in stars[i]:
+                        for t, c in cells[r][s]:
+                            acc[t] -= u * v * c
+                if not f.vanishes(acc):
                     raise InvolutionViolation(
-                        "involution applied twice moves basis vector %d" % i)
-                # degree preserving
-                for k, c in enumerate(inv[i]):
-                    if c != f.zero and self.degrees[k] != self.degrees[i]:
-                        raise InvolutionViolation(
-                            "involution mixes degrees at basis vector %d" % i)
-            for i in range(n):
-                for j in range(n):
-                    lhs = self.star(self.table[i][j])
-                    rhs = self._mul_coords(inv[j], inv[i])
-                    if lhs != rhs:
-                        raise InvolutionViolation(
-                            "involution is not an anti-homomorphism at "
-                            "(%d, %d)" % (i, j))
+                        "involution is not an anti-homomorphism at "
+                        "(%d, %d)" % (i, j))
+
+    def _reduce(self, acc):
+        """An exactly accumulated vector as a tuple of field elements."""
+        p = self.field.p
+        return tuple(acc) if p is None else tuple(a % p for a in acc)
 
     def _mul_coords(self, x, y):
-        f = self.field
-        n = self.dim
-        out = [f.zero] * n
-        for i, a in enumerate(x):
-            if a == f.zero:
-                continue
-            row = self.table[i]
-            for j, b in enumerate(y):
-                if b == f.zero:
-                    continue
-                cell = row[j]
-                ab = f.of(a * b)
-                for k in range(n):
-                    c = cell[k]
-                    if c != f.zero:
-                        out[k] = f.of(out[k] + ab * c)
-        return tuple(out)
+        acc = [self.field.zero] * self.dim
+        for i, xi in enumerate(x):
+            if xi:
+                for j, k, c in self.nonzero[i]:
+                    yj = y[j]
+                    if yj:
+                        acc[k] += xi * yj * c
+        return self._reduce(acc)
 
     def product(self, x, y):
         return self._mul_coords(self.vec(x), self.vec(y))

@@ -8,6 +8,14 @@ identity family, which is what validity under all scalar extensions
 means.  That comparison is the proof, over Q and over F_p alike; no
 point evaluation cross-checks it at runtime.
 
+The polynomials have int coefficients.  Over Q both tables of a pair are
+multiplied by one lcm d of their denominators (Field.integral), and
+Q_x y = half {x, y, x} drops its half.  The three pair identities have
+degree 2, 2 and 3 in the tables and carry the same power of half on both
+sides; the Jordan algebra identity has degree 3 on both sides.  So each
+scaled side is the true one times the same nonzero factor, and the
+coefficients are compared exactly, reduced mod p only there.
+
 The quotients decider works through one canonical candidate per element
 q of the big pair: the set of elements of the small pair satisfying the
 absorption conditions at q is a subspace S(q), and the largest ideal
@@ -44,62 +52,92 @@ from .linalg import (
 
 
 # ---------------------------------------------------------------------------
-# formal polynomial arithmetic (coefficients in the field, monomials are
-# sorted tuples of variable tags)
+# formal polynomial arithmetic: int coefficients; a monomial is an int
+# holding the exponent of variable v in bits _EXP * v and up, so that
+# multiplying monomials adds them (the identities checked here have
+# degree at most 4 in any one variable, far below 2^_EXP)
+
+_EXP = 8
 
 
-def _padd(f, a, b):
-    out = dict(a)
-    for m, c in b.items():
-        v = f.of(out.get(m, f.zero) + c)
-        if v == f.zero:
-            out.pop(m, None)
-        else:
-            out[m] = v
-    return out
-
-
-def _pscale(f, a, c):
-    if c == f.zero:
-        return {}
-    return {m: f.of(v * c) for m, v in a.items()}
-
-
-def _pmul(f, a, b):
+def _pmul(a, b):
     out = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(sorted(ma + mb))
-            v = f.of(out.get(m, f.zero) + ca * cb)
-            if v == f.zero:
-                out.pop(m, None)
-            else:
-                out[m] = v
+            m = ma + mb
+            out[m] = out.get(m, 0) + ca * cb
     return out
 
 
-def _formal(f, tag, dim):
-    return [{((tag, i),): f.one} for i in range(dim)]
+def _formal(first, dim):
+    """The vector of variables first, ..., first + dim - 1."""
+    return [{1 << (_EXP * (first + i)): 1} for i in range(dim)]
 
 
-def _poly_product(f, table, args, out_dim):
-    """The multilinear product of vectors of polynomials: table is indexed
-    by one basis index per argument and then holds a cell of out_dim
-    coefficients."""
+def _cells(table, arity):
+    """The (index tuple, cell) of a table with one index per argument."""
+    if not arity:
+        yield (), table
+        return
+    for i, sub in enumerate(table):
+        for idx, cell in _cells(sub, arity - 1):
+            yield (i,) + idx, cell
+
+
+def _int_tables(f, tables, arity):
+    """Each table as a tree of its nonzero cells, tree[i][j]... with one
+    key per argument, ending in the (k, c) of the cell's nonzero entries;
+    c is the entry times one factor d common to all the tables
+    (Field.integral), an int.  d itself is dropped: the identities
+    checked on these trees are homogeneous in the tables, so both sides
+    carry the same power of d."""
+    entries = [[(idx, k, c) for idx, cell in _cells(t, arity)
+                for k, c in enumerate(cell) if c] for t in tables]
+    _d, ints = f.integral(c for es in entries for _, _, c in es)
+    ints = iter(ints)
+    trees = []
+    for es in entries:
+        tree = {}
+        for idx, k, _ in es:
+            node = tree
+            for i in idx[:-1]:
+                node = node.setdefault(i, {})
+            node.setdefault(idx[-1], []).append((k, next(ints)))
+        trees.append(tree)
+    return trees
+
+
+def _poly_product(tree, args, out_dim):
+    """The multilinear product of vectors of int polynomials over a tree
+    of _int_tables, with one vector per key level."""
     out = [{} for _ in range(out_dim)]
 
-    def walk(cells, mono, rest):
+    def walk(node, mono, rest):
         if not rest:
-            for k, coeff in enumerate(cells):
-                if coeff != f.zero:
-                    out[k] = _padd(f, out[k], _pscale(f, mono, coeff))
+            for k, c in node:
+                acc = out[k]
+                for m, v in mono.items():
+                    acc[m] = acc.get(m, 0) + v * c
             return
-        for i, poly in enumerate(rest[0]):
+        for i, sub in node.items():
+            poly = rest[0][i]
             if poly:
-                walk(cells[i], _pmul(f, mono, poly), rest[1:])
+                walk(sub, _pmul(mono, poly), rest[1:])
 
-    walk(table, {(): f.one}, args)
-    return out
+    walk(tree, {0: 1}, args)
+    return [{m: v for m, v in acc.items() if v} for acc in out]
+
+
+def _agree(f, lhs, rhs):
+    """Whether two vectors of int polynomials are equal in the field,
+    coefficient by coefficient."""
+    for a, b in zip(lhs, rhs):
+        diff = dict(a)
+        for m, c in b.items():
+            diff[m] = diff.get(m, 0) - c
+        if not f.vanishes(diff.values()):
+            return False
+    return True
 
 
 def _basis(field, n):
@@ -242,27 +280,32 @@ class JordanPair:
 
     def _check_axioms_formal(self):
         f = self.field
+        trees = dict(zip((1, -1), _int_tables(
+            f, (self.table_plus, self.table_minus), 3)))
 
         def tri(sign, a, b, c):
-            return _poly_product(f, self.table(sign), (a, b, c),
-                                 self.dim(sign))
+            return _poly_product(trees[sign], (a, b, c), self.dim(sign))
 
+        # Q_a b is half of {a, b, a}; q leaves the half out, which each
+        # identity below carries to the same power on both sides
         def q(sign, a, b):
-            return [_pscale(f, p, self.half) for p in tri(sign, a, b, a)]
+            return tri(sign, a, b, a)
 
         for sign in (1, -1):
             n, m = self.dim(sign), self.dim(-sign)
-            x, z = _formal(f, "x", n), _formal(f, "z", n)
-            y, w = _formal(f, "y", m), _formal(f, "w", m)
+            x, y = _formal(0, n), _formal(n, m)
+            z, w = _formal(n + m, n), _formal(2 * n + m, m)
             qxw = q(sign, x, w)
-            if tri(sign, x, y, qxw) != q(sign, x, tri(-sign, y, x, w)):
+            if not _agree(f, tri(sign, x, y, qxw),
+                          q(sign, x, tri(-sign, y, x, w))):
                 raise AxiomViolation("D_{x,y} Q_x = Q_x D_{y,x}",
                                      " on the %+d side" % sign)
             qxy = q(sign, x, y)
-            if tri(sign, qxy, y, z) != tri(sign, x, q(-sign, y, x), z):
+            if not _agree(f, tri(sign, qxy, y, z),
+                          tri(sign, x, q(-sign, y, x), z)):
                 raise AxiomViolation("D_{Q_x y, y} = D_{x, Q_y x}",
                                      " on the %+d side" % sign)
-            if q(sign, qxy, w) != q(sign, x, q(-sign, y, qxw)):
+            if not _agree(f, q(sign, qxy, w), q(sign, x, q(-sign, y, qxw))):
                 raise AxiomViolation("Q_{Q_x y} = Q_x Q_y Q_x",
                                      " on the %+d side" % sign)
 
@@ -1351,13 +1394,14 @@ class JordanAlgebra:
                     raise AxiomViolation("commutativity",
                                          " at (%d, %d)" % (i, j))
 
-        def mul(a, b):
-            return _poly_product(f, self.table, (a, b), n)
+        (tree,) = _int_tables(f, (self.table,), 2)
 
-        x = _formal(f, "x", n)
-        y = _formal(f, "y", n)
+        def mul(a, b):
+            return _poly_product(tree, (a, b), n)
+
+        x, y = _formal(0, n), _formal(n, n)
         xx = mul(x, x)
-        if mul(mul(xx, y), x) != mul(xx, mul(y, x)):
+        if not _agree(f, mul(mul(xx, y), x), mul(xx, mul(y, x))):
             raise AxiomViolation("(x.x . y) . x = x.x . (y . x)")
 
     def unit(self):

@@ -12,7 +12,8 @@ Every computation reads the sparse view built once next to it:
 nonzero[i] lists the (j, k, c) with [b_i, b_j]_k = c != 0.  Brackets, ad
 matrices, the Jacobi check, ideal closures, (ad x)^2 and the Killing form
 of analysis all loop over it, accumulate exactly and reduce mod p once
-per output row.
+per output row.  The Jacobi check runs on the constants scaled to ints
+(Field.integral): the cyclic sum is quadratic in them.
 
 Vectors are plain tuples of field elements in the fixed basis, matrices
 are tuples of row vectors, and the row-vector convention of linalg is
@@ -22,6 +23,7 @@ used throughout: ``v @ ad_matrix(L, x)`` is the bracket ``[x, v]``.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .errors import (
     AntisymmetryViolation,
@@ -175,13 +177,20 @@ class GradedLieAlgebra:
 
     def _check_jacobi(self):
         """First triple i < j < k whose cyclic sum [[b_i, b_j], b_k] +
-        [[b_j, b_k], b_i] + [[b_k, b_i], b_j] is nonzero."""
+        [[b_j, b_k], b_i] + [[b_k, b_i], b_j] is nonzero.
+
+        The sum is quadratic in the structure constants, so it runs on
+        the constants times d (Field.integral) and is d^2 times the true
+        sum; the residue is divided back only when a triple fails."""
         n = self.dim
+        f = self.field
+        d, ints = f.integral(c for nz in self.nonzero for _, _, c in nz)
+        ints = iter(ints)
         # cells[i][j]: the (k, c) of [b_i, b_j], regrouped from nonzero[i]
         cells = [{} for _ in range(n)]
         for i, nz in enumerate(self.nonzero):
-            for j, k, c in nz:
-                cells[i].setdefault(j, []).append((k, c))
+            for j, k, _ in nz:
+                cells[i].setdefault(j, []).append((k, next(ints)))
 
         def add(acc, u, b):
             for m, a in u:
@@ -195,13 +204,13 @@ class GradedLieAlgebra:
                     tjk, tki = cells[j].get(k, ()), cells[k].get(i, ())
                     if not (tij or tjk or tki):
                         continue
-                    acc = [self.field.zero] * n
+                    acc = [0] * n
                     add(acc, tij, k)
                     add(acc, tjk, i)
                     add(acc, tki, j)
-                    r = self._reduce(acc)
-                    if any(r):
-                        raise JacobiViolation(i, j, k, residue=r)
+                    if not f.vanishes(acc):
+                        raise JacobiViolation(i, j, k, residue=tuple(
+                            f.of(Fraction(a, d * d)) for a in acc))
 
     # -- basics -----------------------------------------------------
 

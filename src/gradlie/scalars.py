@@ -7,6 +7,7 @@ anywhere in the package.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import ParseError
 
@@ -96,6 +97,27 @@ class Field:
                 raise ZeroDivisionError("inverse of 0")
             return 1 / Fraction(a)
         return pow(a, -1, self.p)
+
+    # -- integer views of structure constants --------------------------------
+
+    def integral(self, values):
+        """(d, ints): the values times one common d >= 1, as Python ints.
+
+        Over Q, d is the lcm of their denominators; over F_p the values are
+        ints already and d is 1.  A validator checking an identity that is
+        homogeneous in the constants can run on ints and compare with
+        vanishes(), since both sides carry the same power of d.
+        """
+        values = list(values)
+        if self.p is not None:
+            return 1, values
+        d = lcm(1, *(v.denominator for v in values))
+        return d, [v.numerator * (d // v.denominator) for v in values]
+
+    def vanishes(self, ints):
+        """Whether every int is zero in this field (reduced mod p here)."""
+        p = self.p
+        return not any(ints) if p is None else all(a % p == 0 for a in ints)
 
     def invertible_int(self, n) -> bool:
         """Whether the integer n is invertible as a scalar (2, 3, 6 checks)."""

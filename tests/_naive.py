@@ -2,13 +2,20 @@
 ideal predicates (quantified over the principal-ideal scan) and the
 Jordan pair axioms, shared by several test modules.  The Lie oracles
 read the dense table cell by cell, apart from the library's sparse
-kernel."""
+kernel; the associative and Jordan validators are the dense loops and
+the formal identity check in field elements (Fractions over Q), apart
+from the library's scaled integer checks."""
 
 import itertools
 
 from hypothesis import assume, strategies as st
 
 from gradlie.enumeration import distinct_principal_ideals
+from gradlie.errors import (
+    AssociativityViolation,
+    AxiomViolation,
+    InvolutionViolation,
+)
 from gradlie.lie import GradedLieAlgebra
 from gradlie.linalg import mat_mul, rank, rref, span
 
@@ -54,37 +61,216 @@ def naive_killing(alg):
                  for a in ads)
 
 
+def naive_jacobi_sum(f, table, i, j, k):
+    """[[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j] over the
+    dense table, in field elements."""
+    basis = _basis(f, len(table))
+    terms = (naive_bracket(f, table, table[a][b], basis[c])
+             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
+    return tuple(f.of(sum(cs)) for cs in zip(*terms))
+
+
 def naive_jacobi_violation(f, table):
     """First i < j < k whose cyclic Jacobi sum over the dense table is
     nonzero, or None."""
-    n = len(table)
-    basis = _basis(f, n)
-    for i, j, k in itertools.combinations(range(n), 3):
-        terms = (naive_bracket(f, table, table[a][b], basis[c])
-                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
-        if any(f.of(sum(cs)) != f.zero for cs in zip(*terms)):
+    for i, j, k in itertools.combinations(range(len(table)), 3):
+        if any(c != f.zero for c in naive_jacobi_sum(f, table, i, j, k)):
             return (i, j, k)
     return None
+
+
+def _vec_mat(f, v, m):
+    return tuple(f.of(sum(v[i] * m[i][k] for i in range(len(v))))
+                 for k in range(len(m[0])))
+
+
+def _coords_in(f, rows):
+    """The map from old coordinates to coordinates in the basis rows."""
+    n = len(rows)
+    aug = rref(f, [list(r) + list(e) for r, e in zip(rows, _basis(f, n))])
+    assert [tuple(r[:n]) for r in aug] == _basis(f, n), "rows not a basis"
+    inverse = [r[n:] for r in aug]
+    return lambda v: _vec_mat(f, v, inverse)
 
 
 def change_basis(alg, rows):
     """The algebra in the basis given by rows (old coordinates), each row
     supported in one degree, which it keeps; the new structure constants
     are the dense brackets of the rows in new coordinates."""
-    f, n = alg.field, alg.dim
-    aug = rref(f, [list(r) + list(e) for r, e in zip(rows, _basis(f, n))])
-    assert [tuple(r[:n]) for r in aug] == _basis(f, n), "rows not a basis"
-    inverse = [r[n:] for r in aug]
-
-    def coords(v):
-        return tuple(f.of(sum(v[i] * inverse[i][k] for i in range(n)))
-                     for k in range(n))
-
+    f = alg.field
+    coords = _coords_in(f, rows)
     table = [[coords(naive_bracket(f, alg.table, a, b)) for b in rows]
              for a in rows]
     degrees = [alg.degrees[next(i for i, c in enumerate(r) if c != f.zero)]
                for r in rows]
     return GradedLieAlgebra(f, alg.names, table, alg.group, degrees)
+
+
+def change_bilinear_basis(f, table, rows, involution=None):
+    """(table, involution) of a bilinear product with the trivial grading
+    in the basis rows: products by the dense loop (naive_bracket reads
+    any bilinear table) and the optional involution carried along, both
+    in new coordinates."""
+    coords = _coords_in(f, rows)
+    new = [[coords(naive_bracket(f, table, x, y)) for y in rows]
+           for x in rows]
+    if involution is not None:
+        involution = [coords(_vec_mat(f, x, involution)) for x in rows]
+    return new, involution
+
+
+def naive_triple(f, table, x, y, z):
+    """The trilinear product over every cell of a dense table."""
+    out = [f.zero] * len(table)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for l, zl in enumerate(z):
+                c = f.of(xi * yj * zl)
+                if c != f.zero:
+                    for k, t in enumerate(table[i][j][l]):
+                        out[k] = f.of(out[k] + c * t)
+    return tuple(out)
+
+
+def change_pair_basis(f, tables, rows_plus, rows_minus):
+    """(table_plus, table_minus) of a Jordan pair in the bases rows_plus
+    and rows_minus, by the dense trilinear loop."""
+    rows = {1: rows_plus, -1: rows_minus}
+    out = []
+    for sign, table in zip((1, -1), tables):
+        coords = _coords_in(f, rows[sign])
+        out.append([[[coords(naive_triple(f, table, a, b, c))
+                      for c in rows[sign]] for b in rows[-sign]]
+                    for a in rows[sign]])
+    return tuple(out)
+
+
+def naive_assoc_violation(f, table, involution):
+    """The error the dense Fraction loops raise on an associative table
+    with the trivial grading and an optional involution, or None:
+    associativity at the first (i, j, k), then per basis vector the
+    involution's order two and degrees, then the anti-homomorphism at
+    the first (i, j)."""
+    n = len(table)
+    basis = _basis(f, n)
+
+    def mul(x, y):
+        return naive_bracket(f, table, x, y)
+
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if mul(table[i][j], basis[k]) != mul(basis[i], table[j][k]):
+            return AssociativityViolation(i, j, k)
+    if involution is None:
+        return None
+    for i in range(n):
+        if _vec_mat(f, involution[i], involution) != basis[i]:
+            return InvolutionViolation(
+                "involution applied twice moves basis vector %d" % i)
+    for i, j in itertools.product(range(n), repeat=2):
+        if _vec_mat(f, table[i][j], involution) != mul(involution[j],
+                                                       involution[i]):
+            return InvolutionViolation(
+                "involution is not an anti-homomorphism at (%d, %d)"
+                % (i, j))
+    return None
+
+
+# formal polynomials with field coefficients, monomials sorted tuples of
+# variable tags
+
+
+def _padd(f, a, b):
+    out = dict(a)
+    for m, c in b.items():
+        v = f.of(out.get(m, f.zero) + c)
+        if v == f.zero:
+            out.pop(m, None)
+        else:
+            out[m] = v
+    return out
+
+
+def _pscale(f, a, c):
+    if c == f.zero:
+        return {}
+    return {m: f.of(v * c) for m, v in a.items()}
+
+
+def _pmul(f, a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(sorted(ma + mb))
+            v = f.of(out.get(m, f.zero) + ca * cb)
+            if v == f.zero:
+                out.pop(m, None)
+            else:
+                out[m] = v
+    return out
+
+
+def _formal(f, tag, dim):
+    return [{((tag, i),): f.one} for i in range(dim)]
+
+
+def _poly_product(f, table, args, out_dim):
+    out = [{} for _ in range(out_dim)]
+
+    def walk(cells, mono, rest):
+        if not rest:
+            for k, coeff in enumerate(cells):
+                if coeff != f.zero:
+                    out[k] = _padd(f, out[k], _pscale(f, mono, coeff))
+            return
+        for i, poly in enumerate(rest[0]):
+            if poly:
+                walk(cells[i], _pmul(f, mono, poly), rest[1:])
+
+    walk(table, {(): f.one}, args)
+    return out
+
+
+def naive_jordan_violation(f, tables):
+    """The AxiomViolation of the first Jordan identity that fails
+    coefficientwise in formal coordinates, with field coefficients and
+    Q_x y = half {x, y, x}, or None.  tables is (table_plus, table_minus)
+    of a pair, checked in the constructor's order, or (table,) of a
+    Jordan algebra."""
+    if len(tables) == 1:
+        (table,) = tables
+        n = len(table)
+
+        def mul(a, b):
+            return _poly_product(f, table, (a, b), n)
+
+        x, y = _formal(f, "x", n), _formal(f, "y", n)
+        xx = mul(x, x)
+        if mul(mul(xx, y), x) != mul(xx, mul(y, x)):
+            return AxiomViolation("(x.x . y) . x = x.x . (y . x)")
+        return None
+    half = f.inv(f.of(2))
+    by_sign = dict(zip((1, -1), tables))
+
+    def tri(sign, a, b, c):
+        return _poly_product(f, by_sign[sign], (a, b, c), len(by_sign[sign]))
+
+    def q(sign, a, b):
+        return [_pscale(f, p, half) for p in tri(sign, a, b, a)]
+
+    for sign in (1, -1):
+        n, m = len(by_sign[sign]), len(by_sign[-sign])
+        x, z = _formal(f, "x", n), _formal(f, "z", n)
+        y, w = _formal(f, "y", m), _formal(f, "w", m)
+        side = " on the %+d side" % sign
+        qxw = q(sign, x, w)
+        if tri(sign, x, y, qxw) != q(sign, x, tri(-sign, y, x, w)):
+            return AxiomViolation("D_{x,y} Q_x = Q_x D_{y,x}", side)
+        qxy = q(sign, x, y)
+        if tri(sign, qxy, y, z) != tri(sign, x, q(-sign, y, x), z):
+            return AxiomViolation("D_{Q_x y, y} = D_{x, Q_y x}", side)
+        if q(sign, qxy, w) != q(sign, x, q(-sign, y, qxw)):
+            return AxiomViolation("Q_{Q_x y} = Q_x Q_y Q_x", side)
+    return None
 
 
 @st.composite

@@ -16,6 +16,7 @@ from _naive import (
     naive_ad,
     naive_bracket,
     naive_ideal,
+    naive_jacobi_sum,
     naive_jacobi_violation,
     naive_killing,
 )
@@ -168,6 +169,29 @@ def test_jacobi_violation_names_the_dense_first_triple(name, data):
     with pytest.raises(JacobiViolation) as err:
         GradedLieAlgebra(f, alg.names, table, alg.group, alg.degrees)
     assert err.value.indices == first
+    assert err.value.residue == naive_jacobi_sum(f, table, *first)
+
+
+def test_jacobi_residue_is_exact_over_q():
+    # sl2 with the trivial grading in a basis with entries of denominator
+    # 2 and 3, then [b_0, b_1] moved by 1/3 along b_0: the check runs on
+    # the constants scaled to integers and divides the residue back
+    plain = GradedLieAlgebra(QQ, sl2().names, sl2().table)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    alg = change_basis(plain, [(1, half, 0), (third, 1, -half),
+                               (0, 2 * third, 1)])
+    assert any(c.denominator > 1 for row in alg.table for cell in row
+               for c in cell)
+    table = [[list(cell) for cell in row] for row in alg.table]
+    table[0][1][0] += third
+    table[1][0][0] -= third
+    assert naive_jacobi_violation(QQ, table) == (0, 1, 2)
+    want = naive_jacobi_sum(QQ, table, 0, 1, 2)
+    assert any(c.denominator > 1 for c in want)
+    with pytest.raises(JacobiViolation) as err:
+        GradedLieAlgebra(QQ, alg.names, table)
+    assert err.value.indices == (0, 1, 2)
+    assert err.value.residue == want
 
 
 # -- grading --------------------------------------------------------------
