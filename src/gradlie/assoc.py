@@ -142,11 +142,6 @@ class AssocAlgebra:
                         "involution is not an anti-homomorphism at "
                         "(%d, %d)" % (i, j))
 
-    def _reduce(self, acc):
-        """An exactly accumulated vector as a tuple of field elements."""
-        p = self.field.p
-        return tuple(acc) if p is None else tuple(a % p for a in acc)
-
     def _mul_coords(self, x, y):
         acc = [self.field.zero] * self.dim
         for i, xi in enumerate(x):
@@ -155,7 +150,7 @@ class AssocAlgebra:
                     yj = y[j]
                     if yj:
                         acc[k] += xi * yj * c
-        return self._reduce(acc)
+        return self.field.reduce(acc)
 
     def product(self, x, y):
         return self._mul_coords(self.vec(x), self.vec(y))

@@ -231,11 +231,6 @@ class GradedLieAlgebra:
     def vec(self, coords):
         return _freeze_vec(self.field, coords, self.dim)
 
-    def _reduce(self, acc):
-        """An exactly accumulated vector as a tuple of field elements."""
-        p = self.field.p
-        return tuple(acc) if p is None else tuple(a % p for a in acc)
-
     def _ad_rows(self, x):
         """Rows of ad x before reduction mod p: row j is [x, b_j]."""
         n = self.dim
@@ -256,16 +251,17 @@ class GradedLieAlgebra:
                     yj = y[j]
                     if yj:
                         acc[k] += xi * yj * c
-        return self._reduce(acc)
+        return self.field.reduce(acc)
 
     def ad_matrix(self, x):
         """Matrix of ad x in row convention: v @ M = [x, v]."""
-        return tuple(self._reduce(r) for r in self._ad_rows(x))
+        return tuple(self.field.reduce(r) for r in self._ad_rows(x))
 
     def right_matrix(self, y):
         """Matrix of right bracketing: v @ R(y) = [v, y].  By antisymmetry,
         checked at construction, R(y) = -ad y."""
-        return tuple(self._reduce([-a for a in r]) for r in self._ad_rows(y))
+        return tuple(self.field.reduce([-a for a in r])
+                     for r in self._ad_rows(y))
 
     def __eq__(self, other):
         return (isinstance(other, GradedLieAlgebra)
@@ -396,7 +392,7 @@ class GradedLieAlgebra:
         Each u_m is built when first needed, and the test stops at the
         first j with [x, [x, b_j]] != 0.
         """
-        n, p, zero = self.dim, self.field.p, self.field.zero
+        n, zero = self.dim, self.field.zero
         nonzero = self.nonzero
         cols = [None] * n
 
@@ -415,8 +411,7 @@ class GradedLieAlgebra:
                     u = cols[m] or col(m)
                     acc = ([a * b for b in u] if acc is None
                            else [s + a * b for s, b in zip(acc, u)])
-            if acc is not None and (any(acc) if p is None
-                                    else any(v % p for v in acc)):
+            if acc is not None and not self.field.vanishes(acc):
                 return False
         return True
 

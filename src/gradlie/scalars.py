@@ -98,7 +98,7 @@ class Field:
             return 1 / Fraction(a)
         return pow(a, -1, self.p)
 
-    # -- integer views of structure constants --------------------------------
+    # -- exact int accumulation (validators, sparse kernels) -----------------
 
     def integral(self, values):
         """(d, ints): the values times one common d >= 1, as Python ints.
@@ -114,10 +114,16 @@ class Field:
         d = lcm(1, *(v.denominator for v in values))
         return d, [v.numerator * (d // v.denominator) for v in values]
 
-    def vanishes(self, ints):
-        """Whether every int is zero in this field (reduced mod p here)."""
+    def reduce(self, acc):
+        """An exactly accumulated vector as a tuple of field elements."""
         p = self.p
-        return not any(ints) if p is None else all(a % p == 0 for a in ints)
+        return tuple(acc) if p is None else tuple(a % p for a in acc)
+
+    def vanishes(self, acc):
+        """Whether every exactly accumulated value is zero in this field;
+        over F_p this is where the values are reduced."""
+        p = self.p
+        return not any(acc) if p is None else all(a % p == 0 for a in acc)
 
     def invertible_int(self, n) -> bool:
         """Whether the integer n is invertible as a scalar (2, 3, 6 checks)."""
