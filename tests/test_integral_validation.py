@@ -38,7 +38,8 @@ FIELDS = [QQ, GF(5), GF(7)]
 ENTRIES = [0, 1, -1, 2, Fr(1, 2), Fr(-1, 3), Fr(3, 2)]
 UNITS = [1, -1, 2, Fr(1, 2), Fr(-2, 3)]
 DELTAS = [1, -1, Fr(1, 2), Fr(2, 3)]
-# 2^31 - 1: residues near 2^31, so the scaled products pass 2^90
+# 2^31 - 1: residues near 2^31, so products of two or three constants
+# pass 2^62, beyond a machine word
 BIG = GF(2 ** 31 - 1)
 
 
