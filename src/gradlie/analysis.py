@@ -28,8 +28,10 @@ the budget.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from .enumeration import (
     distinct_principal_ideals,
@@ -44,9 +46,12 @@ from .linalg import (
     kernel_basis,
     mat_identity,
     mat_mul,
+    mat_scale,
+    mat_sub,
     mat_vec,
     preimage,
     rank,
+    solve_linear,
     span,
 )
 
@@ -270,18 +275,47 @@ def _primitive_element(field, mats):
 def _components(field, flat, n):
     """The summands cut out by the factor fields of a centroid: the
     kernels of the irreducible factors of a primitive element (t acts on
-    row vectors as v @ t)."""
+    row vectors as v @ t).  A centroid of dimension 2 is factored by
+    _quadratic_roots; sympy factors larger ones."""
     if flat.dim == 1:
         return [Subspace.full(field, n)]
     t = _primitive_element(field, [_square(row, n) for row in flat.rows])
     zero = Subspace.zero(field, n)
+    if flat.dim == 2:
+        roots = _quadratic_roots(field, t)
+        if roots is None:
+            return [Subspace.full(field, n)]
+        eye = mat_identity(field, n)
+        return [preimage(zero, [mat_sub(t, mat_scale(eye, r, field), field)])
+                for r in roots]
     return [preimage(zero, [_apply_poly(field, f, t)])
             for f in _minpoly_factors(field, t)]
 
 
+def _quadratic_roots(field, t):
+    """The roots, ascending, of the minimal polynomial x^2 - b x - c of a
+    primitive element t of a 2-dimensional centroid over Q, read off
+    t^2 = b t + c I; None when it is irreducible.  The centroid is a
+    product of fields, so the polynomial is squarefree and it splits iff
+    its discriminant b^2 + 4c is the square of a rational, that is, its
+    numerator and denominator (in lowest terms) are squares."""
+    n = len(t)
+    sq = mat_mul(t, t, field)
+    c, b = solve_linear(field,
+                        [(int(i == j), t[i][j])
+                         for i in range(n) for j in range(n)],
+                        [x for row in sq for x in row])
+    disc = b * b + 4 * c
+    num, den = disc.numerator, disc.denominator
+    if num < 0 or math.isqrt(num) ** 2 != num or math.isqrt(den) ** 2 != den:
+        return None
+    root = Fraction(math.isqrt(num), math.isqrt(den))
+    return (b - root) / 2, (b + root) / 2
+
+
 def _minpoly_factors(field, mat):
     """Distinct irreducible factors of the char poly over Q, via sympy."""
-    import sympy  # deferred: only a centroid of dimension > 1 needs it
+    import sympy  # deferred: only a centroid of dimension > 2 needs it
 
     x = sympy.Symbol("x")
     m = sympy.Matrix([[sympy.Rational(c) for c in row] for row in mat])

@@ -4,10 +4,14 @@ Vectors are rows (tuples of field elements); a linear map is a matrix M of
 shape (domain, target) acting on the right, image = v @ M.  Subspaces are
 kept in reduced row-echelon form, which is unique per row space, so two
 subspaces are equal iff their stored bases are equal entry for entry.
+Each subspace keeps its pivot columns, so membership, coordinates and
+residuals are read off them: the coefficient of a basis row is the
+vector's entry at that row's pivot, and arithmetic is done only at the
+other columns.
 
-The rational elimination path is fraction-free: rows are scaled to integers,
-gcd-normalized after every combination, and divided by their pivot only at
-the very end.  Structure constants in this package are integers almost
+The rational elimination path is fraction-free: rows are scaled to integers
+(Field.integral), gcd-normalized after every combination, and divided by
+their pivot only at the very end.  Structure constants in this package are integers almost
 always, so this keeps the inner loops in small-int arithmetic.
 
 Two constructions serve the rest of the package.  ``preimage`` gives the
@@ -18,7 +22,9 @@ maps (ideals generated by elements, envelopes, pair ideals).
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .scalars import QQ
 
 
 # ---------------------------------------------------------------------------
@@ -27,19 +33,7 @@ from math import gcd, lcm
 
 def _int_row(row):
     """Scale a row of Fractions/ints to coprime integers."""
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            den = lcm(den, x.denominator)
-    ints = [int(x * den) if isinstance(x, Fraction) else x * den for x in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-        if g == 1:
-            break
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+    return _reduce_gcd(QQ.integral(row)[1])
 
 
 def _reduce_gcd(row):
@@ -111,8 +105,34 @@ def _echelon_p(rows, p, piv=None):
     return piv
 
 
+def _back_eliminate_q(piv):
+    """(pivot columns, canonical RREF rows) of an echelon from _echelon_q:
+    eliminate above each pivot, still in integers, then divide each row
+    by its pivot."""
+    cols = sorted(piv)
+    for i in range(len(cols) - 1, -1, -1):
+        c = cols[i]
+        q = piv[c]
+        for c2 in cols[:i]:
+            r = piv[c2]
+            if r[c]:
+                a, b = q[c], r[c]
+                g = gcd(a, b)
+                ka, kb = b // g, a // g
+                r = _reduce_gcd([kb * x - ka * y for x, y in zip(r, q)])
+                if r[c2] < 0:
+                    r = [-x for x in r]
+                piv[c2] = r
+    out, zero = [], QQ.zero
+    for c in cols:
+        r = piv[c]
+        lead = r[c]
+        out.append(tuple(Fraction(x, lead) if x else zero for x in r))
+    return tuple(cols), out
+
+
 def _back_eliminate_p(piv, p):
-    """Canonical RREF rows of an echelon from _echelon_p."""
+    """(pivot columns, canonical RREF rows) of an echelon from _echelon_p."""
     cols = sorted(piv)
     for i in range(len(cols) - 1, -1, -1):
         c = cols[i]
@@ -122,36 +142,20 @@ def _back_eliminate_p(piv, p):
             if r[c]:
                 b = r[c]
                 piv[c2] = [(x - b * y) % p for x, y in zip(r, q)]
-    return [tuple(piv[c]) for c in cols]
+    return tuple(cols), [tuple(piv[c]) for c in cols]
+
+
+def _rref(field, rows):
+    """(pivot columns, canonical reduced row-echelon basis)."""
+    p = field.p
+    if p is None:
+        return _back_eliminate_q(_echelon_q(rows))
+    return _back_eliminate_p(_echelon_p(rows, p), p)
 
 
 def rref(field, rows):
     """Canonical reduced row-echelon basis of the row space. List of tuples."""
-    p = field.p
-    if p is None:
-        piv = _echelon_q(rows)
-        cols = sorted(piv)
-        # back-eliminate above each pivot, still in integers
-        for i in range(len(cols) - 1, -1, -1):
-            c = cols[i]
-            q = piv[c]
-            for c2 in cols[:i]:
-                r = piv[c2]
-                if r[c]:
-                    a, b = q[c], r[c]
-                    g = gcd(a, b)
-                    ka, kb = b // g, a // g
-                    r = _reduce_gcd([kb * x - ka * y for x, y in zip(r, q)])
-                    if r[c2] < 0:
-                        r = [-x for x in r]
-                    piv[c2] = r
-        out = []
-        for c in cols:
-            r = piv[c]
-            lead = r[c]
-            out.append(tuple(Fraction(x, lead) for x in r))
-        return out
-    return _back_eliminate_p(_echelon_p(rows, p), p)
+    return _rref(field, rows)[1]
 
 
 def rank(field, rows):
@@ -165,21 +169,30 @@ def rank(field, rows):
 
 
 class Subspace:
-    """A subspace of field^ambient, stored as a canonical RREF row basis."""
+    """A subspace of field^ambient, stored as a canonical RREF row basis.
 
-    __slots__ = ("field", "ambient", "rows")
+    The pivot column of each row is handed over by the elimination, or
+    found on first use for a basis built elsewhere; for every other
+    column the rows that are nonzero there are listed on first use.
+    """
 
-    def __init__(self, field, ambient, rows, *, _canonical=False):
+    __slots__ = ("field", "ambient", "rows", "_pivots", "_columns")
+
+    def __init__(self, field, ambient, rows, *, _canonical=False,
+                 _pivots=None):
         self.field = field
         self.ambient = ambient
         if _canonical:
             self.rows = tuple(rows)
         else:
-            self.rows = tuple(rref(field, [list(r) for r in rows]))
+            _pivots, rows = _rref(field, [list(r) for r in rows])
+            self.rows = tuple(rows)
+        self._pivots = _pivots
+        self._columns = None
 
     @classmethod
     def zero(cls, field, ambient):
-        return cls(field, ambient, (), _canonical=True)
+        return cls(field, ambient, (), _canonical=True, _pivots=())
 
     @classmethod
     def full(cls, field, ambient):
@@ -188,7 +201,8 @@ class Subspace:
             row = [field.zero] * ambient
             row[i] = field.one
             rows.append(tuple(row))
-        return cls(field, ambient, rows, _canonical=True)
+        return cls(field, ambient, rows, _canonical=True,
+                   _pivots=tuple(range(ambient)))
 
     @property
     def dim(self):
@@ -198,7 +212,20 @@ class Subspace:
         return not self.rows
 
     def pivots(self):
-        return tuple(_first_nonzero(list(r)) for r in self.rows)
+        """The pivot column of each basis row."""
+        if self._pivots is None:
+            self._pivots = tuple(_first_nonzero(r) for r in self.rows)
+        return self._pivots
+
+    def _free_columns(self):
+        """(c, ((i, rows[i][c]), ...)) for each non-pivot column c, with
+        the rows i that are nonzero at c."""
+        if self._columns is None:
+            pivots = set(self.pivots())
+            self._columns = tuple(
+                (c, tuple((i, r[c]) for i, r in enumerate(self.rows) if r[c]))
+                for c in range(self.ambient) if c not in pivots)
+        return self._columns
 
     def __eq__(self, other):
         return (
@@ -215,35 +242,45 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
     def coords(self, vec):
-        """Coefficients of vec in the RREF basis, or None if not a member."""
-        res = list(vec)
-        out = []
+        """Coefficients of vec in the RREF basis, or None if not a member.
+
+        Row i is the only basis row that is nonzero at its pivot column,
+        so its coefficient is vec there (reduced mod p over F_p); vec is a
+        member iff that combination also matches vec at every non-pivot
+        column.
+        """
         p = self.field.p
-        for row in self.rows:
-            c = _first_nonzero(list(row))
-            t = res[c]
-            out.append(t)
-            if t:
-                if p is None:
-                    res = [x - t * y for x, y in zip(res, row)]
-                else:
-                    res = [(x - t * y) % p for x, y in zip(res, row)]
-        if any(res):
-            return None
+        out = [vec[c] for c in self.pivots()]
+        if p is not None:
+            out = [x % p for x in out]
+        for c, entries in self._free_columns():
+            s = vec[c]
+            for i, e in entries:
+                t = out[i]
+                if t:
+                    s -= t * e
+            if s if p is None else s % p:
+                return None
         return out
 
     def reduce(self, vec):
-        """Residual of vec after eliminating this basis' pivot coordinates."""
-        res = list(vec)
+        """Residual of vec after eliminating this basis' pivot coordinates:
+        zero at the pivot columns, vec minus the combination with the
+        coefficients of coords at the others."""
         p = self.field.p
-        for row in self.rows:
-            c = _first_nonzero(list(row))
-            t = res[c]
-            if t:
-                if p is None:
-                    res = [x - t * y for x, y in zip(res, row)]
-                else:
-                    res = [(x - t * y) % p for x, y in zip(res, row)]
+        pivots = self.pivots()
+        res = list(vec)
+        for c in pivots:
+            res[c] = self.field.zero
+        for c, entries in self._free_columns():
+            s = vec[c]
+            for i, e in entries:
+                t = vec[pivots[i]]
+                if t:
+                    s -= t * e
+            res[c] = s
+        if p is not None:
+            return tuple(x % p for x in res)
         return tuple(res)
 
     def contains(self, vec) -> bool:
@@ -259,13 +296,11 @@ class Subspace:
         f = self.field
         pivots = self.pivots()
         eqs = []
-        for c in range(self.ambient):
-            if c in pivots:
-                continue
+        for c, entries in self._free_columns():
             eq = [f.zero] * self.ambient
             eq[c] = f.one
-            for r, pc in zip(self.rows, pivots):
-                eq[pc] = f.neg(r[c])
+            for i, e in entries:
+                eq[pivots[i]] = f.neg(e)
             eqs.append(tuple(eq))
         return eqs
 
@@ -310,8 +345,7 @@ def kernel_basis(field, rows, ncols):
 
     Rows are the equations: each row r imposes sum_j r[j] x[j] = 0.
     """
-    red = rref(field, [list(r) for r in rows])
-    pivots = [_first_nonzero(list(r)) for r in red]
+    pivots, red = _rref(field, [list(r) for r in rows])
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     one, z = field.one, field.zero
@@ -321,7 +355,8 @@ def kernel_basis(field, rows, ncols):
         v[fcol] = one
         for r, pc in zip(red, pivots):
             # x[pc] = -sum over free columns of r[c] * x[c]
-            v[pc] = field.neg(r[fcol])
+            if r[fcol]:
+                v[pc] = field.neg(r[fcol])
         basis.append(v)
     return Subspace(field, ncols, basis)
 
@@ -384,8 +419,10 @@ def closure(start, images):
     if len(piv) == n:
         return Subspace.full(field, n)
     if p is None:
-        return Subspace(field, n, [piv[c] for c in sorted(piv)])
-    return Subspace(field, n, _back_eliminate_p(piv, p), _canonical=True)
+        pivots, rows = _back_eliminate_q(piv)
+    else:
+        pivots, rows = _back_eliminate_p(piv, p)
+    return Subspace(field, n, rows, _canonical=True, _pivots=pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +501,12 @@ def determinant(field, m):
         return field.one
     if field.p is None:
         # scale every row to integers, track the denominators
-        den = Fraction(1)
+        den = 1
         a = []
         for row in m:
-            d = 1
-            for x in row:
-                if isinstance(x, Fraction):
-                    d = lcm(d, x.denominator)
+            d, ints = field.integral(row)
             den *= d
-            a.append([int(x * d) for x in row])
+            a.append(ints)
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -487,7 +521,7 @@ def determinant(field, m):
                     a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
                 a[i][k] = 0
             prev = a[k][k]
-        return Fraction(sign * a[n - 1][n - 1], 1) / den
+        return Fraction(sign * a[n - 1][n - 1], den)
     p = field.p
     a = [[x % p for x in row] for row in m]
     det = 1
@@ -515,10 +549,9 @@ def solve_linear(field, equations, rhs, nunknowns=None):
     """
     n = nunknowns if nunknowns is not None else (len(equations[0]) if equations else 0)
     aug = [list(r) + [b] for r, b in zip(equations, rhs)]
-    red = rref(field, aug)
+    pivots, red = _rref(field, aug)
     x = [field.zero] * n
-    for row in red:
-        c = _first_nonzero(list(row))
+    for row, c in zip(red, pivots):
         if c == n:
             return None  # inconsistent: 0 = 1 row
         x[c] = row[n]

@@ -1,6 +1,7 @@
-"""Textbook oracles for the structure constants, the ideal closures, the
-ideal predicates (quantified over the principal-ideal scan) and the
-Jordan pair axioms, shared by several test modules.  The Lie oracles
+"""Textbook oracles for subspace coordinates, the structure constants,
+the ideal closures, the ideal predicates (quantified over the
+principal-ideal scan) and the Jordan pair axioms, shared by several test
+modules.  The Lie oracles
 read the dense table cell by cell, apart from the library's sparse
 kernel; the associative and Jordan validators are the dense loops and
 the formal identity check in field elements (Fractions over Q), apart
@@ -18,6 +19,42 @@ from gradlie.errors import (
 )
 from gradlie.lie import GradedLieAlgebra
 from gradlie.linalg import mat_mul, rank, rref, span
+
+
+def _first_nonzero(row):
+    return next((c for c, x in enumerate(row) if x), None)
+
+
+def naive_coords(sub, vec):
+    """Coefficients of vec in the RREF basis of sub, or None if not a
+    member: find each row's pivot and subtract whole rows.  Over F_p a
+    vector with entries that are nonzero multiples of p can be called a
+    non-member when every coefficient is 0, and the first coefficient
+    can come back unreduced."""
+    res = list(vec)
+    out = []
+    p = sub.field.p
+    for row in sub.rows:
+        t = res[_first_nonzero(row)]
+        out.append(t)
+        if t:
+            res = [x - t * y if p is None else (x - t * y) % p
+                   for x, y in zip(res, row)]
+    return None if any(res) else out
+
+
+def naive_reduce(sub, vec):
+    """Residual of vec after subtracting whole rows of sub's RREF basis,
+    one per pivot (entries unreduced over F_p where no row was
+    subtracted)."""
+    res = list(vec)
+    p = sub.field.p
+    for row in sub.rows:
+        t = res[_first_nonzero(row)]
+        if t:
+            res = [x - t * y if p is None else (x - t * y) % p
+                   for x, y in zip(res, row)]
+    return tuple(res)
 
 
 def _basis(f, n):

@@ -18,9 +18,11 @@ from _naive import (
     naive_is_semiprime,
     naive_socle,
 )
+from gradlie import analysis
 from gradlie.analysis import (
     _apply_poly,
     _minpoly_factors,
+    _quadratic_roots,
     abelian_ideal_witness,
     absolute_zero_divisor_witness,
     graded_core,
@@ -275,7 +277,8 @@ def test_prime_with_a_commutant_bigger_than_the_field():
 
 def test_sl2_over_q_sqrt2_is_prime_with_one_minimal_ideal():
     # the centroid Q(sqrt 2) has dimension 2 and is a field: the primitive
-    # element's characteristic polynomial has one irreducible factor
+    # element's minimal polynomial has a discriminant that is no rational
+    # square
     a = sl2_sqrt2()
     for graded in (False, True):
         assert is_prime(a, graded=graded)
@@ -372,8 +375,8 @@ def _qmat(rows):
 
 
 def test_commutant_splitter_factors_and_evaluates_polynomials():
-    # the sympy helpers behind a centroid of dimension > 1 (sl2sum_swap
-    # and sl2_sqrt2 reach them), pinned on small diagonal and block inputs
+    # the sympy helpers behind a centroid of dimension > 2, pinned on
+    # small diagonal and block inputs
     d = _qmat([(1, 0, 0), (0, 1, 0), (0, 0, 2)])
     factors = {str(f): f for f in _minpoly_factors(QQ, d)}
     assert sorted(factors) == ["x - 1", "x - 2"]
@@ -387,6 +390,49 @@ def test_commutant_splitter_factors_and_evaluates_polynomials():
     assert sorted(factors) == ["x - 1", "x**2 - 2"]
     assert _apply_poly(QQ, factors["x**2 - 2"], r) == [[0, 0, 0], [0, 0, 0],
                                                        [0, 0, -1]]
+
+
+def test_quadratic_roots_split_exactly_on_rational_square_discriminants():
+    # t^2 = b t + c I read off the matrix; roots ascending, or None
+    cases = [
+        (_qmat([(1, 0, 0), (0, 1, 0), (0, 0, 2)]), (1, 2)),  # (x-1)(x-2)
+        (_qmat([(0, 2), (1, 0)]), None),  # x^2 - 2
+        (_qmat([(-3, 0), (0, 0)]), (-3, 0)),  # x^2 + 3x
+        (_qmat([(Fraction(1, 2), 0), (0, -3)]), (-3, Fraction(1, 2))),
+        (_qmat([(0, Fraction(4, 9)), (1, 0)]), (Fraction(-2, 3),
+                                                Fraction(2, 3))),
+        # discriminant 2: a square numerator is not enough
+        (_qmat([(0, Fraction(1, 2)), (1, 0)]), None),
+        # discriminant 1/2: nor a square denominator
+        (_qmat([(0, Fraction(1, 8)), (1, 0)]), None),
+        (_qmat([(0, -1), (1, 0)]), None),  # x^2 + 1, negative
+    ]
+    for t, roots in cases:
+        assert _quadratic_roots(QQ, t) == roots
+
+
+def test_three_dimensional_centroid_is_factored_by_sympy(monkeypatch):
+    # sl2 + sl2 + sl2 with basis v_j = sum_k (k + 1)^j b^(k) in each
+    # degree: every basis vector meets all three summands, so none splits
+    # the algebra and the centroid Q x Q x Q is factored
+    base = direct_sum(direct_sum(sl2(), sl2()), sl2())
+    rows = [None] * 9
+    for d in (1, -1, 0):
+        idx = [i for i in range(9) if base.degrees[i] == d]
+        for j, i in enumerate(idx):
+            rows[i] = tuple(QQ.of((idx.index(c) + 1) ** j if c in idx else 0)
+                            for c in range(9))
+    a = change_basis(base, rows)
+    assert all(a.ideal_generated([a.basis_vector(i)]).dim == 9
+               for i in range(9))
+    calls = []
+    factor = analysis._minpoly_factors
+    monkeypatch.setattr(analysis, "_minpoly_factors",
+                        lambda f, m: calls.append(m) or factor(f, m))
+    assert [m.dim for m in minimal_ideals(a)] == [3, 3, 3]
+    assert calls
+    assert not is_prime(a) and not is_prime(a, graded=True)
+    assert structure_report(a).methods["prime"] == "centroid"
 
 
 # -- graded core -----------------------------------------------------------

@@ -10,10 +10,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from _naive import naive_coords, naive_reduce
+
 from gradlie.errors import ParseError
-from gradlie.gallery import sl2
+from gradlie.gallery import heis3, sl2
 from gradlie.linalg import (
     Subspace,
+    _first_nonzero,
     closure,
     determinant,
     kernel_basis,
@@ -174,6 +177,84 @@ def test_coords_reconstruct_members(rows):
         assert tuple(rebuilt) == tuple(r)
 
 
+@st.composite
+def subspace_and_vector(draw, field):
+    """A subspace of field^n spanned by random rows and a vector that is a
+    combination of those rows about half the time.  Over F_p the entries
+    are unreduced (negative or >= p), and so are the vector's."""
+    p = field.p
+    scalars = rationals if p is None else st.integers(-3 * p, 3 * p)
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, 4))
+    vectors = st.lists(scalars, min_size=n, max_size=n)
+    rows = draw(st.lists(vectors, min_size=k, max_size=k))
+    if rows and draw(st.booleans()):
+        coeffs = draw(st.lists(scalars, min_size=k, max_size=k))
+        vec = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+        if p is not None:
+            vec = [x + p * draw(st.integers(-2, 2)) for x in vec]
+    else:
+        vec = draw(vectors)
+    return Subspace(field, n, rows), tuple(vec)
+
+
+def _agrees_with_elimination_loop(sub, vec):
+    p = sub.field.p
+    got = sub.coords(vec)
+    assert sub.contains(vec) == (got is not None)
+    assert sub.pivots() == tuple(_first_nonzero(r) for r in sub.rows)
+    if p is None:
+        assert got == naive_coords(sub, vec)
+        assert sub.reduce(vec) == naive_reduce(sub, vec)
+        return got
+    # the loop decides membership of the reduced vector; on the raw one
+    # it agrees mod p wherever it finds coordinates
+    want = naive_coords(sub, [x % p for x in vec])
+    assert got == want
+    raw = naive_coords(sub, vec)
+    if raw is not None:
+        assert got == [x % p for x in raw]
+    assert sub.reduce(vec) == tuple(x % p for x in naive_reduce(sub, vec))
+    return got
+
+
+@given(subspace_and_vector(QQ))
+def test_coords_reduce_contains_match_elimination_loop_q(case):
+    _agrees_with_elimination_loop(*case)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@given(data=st.data())
+def test_coords_reduce_contains_match_elimination_loop_fp(p, data):
+    sub, vec = data.draw(subspace_and_vector(GF(p)))
+    _agrees_with_elimination_loop(sub, vec)
+
+
+def test_coords_of_unreduced_members_over_f5():
+    # (5, 0) is 0 in F5: a member of every subspace, with coordinates 0,
+    # which the elimination loop, subtracting nothing, calls a non-member
+    line = span(F5, 2, [(0, 1)])
+    assert line.coords((5, 0)) == [0]
+    assert naive_coords(line, (5, 0)) is None
+    assert line.coords((-4, 13)) is None
+    assert line.coords((10, 13)) == [3]
+    assert line.reduce((-4, 13)) == (1, 0)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_cached_pivots_of_canonical_subspaces(field):
+    # bases that skip the elimination: pivots given or read lazily
+    alg = heis3(field)
+    for sub in (Subspace.zero(field, 3), Subspace.full(field, 3),
+                closure(span(field, 3, [(1, 1, 0)]), alg.right_matrix),
+                kernel_basis(field, [(1, 1, 0, 2)], 4),
+                Subspace(field, 3, span(field, 3, [(0, 1, 1)]).rows,
+                         _canonical=True)):
+        assert sub.pivots() == tuple(_first_nonzero(r) for r in sub.rows)
+        for r in sub.rows:
+            assert sub.reduce(r) == tuple(field.zero for _ in r)
+
+
 def test_zero_and_full_subspaces():
     z = Subspace.zero(QQ, 3)
     f = Subspace.full(QQ, 3)
@@ -232,7 +313,9 @@ def _det3(m):
 
 @given(q_matrix(3, 3))
 def test_determinant_matches_cofactor_expansion(m):
-    assert determinant(QQ, m) == _det3(m)
+    det = determinant(QQ, m)
+    assert det == _det3(m)
+    assert isinstance(det, Fraction)
 
 
 @given(f5_matrix(3, 3), f5_matrix(3, 3))

@@ -221,7 +221,7 @@ def test_cli_check_quotient_exit_codes(pmi_file, capsys):
     assert "witness: x3" in out
 
 
-# sympy (factoring a centroid of dimension > 1 over Q) is imported where
+# sympy (factoring a centroid of dimension > 2 over Q) is imported where
 # it is used, and gradlie never uses numpy; a fresh process doing work
 # over Q must load neither, nor one running the mod-p scans.
 _HEAVY = {"numpy", "sympy"}
@@ -283,8 +283,8 @@ def test_structure_report_over_q_loads_no_sympy(tmp_path):
     # ideals.  The dense basis change has upper unitriangular all-ones
     # blocks, one per degree; its last row in each block stays inside one
     # summand of sl2sum.  A basis in which every vector meets both
-    # summands (gallery.sl2sum_swap) is split by factoring, which does
-    # load sympy.
+    # summands (gallery.sl2sum_swap) is split by factoring its centroid
+    # of dimension 2, which needs no sympy either (the test below).
     paths = []
     for alg in (sl2(), sl2sum(), sln_e11(3)):
         n = alg.dim
@@ -303,6 +303,25 @@ def test_structure_report_over_q_loads_no_sympy(tmp_path):
         "'loaded', sorted(set(sys.modules) & %r))" % (_HEAVY,), *paths)
     assert last == ("[True, True, False, False, True, True] "
                     "[[3, 3], [3, 3]] loaded []")
+
+
+def test_two_dimensional_centroids_factor_without_sympy():
+    # no basis vector of sl2sum_swap or sl2_sqrt2 generates a proper
+    # ideal, so primeness and the minimal ideals come from their centroids
+    # Q x Q and Q(sqrt 2), of dimension 2: a quadratic minimal polynomial
+    # splits, or not, by its discriminant
+    last = _fresh_python(
+        "-c", "import sys; from gradlie import gallery; "
+        "from gradlie.analysis import is_prime, minimal_ideals, "
+        "minimal_graded_ideals, structure_report; "
+        "algs = [gallery.sl2sum_swap(), gallery.sl2_sqrt2()]; "
+        "print([structure_report(a).prime for a in algs], "
+        "[is_prime(a, graded=True) for a in algs], "
+        "[[m.dim for m in minimal_ideals(a)] for a in algs], "
+        "[[m.dim for m in minimal_graded_ideals(a)] for a in algs], "
+        "'loaded', sorted(set(sys.modules) & %r))" % (_HEAVY,))
+    assert last == ("[False, True] [True, True] [[3, 3], [6]] [[6], [6]] "
+                    "loaded []")
 
 
 def test_cli_tkk_emits_a_lie_file(tmp_path, capsys):
