@@ -10,6 +10,8 @@ from gradlie.gallery import heis3, p_mod_i, sl2
 from gradlie.lie import direct_sum
 from gradlie.scalars import GF, QQ
 
+from _show import show
+
 a = sl2()
 print("sl2 over", a.field, "dim", a.dim)
 print("basis", a.names, "degrees", a.degrees)
@@ -17,13 +19,13 @@ print("support", a.support())
 
 # brackets come back as coordinate tuples in the ambient basis
 e, f, h = (a.basis_vector(i) for i in range(3))
-print("[e, f] =", a.bracket(e, f), " (this is h)")
-print("[h, e] =", a.bracket(h, e), " (2e)")
+print("[e, f] =", show(QQ, a.bracket(e, f)), " (this is h)")
+print("[h, e] =", show(QQ, a.bracket(h, e)), " (2e)")
 
 # the grading splits any vector into homogeneous pieces
 v = a.vec([3, QQ.of(-2), 1])
 for deg, part in sorted(a.homogeneous_decompose(v).items()):
-    print("degree", deg, "part", part)
+    print("degree", deg, "part", show(QQ, part))
 
 # degree components are honest subspaces
 one = a.degree_component(1)
@@ -33,13 +35,14 @@ print("[L_1, L_-1] == L_0:", a.bracket_space(one, minus) == zero)
 
 # the same table works over a prime field
 a5 = sl2(GF(5))
-print("sl2 mod 5 bracket [e, f] =", a5.bracket(a5.basis_vector(0),
-                                               a5.basis_vector(1)))
+print("sl2 mod 5 bracket [e, f] =",
+      show(a5.field, a5.bracket(a5.basis_vector(0), a5.basis_vector(1))))
 
 # a non-semisimple example: the Heisenberg algebra, graded by -1, 1, 0
 n = heis3()
-print("\nheis3 center:", n.center().rows)
-print("heis3 annihilator of the whole:", n.annihilator(n.full_space()).rows)
+print("\nheis3 center:", show(QQ, n.center().rows))
+print("heis3 annihilator of the whole:",
+      show(QQ, n.annihilator(n.full_space()).rows))
 
 # quotient by the center collapses it to a 2-dim abelian algebra
 quo, proj, section = n.quotient_by_ideal(n.center())
@@ -58,4 +61,4 @@ p = p_mod_i()
 print("\npolynomial example support", p.support())
 x = p.basis_vector(2)
 ix = p.basis_vector(3)
-print("[x, ix] lands in degree 2:", p.bracket(x, ix))
+print("[x, ix] lands in degree 2:", show(QQ, p.bracket(x, ix)))

@@ -21,6 +21,8 @@ from gradlie.analysis import (
 from gradlie.gallery import heis3, p_mod_i, sl2, sl2sum
 from gradlie.scalars import GF, QQ
 
+from _show import show
+
 F5 = GF(5)
 
 for make in (sl2, sl2sum, heis3, p_mod_i):
@@ -31,12 +33,12 @@ for make in (sl2, sl2sum, heis3, p_mod_i):
 # the witness for a failure is an abelian ideal you can inspect
 n = heis3()
 w = abelian_ideal_witness(n)
-print("\nheis3 abelian ideal witness rows:", w.rows)
+print("\nheis3 abelian ideal witness rows:", show(QQ, w.rows))
 print("it is an ideal:", n.is_ideal(w),
       "and abelian:", n.bracket_space(w, w).is_zero())
 
 # Killing matrix of sl2, exact
-print("\nKilling(sl2) =", killing_matrix(sl2()))
+print("\nKilling(sl2) =", show(QQ, killing_matrix(sl2())))
 
 # strongly nondegenerate = no absolute zero divisors; in characteristic
 # zero this agrees with semiprimeness, and the package decides both ways

@@ -21,6 +21,9 @@ from gradlie.derivations import (
     maximal_quotients_match,
 )
 from gradlie.gallery import p_mod_i, p_mod_i_small, sl2, sl2sum
+from gradlie.scalars import QQ
+
+from _show import show
 
 # reflexive case: sl2 inside itself is trivially of quotients
 a = sl2()
@@ -33,7 +36,7 @@ s = sl2sum()
 comp = QuotientEmbedding(s, s.ideal_generated([s.basis_vector(0)]))
 v = is_quotient(comp)
 print("sl2 <= sl2 (+) sl2 verdict:", v.value,
-      "witness:", v.witness, "(a basis vector of the other summand)")
+      "witness:", show(QQ, v.witness), "(a basis vector of the other summand)")
 print("  weak variant agrees:", is_weak_quotient(comp).value)
 
 # the separating example: an 8-dim algebra where the graded WEAK
@@ -43,14 +46,14 @@ emb = QuotientEmbedding(p, p_mod_i_small(p))
 print("\ntruncated polynomial pair, graded weak:",
       is_weak_quotient(emb, graded=True).value)
 strict = is_quotient(emb, graded=True)
-print("graded strict:", strict.value, "witness:", strict.witness)
+print("graded strict:", strict.value, "witness:", show(QQ, strict.witness))
 print("reason:", strict.reason)
 
 # the maximal quotients of sl2: again sl2, now on a derivation basis
 mq = maximal_quotients(sl2(), graded=True)
 print("\nmaximal graded quotients of sl2: dim", mq.algebra.dim,
       "socle dim", mq.witness_ideal.dim)
-print("embedding rows:", mq.embedding)
+print("embedding rows:", show(QQ, mq.embedding))
 
 # three axioms pin the result: absorption into L, faithfulness on E0,
 # and realization of every graded derivation of E0

@@ -19,10 +19,12 @@ from gradlie.gallery import (
 )
 from gradlie.scalars import QQ
 
+from _show import show
+
 # the pair of rank one: both sides are the field, {x, y, z} = 2xyz
 pf = pair_field()
 x, y, z = (QQ.of(3),), (QQ.of(5),), (QQ.of(7),)
-print("{3, 5, 3} =", pf.triple(1, x, y, x), " (2 x^2 y = 90)")
+print("{3, 5, 3} =", show(QQ, pf.triple(1, x, y, x)), " (2 x^2 y = 90)")
 
 # rectangular matrix pairs: 1x2 blocks against 2x1 blocks
 rc = pair_rect(1, 2)
@@ -45,7 +47,7 @@ sub = padded_subpair(pp)
 emb = J.PairEmbedding(pp, sub)
 verdict = J.is_pair_of_quotients(emb)
 print("\npadded pair, live part as subpair: quotient verdict",
-      verdict.value, "witness", verdict.witness)
+      verdict.value, "witness", show(QQ, verdict.witness))
 
 # the Lie-side decider through the envelope returns the same answer
 from gradlie.derivations import is_quotient
@@ -68,4 +70,4 @@ print("triple 2xyz: dim", mtq.triple.dim,
 sym = jordan_sym2()
 mjq = J.maximal_jordan_algebra_quotients(sym)
 print("symmetric 2x2 matrices: dim", mjq.algebra.dim,
-      "unit", sym.unit(), "verdict", mjq.triples.pairs.verdict.value)
+      "unit", show(QQ, sym.unit()), "verdict", mjq.triples.pairs.verdict.value)
