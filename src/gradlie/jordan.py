@@ -769,7 +769,7 @@ def pair_absolute_zero_divisor(pair, budget=None):
             if n == 0:
                 continue
             check_budget(projective_count(f.p, n), budget)
-            zrow = tuple(f.zero for _ in range(pair.dim(-sign)))
+            zrow = pair.zero(sign)  # Q_x b_j lies on the sign side
             for x in iter_projective(f.p, _basis(f, n)):
                 qm = pair.q_matrix(sign, x)
                 if all(r == zrow for r in qm):

@@ -267,6 +267,55 @@ def test_pair_semiprime_predicates():
     assert azd is not None
 
 
+def pair_sum(a, b):
+    """The direct sum of two Jordan pairs over one field: a's coordinates
+    first on each side, and no product mixes the summands."""
+    f = a.field
+
+    def table(sign):
+        n, m = a.dim(sign) + b.dim(sign), a.dim(-sign) + b.dim(-sign)
+        out = [[[[f.zero] * n for _ in range(n)] for _ in range(m)]
+               for _ in range(n)]
+        for src, off, opp in ((a, 0, 0), (b, a.dim(sign), a.dim(-sign))):
+            for i, plane in enumerate(src.table(sign)):
+                for j, row in enumerate(plane):
+                    for l, vec in enumerate(row):
+                        out[off + i][opp + j][off + l][off:off + len(vec)] = vec
+        return out
+
+    return J.JordanPair(f, a.names_plus + b.names_plus,
+                        a.names_minus + b.names_minus,
+                        table(1), table(-1))
+
+
+def _pairs_with_unequal_sides(f):
+    return [pair_zero(2, 3, f), pair_zero(3, 1, f), pair_zero(1, 2, f),
+            pair_sum(pair_field(f), pair_zero(1, 2, f)),
+            pair_sum(pair_zero(2, 1, f), pair_rect(1, 2, f)),
+            pair_sum(pair_padded(f), pair_zero(1, 2, f))]
+
+
+def test_pair_sum_of_gallery_pairs_is_a_pair():
+    s = pair_sum(pair_field(), pair_rect(1, 2))
+    assert s.dims() == (3, 3)
+    x, y = (Fr(3), Fr(0), Fr(0)), (Fr(5), Fr(0), Fr(0))
+    assert s.triple(1, x, y, x) == (Fr(90), Fr(0), Fr(0))
+    assert J.pair_is_semiprime(s) and J.pair_is_strongly_nondegenerate(s)
+
+
+@pytest.mark.parametrize("field", [QQ, F5, GF(7)], ids=repr)
+def test_zero_pair_with_unequal_sides_has_zero_divisors(field):
+    # every product of pair_zero vanishes, so every x != 0 has Q_x = 0;
+    # the F_p scan once compared the rows of Q_x with a zero row of the
+    # opposite side's length and found none when the lengths differed
+    pz = pair_zero(2, 3, field)
+    sign, x = J.pair_absolute_zero_divisor(pz)
+    assert len(x) == pz.dim(sign) and any(x)
+    assert all(not any(r) for r in pz.q_matrix(sign, x))
+    assert not J.pair_is_strongly_nondegenerate(pz)
+    assert not J.pair_is_semiprime(pz)
+
+
 def test_pair_semiprime_agrees_over_f5():
     for make in (pair_field, lambda f=F5: pair_rect(1, 2, f),
                  pair_zero, pair_padded):
@@ -275,6 +324,13 @@ def test_pair_semiprime_agrees_over_f5():
             over_5 = make(F5)
         except TypeError:
             over_5 = pair_zero(1, 1, F5)
+        assert J.pair_is_semiprime(over_q) == J.pair_is_semiprime(over_5)
+        assert (J.pair_is_strongly_nondegenerate(over_q)
+                == J.pair_is_strongly_nondegenerate(over_5))
+    for over_q, over_5 in zip(_pairs_with_unequal_sides(QQ),
+                              _pairs_with_unequal_sides(F5)):
+        assert over_q.dims() == over_5.dims()
+        assert over_q.dims()[0] != over_q.dims()[1]
         assert J.pair_is_semiprime(over_q) == J.pair_is_semiprime(over_5)
         assert (J.pair_is_strongly_nondegenerate(over_q)
                 == J.pair_is_strongly_nondegenerate(over_5))

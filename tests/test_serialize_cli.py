@@ -24,6 +24,7 @@ from gradlie.gallery import (
     p_mod_i_small,
     pair_padded,
     pair_rect,
+    pair_zero,
     padded_subpair,
     sl2,
     sl2sum,
@@ -353,6 +354,22 @@ def test_cli_jmax(tmp_path, capsys):
     assert main(["jmax", "--format", "json", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "true"
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_cli_analyze_zero_pair_with_unequal_sides_over_fp(tmp_path, capsys, p):
+    # every product vanishes, so the pair is degenerate over every field;
+    # jmax refuses it at the nondegeneracy precondition
+    path = tmp_path / "pair_zero_2_3.json"
+    dump_path(str(path), pair_zero(2, 3, GF(p)))
+    assert main(["analyze", str(path)]) == 0
+    assert "strongly nondegenerate: False" in capsys.readouterr().out
+    assert main(["analyze", "--format", "json", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["strongly_nondegenerate"] is False
+    assert doc["semiprime"] is False
+    assert main(["jmax", str(path)]) == 2
+    assert "NotStronglyNondegenerate" in capsys.readouterr().err
 
 
 def test_cli_gallery_is_deterministic(capsys):
