@@ -310,7 +310,7 @@ def _quadratic_roots(field, t):
     if num < 0 or math.isqrt(num) ** 2 != num or math.isqrt(den) ** 2 != den:
         return None
     root = Fraction(math.isqrt(num), math.isqrt(den))
-    return (b - root) / 2, (b + root) / 2
+    return field.of((b - root) / 2), field.of((b + root) / 2)
 
 
 def _minpoly_factors(field, mat):

@@ -11,8 +11,10 @@ other columns.
 
 The rational elimination path is fraction-free: rows are scaled to integers
 (Field.integral), gcd-normalized after every combination, and divided by
-their pivot only at the very end.  Structure constants in this package are integers almost
-always, so this keeps the inner loops in small-int arithmetic.
+their pivot only at the very end, exactly (an int) where the pivot
+divides the entry and as a Fraction only where it does not.  Structure
+constants in this package are integers almost always, so this keeps the
+inner loops, and the canonical rows they produce, in small ints.
 
 Two constructions serve the rest of the package.  ``preimage`` gives the
 vectors that every map of a family sends into a subspace (annihilators,
@@ -123,11 +125,15 @@ def _back_eliminate_q(piv):
                 if r[c2] < 0:
                     r = [-x for x in r]
                 piv[c2] = r
-    out, zero = [], QQ.zero
+    out = []
     for c in cols:
         r = piv[c]
         lead = r[c]
-        out.append(tuple(Fraction(x, lead) if x else zero for x in r))
+        if lead == 1:
+            out.append(tuple(r))
+        else:
+            out.append(tuple(Fraction(x, lead) if x % lead else x // lead
+                             for x in r))
     return tuple(cols), out
 
 
@@ -513,7 +519,7 @@ def determinant(field, m):
             if a[k][k] == 0:
                 swap = next((i for i in range(k + 1, n) if a[i][k]), None)
                 if swap is None:
-                    return Fraction(0)
+                    return 0
                 a[k], a[swap] = a[swap], a[k]
                 sign = -sign
             for i in range(k + 1, n):
@@ -521,7 +527,7 @@ def determinant(field, m):
                     a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
                 a[i][k] = 0
             prev = a[k][k]
-        return Fraction(sign * a[n - 1][n - 1], den)
+        return field.of(Fraction(sign * a[n - 1][n - 1], den))
     p = field.p
     a = [[x % p for x in row] for row in m]
     det = 1

@@ -1,7 +1,10 @@
 """Exact scalar arithmetic: the rationals and prime fields.
 
-Rationals are fractions.Fraction (always lowest terms, positive denominator).
-Prime-field elements are plain ints reduced to [0, p).  Everything downstream
+A rational is a Python int when it is integral and a fractions.Fraction
+(lowest terms, positive denominator 2 or more) only otherwise; Field.of,
+Field.reduce and Field.inv keep that rule, and Fraction(2) == 2 with equal
+hashes, so values compare and key memos alike whichever form they arrive
+in.  Prime-field elements are plain ints reduced to [0, p).  Everything downstream
 is pure linear algebra over one of these two kinds of field; no floats exist
 anywhere in the package.
 """
@@ -10,6 +13,13 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ParseError
+
+
+def _rational(x):
+    """x (an int or a Fraction) as an int when it is integral."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return x.numerator
 
 
 def _is_prime(n):
@@ -34,9 +44,8 @@ class Field:
         if p is not None and not _is_prime(p):
             raise ParseError(f"{p} is not prime")
         self.p = p
-        # immutable values, so one instance of each serves every caller
-        self.zero = Fraction(0) if p is None else 0
-        self.one = Fraction(1) if p is None else 1
+        self.zero = 0
+        self.one = 1
 
     @property
     def char(self):
@@ -58,7 +67,9 @@ class Field:
         if isinstance(x, str):
             return self.parse(x)
         if self.p is None:
-            return Fraction(x)
+            if type(x) is int:
+                return x
+            return _rational(x if isinstance(x, Fraction) else Fraction(x))
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ParseError(f"denominator of {x} vanishes mod {self.p}")
@@ -95,7 +106,7 @@ class Field:
         if self.p is None:
             if a == 0:
                 raise ZeroDivisionError("inverse of 0")
-            return 1 / Fraction(a)
+            return _rational(Fraction(1, a))
         return pow(a, -1, self.p)
 
     # -- exact int accumulation (validators, sparse kernels) -----------------
@@ -117,7 +128,9 @@ class Field:
     def reduce(self, acc):
         """An exactly accumulated vector as a tuple of field elements."""
         p = self.p
-        return tuple(acc) if p is None else tuple(a % p for a in acc)
+        if p is None:
+            return tuple(map(_rational, acc))
+        return tuple(a % p for a in acc)
 
     def vanishes(self, acc):
         """Whether every exactly accumulated value is zero in this field;
