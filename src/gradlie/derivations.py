@@ -36,7 +36,6 @@ from .linalg import (
     kernel_basis,
     mat_vec,
     preimage,
-    solve_linear,
     span,
 )
 
@@ -652,33 +651,23 @@ def check_axiomatic(emb, budget=None):
 
     der = derivation_space(small_alg, e0_small)
     comps = der.components if der.components is not None else {0: der.basis}
-    m, n = e0_small.dim, small_alg.dim
-    e0_rows_big = e0_big.rows
+    n = small_alg.dim
+    # row j of R(r_u) is [b_j, r_u]: the values of ad b_j on E0's rows
+    rmats = [big.right_matrix(r) for r in e0_big.rows]
     for sigma, rows in sorted(comps.items()):
+        # a derivation of degree sigma is realized iff its values, read in
+        # S, lie in the span of ([b_j, r_u])_u over the basis vectors b_j
+        # of degree sigma: one subspace per degree, one containment test
+        # per derivation
+        deg = big.group.canon(sigma)
+        ad_sigma = span(f, len(rmats) * big.dim,
+                        [tuple(x for rr in rmats for x in rr[j])
+                         for j in range(big.dim) if big.degrees[j] == deg])
         for flat in rows:
-            # want s in S of degree sigma with [s, r] = delta(r) for all r
-            eqs = []
-            rhs = []
-            for u, r in enumerate(e0_rows_big):
-                rr = big.right_matrix(r)
-                target = tuple(flat[u * n + k] for k in range(n))
-                target_big = mat_vec(target, small_rows, f)
-                # [s, r] = s @ R(r), one scalar equation per coordinate
-                for c in range(big.dim):
-                    eqs.append(tuple(rr[j][c] for j in range(big.dim)))
-                    rhs.append(target_big[c])
-            # degree restriction: s supported on coordinates of degree sigma
-            for j in range(big.dim):
-                if big.degrees[j] != big.group.canon(sigma):
-                    eq = [f.zero] * big.dim
-                    eq[j] = f.one
-                    eqs.append(tuple(eq))
-                    rhs.append(f.zero)
-            sol = solve_linear(f, eqs, rhs, nunknowns=big.dim)
-            if sol is None:
+            values = tuple(x for u in range(len(rmats)) for x in mat_vec(
+                flat[u * n:(u + 1) * n], small_rows, f))
+            if not ad_sigma.contains(values):
                 report.realized = False
                 report.witnesses["realized"] = (sigma, flat)
-                break
-        if not report.realized:
-            break
+                return report
     return report

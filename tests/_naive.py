@@ -5,12 +5,16 @@ modules.  The Lie oracles
 read the dense table cell by cell, apart from the library's sparse
 kernel; the associative and Jordan validators are the dense loops and
 the formal identity check in field elements (Fractions over Q), apart
-from the library's scaled integer checks."""
+from the library's scaled integer checks.  The realizability oracle
+solves one linear system per derivation, apart from the library's one
+containment test per degree."""
 
 import itertools
 
 from hypothesis import assume, strategies as st
 
+from gradlie.analysis import graded_socle
+from gradlie.derivations import derivation_space
 from gradlie.enumeration import distinct_principal_ideals
 from gradlie.errors import (
     AssociativityViolation,
@@ -18,7 +22,7 @@ from gradlie.errors import (
     InvolutionViolation,
 )
 from gradlie.lie import GradedLieAlgebra
-from gradlie.linalg import mat_mul, rank, rref, span
+from gradlie.linalg import mat_mul, mat_vec, rank, rref, solve_linear, span
 
 
 def _first_nonzero(row):
@@ -453,3 +457,36 @@ def pair_axioms_hold_at_points(pair):
                         != mat_mul(mat_mul(qx, qy, f), qx, f)):
                     return False
     return True
+
+
+def naive_realized(emb):
+    """The first (sigma, flat) of Der(E0, L), in check_axiomatic's order,
+    that no s of S of degree sigma realizes as r |-> [s, r] on the rows of
+    E0, or None: one solve_linear per derivation, on [s, r_u] = delta(r_u)
+    for every row r_u and s vanishing off degree sigma."""
+    big, f = emb.big, emb.big.field
+    small_alg, small_rows = emb.small_alg, emb.small_rows
+    e0_small = graded_socle(small_alg)
+    e0_big = span(f, big.dim,
+                  [mat_vec(c, small_rows, f) for c in e0_small.rows])
+    der = derivation_space(small_alg, e0_small)
+    comps = der.components if der.components is not None else {0: der.basis}
+    n = small_alg.dim
+    for sigma, rows in sorted(comps.items()):
+        for flat in rows:
+            eqs, rhs = [], []
+            for u, r in enumerate(e0_big.rows):
+                rr = big.right_matrix(r)
+                target = mat_vec(tuple(flat[u * n + k] for k in range(n)),
+                                 small_rows, f)
+                for c in range(big.dim):
+                    eqs.append(tuple(rr[j][c] for j in range(big.dim)))
+                    rhs.append(target[c])
+            for j in range(big.dim):
+                if big.degrees[j] != big.group.canon(sigma):
+                    eqs.append(tuple(f.one if i == j else f.zero
+                                     for i in range(big.dim)))
+                    rhs.append(f.zero)
+            if solve_linear(f, eqs, rhs, nunknowns=big.dim) is None:
+                return (sigma, flat)
+    return None

@@ -8,6 +8,7 @@ code's own internal checks.
 
 import pytest
 
+from _naive import naive_realized
 from gradlie.derivations import (
     QuotientEmbedding,
     check_axiomatic,
@@ -32,8 +33,12 @@ from gradlie.gallery import (
     p_mod_i,
     p_mod_i_small,
     sl2,
+    sl2_sqrt2,
     sl2sum,
+    sl2sum_swap,
+    sln_e11,
 )
+from gradlie.lie import GradedLieAlgebra
 from gradlie.linalg import mat_vec, rank, span
 from gradlie.scalars import GF, QQ
 
@@ -262,3 +267,39 @@ def test_axiomatic_check_requires_graded_semiprime_base():
     emb = QuotientEmbedding(a, p_mod_i_small(a))
     with pytest.raises(NotSemiprime):
         check_axiomatic(emb)
+
+
+def _gallery_embeddings(field):
+    for alg in (sl2(field), sl2sum(field), sln_e11(3, field),
+                sl2sum_swap(field), sl2_sqrt2(field)):
+        yield QuotientEmbedding(alg, alg.full_space())
+        for graded in (False, True):
+            mq = maximal_quotients(alg, graded=graded)
+            yield QuotientEmbedding(mq.algebra, list(mq.embedding))
+
+
+def _psl3_f3():
+    """sl3 modulo its center (the scalars, as 3 = 0) over F3: simple, with
+    derivations that are not inner, so realizability fails."""
+    a = sln_e11(3, GF(3))
+    return a.quotient_by_ideal(a.center())[0]
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_realizability_matches_one_solve_per_derivation(field):
+    for emb in _gallery_embeddings(field):
+        report = check_axiomatic(emb)
+        assert report.realized and "realized" not in report.witnesses
+        assert naive_realized(emb) is None
+
+
+def test_unrealized_derivation_witness_matches_the_solve_loop():
+    psl3 = _psl3_f3()
+    trivial = GradedLieAlgebra(psl3.field, psl3.names, psl3.table)
+    for alg in (psl3, trivial):
+        emb = QuotientEmbedding(alg, alg.full_space())
+        report = check_axiomatic(emb)
+        witness = naive_realized(emb)
+        assert witness is not None
+        assert not report.realized
+        assert report.witnesses["realized"] == witness
