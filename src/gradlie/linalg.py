@@ -129,11 +129,8 @@ def _back_eliminate_q(piv):
     for c in cols:
         r = piv[c]
         lead = r[c]
-        if lead == 1:
-            out.append(tuple(r))
-        else:
-            out.append(tuple(Fraction(x, lead) if x % lead else x // lead
-                             for x in r))
+        out.append(tuple(Fraction(x, lead) if x % lead else x // lead
+                         for x in r))
     return tuple(cols), out
 
 

@@ -4,9 +4,9 @@ A rational is a Python int when it is integral and a fractions.Fraction
 (lowest terms, positive denominator 2 or more) only otherwise; Field.of,
 Field.reduce and Field.inv keep that rule, and Fraction(2) == 2 with equal
 hashes, so values compare and key memos alike whichever form they arrive
-in.  Prime-field elements are plain ints reduced to [0, p).  Everything downstream
-is pure linear algebra over one of these two kinds of field; no floats exist
-anywhere in the package.
+in.  Prime-field elements are plain ints reduced to [0, p).  Everything
+downstream is pure linear algebra over one of these two kinds of field;
+no floats exist anywhere in the package.
 """
 
 from fractions import Fraction

@@ -1,13 +1,13 @@
 """Textbook oracles for subspace coordinates, the structure constants,
 the ideal closures, the ideal predicates (quantified over the
-principal-ideal scan) and the Jordan pair axioms, shared by several test
-modules.  The Lie oracles
-read the dense table cell by cell, apart from the library's sparse
-kernel; the associative and Jordan validators are the dense loops and
-the formal identity check in field elements (Fractions over Q), apart
-from the library's scaled integer checks.  The realizability oracle
-solves one linear system per derivation, apart from the library's one
-containment test per degree."""
+principal-ideal scan), the Jordan pair axioms and realizability in the
+axiomatic check, shared by several test modules.  The Lie oracles read
+the dense table cell by cell, apart from the library's sparse kernel;
+the associative and Jordan validators are the dense loops and the formal
+identity check in field elements (ints and Fractions over Q), apart from
+the library's scaled integer checks; the realizability oracle solves one
+linear system per derivation, apart from the library's one containment
+test per degree."""
 
 import itertools
 

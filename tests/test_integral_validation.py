@@ -5,8 +5,8 @@ pair and Jordan algebra identities.
 The constructors scale the constants to integers (Field.integral) and
 reduce mod p only where two sides are compared.  The oracles in _naive.py
 are the dense loops and the formal identity check in field elements
-(Fractions over Q).  Every input is a basis change with entries of
-denominator 2 or 3, so over Q the tables are not integral.  Then, in most
+(ints and Fractions over Q).  Every input is a basis change with entries
+of denominator 2 or 3, so over Q the tables are not integral.  Then, in most
 examples, one structure constant is perturbed, with its mirror where
 commutativity or outer symmetry asks for one.  The constructor must raise
 the oracle's error, with the same indices or identity, or both accept.
