@@ -23,6 +23,11 @@ D(q) inside it is a greatest fixpoint of linear shrinking.  Any witness
 ideal for q sits inside D(q), annihilators only grow when ideals
 shrink, and the nonvanishing requirement only improves when the ideal
 grows, so q has a witness ideal exactly when D(q) itself works.
+
+Semiprimeness and strong nondegeneracy of a pair are read off TKK(V),
+over Q and F_p alike: both take their candidates from the absolute zero
+divisors of TKK(V) of degree 1 or -1 (_divisor_candidates), and no pair
+ideal is scanned.
 """
 
 from __future__ import annotations
@@ -749,48 +754,49 @@ def associated_pair(alg, budget=None):
 # semiprimeness / nondegeneracy
 
 
-def pair_absolute_zero_divisor(pair, budget=None):
-    """A (sign, vector) with Q_x = 0, x != 0, or None.
+def _divisor_candidates(pair, budget):
+    """The (sign, x), x a nonzero absolute zero divisor of TKK(V) of
+    degree sign = 1 or -1, side V+ first.
 
-    Over Q: x is such a divisor iff ad x squares to zero in the TKK
-    algebra, and the TKK algebra of a nondegenerate pair has none (its
-    Killing form is then nondegenerate); a degenerate Killing form yields
-    a graded abelian ideal whose outer parts consist of divisors, and the
-    outer parts cannot both vanish because inner derivations act
-    faithfully.  Over F_p: exhaustive scan of both sides.
+    For x in V^sign, (ad x)^2 is -2 Q_x on V^-sign and 0 on the other two
+    components, so these x are exactly the absolute zero divisors of the
+    pair.  For p != 2 they lie in the Killing radical K of TKK(V), and so
+    does every abelian ideal, in any characteristic.  Over Q, x runs over
+    the canonical basis of A ∩ V^sign, A the abelian graded ideal that
+    abelian_ideal_witness reads off K (none when K = 0).  Over F_p, x runs
+    over the points of K ∩ V^sign with (ad x)^2 = 0 in the order of a
+    scan of V^sign, whose projective points are charged to the budget
+    before that side is walked.
     """
+    from .analysis import abelian_ideal_witness, killing_radical
+    from .enumeration import (check_budget, projective_count,
+                              zero_divisor_points)
+
     f = pair.field
-    if f.p is not None:
-        from .enumeration import iter_projective, check_budget, \
-            projective_count
+    hull = None
+    for sign in (1, -1):
+        if f.p is not None:
+            check_budget(projective_count(f.p, pair.dim(sign)), budget)
+        if hull is None:
+            t = tkk(pair)
+            hull = (killing_radical(t) if f.p is not None
+                    else abelian_ideal_witness(t) or t.zero_space())
+        comp = t.degree_component(sign)
+        xs = (hull.intersect(comp).rows if f.p is None
+              else zero_divisor_points(t, hull, comp))
+        for x in xs:
+            yield sign, x
 
-        for sign in (1, -1):
-            n = pair.dim(sign)
-            if n == 0:
-                continue
-            check_budget(projective_count(f.p, n), budget)
-            zrow = pair.zero(sign)  # Q_x b_j lies on the sign side
-            for x in iter_projective(f.p, _basis(f, n)):
-                qm = pair.q_matrix(sign, x)
-                if all(r == zrow for r in qm):
-                    return (sign, x)
-        return None
 
-    from .analysis import abelian_ideal_witness
-
-    data = tkk_data(pair)
-    witness = abelian_ideal_witness(data.algebra)
-    if witness is None:
-        return None
-    for sign, comp in ((1, data.algebra.degree_component(1)),
-                       (-1, data.algebra.degree_component(-1))):
-        inter = witness.intersect(comp)
-        if not inter.is_zero():
-            v = inter.rows[0]
-            x = data.plus_part(v) if sign > 0 else data.minus_part(v)
-            return (sign, x)
-    raise ValidationError("abelian TKK ideal with zero outer parts; the "
-                          "inner derivation action should be faithful")
+def pair_absolute_zero_divisor(pair, budget=None):
+    """A (sign, vector) with Q_x = 0, x != 0, or None: the first of
+    _divisor_candidates, in the coordinates of V^sign.  Complete over Q
+    too: K = 0 leaves none (a semisimple Lie algebra has none), and A
+    meets V+ (+) V- because IDer(V) acts faithfully."""
+    for sign, x in _divisor_candidates(pair, budget):
+        data = tkk_data(pair)
+        return sign, data.plus_part(x) if sign > 0 else data.minus_part(x)
+    return None
 
 
 def pair_is_strongly_nondegenerate(pair, budget=None):
@@ -798,70 +804,51 @@ def pair_is_strongly_nondegenerate(pair, budget=None):
 
 
 def pair_semiprime_witness(pair, budget=None):
-    """A nonzero pair ideal I with Q_{I}I = 0, or None.
+    """A nonzero pair ideal I with Q_I I = 0, or None: the outer parts of
+    the TKK ideal generated by the first of _divisor_candidates whose
+    ideal is abelian.
 
-    Over Q the TKK Killing form decides: degenerate Killing gives a graded
-    abelian TKK ideal whose outer parts form such a pair ideal, while a
-    nondegenerate form certifies strong nondegeneracy, which is stronger
-    than semiprimeness.  Over F_p: every nonzero ideal contains a
-    principal one, so scanning principal ideals is complete.
+    The outer parts of a graded ideal form a pair ideal, and [I, I] = 0
+    kills the products {a, b, c} = [[a, b], c] inside it.  Conversely, a
+    tight 3-graded Lie algebra (L_0 = [L_1, L_-1], and no nonzero element
+    of L_0 kills L_1 + L_-1; TKK(V) is tight by construction) with 2
+    invertible is semiprime exactly when its Jordan pair is (Garcia and
+    Neher, "Tits-Kantor-Koecher superalgebras of Jordan superpairs
+    covered by grids", Comm. Algebra 31, 2003).  The top components of an
+    abelian ideal span an abelian graded one, so a pair that is not
+    semiprime has an abelian graded TKK ideal; it lies in K and meets
+    V+ (+) V-, so it holds a candidate, whose ideal lies in it and is
+    abelian.
     """
     f = pair.field
-    if f.p is None:
-        from .analysis import abelian_ideal_witness
-
+    for _sign, x in _divisor_candidates(pair, budget):
         data = tkk_data(pair)
-        witness = abelian_ideal_witness(data.algebra)
-        if witness is None:
-            return None
-        plus = witness.intersect(data.algebra.degree_component(1))
-        minus = witness.intersect(data.algebra.degree_component(-1))
-        ip = span(f, pair.dim_plus, [data.plus_part(r) for r in plus.rows])
-        im = span(f, pair.dim_minus, [data.minus_part(r) for r in minus.rows])
-        cand = SubPair(ip, im)
-        if cand.is_zero():
-            raise ValidationError("abelian TKK ideal with zero outer parts")
-        # outer parts of a graded abelian ideal form a pair ideal with
-        # vanishing Q products
+        t = data.algebra
+        ideal = t.ideal_generated([x])
+        if not t.bracket_space(ideal, ideal).is_zero():
+            continue
+        cand = SubPair(
+            span(f, pair.dim_plus, [data.plus_part(r) for r in ideal.rows]),
+            span(f, pair.dim_minus, [data.minus_part(r) for r in ideal.rows]))
         if not is_pair_ideal(pair, cand):
             raise ValidationError("abelian witness failed ideal closure")
         return cand
-    for ideal in distinct_principal_pair_ideals(pair, budget=budget):
-        if _q_products_vanish(pair, ideal):
-            return ideal
     return None
 
 
-def _q_products_vanish(pair, sub):
-    f = pair.field
-    for sign in (1, -1):
-        zero = pair.zero(sign)
-        for a in sub.part(sign).rows:
-            for b in sub.part(-sign).rows:
-                for a2 in sub.part(sign).rows:
-                    if pair.triple(sign, a, b, a2) != zero:
-                        return False
-    return True
-
-
 def distinct_principal_pair_ideals(pair, budget=None):
-    """All distinct ideals generated by a single element (F_p only)."""
+    """All distinct ideals generated by a single element (F_p only); the
+    oracle the tests check the pair predicates against."""
     from .enumeration import iter_projective, check_budget, projective_count
 
     f = pair.field
     if f.p is None:
         raise ValidationError("principal enumeration is the F_p path")
-    total = 0
-    for sign in (1, -1):
-        n = pair.dim(sign)
-        if n:
-            total += projective_count(f.p, n)
-    check_budget(total, budget)
+    check_budget(sum(projective_count(f.p, pair.dim(s)) for s in (1, -1)),
+                 budget)
     seen = {}
     for sign in (1, -1):
         n = pair.dim(sign)
-        if n == 0:
-            continue
         for x in iter_projective(f.p, _basis(f, n)):
             gen = span(f, n, [x])
             other = Subspace.zero(f, pair.dim(-sign))

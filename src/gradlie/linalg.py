@@ -14,7 +14,9 @@ The rational elimination path is fraction-free: rows are scaled to integers
 their pivot only at the very end, exactly (an int) where the pivot
 divides the entry and as a Fraction only where it does not.  Structure
 constants in this package are integers almost always, so this keeps the
-inner loops, and the canonical rows they produce, in small ints.
+inner loops, and the canonical rows they produce, in small ints.  The
+matrix helpers (mat_vec, mat_mul, mat_scale, mat_add, mat_sub) end in
+Field.reduce, so an integral result over Q is an int there too.
 
 Two constructions serve the rest of the package.  ``preimage`` gives the
 vectors that every map of a family sends into a subspace (annihilators,
@@ -434,7 +436,6 @@ def closure(start, images):
 
 def mat_vec(v, m, field):
     """Row vector times matrix: (v @ m)."""
-    p = field.p
     cols = len(m[0]) if m else 0
     out = [field.zero] * cols
     for vi, row in zip(v, m):
@@ -442,13 +443,10 @@ def mat_vec(v, m, field):
             for j, x in enumerate(row):
                 if x:
                     out[j] = out[j] + vi * x
-    if p is not None:
-        out = [x % p for x in out]
-    return tuple(out)
+    return field.reduce(out)
 
 
 def mat_mul(a, b, field):
-    p = field.p
     if not a:
         return ()
     cols = len(b[0]) if b else 0
@@ -461,9 +459,7 @@ def mat_mul(a, b, field):
                 for j, y in enumerate(brow):
                     if y:
                         acc[j] = acc[j] + x * y
-        if p is not None:
-            acc = [v % p for v in acc]
-        out.append(tuple(acc))
+        out.append(field.reduce(acc))
     return tuple(out)
 
 
@@ -473,24 +469,17 @@ def mat_identity(field, n):
 
 
 def mat_scale(m, c, field):
-    p = field.p
-    if p is None:
-        return [[x * c for x in row] for row in m]
-    return [[x * c % p for x in row] for row in m]
+    return [field.reduce(x * c for x in row) for row in m]
 
 
 def mat_add(a, b, field):
-    p = field.p
-    if p is None:
-        return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    return [[(x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [field.reduce(x + y for x, y in zip(ra, rb))
+            for ra, rb in zip(a, b)]
 
 
 def mat_sub(a, b, field):
-    p = field.p
-    if p is None:
-        return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    return [[(x - y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [field.reduce(x - y for x, y in zip(ra, rb))
+            for ra, rb in zip(a, b)]
 
 
 def mat_eq_zero(m):

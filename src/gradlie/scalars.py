@@ -130,7 +130,7 @@ class Field:
         p = self.p
         if p is None:
             return tuple(map(_rational, acc))
-        return tuple(a % p for a in acc)
+        return tuple([a % p for a in acc])
 
     def vanishes(self, acc):
         """Whether every exactly accumulated value is zero in this field;

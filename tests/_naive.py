@@ -1,13 +1,14 @@
 """Textbook oracles for subspace coordinates, the structure constants,
 the ideal closures, the ideal predicates (quantified over the
-principal-ideal scan), the Jordan pair axioms and realizability in the
-axiomatic check, shared by several test modules.  The Lie oracles read
-the dense table cell by cell, apart from the library's sparse kernel;
-the associative and Jordan validators are the dense loops and the formal
-identity check in field elements (ints and Fractions over Q), apart from
-the library's scaled integer checks; the realizability oracle solves one
-linear system per derivation, apart from the library's one containment
-test per degree."""
+principal-ideal scan), the Jordan pair axioms, the Jordan pair
+predicates (the Q_x of every point and the principal pair-ideal scan)
+and realizability in the axiomatic check, shared by several test
+modules.  The Lie oracles read the dense table cell by cell, apart from
+the library's sparse kernel; the associative and Jordan validators are
+the dense loops and the formal identity check in field elements (ints
+and Fractions over Q), apart from the library's scaled integer checks;
+the realizability oracle solves one linear system per derivation, apart
+from the library's one containment test per degree."""
 
 import itertools
 
@@ -21,6 +22,7 @@ from gradlie.errors import (
     AxiomViolation,
     InvolutionViolation,
 )
+from gradlie.jordan import distinct_principal_pair_ideals
 from gradlie.lie import GradedLieAlgebra
 from gradlie.linalg import mat_mul, mat_vec, rank, rref, solve_linear, span
 
@@ -400,11 +402,22 @@ def naive_ideal(alg, vectors):
         cur = nxt
 
 
+def _projective(p, n):
+    """Nonzero vectors of F_p^n whose first nonzero entry is 1, by first
+    nonzero position and then lexicographically."""
+    points = []
+    for coords in itertools.product(range(p), repeat=n):
+        lead = next((k for k, x in enumerate(coords) if x), None)
+        if lead is not None and coords[lead] == 1:
+            points.append((lead, coords))
+    points.sort(key=lambda pt: pt[0])
+    return [coords for _, coords in points]
+
+
 def projective_points(alg, graded):
     """Every projective point, one block of coordinates at a time (the
-    degrees in increasing order when graded): nonzero vectors on the
-    block whose first nonzero entry is 1, by first nonzero position and
-    then lexicographically."""
+    degrees in increasing order when graded), in the order of
+    _projective on each block."""
     p, n = alg.field.p, alg.dim
     if graded:
         blocks = [[i for i in range(n) if alg.degrees[i] == d]
@@ -412,13 +425,7 @@ def projective_points(alg, graded):
     else:
         blocks = [list(range(n))]
     for block in blocks:
-        points = []
-        for coords in itertools.product(range(p), repeat=len(block)):
-            lead = next((k for k, x in enumerate(coords) if x), None)
-            if lead is not None and coords[lead] == 1:
-                points.append((lead, coords))
-        points.sort(key=lambda pt: pt[0])
-        for _, coords in points:
+        for coords in _projective(p, len(block)):
             v = [0] * n
             for i, x in zip(block, coords):
                 v[i] = x
@@ -433,6 +440,41 @@ def naive_principal_ideals(alg, graded):
         ideal = naive_ideal(alg, [v])
         seen.setdefault(ideal.rows, ideal)
     return tuple(seen.values())
+
+
+def naive_pair_zero_divisor(pair):
+    """First (sign, x) with {x, y, x} = 0 for every basis vector y of the
+    opposite side, over the projective points of V+ and then of V-, the
+    products by the dense trilinear loop; or None."""
+    f = pair.field
+    for sign in (1, -1):
+        opp = _basis(f, pair.dim(-sign))
+        for x in _projective(f.p, pair.dim(sign)):
+            if not any(any(naive_triple(f, pair.table(sign), x, y, x))
+                       for y in opp):
+                return sign, x
+    return None
+
+
+def naive_q_products_vanish(pair, sub):
+    """{a, b, c} = 0 for a, c in one side of the subpair and b in the
+    other, on bases, by the dense trilinear loop."""
+    f = pair.field
+    for sign in (1, -1):
+        mine, opp = sub.part(sign).rows, sub.part(-sign).rows
+        if any(any(naive_triple(f, pair.table(sign), a, b, c))
+               for a in mine for b in opp for c in mine):
+            return False
+    return True
+
+
+def naive_pair_semiprime_witness(pair):
+    """First principal pair ideal of the pair scan with Q_I I = 0, or
+    None: every nonzero pair ideal contains a principal one."""
+    for ideal in distinct_principal_pair_ideals(pair):
+        if naive_q_products_vanish(pair, ideal):
+            return ideal
+    return None
 
 
 def pair_axioms_hold_at_points(pair):

@@ -10,13 +10,22 @@ scalar prediction.
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from _naive import pair_axioms_hold_at_points
+from _naive import (
+    change_pair_basis,
+    naive_pair_semiprime_witness,
+    naive_pair_zero_divisor,
+    naive_q_products_vanish,
+    pair_axioms_hold_at_points,
+)
 from gradlie import jordan as J
+from gradlie.analysis import killing_radical
 from gradlie.derivations import is_quotient
 from gradlie.errors import (
     AxiomViolation,
     BadCharacteristic,
+    DimensionTooLarge,
     NotAPairIdeal,
     NotJordanThreeGraded,
     NotSemiprime,
@@ -334,6 +343,135 @@ def test_pair_semiprime_agrees_over_f5():
         assert J.pair_is_semiprime(over_q) == J.pair_is_semiprime(over_5)
         assert (J.pair_is_strongly_nondegenerate(over_q)
                 == J.pair_is_strongly_nondegenerate(over_5))
+
+
+def truncated_pair(f):
+    """The pair of k[t]/(t^3) with {x, y, z} = 2xyz: t is nilpotent but
+    Q_t 1 = t^2, so t^2 spans the divisors of V+."""
+    table = [[[[2 if k == i + j + l else 0 for k in range(3)]
+               for l in range(3)] for j in range(3)] for i in range(3)]
+    return J.JordanTriple(f, ("1", "t", "t2"), table).double
+
+
+def _scan_pairs(f):
+    """Pairs small enough for the pair-scan oracle over F7."""
+    return [pair_field(f), pair_rect(1, 2, f), pair_zero(1, 1, f),
+            pair_zero(2, 1, f), pair_zero(1, 2, f), pair_padded(f),
+            truncated_pair(f)]
+
+
+@pytest.mark.parametrize("field", [QQ, F5, GF(7)], ids=repr)
+def test_pair_divisors_among_radical_elements_that_are_not_divisors(field):
+    # the Killing radical of TKK(V) holds t as well as t^2
+    pair = truncated_pair(field)
+    assert J.pair_absolute_zero_divisor(pair) == (1, (0, 0, 1))
+    assert not J.pair_is_semiprime(pair)
+    minus_only = pair_sum(pair_field(field), pair_zero(0, 1, field))
+    assert J.pair_absolute_zero_divisor(minus_only) == (-1, (0, 1))
+    assert J.pair_semiprime_witness(minus_only).dims() == (0, 1)
+
+
+@st.composite
+def _bases(draw, f, n):
+    rows = [tuple(f.of(draw(st.integers(-2, 2))) for _ in range(n))
+            for _ in range(n)]
+    assume(rank(f, rows) == n)
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tkk_route_matches_the_pair_scan(data):
+    # the pair predicates read candidates off the Killing radical of
+    # TKK(V); the oracle scans the Q_x of every point and the principal
+    # pair ideals of every point, and finds the same first divisor
+    f = GF(data.draw(st.sampled_from([5, 7]), label="p"))
+    pair = data.draw(st.sampled_from(_scan_pairs(f)))
+    other = data.draw(st.sampled_from([None] + _scan_pairs(f)))
+    if other is not None and max(pair.dim(s) + other.dim(s)
+                                 for s in (1, -1)) <= 3:
+        pair = pair_sum(pair, other)
+    if data.draw(st.booleans(), label="change basis"):
+        tables = change_pair_basis(
+            f, (pair.table_plus, pair.table_minus),
+            data.draw(_bases(f, pair.dim_plus)),
+            data.draw(_bases(f, pair.dim_minus)))
+        pair = J.JordanPair(f, pair.names_plus, pair.names_minus, *tables)
+    assert J.pair_absolute_zero_divisor(pair) == naive_pair_zero_divisor(pair)
+    got = J.pair_semiprime_witness(pair)
+    assert (got is None) == (naive_pair_semiprime_witness(pair) is None)
+    if got is not None:
+        assert not got.is_zero() and J.is_pair_ideal(pair, got)
+        assert naive_q_products_vanish(pair, got)
+
+
+def test_pair_predicates_never_scan_pair_ideals(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pair scan ran")
+
+    monkeypatch.setattr(J, "distinct_principal_pair_ideals", refuse)
+    monkeypatch.setattr(J, "pair_ideal_generated", refuse)
+    cases = [(pair_field(F5), True, True), (pair_rect(1, 2, F5), True, True),
+             (pair_padded(F5), False, False),
+             (pair_zero(2, 3, GF(7)), False, False),
+             (pair_sum(pair_rect(1, 2, GF(7)), pair_zero(1, 2, GF(7))),
+              False, False),
+             (pair_sum(pair_field(F5), pair_rect(1, 2, F5)), True, True)]
+    for pair, semiprime, nondegenerate in cases:
+        assert J.pair_is_semiprime(pair) is semiprime
+        assert J.pair_is_strongly_nondegenerate(pair) is nondegenerate
+
+
+def test_semiprime_witness_passes_over_candidates_with_nonabelian_ideals(
+        monkeypatch):
+    # in characteristic p an absolute zero divisor can generate a
+    # non-abelian ideal (a simple Lie algebra may hold some); simulate one
+    # with the x of pair_field, whose TKK ideal is sl2
+    pair = pair_sum(pair_field(F5), pair_zero(1, 1, F5))
+    fake = (1, J.tkk(pair).basis_vector(0))
+    real = list(J._divisor_candidates(pair, None))
+    monkeypatch.setattr(J, "_divisor_candidates",
+                        lambda pair, budget: iter([fake] + real))
+    witness = J.pair_semiprime_witness(pair)
+    assert witness.dims() == (1, 0) and naive_q_products_vanish(pair, witness)
+    monkeypatch.setattr(J, "_divisor_candidates",
+                        lambda pair, budget: iter([fake]))
+    assert J.pair_semiprime_witness(pair) is None
+
+
+def test_pair_predicates_charge_each_side_before_walking_it():
+    # V+ of pair_zero(1, 3) is one point and holds a divisor, so a budget
+    # of 1 decides both predicates before V- (31 points) is charged
+    lopsided = pair_zero(1, 3, F5)
+    assert J.pair_absolute_zero_divisor(lopsided, budget=1) == (1, (1,))
+    assert not J.pair_is_semiprime(lopsided, budget=1)
+    with pytest.raises(DimensionTooLarge):
+        J.pair_is_semiprime(pair_zero(3, 1, F5), budget=1)
+    # each side of pair_rect(1, 2) has 6 points and no divisor
+    rect = pair_rect(1, 2, F5)
+    assert J.pair_is_semiprime(rect, budget=6)
+    with pytest.raises(DimensionTooLarge):
+        J.pair_is_strongly_nondegenerate(rect, budget=5)
+
+
+def test_rectangular_pair_whose_tkk_radical_is_everything():
+    # over F5 the Killing form of TKK(M_23, M_32) vanishes, so every
+    # point of V+ and V- is a candidate and each is tested and refuted
+    pair = pair_rect(2, 3, F5)
+    t = J.tkk(pair)
+    assert killing_radical(t).dim == t.dim == 23
+    assert J.pair_is_semiprime(pair)
+    assert J.pair_is_strongly_nondegenerate(pair)
+
+
+def test_pair_sum_with_a_large_tkk_radical_is_degenerate():
+    pair = pair_sum(pair_rect(2, 2, F5), pair_zero(1, 1, F5))
+    t = J.tkk(pair)
+    assert t.dim == 17 and killing_radical(t).dim == 2
+    assert not J.pair_is_semiprime(pair)
+    sign, x = J.pair_absolute_zero_divisor(pair)
+    assert all(not any(r) for r in pair.q_matrix(sign, x))
+    assert not J.pair_is_strongly_nondegenerate(pair)
 
 
 # -- quotient-pair decider -------------------------------------------------------

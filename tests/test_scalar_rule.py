@@ -21,6 +21,11 @@ from gradlie.linalg import (
     Subspace,
     determinant,
     kernel_basis,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+    mat_vec,
     rref,
     solve_linear,
 )
@@ -87,6 +92,25 @@ def test_solve_linear_and_determinant_keep_the_rule(m, rhs):
     if x is not None:
         assert all(canonical(v) for v in x)
     assert canonical(determinant(QQ, m))
+
+
+def test_matrix_helpers_return_an_integral_product_as_an_int():
+    half = Fraction(1, 2)
+    assert type(mat_vec((half,), ((2,),), QQ)[0]) is int
+    assert type(mat_mul(((half,),), ((2,),), QQ)[0][0]) is int
+    assert type(mat_scale([[half]], 2, QQ)[0][0]) is int
+    assert type(mat_add([[half]], [[half]], QQ)[0][0]) is int
+    assert type(mat_sub([[Fraction(3, 2)]], [[half]], QQ)[0][0]) is int
+
+
+@given(matrices(2, 3), matrices(3, 2), st.lists(scalars, min_size=2,
+                                                 max_size=2), scalars)
+def test_matrix_helpers_keep_the_rule(a, b, v, c):
+    assert all(canonical(x) for x in mat_vec(v, a, QQ))
+    assert all_canonical(mat_mul(a, b, QQ))
+    assert all_canonical(mat_scale(a, c, QQ))
+    assert all_canonical(mat_add(a, a, QQ))
+    assert all_canonical(mat_sub(a, mat_scale(a, 2, QQ), QQ))
 
 
 def test_quadratic_roots_are_never_floats():
