@@ -447,12 +447,13 @@ def _ideal_structure(alg, graded=False, budget=None):
             raise UndecidedError("the envelope of dimension %d is over "
                                  "the budget" % n)
         return _from_scan(alg, graded, budget, EXHAUSTIVE)
-    memo = alg.ideal_memo
-    if graded not in memo:
-        memo[graded] = _from_envelope(alg, graded)
-    if memo[graded] is None:
+    key = ("ideal_structure", graded)
+    memo = alg.memo
+    if key not in memo:
+        memo[key] = _from_envelope(alg, graded)
+    if memo[key] is None:
         return _from_scan(alg, graded, budget, CERTIFICATE_FAILED)
-    return memo[graded]
+    return memo[key]
 
 
 def is_semiprime(alg, graded=False, budget=None):

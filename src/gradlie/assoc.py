@@ -7,10 +7,10 @@ exchange involution turns commutator statements into skew-element
 statements: its skew part is exactly {(a, -a)} and bracketing there copies
 the commutator of A, which this module constructs and verifies.
 
-Construction checks associativity and the involution on the sparse view
-of the table in Python ints.  Over Q the table is multiplied by the lcm
+Construction checks associativity and the involution on cell trees of
+the table in Python ints.  Over Q the table is multiplied by the lcm
 d of its denominators, and the involution by its own lcm e
-(Field.integral).  (b_i b_j) b_k - b_i (b_j b_k) is quadratic in the
+(tables.integral_trees).  (b_i b_j) b_k - b_i (b_j b_k) is quadratic in the
 table, so the scaled difference is d^2 times the true one.  (b_i b_j)* is
 scaled by d e, and b_j* b_i* by d e^2, so the former is multiplied by e
 once more before the two are compared.  A scaled difference vanishes
@@ -24,25 +24,32 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import (
     AssociativityViolation,
-    GradingViolation,
     InvolutionViolation,
     NoInvolution,
     ValidationError,
 )
 from .lie import GradedLieAlgebra, GradingGroup
 from .linalg import Subspace, mat_add, mat_identity, mat_vec, preimage, span
+from .tables import (
+    bilinear,
+    cell_tree,
+    freeze,
+    integral_trees,
+    require_graded,
+    require_preserved,
+)
 
 
 class AssocAlgebra:
     """Finite dimensional graded associative algebra, optional involution.
 
-    table[i][j] is the coordinate tuple of b_i * b_j, and nonzero[i] the
-    (j, k, c) with table[i][j][k] = c != 0.  The involution, when
-    present, is a matrix whose row i gives the coordinates of b_i* and must
-    be a degree-preserving anti-automorphism of order at most two.
+    table[i][j] is the coordinate tuple of b_i * b_j, and cells its cell
+    tree.  The involution, when present, is a matrix whose row i gives the
+    coordinates of b_i* and must be a degree-preserving anti-automorphism
+    of order at most two.
     """
 
-    __slots__ = ("field", "names", "table", "nonzero", "group", "degrees",
+    __slots__ = ("field", "names", "table", "cells", "group", "degrees",
                  "involution")
 
     def __init__(self, field, names, table, group=None, degrees=None,
@@ -50,11 +57,8 @@ class AssocAlgebra:
         self.field = field
         self.names = tuple(names)
         n = len(self.names)
-        self.table = tuple(tuple(tuple(field.of(c) for c in cell)
-                                 for cell in row) for row in table)
-        self.nonzero = tuple(tuple((j, k, c) for j, cell in enumerate(row)
-                                   for k, c in enumerate(cell) if c)
-                             for row in self.table)
+        self.table = freeze(field, table, (n, n, n))
+        self.cells = cell_tree(self.table, 2)
         if group is None:
             group = GradingGroup.trivial()
         self.group = group
@@ -62,8 +66,11 @@ class AssocAlgebra:
             degrees = (group.zero,) * n
         self.degrees = tuple(group.canon(d) for d in degrees)
         if involution is not None:
-            involution = tuple(tuple(field.of(c) for c in row)
-                               for row in involution)
+            try:
+                involution = freeze(field, involution, (n, n))
+            except ValidationError:
+                raise InvolutionViolation(
+                    "the matrix has the wrong shape") from None
         self.involution = involution
         self._validate()
 
@@ -74,21 +81,12 @@ class AssocAlgebra:
     def _validate(self):
         n = self.dim
         f = self.field
-        if len(self.table) != n or any(len(r) != n for r in self.table) or \
-                any(len(c) != n for r in self.table for c in r):
-            raise ValidationError("structure table has the wrong shape")
-        deg, add = self.degrees, self.group.add
-        for i, nz in enumerate(self.nonzero):
-            for j, k, _ in nz:
-                if add(deg[i], deg[j]) != deg[k]:
-                    raise GradingViolation(i, j, k)
+        deg = self.degrees
+        require_graded(self.cells, deg, self.group.add)
         # cells[i][j]: the (k, c) of b_i b_j times d, an int
-        d, ints = f.integral(c for nz in self.nonzero for _, _, c in nz)
-        ints = iter(ints)
-        cells = [[[] for _ in range(n)] for _ in range(n)]
-        for i, nz in enumerate(self.nonzero):
-            for j, k, _ in nz:
-                cells[i][j].append((k, next(ints)))
+        _, (tree,) = integral_trees(f, (self.cells,))
+        cells = [[tree.get(i, {}).get(j, ()) for j in range(n)]
+                 for i in range(n)]
         for i in range(n):
             for j in range(n):
                 ij = cells[i][j]
@@ -105,13 +103,9 @@ class AssocAlgebra:
                         raise AssociativityViolation(i, j, k)
         if self.involution is None:
             return
-        if len(self.involution) != n or \
-                any(len(r) != n for r in self.involution):
-            raise InvolutionViolation("the matrix has the wrong shape")
         # stars[i]: the (k, c) of b_i* times e, an int
-        e, ints = f.integral(c for row in self.involution for c in row)
-        stars = [[(k, c) for k, c in enumerate(ints[i * n:(i + 1) * n]) if c]
-                 for i in range(n)]
+        e, (tree,) = integral_trees(f, (cell_tree(self.involution, 1),))
+        stars = [tree.get(i, ()) for i in range(n)]
         for i in range(n):
             # order two: b_i** - b_i, times e^2
             acc = [0] * n
@@ -143,14 +137,7 @@ class AssocAlgebra:
                         "(%d, %d)" % (i, j))
 
     def _mul_coords(self, x, y):
-        acc = [self.field.zero] * self.dim
-        for i, xi in enumerate(x):
-            if xi:
-                for j, k, c in self.nonzero[i]:
-                    yj = y[j]
-                    if yj:
-                        acc[k] += xi * yj * c
-        return self.field.reduce(acc)
+        return bilinear(self.field, self.cells, x, y, self.dim)
 
     def product(self, x, y):
         return self._mul_coords(self.vec(x), self.vec(y))
@@ -160,7 +147,7 @@ class AssocAlgebra:
         return tuple(f.one if j == i else f.zero for j in range(self.dim))
 
     def vec(self, coords):
-        return tuple(self.field.of(c) for c in coords)
+        return freeze(self.field, coords, (self.dim,))
 
     def star(self, x):
         if self.involution is None:
@@ -244,16 +231,11 @@ def exchange_skew_iso(a):
                               "anti-diagonal copy")
     aminus = a.minus_algebra()
     dminus = dbl.minus_algebra()
-    for i in range(n):
-        for j in range(n):
-            br = aminus.table[i][j]
-            mapped = tuple(br) + tuple(f.neg(c) for c in br)
-            direct = dminus.bracket(rows[i], rows[j])
-            if mapped != tuple(direct):
-                raise ValidationError("exchange map fails to preserve the "
-                                      "bracket at (%d, %d)" % (i, j))
-        if aminus.degrees[i] != dminus.degrees[i]:
-            raise ValidationError("exchange map moves degrees")
+    require_preserved(f, aminus.table, (rows, rows), rows, dminus.bracket,
+                      "exchange map fails to preserve the bracket at "
+                      "({}, {})")
+    if aminus.degrees != dminus.degrees[:n]:
+        raise ValidationError("exchange map moves degrees")
     return dbl, tuple(rows)
 
 
@@ -346,16 +328,11 @@ def _run_check(a, q, inclusion, variant, report):
 
     f = a.field
     # the inclusion must respect products and stars on basis vectors
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = q._mul_coords(inclusion[i], inclusion[j])
-            rhs = mat_vec(a.table[i][j], inclusion, f)
-            if lhs != rhs:
-                raise ValidationError("inclusion is not multiplicative")
+    require_preserved(f, a.table, (inclusion, inclusion), inclusion,
+                      q._mul_coords, "inclusion is not multiplicative")
     if a.involution is not None and q.involution is not None:
-        for i in range(a.dim):
-            if q.star(inclusion[i]) != mat_vec(a.involution[i], inclusion, f):
-                raise ValidationError("inclusion does not commute with *")
+        require_preserved(f, a.involution, (inclusion,), inclusion, q.star,
+                          "inclusion does not commute with *")
 
     aminus, sub_a = _variant_subspace(a, variant)
     qminus, sub_q = _variant_subspace(q, variant)

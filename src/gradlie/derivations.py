@@ -291,9 +291,6 @@ class MaximalQuotients:
     derivations: object    # the underlying DerivationSpace
 
 
-_mq_cache = {}
-
-
 def maximal_quotients(alg, graded=False, budget=None):
     """Der(E0, L) with the commutator bracket, E0 the minimum (graded)
     essential ideal, together with the embedding x |-> ad x.
@@ -301,12 +298,13 @@ def maximal_quotients(alg, graded=False, budget=None):
     Requires a (graded) semiprime algebra: semiprimeness makes the socle
     essential and perfect, which closes the bracket and makes the
     embedding injective (an element killing an essential ideal is zero).
+    The result is memoized on the algebra (alg.memo).
     """
     # charges the budget of the socle computation, also on a memo hit
     if not is_semiprime(alg, graded=graded, budget=budget):
         raise NotSemiprime("maximal quotients need a (graded) semiprime algebra")
-    key = (alg, bool(graded))
-    got = _mq_cache.get(key)
+    key = ("maximal_quotients", bool(graded))
+    got = alg.memo.get(key)
     if got is not None:
         return got
     e0 = graded_socle(alg, budget=budget) if graded else socle(alg, budget=budget)
@@ -371,8 +369,7 @@ def maximal_quotients(alg, graded=False, budget=None):
     if not preimage(qm.zero_space(), [embedding]).is_zero():
         raise ValidationError("ad-embedding unexpectedly has a kernel")
 
-    result = MaximalQuotients(qm, embedding, e0, der)
-    _mq_cache[key] = result
+    result = alg.memo[key] = MaximalQuotients(qm, embedding, e0, der)
     return result
 
 

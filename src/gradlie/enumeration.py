@@ -32,8 +32,6 @@ from .linalg import span
 
 DEFAULT_BUDGET = 10 ** 6
 
-_ideal_cache = {}
-
 
 def resolve_budget(budget=None):
     if budget is not None:
@@ -125,21 +123,20 @@ def distinct_principal_ideals(alg, homogeneous_only=False, budget=None):
 
     Every nonzero (graded) ideal contains one of these, which is what the
     exhaustive minimal-ideal listing and the predicate oracles need.  Results
-    are cached per algebra since the scan can take seconds in dimension 8;
-    the budget is checked first, so a cached answer is refused exactly
-    when a fresh scan would be.
+    are memoized on the algebra (alg.memo) since the scan can take seconds
+    in dimension 8; the budget is checked first, so a memoized answer is
+    refused exactly when a fresh scan would be.
     """
     scan_blocks(alg, homogeneous_only, budget)
-    key = (alg, bool(homogeneous_only))
-    got = _ideal_cache.get(key)
+    key = ("principal_ideals", bool(homogeneous_only))
+    got = alg.memo.get(key)
     if got is not None:
         return got
     seen = {}
     for v in scan_points(alg, homogeneous_only=homogeneous_only, budget=budget):
         ideal = principal_ideal_np(alg, v)
         seen.setdefault(ideal.rows, ideal)
-    out = tuple(seen.values())
-    _ideal_cache[key] = out
+    out = alg.memo[key] = tuple(seen.values())
     return out
 
 

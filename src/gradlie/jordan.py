@@ -9,7 +9,7 @@ means.  That comparison is the proof, over Q and over F_p alike; no
 point evaluation cross-checks it at runtime.
 
 The polynomials have int coefficients.  Over Q both tables of a pair are
-multiplied by one lcm d of their denominators (Field.integral), and
+multiplied by one lcm d of their denominators (tables.integral_trees), and
 Q_x y = half {x, y, x} drops its half.  The three pair identities have
 degree 2, 2 and 3 in the tables and carry the same power of half on both
 sides; the Jordan algebra identity has degree 3 on both sides.  So each
@@ -27,7 +27,9 @@ grows, so q has a witness ideal exactly when D(q) itself works.
 Semiprimeness and strong nondegeneracy of a pair are read off TKK(V),
 over Q and F_p alike: both take their candidates from the absolute zero
 divisors of TKK(V) of degree 1 or -1 (_divisor_candidates), and no pair
-ideal is scanned.
+ideal is scanned.  TKK(V) is built once per pair and memoized on it
+(JordanPair.memo), like every result that analysis, enumeration and
+derivations memoize on an algebra.
 """
 
 from __future__ import annotations
@@ -54,6 +56,14 @@ from .linalg import (
     solve_linear,
     span,
 )
+from .tables import (
+    bilinear,
+    cell_tree,
+    freeze,
+    integral_trees,
+    require_preserved,
+    trilinear,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -79,42 +89,10 @@ def _formal(first, dim):
     return [{1 << (_EXP * (first + i)): 1} for i in range(dim)]
 
 
-def _cells(table, arity):
-    """The (index tuple, cell) of a table with one index per argument."""
-    if not arity:
-        yield (), table
-        return
-    for i, sub in enumerate(table):
-        for idx, cell in _cells(sub, arity - 1):
-            yield (i,) + idx, cell
-
-
-def _int_tables(f, tables, arity):
-    """Each table as a tree of its nonzero cells, tree[i][j]... with one
-    key per argument, ending in the (k, c) of the cell's nonzero entries;
-    c is the entry times one factor d common to all the tables
-    (Field.integral), an int.  d itself is dropped: the identities
-    checked on these trees are homogeneous in the tables, so both sides
-    carry the same power of d."""
-    entries = [[(idx, k, c) for idx, cell in _cells(t, arity)
-                for k, c in enumerate(cell) if c] for t in tables]
-    _d, ints = f.integral(c for es in entries for _, _, c in es)
-    ints = iter(ints)
-    trees = []
-    for es in entries:
-        tree = {}
-        for idx, k, _ in es:
-            node = tree
-            for i in idx[:-1]:
-                node = node.setdefault(i, {})
-            node.setdefault(idx[-1], []).append((k, next(ints)))
-        trees.append(tree)
-    return trees
-
-
 def _poly_product(tree, args, out_dim):
-    """The multilinear product of vectors of int polynomials over a tree
-    of _int_tables, with one vector per key level."""
+    """The multilinear product of vectors of int polynomials over a cell
+    tree scaled to ints (tables.integral_trees), with one vector per key
+    level."""
     out = [{} for _ in range(out_dim)]
 
     def walk(node, mono, rest):
@@ -169,22 +147,18 @@ def _cut(f, idx, v, message):
 # Jordan pairs
 
 
-def _freeze3(field, table):
-    return tuple(tuple(tuple(tuple(field.of(c) for c in cell)
-                             for cell in row) for row in plane)
-                 for plane in table)
-
-
 class JordanPair:
     """A pair of modules with trilinear products {x,y,z} on each side.
 
     table_plus[i][j][l] gives {b+_i, b-_j, b+_l} in plus coordinates, and
-    table_minus the mirror.  Requires invertible 2 and 3 (so F_2 and F_3
-    are rejected); Q_x y = half {x,y,x}.
+    table_minus the mirror; cells[sign] is the cell tree of the sign
+    side.  Requires invertible 2 and 3 (so F_2 and F_3 are rejected);
+    Q_x y = half {x,y,x}.  memo holds TKK(V) once built; it takes no part
+    in equality.
     """
 
     __slots__ = ("field", "names_plus", "names_minus", "table_plus",
-                 "table_minus", "half", "_key")
+                 "table_minus", "cells", "half", "memo", "_key")
 
     def __init__(self, field, names_plus, names_minus, table_plus,
                  table_minus):
@@ -194,9 +168,13 @@ class JordanPair:
         self.field = field
         self.names_plus = tuple(names_plus)
         self.names_minus = tuple(names_minus)
-        self.table_plus = _freeze3(field, table_plus)
-        self.table_minus = _freeze3(field, table_minus)
+        n, m = len(self.names_plus), len(self.names_minus)
+        self.table_plus = freeze(field, table_plus, (n, m, n, n))
+        self.table_minus = freeze(field, table_minus, (m, n, m, m))
+        self.cells = {1: cell_tree(self.table_plus, 3),
+                      -1: cell_tree(self.table_minus, 3)}
         self.half = field.inv(field.of(2))
+        self.memo = {}
         self._key = (field.p, self.names_plus, self.names_minus,
                      self.table_plus, self.table_minus)
         self._validate()
@@ -232,25 +210,8 @@ class JordanPair:
 
     def triple(self, sign, x, y, z):
         """{x, y, z} with x, z on the sign side and y opposite."""
-        f = self.field
-        t = self.table(sign)
-        out = [f.zero] * self.dim(sign)
-        for i, a in enumerate(x):
-            if a == f.zero:
-                continue
-            for j, b in enumerate(y):
-                if b == f.zero:
-                    continue
-                ab = f.of(a * b)
-                for l, c in enumerate(z):
-                    if c == f.zero:
-                        continue
-                    cell = t[i][j][l]
-                    abc = f.of(ab * c)
-                    for k, v in enumerate(cell):
-                        if v != f.zero:
-                            out[k] = f.of(out[k] + abc * v)
-        return tuple(out)
+        return trilinear(self.field, self.cells[sign], x, y, z,
+                         self.dim(sign))
 
     def d_matrix(self, sign, x, y):
         """Matrix of D_{x,y} on the sign side (row convention v @ M)."""
@@ -270,10 +231,6 @@ class JordanPair:
         for sign in (1, -1):
             t = self.table(sign)
             n, m = self.dim(sign), self.dim(-sign)
-            if len(t) != n or any(len(p) != m for p in t) or \
-                    any(len(r) != n for p in t for r in p) or \
-                    any(len(c) != n for p in t for r in p for c in r):
-                raise ValidationError("trilinear table has the wrong shape")
             for i in range(n):
                 for j in range(m):
                     for l in range(n):
@@ -285,8 +242,8 @@ class JordanPair:
 
     def _check_axioms_formal(self):
         f = self.field
-        trees = dict(zip((1, -1), _int_tables(
-            f, (self.table_plus, self.table_minus), 3)))
+        _d, trees = integral_trees(f, (self.cells[1], self.cells[-1]))
+        trees = dict(zip((1, -1), trees))
 
         def tri(sign, a, b, c):
             return _poly_product(trees[sign], (a, b, c), self.dim(sign))
@@ -486,9 +443,6 @@ def inner_derivations(pair):
     return InnerDerivationSpace(pair, sub.rows, sub)
 
 
-_tkk_cache = {}
-
-
 @dataclass
 class TkkData:
     algebra: object
@@ -528,7 +482,7 @@ class TkkData:
 
 
 def tkk_data(pair):
-    got = _tkk_cache.get(pair)
+    got = pair.memo.get("tkk")
     if got is not None:
         return got
     f = pair.field
@@ -591,8 +545,7 @@ def tkk_data(pair):
 
     alg = GradedLieAlgebra(f, names, tuple(tuple(r) for r in table),
                            GradingGroup.integers(), degrees)
-    data = TkkData(alg, ider, pair)
-    _tkk_cache[pair] = data
+    data = pair.memo["tkk"] = TkkData(alg, ider, pair)
     return data
 
 
@@ -642,7 +595,7 @@ def pair_from_lie_blocks(alg, plus_idx, minus_idx, names_plus=None,
     e = alg.basis_vector
 
     def build(idx_a, idx_b):
-        inner = [[alg.bracket(e(i), e(j)) for j in idx_b] for i in idx_a]
+        inner = [[alg.table[i][j] for j in idx_b] for i in idx_a]
 
         def g(i, j, l):
             return _cut(f, idx_a, alg.bracket(inner[i][j], e(idx_a[l])),
@@ -734,13 +687,8 @@ def associated_pair(alg, budget=None):
     map_rows = tuple(map_rows)
 
     # verify: homomorphism, kernel = C_V, surjective
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            lhs = mat_vec(alg.table[i][j], map_rows, f)
-            rhs = t.bracket(map_rows[i], map_rows[j])
-            if lhs != tuple(rhs):
-                raise ValidationError(
-                    "canonical map fails to preserve the bracket")
+    require_preserved(f, alg.table, (map_rows, map_rows), map_rows,
+                      t.bracket, "canonical map fails to preserve the bracket")
     if preimage(t.zero_space(), [map_rows]) != c_v:
         raise ValidationError("kernel of the canonical map differs from "
                               "Z(L) cap L_0")
@@ -1172,17 +1120,10 @@ def maximal_pair_quotients(pair, budget=None):
     # products must be preserved through the embedding
     for sign, mymap, omap in ((1, plus_map, minus_map),
                               (-1, minus_map, plus_map)):
-        n, m = pair.dim(sign), pair.dim(-sign)
-        es, eo = _basis(f, n), _basis(f, m)
-        for i in range(n):
-            for j in range(m):
-                for l in range(n):
-                    src = pair.triple(sign, es[i], eo[j], es[l])
-                    lhs = mat_vec(src, mymap, f)
-                    rhs = big.triple(sign, mymap[i], omap[j], mymap[l])
-                    if lhs != rhs:
-                        raise ValidationError(
-                            "embedding fails to preserve a triple product")
+        require_preserved(
+            f, pair.table(sign), (mymap, omap, mymap), mymap,
+            lambda x, y, z, s=sign: big.triple(s, x, y, z),
+            "embedding fails to preserve a triple product")
 
     sub = SubPair(span(f, big.dim_plus, list(plus_map)),
                   span(f, big.dim_minus, list(minus_map)))
@@ -1202,9 +1143,8 @@ class JordanTriple:
     def __init__(self, field, names, table):
         self.field = field
         self.names = tuple(names)
-        self.table = _freeze3(field, table)
-        self.double = JordanPair(field, self.names, self.names,
-                                 self.table, self.table)
+        self.double = JordanPair(field, self.names, self.names, table, table)
+        self.table = self.double.table_plus
 
     @property
     def dim(self):
@@ -1262,12 +1202,8 @@ def _exchange_matrix(data):
     # involutive automorphism
     if mat_mul(mat, mat, f) != tuple(_basis(f, alg.dim)):
         raise ValidationError("exchange squared is not the identity")
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            lhs = tuple(mat_vec(alg.table[i][j], mat, f))
-            rhs = tuple(alg.bracket(mat[i], mat[j]))
-            if lhs != rhs:
-                raise ValidationError("exchange is not an automorphism")
+    require_preserved(f, alg.table, (mat, mat), mat, alg.bracket,
+                      "exchange is not an automorphism")
     return mat
 
 
@@ -1319,18 +1255,9 @@ def maximal_triple_quotients(triple, budget=None):
     result = JordanTriple(f, names, _trilinear_table(nb, nb, g))
 
     embedding = mpq.plus_map
-    # embedding must preserve the triple product
-    n = triple.dim
-    es = _basis(f, n)
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                src = triple.triple(es[i], es[j], es[l])
-                lhs = mat_vec(src, embedding, f)
-                rhs = result.triple(embedding[i], embedding[j], embedding[l])
-                if lhs != rhs:
-                    raise ValidationError(
-                        "triple embedding fails to preserve the product")
+    require_preserved(f, triple.table, (embedding,) * 3, embedding,
+                      result.triple,
+                      "triple embedding fails to preserve the product")
     return MaximalTripleQuotients(result, embedding, mpq)
 
 
@@ -1338,9 +1265,10 @@ def maximal_triple_quotients(triple, budget=None):
 
 
 class JordanAlgebra:
-    """Commutative product with the Jordan identity, checked formally."""
+    """Commutative product with the Jordan identity, checked formally;
+    cells is the cell tree of the table."""
 
-    __slots__ = ("field", "names", "table")
+    __slots__ = ("field", "names", "table", "cells")
 
     def __init__(self, field, names, table):
         if field.p in (2, 3):
@@ -1348,8 +1276,9 @@ class JordanAlgebra:
                                     "and 3")
         self.field = field
         self.names = tuple(names)
-        self.table = tuple(tuple(tuple(field.of(c) for c in cell)
-                                 for cell in row) for row in table)
+        n = len(self.names)
+        self.table = freeze(field, table, (n, n, n))
+        self.cells = cell_tree(self.table, 2)
         self._validate()
 
     @property
@@ -1357,20 +1286,7 @@ class JordanAlgebra:
         return len(self.names)
 
     def product(self, x, y):
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, a in enumerate(x):
-            if a == f.zero:
-                continue
-            for j, b in enumerate(y):
-                if b == f.zero:
-                    continue
-                ab = f.of(a * b)
-                cell = self.table[i][j]
-                for k, c in enumerate(cell):
-                    if c != f.zero:
-                        out[k] = f.of(out[k] + ab * c)
-        return tuple(out)
+        return bilinear(self.field, self.cells, x, y, self.dim)
 
     def _validate(self):
         f = self.field
@@ -1381,7 +1297,7 @@ class JordanAlgebra:
                     raise AxiomViolation("commutativity",
                                          " at (%d, %d)" % (i, j))
 
-        (tree,) = _int_tables(f, (self.table,), 2)
+        _d, (tree,) = integral_trees(f, (self.cells,))
 
         def mul(a, b):
             return _poly_product(tree, (a, b), n)
@@ -1409,14 +1325,13 @@ class JordanAlgebra:
         """The triple {x,y,z} = 2(x(zy) + z(xy) - (xz)y)."""
         f = self.field
         n = self.dim
-        es = _basis(f, n)
-        prod = [[self.product(a, b) for b in es] for a in es]
+        es, t = _basis(f, n), self.table
         two = f.of(2)
 
         def g(i, j, l):
-            a = self.product(es[i], prod[l][j])
-            b = self.product(es[l], prod[i][j])
-            c = self.product(prod[i][l], es[j])
+            a = self.product(es[i], t[l][j])
+            b = self.product(es[l], t[i][j])
+            c = self.product(t[i][l], es[j])
             return tuple(f.of(two * (p + q - r)) for p, q, r in zip(a, b, c))
 
         return JordanTriple(f, self.names, _trilinear_table(n, n, g))
@@ -1445,7 +1360,6 @@ def maximal_jordan_algebra_quotients(jalg, budget=None):
     mtq = maximal_triple_quotients(trip, budget=budget)
     big_t = mtq.triple
     emb = mtq.embedding
-    n = jalg.dim
     nb = big_t.dim
     e_img = mat_vec(e, emb, f)
     half = f.inv(f.of(2))
@@ -1458,13 +1372,6 @@ def maximal_jordan_algebra_quotients(jalg, budget=None):
             row.append(tuple(f.of(half * c) for c in t))
         table.append(tuple(row))
     result = JordanAlgebra(f, big_t.names, tuple(table))
-    es = _basis(f, n)
-    for i in range(n):
-        for j in range(n):
-            src = jalg.product(es[i], es[j])
-            lhs = mat_vec(src, emb, f)
-            rhs = result.product(emb[i], emb[j])
-            if lhs != rhs:
-                raise ValidationError(
-                    "algebra embedding fails to preserve the product")
+    require_preserved(f, jalg.table, (emb, emb), emb, result.product,
+                      "algebra embedding fails to preserve the product")
     return MaximalJordanAlgebraQuotients(result, emb, mtq)

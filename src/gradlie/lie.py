@@ -8,12 +8,13 @@ identity, compatibility of the bracket with the grading) are checked at
 construction time; downstream code may therefore assume they hold.
 
 The dense table is what the serializers read and what equality compares.
-Every computation reads the sparse view built once next to it:
-nonzero[i] lists the (j, k, c) with [b_i, b_j]_k = c != 0.  Brackets, ad
-matrices, the Jacobi check, ideal closures, (ad x)^2 and the Killing form
-of analysis all loop over it, accumulate exactly and reduce mod p once
-per output row.  The Jacobi check runs on the constants scaled to ints
-(Field.integral): the cyclic sum is quadratic in them.
+Every computation reads the sparse views built once next to it (see
+tables): the cell tree cells[i][j], which the bracket walks, and
+nonzero[i], the (j, k, c) with [b_i, b_j]_k = c != 0.  Ad matrices, ideal
+closures, (ad x)^2 and the Killing form of analysis loop over nonzero,
+accumulate exactly and reduce mod p once per output row.  The Jacobi
+check runs on a cell tree scaled to ints (Field.integral): the cyclic sum
+is quadratic in the constants.
 
 Vectors are plain tuples of field elements in the fixed basis, matrices
 are tuples of row vectors, and the row-vector convention of linalg is
@@ -27,7 +28,6 @@ from fractions import Fraction
 
 from .errors import (
     AntisymmetryViolation,
-    GradingViolation,
     JacobiViolation,
     NotAnIdeal,
     NotGraded,
@@ -35,6 +35,7 @@ from .errors import (
 )
 from .linalg import Subspace, closure, preimage, span
 from .scalars import Field
+from .tables import bilinear, cell_tree, freeze, integral_trees, require_graded
 
 
 class GradingGroup:
@@ -100,26 +101,21 @@ class GradingGroup:
         return "GradingGroup(%r)" % self.kind
 
 
-def _freeze_vec(field, vec, n):
-    out = tuple(field.of(c) for c in vec)
-    if len(out) != n:
-        raise ValidationError("vector of length %d in dimension %d" % (len(out), n))
-    return out
-
-
 class GradedLieAlgebra:
     """Finite dimensional Lie algebra with a group grading.
 
-    table[i][j] is the coordinate tuple of [b_i, b_j], and nonzero[i] the
-    (j, k, c) with table[i][j][k] = c != 0.  ideal_memo holds what
-    analysis derives about the ideal lattice, per graded flag; it takes
-    no part in equality.  Construction validates
+    table[i][j] is the coordinate tuple of [b_i, b_j], cells its cell
+    tree, and nonzero[i] the (j, k, c) with table[i][j][k] = c != 0.
+    memo holds what analysis, enumeration and derivations derive about
+    this algebra (ideal lattices, principal ideals, maximal quotients),
+    keyed by the function and its graded flag; it takes no part in
+    equality.  Construction checks the shape of the table, then
     antisymmetry, the grading compatibility, and Jacobi, in that order,
     raising the matching ValidationError subclass on failure.
     """
 
-    __slots__ = ("field", "names", "table", "nonzero", "group", "degrees",
-                 "ideal_memo", "_hash")
+    __slots__ = ("field", "names", "table", "cells", "nonzero", "group",
+                 "degrees", "memo", "_hash")
 
     def __init__(self, field, names, table, group=None, degrees=None):
         if not isinstance(field, Field):
@@ -137,23 +133,19 @@ class GradedLieAlgebra:
             raise ValidationError("need one degree per basis vector")
         self.degrees = degrees
 
-        rows = []
-        for i in range(n):
-            row = tuple(_freeze_vec(field, table[i][j], n) for j in range(n))
-            if len(table[i]) != n:
-                raise ValidationError("table row %d has wrong length" % i)
-            rows.append(row)
-        self.table = tuple(rows)
-        self.nonzero = tuple(tuple((j, k, c) for j, cell in enumerate(row)
-                                   for k, c in enumerate(cell) if c)
-                             for row in self.table)
+        self.table = freeze(field, table, (n, n, n))
+        self.cells = cell_tree(self.table, 2)
+        self.nonzero = tuple(tuple((j, k, c) for j, cell in
+                                   self.cells.get(i, {}).items()
+                                   for k, c in cell) for i in range(n))
 
         self._check_antisymmetry()
-        self._check_grading()
+        # the first failure has j > i: (j, i) fails with (i, j)
+        require_graded(self.cells, self.degrees, group.add)
         self._check_jacobi()
         self._hash = hash((field.p, self.names, self.degrees,
                            self.group, self.table))
-        self.ideal_memo = {}
+        self.memo = {}
 
     # -- validation -------------------------------------------------
 
@@ -168,13 +160,6 @@ class GradedLieAlgebra:
                 if self.table[i][j] != neg:
                     raise AntisymmetryViolation(i, j, "[b_i,b_j] != -[b_j,b_i]")
 
-    def _check_grading(self):
-        for i, nz in enumerate(self.nonzero):
-            for j, k, _ in nz:
-                if j > i and self.degrees[k] != self.group.add(
-                        self.degrees[i], self.degrees[j]):
-                    raise GradingViolation(i, j, k)
-
     def _check_jacobi(self):
         """First triple i < j < k whose cyclic sum [[b_i, b_j], b_k] +
         [[b_j, b_k], b_i] + [[b_k, b_i], b_j] is nonzero.
@@ -184,13 +169,9 @@ class GradedLieAlgebra:
         sum; the residue is divided back only when a triple fails."""
         n = self.dim
         f = self.field
-        d, ints = f.integral(c for nz in self.nonzero for _, _, c in nz)
-        ints = iter(ints)
-        # cells[i][j]: the (k, c) of [b_i, b_j], regrouped from nonzero[i]
-        cells = [{} for _ in range(n)]
-        for i, nz in enumerate(self.nonzero):
-            for j, k, _ in nz:
-                cells[i].setdefault(j, []).append((k, next(ints)))
+        d, (tree,) = integral_trees(f, (self.cells,))
+        # cells[i][j]: the (k, c) of [b_i, b_j], times d
+        cells = [tree.get(i, {}) for i in range(n)]
 
         def add(acc, u, b):
             for m, a in u:
@@ -229,7 +210,7 @@ class GradedLieAlgebra:
         return (self.field.zero,) * self.dim
 
     def vec(self, coords):
-        return _freeze_vec(self.field, coords, self.dim)
+        return freeze(self.field, coords, (self.dim,))
 
     def _ad_rows(self, x):
         """Rows of ad x before reduction mod p: row j is [x, b_j]."""
@@ -244,14 +225,7 @@ class GradedLieAlgebra:
 
     def bracket(self, x, y):
         """[x, y] by bilinearity over the nonzero structure constants."""
-        acc = [self.field.zero] * self.dim
-        for i, xi in enumerate(x):
-            if xi:
-                for j, k, c in self.nonzero[i]:
-                    yj = y[j]
-                    if yj:
-                        acc[k] += xi * yj * c
-        return self.field.reduce(acc)
+        return bilinear(self.field, self.cells, x, y, self.dim)
 
     def ad_matrix(self, x):
         """Matrix of ad x in row convention: v @ M = [x, v]."""

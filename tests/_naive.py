@@ -3,7 +3,10 @@ the ideal closures, the ideal predicates (quantified over the
 principal-ideal scan), the Jordan pair axioms, the Jordan pair
 predicates (the Q_x of every point and the principal pair-ideal scan)
 and realizability in the axiomatic check, shared by several test
-modules.  The Lie oracles read the dense table cell by cell, apart from
+modules.  naive_bracket and naive_triple, the dense bilinear and
+trilinear loops that call Field.of on every term, are the oracles of the
+cell-tree products of gradlie.tables, through which every class
+multiplies.  The Lie oracles read the dense table cell by cell, apart from
 the library's sparse kernel; the associative and Jordan validators are
 the dense loops and the formal identity check in field elements (ints
 and Fractions over Q), apart from the library's scaled integer checks;
@@ -69,7 +72,8 @@ def _basis(f, n):
 
 
 def naive_bracket(f, table, x, y):
-    """[x, y] by bilinearity over every cell of a dense table."""
+    """[x, y] by bilinearity over every cell of a dense table; any
+    bilinear product (associative, Jordan) reads its table alike."""
     n = len(table)
     zero = f.zero
     acc = [zero] * n

@@ -48,6 +48,7 @@ from gradlie.gallery import (
 from gradlie.lie import GradingGroup
 from gradlie.linalg import Subspace, rank, span
 from gradlie.scalars import GF, QQ
+from gradlie.tables import cell_tree
 
 F5 = GF(5)
 
@@ -118,6 +119,7 @@ def test_pair_axioms_survive_exhaustive_f5_scan():
     bad.field, bad.half = F5, r.half
     bad.names_plus, bad.names_minus = r.names_plus, r.names_minus
     bad.table_plus, bad.table_minus = tp, r.table_minus
+    bad.cells = {1: cell_tree(tp, 3), -1: cell_tree(r.table_minus, 3)}
     assert not pair_axioms_hold_at_points(bad)
 
 
