@@ -22,7 +22,14 @@ absorption conditions at q is a subspace S(q), and the largest ideal
 D(q) inside it is a greatest fixpoint of linear shrinking.  Any witness
 ideal for q sits inside D(q), annihilators only grow when ideals
 shrink, and the nonvanishing requirement only improves when the ideal
-grows, so q has a witness ideal exactly when D(q) itself works.
+grows, so q has a witness ideal exactly when D(q) itself works.  For an
+ideal I of V, let K^s be the z of W^s with {z, I, V}, {z, V, I} and
+{V, z, I} all zero.  Then Ann_V(I) = V ∩ K, and I does not vanish at q
+exactly when q lies outside K.  The certificate is one ideal I0 that
+absorbs every basis element with K^+ = K^- = 0, which also gives
+Ann_V(I0) = 0.  Every one of these subspaces is a preimage under the
+matrices of z -> {z, y, v} and z -> {y, z, w} (_side_maps and
+_cross_maps), and so are pair ideals and annihilators.
 
 Semiprimeness and strong nondegeneracy of a pair are read off TKK(V),
 over Q and F_p alike: both take their candidates from the absolute zero
@@ -311,24 +318,53 @@ def zero_subpair(pair):
                    Subspace.zero(f, pair.dim_minus))
 
 
-def is_pair_ideal(pair, sub):
-    """The four absorption families of a pair ideal, checked on bases."""
-    f = pair.field
+def _side_maps(pair, sign, ys, vs):
+    """The matrices of z -> {z, y, v} on V^sign, for y in ys (on the
+    opposite side) and v in vs (on the sign side)."""
+    es = _basis(pair.field, pair.dim(sign))
+    return [[pair.triple(sign, e, y, v) for e in es] for y in ys for v in vs]
+
+
+def _cross_maps(pair, sign, ys, ws):
+    """The matrices of z -> {y, z, w} from V^sign to V^-sign, for y in ys
+    and w in ws (both on the opposite side)."""
+    es = _basis(pair.field, pair.dim(sign))
+    return [[pair.triple(-sign, y, e, w) for e in es] for y in ys for w in ws]
+
+
+def _ideal_step(pair, cur, v):
+    """One shrinking step of a subpair cur inside the subpair v: per side,
+    the x of cur with {x, v, v} in cur and {v, x, v} in cur on the other
+    side.  Every pair ideal of v inside cur survives it, and cur is one
+    exactly when the step keeps it."""
+    parts = {}
     for sign in (1, -1):
-        mine, other = sub.part(sign), sub.part(-sign)
-        vs_same = _basis(f, pair.dim(sign))
-        vs_opp = _basis(f, pair.dim(-sign))
-        for a in mine.rows:
-            for y in vs_opp:
-                for v in vs_same:
-                    if not mine.contains(pair.triple(sign, a, y, v)):
-                        return False
-        for b in other.rows:
-            for v in vs_same:
-                for w in vs_same:
-                    if not mine.contains(pair.triple(sign, v, b, w)):
-                        return False
-    return True
+        mine, other = cur.part(sign), cur.part(-sign)
+        same, opp = v.part(sign).rows, v.part(-sign).rows
+        keep = preimage(mine, _side_maps(pair, sign, opp, same), within=mine)
+        parts[sign] = preimage(other, _cross_maps(pair, sign, opp, opp),
+                               within=keep)
+    return SubPair(parts[1], parts[-1])
+
+
+def _killers(pair, sign, x, v):
+    """The z of the sign side with {z, x, v}, {z, v, x} and {v, z, x} all
+    zero, for subpairs x and v: on V^sign this is the sign part of
+    Ann_v(x)."""
+    f = pair.field
+    x_same, x_opp = x.part(sign).rows, x.part(-sign).rows
+    v_same, v_opp = v.part(sign).rows, v.part(-sign).rows
+    kills_same = preimage(Subspace.zero(f, pair.dim(sign)),
+                          _side_maps(pair, sign, x_opp, v_same)
+                          + _side_maps(pair, sign, v_opp, x_same))
+    return preimage(Subspace.zero(f, pair.dim(-sign)),
+                    _cross_maps(pair, sign, v_opp, x_opp), within=kills_same)
+
+
+def is_pair_ideal(pair, sub):
+    """Whether the subpair absorbs every product with the pair: the
+    shrinking step inside the whole pair keeps it."""
+    return _ideal_step(pair, sub, full_subpair(pair)) == sub
 
 
 def pair_ideal_generated(pair, sub):
@@ -371,26 +407,10 @@ def pair_ideal_generated(pair, sub):
 
 
 def pair_annihilator(pair, sub):
-    """Ann of a subpair: per sign, z killing the three product families
-    {z, X-opp, V-same}, {z, V-opp, X-same}, {V-opp, z, X-opp}."""
-    f = pair.field
-    parts = {}
-    for sign in (1, -1):
-        n, m = pair.dim(sign), pair.dim(-sign)
-        x_opp = sub.part(-sign).rows
-        x_same = sub.part(sign).rows
-        es = _basis(f, n)
-        eo = _basis(f, m)
-        into_same = [[pair.triple(sign, e, t, v) for e in es]
-                     for t in x_opp for v in es]
-        into_same += [[pair.triple(sign, e, y, s) for e in es]
-                      for y in eo for s in x_same]
-        into_opp = [[pair.triple(-sign, y, e, t) for e in es]
-                    for y in eo for t in x_opp]
-        kills_same = preimage(Subspace.zero(f, n), into_same)
-        parts[sign] = preimage(Subspace.zero(f, m), into_opp,
-                               within=kills_same)
-    return SubPair(parts[1], parts[-1])
+    """Ann of a subpair: per sign, the z killing {z, X, V}, {z, V, X} and
+    {V, z, X} (_killers with V the whole pair)."""
+    full = full_subpair(pair)
+    return SubPair(_killers(pair, 1, sub, full), _killers(pair, -1, sub, full))
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +607,7 @@ def tkk_ideal(pair, sub):
     return span(f, data.algebra.dim, rows)
 
 
-def pair_from_lie_blocks(alg, plus_idx, minus_idx, names_plus=None,
-                         names_minus=None):
+def pair_from_lie_blocks(alg, plus_idx, minus_idx):
     """Jordan pair on two coordinate blocks of a Lie algebra via
     {x,y,z} = [[x,y],z]."""
     f = alg.field
@@ -603,10 +622,9 @@ def pair_from_lie_blocks(alg, plus_idx, minus_idx, names_plus=None,
 
         return _trilinear_table(len(idx_a), len(idx_b), g)
 
-    np_ = names_plus or tuple(alg.names[i] for i in plus_idx)
-    nm_ = names_minus or tuple(alg.names[i] for i in minus_idx)
-    return JordanPair(f, np_, nm_, build(plus_idx, minus_idx),
-                      build(minus_idx, plus_idx))
+    return JordanPair(f, tuple(alg.names[i] for i in plus_idx),
+                      tuple(alg.names[i] for i in minus_idx),
+                      build(plus_idx, minus_idx), build(minus_idx, plus_idx))
 
 
 @dataclass
@@ -819,22 +837,18 @@ def pair_is_semiprime(pair, budget=None):
 class PairEmbedding:
     """A subpair V of a Jordan pair W, with the induced small pair."""
 
-    __slots__ = ("big", "sub", "small", "plus_rows", "minus_rows")
+    __slots__ = ("big", "sub", "small")
 
     def __init__(self, big, sub):
         for sign in (1, -1):
             mine, other = sub.part(sign), sub.part(-sign)
-            for a in mine.rows:
-                for y in other.rows:
-                    for v in mine.rows:
-                        if not mine.contains(big.triple(sign, a, y, v)):
-                            raise ValidationError(
-                                "subspaces are not closed under the "
-                                "triple products")
+            closed = preimage(mine, _side_maps(big, sign, other.rows,
+                                               mine.rows), within=mine)
+            if closed.dim != mine.dim:
+                raise ValidationError(
+                    "subspaces are not closed under the triple products")
         self.big = big
         self.sub = sub
-        self.plus_rows = sub.plus.rows
-        self.minus_rows = sub.minus.rows
         self.small = self._restrict()
 
     def _restrict(self):
@@ -857,116 +871,68 @@ class PairEmbedding:
         names_m = tuple("w%d" % i for i in range(nm_))
         return JordanPair(f, names_p, names_m, build(1), build(-1))
 
-    def is_reflexive(self):
-        return (self.sub.plus.dim == self.big.dim_plus
-                and self.sub.minus.dim == self.big.dim_minus)
-
-    def small_subpair_of(self, big_subpair):
-        """Convert a subpair given in big coordinates (inside V) to small
-        coordinates."""
-        f = self.big.field
-        pr = [self.sub.plus.coords(r) for r in big_subpair.plus.rows]
-        mr = [self.sub.minus.coords(r) for r in big_subpair.minus.rows]
-        if any(c is None for c in pr) or any(c is None for c in mr):
-            raise ValidationError("subpair is not inside V")
-        return SubPair(span(f, self.sub.plus.dim, [tuple(c) for c in pr]),
-                       span(f, self.sub.minus.dim, [tuple(c) for c in mr]))
-
 
 def _absorber_sets(emb, sign, q):
-    """S at q: the two subspaces of V collecting the absorption conditions
-    of the quotients definition, computed with products of the big pair."""
+    """S(q) for q in W^sign: the subpair of V collecting the absorption
+    conditions of the quotients definition, computed with products of
+    the big pair.  Its sign part holds the s with {q, V, s} in V, its
+    other part the t with {q, t, V} and {t, q, V} in V."""
     big = emb.big
-    f = big.field
-    v_same = emb.sub.part(sign)
-    v_opp = emb.sub.part(-sign)
-    basis_same = _basis(f, big.dim(sign))
-    basis_opp = _basis(f, big.dim(-sign))
-
-    # t in V-opp with {q, t, V-same} in V-same and {t, q, V-opp} in V-opp
-    s_opp = preimage(v_same, [[big.triple(sign, q, e, v) for e in basis_opp]
-                              for v in v_same.rows], within=v_opp)
-    s_opp = preimage(v_opp, [[big.triple(-sign, e, q, u) for e in basis_opp]
-                             for u in v_opp.rows], within=s_opp)
-
-    # s in V-same with {q, V-opp, s} in V-same
-    s_same = preimage(v_same, [[big.triple(sign, q, y, e) for e in basis_same]
-                               for y in v_opp.rows], within=v_same)
-    return s_same, s_opp
+    same, opp = emb.sub.part(sign), emb.sub.part(-sign)
+    # {q, y, s} = {s, y, q} by outer symmetry
+    s_same = preimage(same, _side_maps(big, sign, opp.rows, [q]), within=same)
+    s_opp = preimage(same, _cross_maps(big, -sign, [q], same.rows),
+                     within=opp)
+    s_opp = preimage(opp, _side_maps(big, -sign, [q], opp.rows), within=s_opp)
+    return SubPair(s_same, s_opp) if sign > 0 else SubPair(s_opp, s_same)
 
 
 def largest_pair_ideal_inside(emb, bound):
-    """Greatest pair ideal of V inside the bounding subpair (big coords).
-
-    Shrinks the bound by the linear conditions "products fall back inside"
-    until stable; every pair ideal of V inside the bound survives each
-    step, so the fixpoint is the largest one.
-    """
-    big = emb.big
-    f = big.field
+    """Greatest pair ideal of V inside the bounding subpair (big coords):
+    _ideal_step repeated until it is stable.  Every pair ideal of V
+    inside the bound survives each step, so the fixpoint is the largest
+    one."""
     cur = bound
     while True:
-        nxt = {}
-        for sign in (1, -1):
-            mine, other = cur.part(sign), cur.part(-sign)
-            vs_same = emb.sub.part(sign).rows
-            vs_opp = emb.sub.part(-sign).rows
-            es = _basis(f, big.dim(sign))
-            # x in mine with {x, V-opp, V-same} in mine ...
-            res = preimage(mine, [[big.triple(sign, e, y, v) for e in es]
-                                  for y in vs_opp for v in vs_same],
-                           within=mine)
-            # ... and {V-opp, x, V-opp} in the other part
-            nxt[sign] = preimage(other,
-                                 [[big.triple(-sign, y, e, w) for e in es]
-                                  for y in vs_opp for w in vs_opp],
-                                 within=res)
-        nxt = SubPair(nxt[1], nxt[-1])
+        nxt = _ideal_step(emb.big, cur, emb.sub)
         if nxt == cur:
             return cur
         cur = nxt
 
 
-def _q_verdict_at(emb, sign, q, ideal):
-    """Check the annihilator and nonvanishing requirements of the
-    definition at q with the candidate ideal (big coords)."""
-    big = emb.big
-    f = big.field
-    small_ideal = emb.small_subpair_of(ideal)
-    ann = pair_annihilator(emb.small, small_ideal)
-    if not ann.is_zero():
-        return False
-    v_same = emb.sub.part(sign).rows
-    v_opp = emb.sub.part(-sign).rows
-    zero_same = big.zero(sign)
-    zero_opp = big.zero(-sign)
-    for t in ideal.part(-sign).rows:
-        for v in v_same:
-            if big.triple(sign, q, t, v) != zero_same:
-                return True
-    for y in v_opp:
-        for s in ideal.part(sign).rows:
-            if big.triple(sign, q, y, s) != zero_same:
-                return True
-    for t in ideal.part(-sign).rows:
-        for u in v_opp:
-            if big.triple(-sign, t, q, u) != zero_opp:
-                return True
-    return False
+def _certificate(emb):
+    """I0, the largest pair ideal of V inside the absorption sets of every
+    basis element of W, when K^+ = K^- = 0 for it; otherwise None.
+
+    K^s is _killers(W, s, I0, V).  The absorption conditions are linear
+    in q, so I0 absorbs every q, and K^s = 0 says that no nonzero q of W
+    kills I0; it also gives Ann_V(I0)^s = V^s ∩ K^s = 0.
+    """
+    big, f = emb.big, emb.big.field
+    bound = emb.sub
+    for sign in (1, -1):
+        for q in _basis(f, big.dim(sign)):
+            bound = bound.intersect(_absorber_sets(emb, sign, q))
+    i0 = largest_pair_ideal_inside(emb, bound)
+    if i0.is_zero() or not all(_killers(big, s, i0, emb.sub).is_zero()
+                               for s in (1, -1)):
+        return None
+    return i0
 
 
 def is_pair_of_quotients(emb, budget=None):
     """Decide whether W is a pair of quotients of its semiprime subpair V.
 
     Per element q the canonical candidate D(q) (largest ideal inside the
-    absorption sets) decides exactly.  A certificate ideal I0 inside the
-    absorption sets of all basis elements covers every q at once when
-    Ann_V(I0) = 0 and no nonzero q kills all three product families with
-    I0 (those q form a subspace, so this is one kernel computation per
-    sign); the absorption conditions are linear in q, which makes the
-    certificate conclusive over any field.  Otherwise F_p elements are
-    scanned exhaustively, while over Q failing basis elements give a
-    conclusive false and passing ones only a sampled verdict.
+    absorption sets) decides exactly.  With K^s = _killers(W, s, D(q), V),
+    the z of W^s that D(q) cannot see, Ann_V(D(q)) is V ∩ K, and q
+    passes when V^s ∩ K^s = 0 for both signs and q is not in K^sign.
+    The certificate ideal I0 (_certificate) absorbs every q at once, since
+    the absorption conditions are linear in q; when K^+ = K^- = 0 for I0,
+    which implies Ann_V(I0) = 0, it covers every q over any field.
+    Otherwise F_p elements are scanned exhaustively, while over Q failing
+    basis elements give a conclusive false and passing ones only a
+    sampled verdict.
     """
     from .derivations import Verdict
     from .enumeration import iter_projective, check_budget, projective_count
@@ -976,50 +942,25 @@ def is_pair_of_quotients(emb, budget=None):
     if not pair_is_semiprime(emb.small, budget=budget):
         raise NotSemiprime("the small pair must be semiprime")
 
-    # certificate: one ideal absorbing at every basis element
-    bound = SubPair(emb.sub.plus, emb.sub.minus)
-    for sign in (1, -1):
-        for qe in _basis(f, big.dim(sign)):
-            s_same, s_opp = _absorber_sets(emb, sign, qe)
-            add = SubPair(s_same, s_opp) if sign > 0 else \
-                SubPair(s_opp, s_same)
-            bound = bound.intersect(add)
-    i0 = largest_pair_ideal_inside(emb, bound)
-    if not i0.is_zero():
-        small_i0 = emb.small_subpair_of(i0)
-        if pair_annihilator(emb.small, small_i0).is_zero():
-            ok = True
-            for sign in (1, -1):
-                if not _nonvanishing_kernel_zero(emb, sign, i0):
-                    ok = False
-                    break
-            if ok:
-                return Verdict("true",
-                               reason="one ideal absorbs every element and "
-                                      "nothing kills it",
-                               data={"ideal_dims": i0.dims()})
+    i0 = _certificate(emb)
+    if i0 is not None:
+        return Verdict("true",
+                       reason="one ideal absorbs every element and "
+                              "nothing kills it",
+                       data={"ideal_dims": i0.dims()})
 
     def examine(sign, q):
-        s_same, s_opp = _absorber_sets(emb, sign, q)
-        bound_q = SubPair(s_same, s_opp) if sign > 0 else \
-            SubPair(s_opp, s_same)
-        dq = largest_pair_ideal_inside(emb, bound_q)
-        if dq.is_zero():
-            return False
-        return _q_verdict_at(emb, sign, q, dq)
+        dq = largest_pair_ideal_inside(emb, _absorber_sets(emb, sign, q))
+        kill = {s: _killers(big, s, dq, emb.sub) for s in (1, -1)}
+        return (not kill[sign].contains(q)
+                and all(emb.sub.part(s).intersect(kill[s]).is_zero()
+                        for s in (1, -1)))
 
     if f.p is not None:
-        total = 0
+        check_budget(sum(projective_count(f.p, big.dim(s)) for s in (1, -1)),
+                     budget)
         for sign in (1, -1):
-            n = big.dim(sign)
-            if n:
-                total += projective_count(f.p, n)
-        check_budget(total, budget)
-        for sign in (1, -1):
-            n = big.dim(sign)
-            if n == 0:
-                continue
-            for q in iter_projective(f.p, _basis(f, n)):
+            for q in iter_projective(f.p, _basis(f, big.dim(sign))):
                 if not examine(sign, q):
                     return Verdict("false", witness=(sign, q),
                                    reason="no admissible ideal absorbs this "
@@ -1037,34 +978,12 @@ def is_pair_of_quotients(emb, budget=None):
                           "condition is not linear over an infinite field")
 
 
-def _nonvanishing_kernel_zero(emb, sign, ideal):
-    """No nonzero q of this sign has all three product families with the
-    ideal equal to zero (the failing set is a subspace of W)."""
-    big = emb.big
-    f = big.field
-    basis_q = _basis(f, big.dim(sign))
-    v_same = emb.sub.part(sign).rows
-    v_opp = emb.sub.part(-sign).rows
-    i_same = ideal.part(sign).rows
-    i_opp = ideal.part(-sign).rows
-    into_same = [[big.triple(sign, e, t, v) for e in basis_q]
-                 for t in i_opp for v in v_same]
-    into_same += [[big.triple(sign, e, y, s) for e in basis_q]
-                  for y in v_opp for s in i_same]
-    into_opp = [[big.triple(-sign, t, e, u) for e in basis_q]
-                for t in i_opp for u in v_opp]
-    kills_same = preimage(Subspace.zero(f, big.dim(sign)), into_same)
-    return preimage(Subspace.zero(f, big.dim(-sign)), into_opp,
-                    within=kills_same).is_zero()
-
-
 def tkk_embedding(emb):
     """The Lie-side picture of a subpair: the subalgebra of tkk(W)
     generated by the outer blocks of V, as a quotient embedding."""
     from .derivations import QuotientEmbedding
 
     data = tkk_data(emb.big)
-    f = emb.big.field
     rows = [data.embed_plus(r) for r in emb.sub.plus.rows]
     rows += [data.embed_minus(r) for r in emb.sub.minus.rows]
     sub = data.algebra.subalgebra_generated(rows)
@@ -1241,7 +1160,6 @@ def maximal_triple_quotients(triple, budget=None):
     h = tuple(h_rows)
 
     plus_idx = tuple(i for i in range(qm.dim) if qm.degrees[i] == 1)
-    minus_idx = tuple(i for i in range(qm.dim) if qm.degrees[i] == -1)
     nb = len(plus_idx)
     e = [qm.basis_vector(i) for i in plus_idx]
     swapped = [tuple(mat_vec(ej, h, f)) for ej in e]

@@ -11,7 +11,9 @@ the library's sparse kernel; the associative and Jordan validators are
 the dense loops and the formal identity check in field elements (ints
 and Fractions over Q), apart from the library's scaled integer checks;
 the realizability oracle solves one linear system per derivation, apart
-from the library's one containment test per degree."""
+from the library's one containment test per degree.  The pair-of-quotients
+oracle tries every pair ideal of the small pair at every point of the big
+one, apart from the library's one canonical candidate per point."""
 
 import itertools
 
@@ -25,7 +27,7 @@ from gradlie.errors import (
     AxiomViolation,
     InvolutionViolation,
 )
-from gradlie.jordan import distinct_principal_pair_ideals
+from gradlie.jordan import SubPair, distinct_principal_pair_ideals
 from gradlie.lie import GradedLieAlgebra
 from gradlie.linalg import mat_mul, mat_vec, rank, rref, solve_linear, span
 
@@ -536,3 +538,87 @@ def naive_realized(emb):
             if solve_linear(f, eqs, rhs, nunknowns=big.dim) is None:
                 return (sigma, flat)
     return None
+
+
+def naive_subpair_generated(pair, gens_plus, gens_minus):
+    """Smallest subpair holding the generators: the span of each side,
+    grown by the products {a, b, c} of basis rows until neither grows."""
+    f = pair.field
+    cur = {1: span(f, pair.dim_plus, gens_plus),
+           -1: span(f, pair.dim_minus, gens_minus)}
+    while True:
+        nxt = {s: span(f, pair.dim(s), list(cur[s].rows)
+                       + [naive_triple(f, pair.table(s), a, b, c)
+                          for a in cur[s].rows for b in cur[-s].rows
+                          for c in cur[s].rows])
+               for s in (1, -1)}
+        if all(nxt[s].dim == cur[s].dim for s in (1, -1)):
+            return SubPair(cur[1], cur[-1])
+        cur = nxt
+
+
+def _all_pair_ideals(pair):
+    """Every pair ideal of a pair over F_p, as (plus rows, minus rows): the
+    sums of the principal ones, and zero."""
+    f = pair.field
+    seen = {((), ()): None}
+    for ideal in distinct_principal_pair_ideals(pair):
+        for plus, minus in list(seen):
+            seen.setdefault(
+                (span(f, pair.dim_plus, plus + ideal.plus.rows).rows,
+                 span(f, pair.dim_minus, minus + ideal.minus.rows).rows),
+                None)
+    return list(seen)
+
+
+def naive_pair_of_quotients(emb):
+    """("true", None) when W is a pair of quotients of V, else ("false",
+    (sign, q)) for the first projective point q of W (W+ first) at which
+    no pair ideal I of V has Ann_V(I) = 0, absorbs q and does not vanish.
+
+    The ideals are the sums of the principal pair ideals of the small
+    pair, in big coordinates.  I absorbs q in W^sign when {q, V, I^sign}
+    lies in V^sign, and {q, I, V} and {I, q, V} lie in V.  Ann_V(I) = 0 is
+    checked at every projective point of V, and I vanishes at z when
+    {z, I, V}, {z, V, I} and {V, z, I} are all zero.  Every product is
+    the dense trilinear loop on basis rows."""
+    big, sub, f = emb.big, emb.sub, emb.big.field
+    v = {s: sub.part(s).rows for s in (1, -1)}
+
+    def tri(sign, x, y, z):
+        return naive_triple(f, big.table(sign), x, y, z)
+
+    def inside(sign, vecs):
+        return all(naive_coords(sub.part(sign), x) is not None for x in vecs)
+
+    def vanishes(sign, z, ideal):
+        return not any(any(x) for x in
+                       [tri(sign, z, t, u) for t in ideal[-sign]
+                        for u in v[sign]]
+                       + [tri(sign, z, y, a) for y in v[-sign]
+                          for a in ideal[sign]]
+                       + [tri(-sign, y, z, t) for y in v[-sign]
+                          for t in ideal[-sign]])
+
+    def absorbs(sign, q, ideal):
+        return (inside(sign, [tri(sign, q, y, a) for y in v[-sign]
+                              for a in ideal[sign]])
+                and inside(sign, [tri(sign, q, t, u) for t in ideal[-sign]
+                                  for u in v[sign]])
+                and inside(-sign, [tri(-sign, t, q, u) for t in ideal[-sign]
+                                   for u in v[-sign]]))
+
+    admissible = []
+    for plus, minus in _all_pair_ideals(emb.small):
+        ideal = {1: [mat_vec(c, v[1], f) for c in plus],
+                 -1: [mat_vec(c, v[-1], f) for c in minus]}
+        if not any(vanishes(s, mat_vec(c, v[s], f), ideal)
+                   for s in (1, -1) for c in _projective(f.p, len(v[s]))):
+            admissible.append(ideal)
+    for sign in (1, -1):
+        for q in _projective(f.p, big.dim(sign)):
+            if not any(absorbs(sign, q, ideal)
+                       and not vanishes(sign, q, ideal)
+                       for ideal in admissible):
+                return "false", (sign, q)
+    return "true", None

@@ -7,16 +7,20 @@ Q_x y = x^2 y and D_{x,y} = 2xy, so every construction below has an exact
 scalar prediction.
 """
 
+import contextlib
 from fractions import Fraction as Fr
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from _naive import (
     change_pair_basis,
+    naive_pair_of_quotients,
     naive_pair_semiprime_witness,
     naive_pair_zero_divisor,
     naive_q_products_vanish,
+    naive_subpair_generated,
     pair_axioms_hold_at_points,
 )
 from gradlie import jordan as J
@@ -506,6 +510,82 @@ def test_decider_requires_semiprime_small_pair():
     zp = pair_zero(1, 1, F5)
     with pytest.raises(NotSemiprime):
         J.is_pair_of_quotients(J.PairEmbedding(zp, J.full_subpair(zp)))
+
+
+def _oracle_pairs(f):
+    return [pair_field(f), pair_rect(1, 2, f), pair_padded(f),
+            pair_zero(1, 1, f), triple_2xyz(f).double]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_quotients_decider_matches_its_definition(data):
+    # the oracle tries every pair ideal of V at every point q of W; the
+    # decider tries one candidate D(q) per point, or the certificate for
+    # all of them at once, which the draw "scan" switches off
+    f = GF(data.draw(st.sampled_from([5, 7]), label="p"))
+    pair = data.draw(st.sampled_from(_oracle_pairs(f)))
+    other = data.draw(st.sampled_from([None] + _oracle_pairs(f)))
+    if other is not None and max(pair.dim(s) + other.dim(s)
+                                 for s in (1, -1)) <= 3:
+        pair = pair_sum(pair, other)
+    gens = {s: data.draw(st.lists(st.tuples(*[st.integers(0, f.p - 1)]
+                                            * pair.dim(s)), max_size=2),
+                         label="generators %+d" % s)
+            for s in (1, -1)}
+    sub = naive_subpair_generated(pair, gens[1], gens[-1])
+    if data.draw(st.booleans(), label="ideal"):
+        sub = J.pair_ideal_generated(pair, sub)
+    emb = J.PairEmbedding(pair, sub)
+    assume(J.pair_is_semiprime(emb.small))
+    scan = data.draw(st.booleans(), label="scan")
+    with (mock.patch.object(J, "_certificate", lambda emb: None) if scan
+          else contextlib.nullcontext()):
+        got = J.is_pair_of_quotients(emb)
+    assert (got.value, got.witness) == naive_pair_of_quotients(emb)
+
+
+@pytest.mark.parametrize("field", [F5, GF(7)], ids=repr)
+def test_annihilator_requirement_refutes_a_point(field):
+    # at q = (1, 0, 1) the candidate D(q) is the field summand of V and q
+    # does not vanish on it, but the rectangle part (0, 1, 3) of V kills
+    # it, so Ann_V(D(q)) != 0 refutes q; the points before it pass
+    pair = pair_sum(pair_field(field), pair_rect(1, 2, field))
+    sub = J.SubPair(span(field, 3, [(1, 0, 0), (0, 1, 3)]),
+                    span(field, 3, [(1, 0, 0), (0, 0, 1)]))
+    emb = J.PairEmbedding(pair, sub)
+    got = J.is_pair_of_quotients(emb)
+    assert ((got.value, got.witness) == naive_pair_of_quotients(emb)
+            == ("false", (1, (1, 0, 1))))
+
+
+def _gallery_embeddings(f):
+    pp = pair_padded(f)
+    out = [J.PairEmbedding(pp, padded_subpair(pp))]
+    for pair in (pair_field(f), pair_rect(1, 2, f), triple_2xyz(f).double,
+                 jordan_sym2(f).derived_triple().double,
+                 pair_sum(pair_field(f), pair_rect(1, 2, f))):
+        out.append(J.PairEmbedding(pair, J.full_subpair(pair)))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=repr)
+def test_per_element_tails_agree_with_the_certificate(field, monkeypatch):
+    # the certificate decides every true gallery case, so without it the
+    # per-element tails must reach the same verdicts on their own
+    embs = _gallery_embeddings(field)
+    certified = [J.is_pair_of_quotients(emb) for emb in embs]
+    assert {v.value for v in certified} == {"true", "false"}
+    monkeypatch.setattr(J, "_certificate", lambda emb: None)
+    for emb, cert in zip(embs, certified):
+        got = J.is_pair_of_quotients(emb)
+        if cert.value == "false":
+            assert (got.value, got.witness) == ("false", cert.witness)
+        elif field.p is None:
+            assert got.value == "verified-on-witnesses"
+        else:
+            assert (got.value, got.reason) == (
+                "true", "exhaustive scan over both sides")
 
 
 def test_lie_side_agrees_on_the_padded_pair():
