@@ -56,6 +56,13 @@ def _fmt(field, c):
     return field.format(c)
 
 
+def _scalar(field, s, what):
+    if not isinstance(s, str):
+        raise ParseError("%s scalars are strings like \"-1/2\", got %r"
+                         % (what, s))
+    return field.parse(s)
+
+
 # -- gradings ----------------------------------------------------------------
 
 
@@ -72,22 +79,31 @@ def _grading_to_json(group, degrees):
 def _grading_from_json(obj, dim):
     if obj is None:
         return GradingGroup.trivial(), None
+    if not isinstance(obj, dict):
+        raise ParseError("grading must be an object with \"group\" and "
+                         "\"degrees\"")
     g = obj.get("group")
     if g == "trivial":
         group = GradingGroup.trivial()
     elif g == "Z":
         group = GradingGroup.integers()
     elif isinstance(g, dict) and set(g) == {"Zn"}:
-        group = GradingGroup.mod(int(g["Zn"]))
+        n = g["Zn"]
+        if not isinstance(n, int) or n < 1:
+            raise ParseError("grading group Zn needs a positive integer "
+                             "modulus, got %r" % (n,))
+        group = GradingGroup.mod(n)
     else:
         raise ParseError(
             "grading group must be \"trivial\", \"Z\", or {\"Zn\": n}")
     degrees = obj.get("degrees")
     if not isinstance(degrees, list) or len(degrees) != dim:
         raise ParseError("degrees must list one value per basis element")
-    if group.kind == "trivial" and any(int(d) != 0 for d in degrees):
+    if not all(isinstance(d, int) for d in degrees):
+        raise ParseError("grading degrees must be integers")
+    if group.kind == "trivial" and any(degrees):
         raise ParseError("trivially graded degrees must all be zero")
-    return group, tuple(int(d) for d in degrees)
+    return group, tuple(degrees)
 
 
 # -- sparse cells ------------------------------------------------------------
@@ -97,16 +113,26 @@ def _cell_to_json(field, vec):
     return [[k, _fmt(field, c)] for k, c in enumerate(vec) if c != field.zero]
 
 
+def _entries(obj, what, shape):
+    """The entries of the sparse list what: lists of the given shape,
+    integer indices and then one value."""
+    text = "[%s]" % ", ".join(shape)
+    if not isinstance(obj, list):
+        raise ParseError("%s must be a list of %s entries" % (what, text))
+    for item in obj:
+        if (not isinstance(item, list) or len(item) != len(shape)
+                or not all(isinstance(i, int) for i in item[:-1])):
+            raise ParseError("%s entries are %s with integer indices"
+                             % (what, text))
+    return obj
+
+
 def _cell_from_json(field, entries, dim):
     v = [field.zero] * dim
-    for item in entries:
-        if (not isinstance(item, list) or len(item) != 2
-                or not isinstance(item[0], int)):
-            raise ParseError("table cell entries are [index, scalar] pairs")
-        k, s = item
+    for k, s in _entries(entries, "table cell", ("index", "scalar")):
         if not 0 <= k < dim:
             raise ParseError("cell index %d out of range" % k)
-        v[k] = field.parse(s)
+        v[k] = _scalar(field, s, "table cell")
     return tuple(v)
 
 
@@ -114,13 +140,15 @@ def _rows_to_json(field, rows):
     return [[_fmt(field, c) for c in row] for row in rows]
 
 
-def _rows_from_json(field, obj, ambient):
+def _rows_from_json(field, obj, ambient, what):
+    if not isinstance(obj, list):
+        raise ParseError("%s must be a list of rows" % what)
     rows = []
     for row in obj:
-        if len(row) != ambient:
-            raise ParseError("subspace row has length %d, expected %d"
-                             % (len(row), ambient))
-        rows.append(tuple(field.parse(c) for c in row))
+        if not isinstance(row, list) or len(row) != ambient:
+            raise ParseError("%s rows are lists of %d scalars"
+                             % (what, ambient))
+        rows.append(tuple(_scalar(field, c, what) for c in row))
     return rows
 
 
@@ -141,10 +169,7 @@ def _lie_table_to_json(alg):
 def _lie_table_from_json(field, obj, dim):
     zero = (field.zero,) * dim
     table = [[zero] * dim for _ in range(dim)]
-    for item in obj:
-        if len(item) != 3:
-            raise ParseError("lie table entries are [i, j, cell]")
-        i, j, cell = item
+    for i, j, cell in _entries(obj, "lie table", ("i", "j", "cell")):
         if not (0 <= i < dim and 0 <= j < dim and i < j):
             raise ParseError("lie table stores each bracket once, i < j")
         v = _cell_from_json(field, cell, dim)
@@ -168,10 +193,7 @@ def _bilinear_to_json(alg, symmetric):
 def _bilinear_from_json(field, obj, dim, symmetric):
     zero = (field.zero,) * dim
     table = [[zero] * dim for _ in range(dim)]
-    for item in obj:
-        if len(item) != 3:
-            raise ParseError("table entries are [i, j, cell]")
-        i, j, cell = item
+    for i, j, cell in _entries(obj, "table", ("i", "j", "cell")):
         if not (0 <= i < dim and 0 <= j < dim):
             raise ParseError("table index out of range")
         if symmetric and i > j:
@@ -194,13 +216,10 @@ def _trilinear_to_json(field, table):
     return out
 
 
-def _trilinear_from_json(field, obj, na, nb):
+def _trilinear_from_json(field, obj, na, nb, what="table"):
     zero = (field.zero,) * na
     table = [[[zero] * na for _ in range(nb)] for _ in range(na)]
-    for item in obj:
-        if len(item) != 4:
-            raise ParseError("trilinear entries are [i, j, l, cell]")
-        i, j, l, cell = item
+    for i, j, l, cell in _entries(obj, what, ("i", "j", "l", "cell")):
         if not (0 <= i < na and 0 <= j < nb and 0 <= l < na):
             raise ParseError("trilinear index out of range")
         table[i][j][l] = _cell_from_json(field, cell, na)
@@ -310,7 +329,8 @@ def parse_algebra(text):
         group, degrees = _grading_from_json(doc.get("grading"), dim)
         inv = None
         if "involution" in doc:
-            rows = _rows_from_json(field, doc["involution"], dim)
+            rows = _rows_from_json(field, doc["involution"], dim,
+                                   "involution")
             if len(rows) != dim:
                 raise ParseError("involution matrix needs one row per "
                                  "basis element")
@@ -327,9 +347,9 @@ def parse_algebra(text):
         if not (isinstance(t, dict) and set(t) <= {"plus", "minus"}):
             raise ParseError("pair table has \"plus\" and \"minus\" parts")
         tp = _trilinear_from_json(field, t.get("plus", []),
-                                  len(names_p), len(names_m))
+                                  len(names_p), len(names_m), "table plus")
         tm = _trilinear_from_json(field, t.get("minus", []),
-                                  len(names_m), len(names_p))
+                                  len(names_m), len(names_p), "table minus")
         alg = JordanPair(field, names_p, names_m, tp, tm)
     elif kind == "jordan_triple":
         names = name_list(doc.get("basis"))
@@ -346,14 +366,20 @@ def parse_algebra(text):
     if "subalgebra" in doc:
         if kind not in ("lie", "assoc"):
             raise ParseError("subalgebra only applies to lie/assoc files")
-        rows = _rows_from_json(field, doc["subalgebra"], len(alg.names))
+        rows = _rows_from_json(field, doc["subalgebra"], len(alg.names),
+                               "subalgebra")
         subspace = span(field, len(alg.names), rows)
     if "subpair" in doc:
         if kind != "jordan_pair":
             raise ParseError("subpair only applies to jordan_pair files")
         sp = doc["subpair"]
-        pr = _rows_from_json(field, sp.get("plus", []), alg.dim_plus)
-        mr = _rows_from_json(field, sp.get("minus", []), alg.dim_minus)
+        if not isinstance(sp, dict):
+            raise ParseError("subpair must be an object with \"plus\" and "
+                             "\"minus\" rows")
+        pr = _rows_from_json(field, sp.get("plus", []), alg.dim_plus,
+                             "subpair plus")
+        mr = _rows_from_json(field, sp.get("minus", []), alg.dim_minus,
+                             "subpair minus")
         subspace = SubPair(span(field, alg.dim_plus, pr),
                            span(field, alg.dim_minus, mr))
     return AlgebraFile(kind, alg, subspace)

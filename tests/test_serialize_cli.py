@@ -100,6 +100,44 @@ def test_subpair_marker_roundtrip():
 # -- parse and validation failures ---------------------------------------------
 
 
+def _malformed_documents():
+    """(field named in the error, document) for files of the right outline
+    whose values have the wrong JSON types."""
+    def doc(obj, subspace=None):
+        return json.loads(serialize_algebra(obj, subspace=subspace))
+
+    pp, pmi = pair_padded(), p_mod_i()
+    out = []
+    for sp in ([1, 2], {"plus": [1]}):
+        d = doc(pp, padded_subpair(pp))
+        d["subpair"] = sp
+        out.append(("subpair", d))
+    for sa in ([1, 2], 5):
+        d = doc(pmi, p_mod_i_small(pmi))
+        d["subalgebra"] = sa
+        out.append(("subalgebra", d))
+    for table in (3, [5], [["a", 1, []]]):
+        d = doc(sl2())
+        d["table"] = table
+        out.append(("table", d))
+    d = doc(pair_rect(1, 2))
+    d["table"]["plus"].append(5)
+    out.append(("table plus", d))
+    d = doc(jordan_sym2())
+    d["table"] = 3
+    out.append(("table", d))
+    for grading in ("Z", {"group": "Z", "degrees": ["x", 0, 0]},
+                    {"group": {"Zn": 0}, "degrees": [0, 0, 0]}):
+        d = doc(sl2())
+        d["grading"] = grading
+        out.append(("grading", d))
+    for scalar in ([1], 1):
+        d = doc(sl2())
+        d["table"][0][2][0][1] = scalar
+        out.append(("table cell", d))
+    return out
+
+
 def test_parse_rejects_malformed_documents():
     with pytest.raises(ParseError):
         parse_algebra("not json at all {")
@@ -108,6 +146,18 @@ def test_parse_rejects_malformed_documents():
     with pytest.raises(ParseError):
         parse_algebra(json.dumps(
             {"format": "algebra-file", "version": 1, "kind": "sandwich"}))
+    # each a ParseError naming the field, not a TypeError or AttributeError
+    for field, doc in _malformed_documents():
+        with pytest.raises(ParseError, match=field):
+            parse_algebra(json.dumps(doc))
+
+
+def test_cli_validate_exits_2_on_malformed_values(tmp_path, capsys):
+    for k, (_field, doc) in enumerate(_malformed_documents()):
+        bad = tmp_path / ("bad%d.json" % k)
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 2
+        assert "error: ParseError" in capsys.readouterr().err
 
 
 def test_parse_rejects_bad_scalars():
