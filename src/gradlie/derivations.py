@@ -414,20 +414,18 @@ def maximal_quotients_match(alg, budget=None):
 # deciders
 
 
-def _max_degree_witness(alg, sub, prefer_basis=True):
+def _max_degree_witness(alg, sub):
     """Witness selection: a nonzero element of sub of maximal degree.
 
     Scans coordinate basis vectors lying in sub first (reported in basis
     order among those of maximal degree), falling back to canonical rows.
     Degrees compare as canonical integers.
     """
-    f = alg.field
     candidates = []
-    if prefer_basis:
-        for i in range(alg.dim):
-            v = alg.basis_vector(i)
-            if sub.contains(v):
-                candidates.append((alg.degrees[i], i, v))
+    for i in range(alg.dim):
+        v = alg.basis_vector(i)
+        if sub.contains(v):
+            candidates.append((alg.degrees[i], i, v))
     if candidates:
         top = max(d for d, _, _ in candidates)
         for d, _, v in candidates:

@@ -395,7 +395,7 @@ class GradedLieAlgebra:
 
     # -- quotients and restrictions ----------------------------------
 
-    def quotient_by_ideal(self, ideal, names=None):
+    def quotient_by_ideal(self, ideal):
         """Quotient algebra L/I with projection and section matrices.
 
         Representatives are the standard basis vectors at the non pivot
@@ -422,15 +422,14 @@ class GradedLieAlgebra:
         zero = f.zero
         section = tuple(tuple(f.one if j == kept[a] else zero
                               for j in range(self.dim)) for a in range(q))
-        if names is None:
-            names = tuple(self.names[c] for c in kept)
+        names = tuple(self.names[c] for c in kept)
         table = [[project(self.bracket(self._e(kept[a]), self._e(kept[b])))
                   for b in range(q)] for a in range(q)]
         degrees = tuple(self.degrees[c] for c in kept)
         quo = GradedLieAlgebra(f, names, table, self.group, degrees)
         return quo, proj, section
 
-    def restrict(self, sub, names=None, require_graded=True):
+    def restrict(self, sub, require_graded=True):
         """Lie algebra structure on a bracket closed subspace.
 
         Returns (A, rows) where rows are the canonical basis of the
@@ -449,8 +448,7 @@ class GradedLieAlgebra:
         else:
             degrees = (0,) * sub.dim
             group = GradingGroup.trivial() if not require_graded else self.group
-        if names is None:
-            names = tuple("u%d" % a for a in range(sub.dim))
+        names = tuple("u%d" % a for a in range(sub.dim))
         table = []
         for a in range(sub.dim):
             trow = []

@@ -482,10 +482,6 @@ def mat_sub(a, b, field):
             for ra, rb in zip(a, b)]
 
 
-def mat_eq_zero(m):
-    return all(not x for row in m for x in row)
-
-
 def determinant(field, m):
     """Exact determinant; Bareiss over Q (integerized), elimination mod p."""
     n = len(m)

@@ -47,10 +47,6 @@ class Field:
         self.zero = 0
         self.one = 1
 
-    @property
-    def char(self):
-        return 0 if self.p is None else self.p
-
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
 
