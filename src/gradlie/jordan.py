@@ -349,8 +349,8 @@ def _ideal_step(pair, cur, v):
 
 def _killers(pair, sign, x, v):
     """The z of the sign side with {z, x, v}, {z, v, x} and {v, z, x} all
-    zero, for subpairs x and v: on V^sign this is the sign part of
-    Ann_v(x)."""
+    zero, for subpairs x and v; its meet with the sign part of v is the
+    sign part of Ann_v(x)."""
     f = pair.field
     x_same, x_opp = x.part(sign).rows, x.part(-sign).rows
     v_same, v_opp = v.part(sign).rows, v.part(-sign).rows
