@@ -89,7 +89,7 @@ def _grading_from_json(obj, dim):
         group = GradingGroup.integers()
     elif isinstance(g, dict) and set(g) == {"Zn"}:
         n = g["Zn"]
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ParseError("grading group Zn needs a positive integer "
                              "modulus, got %r" % (n,))
         group = GradingGroup.mod(n)
@@ -99,7 +99,7 @@ def _grading_from_json(obj, dim):
     degrees = obj.get("degrees")
     if not isinstance(degrees, list) or len(degrees) != dim:
         raise ParseError("degrees must list one value per basis element")
-    if not all(isinstance(d, int) for d in degrees):
+    if not all(type(d) is int for d in degrees):
         raise ParseError("grading degrees must be integers")
     if group.kind == "trivial" and any(degrees):
         raise ParseError("trivially graded degrees must all be zero")
@@ -121,7 +121,7 @@ def _entries(obj, what, shape):
         raise ParseError("%s must be a list of %s entries" % (what, text))
     for item in obj:
         if (not isinstance(item, list) or len(item) != len(shape)
-                or not all(isinstance(i, int) for i in item[:-1])):
+                or not all(type(i) is int for i in item[:-1])):
             raise ParseError("%s entries are %s with integer indices"
                              % (what, text))
     return obj

@@ -116,7 +116,7 @@ def _malformed_documents():
         d = doc(pmi, p_mod_i_small(pmi))
         d["subalgebra"] = sa
         out.append(("subalgebra", d))
-    for table in (3, [5], [["a", 1, []]]):
+    for table in (3, [5], [["a", 1, []]], [[True, 1, []]]):
         d = doc(sl2())
         d["table"] = table
         out.append(("table", d))
