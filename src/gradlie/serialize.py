@@ -294,7 +294,8 @@ def parse_algebra(text):
     axioms, so a parse that returns is a certified object."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses once per nesting level
         raise ParseError("bad JSON: %s" % exc) from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")

@@ -142,6 +142,8 @@ def test_parse_rejects_malformed_documents():
     with pytest.raises(ParseError):
         parse_algebra("not json at all {")
     with pytest.raises(ParseError):
+        parse_algebra("[" * 100000 + "]" * 100000)
+    with pytest.raises(ParseError):
         parse_algebra(json.dumps({"format": "algebra-file", "version": 2}))
     with pytest.raises(ParseError):
         parse_algebra(json.dumps(
