@@ -139,9 +139,7 @@ def _envelope_generators(alg, graded):
         b = alg.basis_vector(i)
         if not sub.contains(b):
             gens.append(b)
-            # right-normed brackets of generators span what they generate
-            sub = closure(span(f, n, gens),
-                          lambda w: [alg.bracket(g, w) for g in gens])
+            sub = alg.subalgebra_generated(gens)
     mats = [alg.ad_matrix(g) for g in gens]
     if graded and len(alg.support()) > 1:
         mats += [tuple(tuple(f.one if i == j and alg.degrees[i] == d

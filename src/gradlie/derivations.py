@@ -38,6 +38,7 @@ from .linalg import (
     preimage,
     span,
 )
+from .tables import induced
 
 
 @dataclass
@@ -59,9 +60,10 @@ class QuotientEmbedding:
     """A graded subalgebra L sitting inside a graded algebra Q.
 
     small is a subspace of big's coordinate space; it must be closed under
-    the bracket and spanned by homogeneous vectors.  The induced algebra
-    structure on small (coordinates in its canonical basis) is exposed as
-    small_alg together with the basis rows used to build it.
+    the bracket, which restrict checks as it builds the induced algebra
+    structure on small (coordinates in its canonical basis), and spanned
+    by homogeneous vectors.  That structure is exposed as small_alg
+    together with the basis rows used to build it.
     """
 
     __slots__ = ("big", "small", "small_alg", "small_rows")
@@ -71,8 +73,6 @@ class QuotientEmbedding:
             small = span(big.field, big.dim, list(small))
         if small.ambient != big.dim:
             raise ValidationError("subalgebra lives in the wrong ambient space")
-        if not big.is_subalgebra(small):
-            raise ValidationError("small space is not closed under the bracket")
         if big.group.kind != "trivial" and not big.is_graded_subspace(small):
             raise ValidationError("small space is not graded")
         self.big = big
@@ -133,10 +133,6 @@ class DerivationSpace:
         flat = self.basis[i]
         return tuple(tuple(flat[u * n + k] for k in range(n))
                      for u in range(m))
-
-    def apply(self, i, coeffs):
-        """Image of the domain vector with the given I-coordinates."""
-        return mat_vec(coeffs, self.matrix(i), self.algebra.field)
 
 
 def _map_degree(alg, domain_degrees, u, k):
@@ -240,43 +236,16 @@ def derivation_space(alg, ideal):
 def graded_derivation_components(der):
     """Dimensions of the degree components of a derivation space.
 
-    Raises DecompositionIncomplete when the components do not exhaust the
-    space (cannot happen for a graded domain, where the Leibniz system
-    splits exactly; for a non-graded domain the projections of solutions
-    need not be solutions).
+    A graded domain splits the Leibniz system exactly (components).
+    Otherwise the space is one component of degree 0 when the grading is
+    trivial; with a nontrivial grading the domain has no homogeneous
+    basis and DecompositionIncomplete is raised.
     """
-    if der.components is None:
-        alg = der.algebra
-        f = alg.field
-        m, n = der.domain.dim, alg.dim
-        whole = span(f, m * n, list(der.basis))
-        dom_hom = all(alg.is_homogeneous(r) for r in der.domain.rows)
-        if not dom_hom:
-            raise DecompositionIncomplete(
-                "domain ideal has no homogeneous basis")
-        dom_deg = tuple(alg.degree_of(r) for r in der.domain.rows)
-        sigmas = sorted({_map_degree(alg, dom_deg, u, k)
-                         for u in range(m) for k in range(n)})
-        comps = {}
-        covered = 0
-        for sigma in sigmas:
-            projected = []
-            for row in der.basis:
-                proj = [f.zero] * (m * n)
-                for u in range(m):
-                    for k in range(n):
-                        if _map_degree(alg, dom_deg, u, k) == sigma:
-                            proj[u * n + k] = row[u * n + k]
-                projected.append(tuple(proj))
-            inter = span(f, m * n, projected).intersect(whole)
-            if inter.dim:
-                comps[sigma] = inter.rows
-                covered += inter.dim
-        if covered != der.dim:
-            raise DecompositionIncomplete(
-                "components cover %d of %d dimensions" % (covered, der.dim))
-        return {sigma: len(rows) for sigma, rows in comps.items()}
-    return {sigma: len(rows) for sigma, rows in der.components.items()}
+    if der.components is not None:
+        return {sigma: len(rows) for sigma, rows in der.components.items()}
+    if der.algebra.group.kind != "trivial":
+        raise DecompositionIncomplete("domain ideal has no homogeneous basis")
+    return {0: der.dim} if der.dim else {}
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +294,13 @@ def maximal_quotients(alg, graded=False, budget=None):
             out.extend(mat_vec(coords, rows_a, f))
         return out
 
+    def commutator(flat_a, flat_b):
+        return tuple(f.of(x - y) for x, y in
+                     zip(compose(flat_a, flat_b), compose(flat_b, flat_a)))
+
     basis_space = span(f, m * n, list(der.basis))
-    table = [[None] * d for _ in range(d)]
-    zero_row = (f.zero,) * d
-    for i in range(d):
-        table[i][i] = zero_row
-        for j in range(i + 1, d):
-            ab = compose(der.basis[i], der.basis[j])
-            ba = compose(der.basis[j], der.basis[i])
-            comm = tuple(f.of(x - y) for x, y in zip(ab, ba))
-            coords = basis_space.coords(comm)
-            if coords is None:
-                raise ValidationError("commutator left the derivation space")
-            table[i][j] = tuple(coords)
-            table[j][i] = tuple(f.neg(c) for c in coords)
-    table = [tuple(r) for r in table]
+    table = induced(commutator, (der.basis, der.basis), basis_space.coords,
+                    "commutator left the derivation space")
 
     if der.components is not None:
         deg_of_row = {}

@@ -57,6 +57,7 @@ from .linalg import (
     Subspace,
     closure,
     mat_mul,
+    mat_sub,
     mat_vec,
     preimage,
     rank,
@@ -67,6 +68,7 @@ from .tables import (
     bilinear,
     cell_tree,
     freeze,
+    induced,
     integral_trees,
     require_preserved,
     trilinear,
@@ -135,19 +137,18 @@ def _basis(field, n):
             for j in range(n)]
 
 
-def _trilinear_table(n, m, g):
-    """The table with table[i][j][l] = g(i, j, l), i and l below n, j
-    below m."""
-    return tuple(tuple(tuple(g(i, j, l) for l in range(n)) for j in range(m))
-                 for i in range(n))
-
-
-def _cut(f, idx, v, message):
-    """The coordinates of v on the block idx; raises ValidationError with
-    the message when v has a nonzero coordinate outside the block."""
+def _cut(f, idx, v):
+    """The coordinates of v on the block idx, or None when v has a
+    nonzero coordinate outside the block; the read of the tables
+    induced on a block."""
     if any(c != f.zero for pos, c in enumerate(v) if pos not in idx):
-        raise ValidationError(message)
+        return None
     return tuple(v[i] for i in idx)
+
+
+def _lie_triple(alg):
+    """{x, y, z} = [[x, y], z] in a Lie algebra."""
+    return lambda x, y, z: alg.bracket(alg.bracket(x, y), z)
 
 
 # ---------------------------------------------------------------------------
@@ -509,71 +510,54 @@ def tkk_data(pair):
     n, m = pair.dim_plus, pair.dim_minus
     ider = inner_derivations(pair)
     d = ider.dim
-    dim = n + d + m
     names = tuple(nm + "+" for nm in pair.names_plus) + \
         tuple("d%d" % i for i in range(d)) + \
         tuple(nm + "-" for nm in pair.names_minus)
     degrees = (1,) * n + (0,) * d + (-1,) * m
 
-    plus_mats = [ider.plus_matrix(flat) for flat in ider.basis]
-    minus_mats = [ider.minus_matrix(flat) for flat in ider.basis]
+    # an element is a triple (x+, gamma, y-), gamma None or the matrices
+    # (gamma+, gamma-) of an inner derivation in the row convention v @ M
+    x0, y0 = pair.zero(1), pair.zero(-1)
+    basis = ([(x, None, y0) for x in _basis(f, n)]
+             + [(x0, (ider.plus_matrix(g), ider.minus_matrix(g)), y0)
+                for g in ider.basis]
+             + [(x0, None, y) for y in _basis(f, m)])
 
-    def delta_coords(x, y):
-        co = ider.subspace.coords(_delta_flat(pair, x, y))
-        if co is None:
-            raise ValidationError("inner derivation left its own span")
-        return tuple(co)
+    def bracket(u, v):
+        """[x+g+y, x'+g'+y'] = (g x' - g' x) + ([g, g'] + delta(x, y') -
+        delta(x', y)) + (g y' - g' y), the middle flattened as in ider;
+        the composite g o g' has matrix M' @ M."""
+        (x, g, y), (x2, g2, y2) = u, v
+        acc = ([0] * n, [0] * (n * n + m * m), [0] * m)
 
-    zero = (f.zero,) * dim
-    table = [[zero] * dim for _ in range(dim)]
+        def add(part, sign, rows):
+            for k, c in enumerate(c for r in rows for c in r):
+                acc[part][k] += sign * c
 
-    def put(i, j, vec):
-        table[i][j] = tuple(vec)
-        table[j][i] = tuple(f.neg(c) for c in vec)
+        if g:
+            add(0, 1, [mat_vec(x2, g[0], f)])
+            add(2, 1, [mat_vec(y2, g[1], f)])
+        if g2:
+            add(0, -1, [mat_vec(x, g2[0], f)])
+            add(2, -1, [mat_vec(y, g2[1], f)])
+        if g and g2:
+            add(1, 1, [r for a, b in zip(g, g2)
+                       for r in mat_sub(mat_mul(b, a, f), mat_mul(a, b, f), f)])
+        if any(x) and any(y2):
+            add(1, 1, [_delta_flat(pair, x, y2)])
+        if any(x2) and any(y):
+            add(1, -1, [_delta_flat(pair, x2, y)])
+        return tuple(map(f.reduce, acc))
 
-    ep = _basis(f, n)
-    em = _basis(f, m)
-    # [x+, y-] = delta(x, y)
-    for i in range(n):
-        for j in range(m):
-            co = delta_coords(ep[i], em[j])
-            put(i, n + d + j,
-                (f.zero,) * n + co + (f.zero,) * m)
-    # [gamma, x+] = gamma_plus x ; [gamma, y-] = gamma_minus y
-    for a in range(d):
-        for i in range(n):
-            img = mat_vec(ep[i], plus_mats[a], f)
-            put(n + a, i, tuple(img) + (f.zero,) * (d + m))
-        for j in range(m):
-            img = mat_vec(em[j], minus_mats[a], f)
-            put(n + a, n + d + j, (f.zero,) * (n + d) + tuple(img))
-    # [gamma, mu] componentwise operator commutator; with the row
-    # convention (v @ M) the composite gamma o mu has matrix Mmu @ Mgamma
-    for a in range(d):
-        for b in range(a + 1, d):
-            cp = _mat_comm(plus_mats[b], plus_mats[a], f)
-            cm = _mat_comm(minus_mats[b], minus_mats[a], f)
-            flat = []
-            for row in cp:
-                flat.extend(row)
-            for row in cm:
-                flat.extend(row)
-            co = ider.subspace.coords(tuple(flat))
-            if co is None:
-                raise ValidationError("derivation commutator left the span")
-            put(n + a, n + b, (f.zero,) * n + tuple(co) + (f.zero,) * m)
+    def read(u):
+        co = ider.subspace.coords(u[1])
+        return None if co is None else u[0] + tuple(co) + u[2]
 
-    alg = GradedLieAlgebra(f, names, tuple(tuple(r) for r in table),
-                           GradingGroup.integers(), degrees)
+    table = induced(bracket, (basis, basis), read,
+                    "bracket of basis {} and {} left the inner derivations")
+    alg = GradedLieAlgebra(f, names, table, GradingGroup.integers(), degrees)
     data = pair.memo["tkk"] = TkkData(alg, ider, pair)
     return data
-
-
-def _mat_comm(a, b, f):
-    ab = mat_mul(a, b, f)
-    ba = mat_mul(b, a, f)
-    return tuple(tuple(f.of(x - y) for x, y in zip(r1, r2))
-                 for r1, r2 in zip(ab, ba))
 
 
 def tkk(pair):
@@ -611,16 +595,13 @@ def pair_from_lie_blocks(alg, plus_idx, minus_idx):
     """Jordan pair on two coordinate blocks of a Lie algebra via
     {x,y,z} = [[x,y],z]."""
     f = alg.field
-    e = alg.basis_vector
 
     def build(idx_a, idx_b):
-        inner = [[alg.table[i][j] for j in idx_b] for i in idx_a]
-
-        def g(i, j, l):
-            return _cut(f, idx_a, alg.bracket(inner[i][j], e(idx_a[l])),
-                        "triple product left its block")
-
-        return _trilinear_table(len(idx_a), len(idx_b), g)
+        ea = [alg.basis_vector(i) for i in idx_a]
+        eb = [alg.basis_vector(j) for j in idx_b]
+        return induced(_lie_triple(alg), (ea, eb, ea),
+                       lambda v: _cut(f, idx_a, v),
+                       "triple product ({}, {}, {}) left its block")
 
     return JordanPair(f, tuple(alg.names[i] for i in plus_idx),
                       tuple(alg.names[i] for i in minus_idx),
@@ -835,41 +816,27 @@ def pair_is_semiprime(pair, budget=None):
 
 
 class PairEmbedding:
-    """A subpair V of a Jordan pair W, with the induced small pair."""
+    """A subpair V of a Jordan pair W, with the induced small pair; its
+    tables are the closure check, raising ValidationError when a triple
+    product of V leaves V."""
 
     __slots__ = ("big", "sub", "small")
 
     def __init__(self, big, sub):
-        for sign in (1, -1):
+        def build(sign):
             mine, other = sub.part(sign), sub.part(-sign)
-            closed = preimage(mine, _side_maps(big, sign, other.rows,
-                                               mine.rows), within=mine)
-            if closed.dim != mine.dim:
-                raise ValidationError(
-                    "subspaces are not closed under the triple products")
+            return induced(lambda x, y, z: big.triple(sign, x, y, z),
+                           (mine.rows, other.rows, mine.rows), mine.coords,
+                           "subspaces are not closed under the triple "
+                           "products")
+
+        table_plus, table_minus = build(1), build(-1)
         self.big = big
         self.sub = sub
-        self.small = self._restrict()
-
-    def _restrict(self):
-        f = self.big.field
-        np_, nm_ = self.sub.plus.dim, self.sub.minus.dim
-
-        def build(sign):
-            mine, other = self.sub.part(sign), self.sub.part(-sign)
-
-            def g(i, j, l):
-                co = mine.coords(self.big.triple(
-                    sign, mine.rows[i], other.rows[j], mine.rows[l]))
-                if co is None:
-                    raise ValidationError("triple left the subpair")
-                return tuple(co)
-
-            return _trilinear_table(mine.dim, other.dim, g)
-
-        names_p = tuple("v%d" % i for i in range(np_))
-        names_m = tuple("w%d" % i for i in range(nm_))
-        return JordanPair(f, names_p, names_m, build(1), build(-1))
+        self.small = JordanPair(
+            big.field, tuple("v%d" % i for i in range(sub.plus.dim)),
+            tuple("w%d" % i for i in range(sub.minus.dim)),
+            table_plus, table_minus)
 
 
 def _absorber_sets(emb, sign, q):
@@ -1028,13 +995,13 @@ def maximal_pair_quotients(pair, budget=None):
     minus_idx = tuple(i for i in range(qm.dim) if qm.degrees[i] == -1)
     big = pair_from_lie_blocks(qm, plus_idx, minus_idx)
 
-    off = pair.dim_plus + data.ider.dim
-    plus_map = tuple(_cut(f, plus_idx, mq.embedding[i],
-                          "embedding is not graded")
-                     for i in range(pair.dim_plus))
-    minus_map = tuple(_cut(f, minus_idx, mq.embedding[off + j],
-                           "embedding is not graded")
-                      for j in range(pair.dim_minus))
+    def block_map(rows, idx):
+        return induced(tuple, (rows,), lambda v: _cut(f, idx, v),
+                       "embedding is not graded")
+
+    plus_map = block_map(mq.embedding[:pair.dim_plus], plus_idx)
+    minus_map = block_map(mq.embedding[pair.dim_plus + data.ider.dim:],
+                          minus_idx)
 
     # products must be preserved through the embedding
     for sign, mymap, omap in ((1, plus_map, minus_map),
@@ -1163,14 +1130,11 @@ def maximal_triple_quotients(triple, budget=None):
     nb = len(plus_idx)
     e = [qm.basis_vector(i) for i in plus_idx]
     swapped = [tuple(mat_vec(ej, h, f)) for ej in e]
-    inner = [[qm.bracket(ei, yj) for yj in swapped] for ei in e]
-
-    def g(i, j, l):
-        return _cut(f, plus_idx, qm.bracket(inner[i][j], e[l]),
+    table = induced(_lie_triple(qm), (e, swapped, e),
+                    lambda v: _cut(f, plus_idx, v),
                     "triple product left the plus block")
-
     names = tuple("t%d" % i for i in range(nb))
-    result = JordanTriple(f, names, _trilinear_table(nb, nb, g))
+    result = JordanTriple(f, names, table)
 
     embedding = mpq.plus_map
     require_preserved(f, triple.table, (embedding,) * 3, embedding,
@@ -1242,17 +1206,16 @@ class JordanAlgebra:
     def derived_triple(self):
         """The triple {x,y,z} = 2(x(zy) + z(xy) - (xz)y)."""
         f = self.field
-        n = self.dim
-        es, t = _basis(f, n), self.table
+        es = _basis(f, self.dim)
         two = f.of(2)
+        mul = self.product
 
-        def g(i, j, l):
-            a = self.product(es[i], t[l][j])
-            b = self.product(es[l], t[i][j])
-            c = self.product(t[i][l], es[j])
-            return tuple(f.of(two * (p + q - r)) for p, q, r in zip(a, b, c))
+        def triple(x, y, z):
+            return tuple(f.of(two * (p + q - r)) for p, q, r in zip(
+                mul(x, mul(z, y)), mul(z, mul(x, y)), mul(mul(x, z), y)))
 
-        return JordanTriple(f, self.names, _trilinear_table(n, n, g))
+        return JordanTriple(f, self.names, induced(
+            triple, (es, es, es), tuple, "unreachable: tuple is never None"))
 
 
 @dataclass
@@ -1282,14 +1245,10 @@ def maximal_jordan_algebra_quotients(jalg, budget=None):
     e_img = mat_vec(e, emb, f)
     half = f.inv(f.of(2))
     es = _basis(f, nb)
-    table = []
-    for i in range(nb):
-        row = []
-        for j in range(nb):
-            t = big_t.triple(es[i], tuple(e_img), es[j])
-            row.append(tuple(f.of(half * c) for c in t))
-        table.append(tuple(row))
-    result = JordanAlgebra(f, big_t.names, tuple(table))
+    table = induced(
+        lambda x, y: tuple(f.of(half * c) for c in big_t.triple(x, e_img, y)),
+        (es, es), tuple, "unreachable: tuple is never None")
+    result = JordanAlgebra(f, big_t.names, table)
     require_preserved(f, jalg.table, (emb, emb), emb, result.product,
                       "algebra embedding fails to preserve the product")
     return MaximalJordanAlgebraQuotients(result, emb, mtq)

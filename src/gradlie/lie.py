@@ -35,7 +35,8 @@ from .errors import (
 )
 from .linalg import Subspace, closure, preimage, span
 from .scalars import Field
-from .tables import bilinear, cell_tree, freeze, integral_trees, require_graded
+from .tables import (bilinear, cell_tree, freeze, induced, integral_trees,
+                     require_graded)
 
 
 class GradingGroup:
@@ -337,14 +338,12 @@ class GradedLieAlgebra:
                        lambda w: [r for r in self._ad_rows(w) if any(r)])
 
     def subalgebra_generated(self, vectors):
-        cur = span(self.field, self.dim, list(vectors))
-        while True:
-            new_rows = [self.bracket(a, b)
-                        for a, b in itertools.combinations(cur.rows, 2)
-                        if not cur.contains(self.bracket(a, b))]
-            if not new_rows:
-                return cur
-            cur = cur.add(span(self.field, self.dim, new_rows))
+        """Smallest subalgebra containing the given vectors: the closure
+        of their span under ad of each of them, since right-normed
+        brackets of generators span the subalgebra they generate."""
+        gens = list(vectors)
+        return closure(span(self.field, self.dim, gens),
+                       lambda w: [self.bracket(g, w) for g in gens])
 
     def annihilator(self, s):
         """Ann_L(S) = {x in L : [x, S] = 0} as a subspace.
@@ -423,8 +422,8 @@ class GradedLieAlgebra:
         section = tuple(tuple(f.one if j == kept[a] else zero
                               for j in range(self.dim)) for a in range(q))
         names = tuple(self.names[c] for c in kept)
-        table = [[project(self.bracket(self._e(kept[a]), self._e(kept[b])))
-                  for b in range(q)] for a in range(q)]
+        table = induced(self.bracket, (section, section), project,
+                        "unreachable: project is never None")
         degrees = tuple(self.degrees[c] for c in kept)
         quo = GradedLieAlgebra(f, names, table, self.group, degrees)
         return quo, proj, section
@@ -433,13 +432,15 @@ class GradedLieAlgebra:
         """Lie algebra structure on a bracket closed subspace.
 
         Returns (A, rows) where rows are the canonical basis of the
-        subspace; coordinates of A refer to that basis.  With a nontrivial
-        grading the subspace must be graded (its canonical rows are then
-        homogeneous and carry well defined degrees).
+        subspace; coordinates of A refer to that basis.  Building the table
+        is the closure check: a bracket of two rows outside the subspace
+        raises ValidationError.  With a nontrivial grading the subspace
+        must then be graded (its canonical rows are homogeneous and carry
+        well defined degrees).
         """
         rows = sub.rows
-        if not self.is_subalgebra(sub):
-            raise ValidationError("subspace is not closed under the bracket")
+        table = induced(self.bracket, (rows, rows), sub.coords,
+                        "subspace is not closed under the bracket")
         if self.group.kind != "trivial" and require_graded:
             self.graded_closure_check(sub)
             degrees = tuple(self.degree_of(r) if any(c != self.field.zero for c in r)
@@ -449,16 +450,6 @@ class GradedLieAlgebra:
             degrees = (0,) * sub.dim
             group = GradingGroup.trivial() if not require_graded else self.group
         names = tuple("u%d" % a for a in range(sub.dim))
-        table = []
-        for a in range(sub.dim):
-            trow = []
-            for b in range(sub.dim):
-                w = self.bracket(rows[a], rows[b])
-                coords = sub.coords(w)
-                if coords is None:
-                    raise ValidationError("bracket left the subspace")
-                trow.append(coords)
-            table.append(trow)
         alg = GradedLieAlgebra(self.field, names, table, group, degrees)
         return alg, rows
 

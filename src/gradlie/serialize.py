@@ -14,8 +14,10 @@ import json
 from dataclasses import dataclass
 
 from .assoc import AssocAlgebra
+from .derivations import QuotientEmbedding
 from .errors import ParseError
-from .jordan import JordanAlgebra, JordanPair, JordanTriple, SubPair
+from .jordan import (JordanAlgebra, JordanPair, JordanTriple, PairEmbedding,
+                     SubPair)
 from .lie import GradedLieAlgebra, GradingGroup
 from .linalg import Subspace, span
 from .scalars import Field
@@ -370,6 +372,10 @@ def parse_algebra(text):
         rows = _rows_from_json(field, doc["subalgebra"], len(alg.names),
                                "subalgebra")
         subspace = span(field, len(alg.names), rows)
+        if kind == "lie":
+            # raises ValidationError unless it is closed, and graded when
+            # the grading is nontrivial
+            QuotientEmbedding(alg, subspace)
     if "subpair" in doc:
         if kind != "jordan_pair":
             raise ParseError("subpair only applies to jordan_pair files")
@@ -383,6 +389,8 @@ def parse_algebra(text):
                              "subpair minus")
         subspace = SubPair(span(field, alg.dim_plus, pr),
                            span(field, alg.dim_minus, mr))
+        # raises ValidationError unless it is closed
+        PairEmbedding(alg, subspace)
     return AlgebraFile(kind, alg, subspace)
 
 

@@ -6,7 +6,10 @@ bilinear product, table[i][j][l][k] of {b_i, b_j, b_l} for a trilinear
 one.  The Lie, associative and Jordan classes all freeze their tables,
 build their sparse views, scale them to ints for validation, check the
 grading, multiply, and check that a map preserves a product through the
-helpers here.
+helpers here.  Every table induced on new bases is built here too (the
+restriction to a subalgebra or subpair, a quotient, the commutator on
+derivations, TKK(V), the pair and triple read off a Lie algebra), and
+building it is its closure check.
 
 A cell tree is the sparse view of a table: tree[i][j]... holds one dict
 level per argument, keyed by the indices whose cells are not zero, and
@@ -139,3 +142,22 @@ def require_preserved(field, table, maps, out_map, product, message):
         if mat_vec(cell, out_map, field) != tuple(
                 product(*(m[i] for m, i in zip(maps, idx)))):
             raise ValidationError(message.format(*idx))
+
+
+def induced(product, ins, read, message):
+    """The table of a product moved onto new bases, the converse of
+    require_preserved: its cell at (i, j, ...) is read(product(ins[0][i],
+    ins[1][j], ...)), read giving the coordinates of a value in the output
+    basis.  At the first cell in row-major order where read returns None
+    it raises ValidationError(message) with {} fields filled with the
+    cell's indices."""
+    def build(args, idx):
+        if len(args) == len(ins):
+            cell = read(product(*args))
+            if cell is None:
+                raise ValidationError(message.format(*idx))
+            return tuple(cell)
+        return tuple(build(args + (x,), idx + (i,))
+                     for i, x in enumerate(ins[len(args)]))
+
+    return build((), ())

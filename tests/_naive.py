@@ -13,7 +13,10 @@ and Fractions over Q), apart from the library's scaled integer checks;
 the realizability oracle solves one linear system per derivation, apart
 from the library's one containment test per degree.  The pair-of-quotients
 oracle tries every pair ideal of the small pair at every point of the big
-one, apart from the library's one canonical candidate per point."""
+one, apart from the library's one canonical candidate per point.  The TKK
+oracle fills the table of TKK(V) block by block from the formulas for
+each kind of basis pair, apart from the library's one bracket on
+(x+, gamma, y-) triples."""
 
 import itertools
 
@@ -27,7 +30,12 @@ from gradlie.errors import (
     AxiomViolation,
     InvolutionViolation,
 )
-from gradlie.jordan import SubPair, distinct_principal_pair_ideals
+from gradlie.jordan import (
+    SubPair,
+    _delta_flat,
+    distinct_principal_pair_ideals,
+    inner_derivations,
+)
 from gradlie.lie import GradedLieAlgebra
 from gradlie.linalg import mat_mul, mat_vec, rank, rref, solve_linear, span
 
@@ -555,6 +563,56 @@ def naive_subpair_generated(pair, gens_plus, gens_minus):
         if all(nxt[s].dim == cur[s].dim for s in (1, -1)):
             return SubPair(cur[1], cur[-1])
         cur = nxt
+
+
+def naive_tkk_table(pair):
+    """The table of TKK(V) = V+ (+) IDer(V) (+) V- on the basis of
+    inner_derivations, one block of basis pairs at a time, each bracket
+    computed once for i < j and negated for j > i: [x+, y-] =
+    delta(x, y), [gamma, x+] = gamma+ x, [gamma, y-] = gamma- y, and
+    [gamma, mu] the componentwise operator commutator, whose matrix in
+    the row convention (v @ M) is Mmu Mgamma - Mgamma Mmu."""
+    f = pair.field
+    n, m = pair.dim_plus, pair.dim_minus
+    ider = inner_derivations(pair)
+    d = ider.dim
+    dim = n + d + m
+    plus_mats = [ider.plus_matrix(flat) for flat in ider.basis]
+    minus_mats = [ider.minus_matrix(flat) for flat in ider.basis]
+
+    def middle(flat):
+        co = ider.subspace.coords(flat)
+        assert co is not None, "left the inner derivations"
+        return (f.zero,) * n + tuple(co) + (f.zero,) * m
+
+    zero = (f.zero,) * dim
+    table = [[zero] * dim for _ in range(dim)]
+
+    def put(i, j, vec):
+        table[i][j] = tuple(vec)
+        table[j][i] = tuple(f.neg(c) for c in vec)
+
+    ep, em = _basis(f, n), _basis(f, m)
+    for i in range(n):
+        for j in range(m):
+            put(i, n + d + j, middle(_delta_flat(pair, ep[i], em[j])))
+    for a in range(d):
+        for i in range(n):
+            put(n + a, i,
+                tuple(mat_vec(ep[i], plus_mats[a], f)) + (f.zero,) * (d + m))
+        for j in range(m):
+            put(n + a, n + d + j,
+                (f.zero,) * (n + d) + tuple(mat_vec(em[j], minus_mats[a], f)))
+    for a in range(d):
+        for b in range(a + 1, d):
+            flat = []
+            for mats in (plus_mats, minus_mats):
+                ab = mat_mul(mats[b], mats[a], f)
+                ba = mat_mul(mats[a], mats[b], f)
+                flat += [f.of(x - y) for r1, r2 in zip(ab, ba)
+                         for x, y in zip(r1, r2)]
+            put(n + a, n + b, middle(tuple(flat)))
+    return tuple(tuple(r) for r in table)
 
 
 def _all_pair_ideals(pair):

@@ -22,10 +22,12 @@ from gradlie.derivations import (
     maximal_quotients_match,
 )
 from gradlie.errors import (
+    DecompositionIncomplete,
     DimensionTooLarge,
     NonzeroCenter,
     NotAnIdeal,
     NotSemiprime,
+    ValidationError,
 )
 from gradlie.gallery import (
     first_component,
@@ -77,6 +79,23 @@ def test_derivations_of_sl2_are_inner():
     assert graded_derivation_components(der) == {-1: 1, 0: 1, 1: 1}
 
 
+def test_components_of_a_trivially_graded_or_non_graded_domain():
+    # trivial grading: the whole space is the degree 0 component
+    flat = sl2()
+    flat = GradedLieAlgebra(QQ, flat.names, flat.table)
+    der = derivation_space(flat, flat.full_space())
+    assert der.components is None
+    assert graded_derivation_components(der) == {0: 3}
+    # Z-graded heis3 and its ideal span(x + y, z), which is not graded
+    h = heis3()
+    x, y, z = (h.basis_vector(i) for i in range(3))
+    ideal = span(QQ, 3, [tuple(a + b for a, b in zip(x, y)), z])
+    der = derivation_space(h, ideal)
+    assert der.components is None
+    with pytest.raises(DecompositionIncomplete):
+        graded_derivation_components(der)
+
+
 def test_derivations_of_heisenberg():
     # gl2 on the x, y plane plus two maps into the center: dimension 6
     h = heis3()
@@ -99,6 +118,17 @@ def test_derivations_into_algebra_from_proper_ideal():
     # summand restricted to the first is zero, so Der(I, L) is Der(I, I)
     assert der.dim == 3
     _check_leibniz(s, der)
+
+
+def test_quotient_embedding_rejects_open_or_non_graded_spaces():
+    a = sl2()
+    e, f, h = (a.basis_vector(i) for i in range(3))
+    # [e, f] = h leaves span(e, f)
+    with pytest.raises(ValidationError):
+        QuotientEmbedding(a, span(QQ, 3, [e, f]))
+    # span(e + f) is closed, but not graded
+    with pytest.raises(ValidationError):
+        QuotientEmbedding(a, span(QQ, 3, [tuple(x + y for x, y in zip(e, f))]))
 
 
 # -- envelopes and denominators ---------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from _naive import (
     change_pair_basis,
+    naive_tkk_table,
     naive_pair_of_quotients,
     naive_pair_semiprime_witness,
     naive_pair_zero_divisor,
@@ -411,6 +412,24 @@ def test_tkk_route_matches_the_pair_scan(data):
         assert naive_q_products_vanish(pair, got)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tkk_table_matches_the_blockwise_oracle(data):
+    # the tkk goldens hold four pairs in their gallery bases
+    f = data.draw(st.sampled_from([QQ, F5, GF(7)]), label="field")
+    pair = data.draw(st.sampled_from([
+        pair_field(f), pair_rect(1, 2, f), pair_rect(2, 2, f),
+        pair_padded(f), pair_zero(1, 2, f), triple_2xyz(f).double,
+        jordan_sym2(f).derived_triple().double]))
+    if data.draw(st.booleans(), label="change basis"):
+        tables = change_pair_basis(
+            f, (pair.table_plus, pair.table_minus),
+            data.draw(_bases(f, pair.dim_plus)),
+            data.draw(_bases(f, pair.dim_minus)))
+        pair = J.JordanPair(f, pair.names_plus, pair.names_minus, *tables)
+    assert J.tkk(pair).table == naive_tkk_table(pair)
+
+
 def test_pair_predicates_never_scan_pair_ideals(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the pair scan ran")
@@ -481,6 +500,15 @@ def test_pair_sum_with_a_large_tkk_radical_is_degenerate():
 
 
 # -- quotient-pair decider -------------------------------------------------------
+
+
+def test_pair_embedding_rejects_an_open_subpair():
+    # {e11, f12, e22} = e12 leaves plus = span(e11, e22)
+    pair = pair_rect(2, 2)
+    plus = span(QQ, 4, [(1, 0, 0, 0), (0, 0, 0, 1)])
+    minus = span(QQ, 4, [(0, 1, 0, 0)])
+    with pytest.raises(ValidationError):
+        J.PairEmbedding(pair, J.SubPair(plus, minus))
 
 
 def test_reflexive_pair_is_its_own_quotients():

@@ -15,7 +15,9 @@ import pytest
 
 from _naive import change_basis
 from gradlie.cli import main
-from gradlie.errors import JacobiViolation, ParseError
+from gradlie.errors import JacobiViolation, ParseError, ValidationError
+from gradlie.jordan import SubPair
+from gradlie.linalg import span
 from gradlie.gallery import (
     heis3,
     jordan_sym2,
@@ -160,6 +162,25 @@ def test_cli_validate_exits_2_on_malformed_values(tmp_path, capsys):
         bad.write_text(json.dumps(doc))
         assert main(["validate", str(bad)]) == 2
         assert "error: ParseError" in capsys.readouterr().err
+
+
+def test_open_marks_are_rejected(tmp_path, capsys):
+    # sl2 marking span(e, f), whose [e, f] = h is outside, and
+    # pair_rect(2, 2) marking span(e11, e22) + span(f12), whose
+    # {e11, f12, e22} = e12 is outside
+    a = sl2()
+    pair = pair_rect(2, 2)
+    files = [(a, span(QQ, 3, [a.basis_vector(0), a.basis_vector(1)])),
+             (pair, SubPair(span(QQ, 4, [(1, 0, 0, 0), (0, 0, 0, 1)]),
+                            span(QQ, 4, [(0, 1, 0, 0)])))]
+    for k, (obj, mark) in enumerate(files):
+        text = serialize_algebra(obj, mark)
+        with pytest.raises(ValidationError):
+            parse_algebra(text)
+        bad = tmp_path / ("open%d.json" % k)
+        bad.write_text(text)
+        assert main(["validate", str(bad)]) == 2
+        assert "error: ValidationError" in capsys.readouterr().err
 
 
 def test_parse_rejects_bad_scalars():

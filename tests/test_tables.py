@@ -1,7 +1,8 @@
 """The structure-constant table layer (gradlie.tables) that every class
-shares: the shape check of freeze, and the bilinear and trilinear
+shares: the shape check of freeze, the bilinear and trilinear
 evaluators against the dense loops of _naive.py, on gallery objects and
-basis changes of them over Q, F5 and F7."""
+basis changes of them over Q, F5 and F7, and the tables induced on new
+bases."""
 
 from types import SimpleNamespace
 
@@ -35,6 +36,7 @@ from gradlie.gallery import (
 from gradlie.jordan import JordanAlgebra, JordanPair, JordanTriple
 from gradlie.lie import GradedLieAlgebra
 from gradlie.scalars import GF, QQ
+from gradlie.tables import induced
 
 FIELDS = [QQ, GF(5), GF(7)]
 
@@ -174,3 +176,24 @@ def test_evaluators_match_the_dense_loops(case, data):
         assert all(canonical(c) for c in got)
     else:
         assert all(type(c) is int and 0 <= c < f.p for c in got)
+
+
+def test_induced_tables_stop_at_the_first_unreadable_cell():
+    def read(v):
+        return (v,) if v < 4 else None
+
+    def product(*args):
+        out = 1
+        for a in args:
+            out *= a
+        return out
+
+    assert induced(product, ([0, 1], [1, 3]), read, "") == (
+        ((0,), (0,)), ((1,), (3,)))
+    # row-major: (2, 0) reads 2, (2, 1) is the first product 4
+    with pytest.raises(ValidationError, match=r"^cell \(2, 1\) is 4$"):
+        induced(product, ([0, 1, 2, 3], [1, 2, 3]), read,
+                "cell ({}, {}) is 4")
+    # (0, 1, 1) is the first product 4 of three
+    with pytest.raises(ValidationError, match=r"^cell \(0, 1, 1\)$"):
+        induced(product, ([1, 2], [1, 2], [1, 2]), read, "cell ({}, {}, {})")
