@@ -34,6 +34,7 @@ from .linalg import (
     Subspace,
     closure,
     kernel_basis,
+    mat_mul,
     mat_vec,
     preimage,
     span,
@@ -282,24 +283,28 @@ def maximal_quotients(alg, graded=False, budget=None):
     m, n = e0.dim, alg.dim
     d = der.dim
 
-    def compose(flat_a, flat_b):
-        # (a o b)(r_s) = a(b(r_s)); requires b(E0) inside E0
-        rows_a = [flat_a[u * n:(u + 1) * n] for u in range(m)]
-        out = []
-        for s in range(m):
-            coords = e0.coords(flat_b[s * n:(s + 1) * n])
-            if coords is None:
-                raise ValidationError(
-                    "derivation image left the essential ideal")
-            out.extend(mat_vec(coords, rows_a, f))
-        return out
+    # per derivation: the images of E0's rows, and the same images in
+    # E0-coordinates, which exist because derivations map E0 into E0
+    values = [[flat[u * n:(u + 1) * n] for u in range(m)]
+              for flat in der.basis]
+    coords = [[e0.coords(v) for v in vs] for vs in values]
+    if any(None in cs for cs in coords):
+        raise ValidationError("derivation image left the essential ideal")
+    done = {}
 
-    def commutator(flat_a, flat_b):
-        return tuple(f.of(x - y) for x, y in
-                     zip(compose(flat_a, flat_b), compose(flat_b, flat_a)))
+    def commutator(i, j):
+        # antisymmetric, so each unordered pair is composed once; a o b
+        # takes r_s to row s of coords[b] @ values[a]
+        if (j, i) in done:
+            return tuple(f.neg(c) for c in done[j, i])
+        ab = mat_mul(coords[j], values[i], f)
+        ba = mat_mul(coords[i], values[j], f)
+        done[i, j] = tuple(f.of(x - y) for r, t in zip(ab, ba)
+                           for x, y in zip(r, t))
+        return done[i, j]
 
     basis_space = span(f, m * n, list(der.basis))
-    table = induced(commutator, (der.basis, der.basis), basis_space.coords,
+    table = induced(commutator, (range(d), range(d)), basis_space.coords,
                     "commutator left the derivation space")
 
     if der.components is not None:

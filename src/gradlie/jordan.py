@@ -146,11 +146,6 @@ def _cut(f, idx, v):
     return tuple(v[i] for i in idx)
 
 
-def _lie_triple(alg):
-    """{x, y, z} = [[x, y], z] in a Lie algebra."""
-    return lambda x, y, z: alg.bracket(alg.bracket(x, y), z)
-
-
 # ---------------------------------------------------------------------------
 # Jordan pairs
 
@@ -550,7 +545,7 @@ def tkk_data(pair):
         return tuple(map(f.reduce, acc))
 
     def read(u):
-        co = ider.subspace.coords(u[1])
+        co = ider.subspace.coords(u[1]) if any(u[1]) else (f.zero,) * d
         return None if co is None else u[0] + tuple(co) + u[2]
 
     table = induced(bracket, (basis, basis), read,
@@ -599,8 +594,8 @@ def pair_from_lie_blocks(alg, plus_idx, minus_idx):
     def build(idx_a, idx_b):
         ea = [alg.basis_vector(i) for i in idx_a]
         eb = [alg.basis_vector(j) for j in idx_b]
-        return induced(_lie_triple(alg), (ea, eb, ea),
-                       lambda v: _cut(f, idx_a, v),
+        return induced(lambda x, y, z: alg.bracket(alg.bracket(x, y), z),
+                       (ea, eb, ea), lambda v: _cut(f, idx_a, v),
                        "triple product ({}, {}, {}) left its block")
 
     return JordanPair(f, tuple(alg.names[i] for i in plus_idx),
@@ -816,9 +811,8 @@ def pair_is_semiprime(pair, budget=None):
 
 
 class PairEmbedding:
-    """A subpair V of a Jordan pair W, with the induced small pair; its
-    tables are the closure check, raising ValidationError when a triple
-    product of V leaves V."""
+    """A subpair V of a Jordan pair W, with the induced small pair, whose
+    tables raise ValidationError when a triple product leaves V."""
 
     __slots__ = ("big", "sub", "small")
 
@@ -1130,8 +1124,8 @@ def maximal_triple_quotients(triple, budget=None):
     nb = len(plus_idx)
     e = [qm.basis_vector(i) for i in plus_idx]
     swapped = [tuple(mat_vec(ej, h, f)) for ej in e]
-    table = induced(_lie_triple(qm), (e, swapped, e),
-                    lambda v: _cut(f, plus_idx, v),
+    table = induced(lambda x, y, z: qm.bracket(qm.bracket(x, y), z),
+                    (e, swapped, e), lambda v: _cut(f, plus_idx, v),
                     "triple product left the plus block")
     names = tuple("t%d" % i for i in range(nb))
     result = JordanTriple(f, names, table)
