@@ -290,21 +290,22 @@ def maximal_quotients(alg, graded=False, budget=None):
     coords = [[e0.coords(v) for v in vs] for vs in values]
     if any(None in cs for cs in coords):
         raise ValidationError("derivation image left the essential ideal")
+    basis_space = span(f, m * n, list(der.basis))
     done = {}
 
     def commutator(i, j):
-        # antisymmetric, so each unordered pair is composed once; a o b
-        # takes r_s to row s of coords[b] @ values[a]
+        # the coordinates of [d_i, d_j], None outside the span; it is
+        # antisymmetric, so each unordered pair is composed once, and
+        # a o b takes r_s to row s of coords[b] @ values[a]
         if (j, i) in done:
             return tuple(f.neg(c) for c in done[j, i])
         ab = mat_mul(coords[j], values[i], f)
         ba = mat_mul(coords[i], values[j], f)
-        done[i, j] = tuple(f.of(x - y) for r, t in zip(ab, ba)
-                           for x, y in zip(r, t))
+        done[i, j] = basis_space.coords(tuple(
+            f.of(x - y) for r, t in zip(ab, ba) for x, y in zip(r, t)))
         return done[i, j]
 
-    basis_space = span(f, m * n, list(der.basis))
-    table = induced(commutator, (range(d), range(d)), basis_space.coords,
+    table = induced(commutator, (range(d), range(d)), lambda c: c,
                     "commutator left the derivation space")
 
     if der.components is not None:
