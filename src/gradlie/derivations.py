@@ -235,13 +235,10 @@ def derivation_space(alg, ideal):
 
 
 def graded_derivation_components(der):
-    """Dimensions of the degree components of a derivation space.
-
-    A graded domain splits the Leibniz system exactly (components).
-    Otherwise the space is one component of degree 0 when the grading is
-    trivial; with a nontrivial grading the domain has no homogeneous
-    basis and DecompositionIncomplete is raised.
-    """
+    """Dimensions of the degree components of a derivation space: the
+    Leibniz system of a graded domain splits exactly; otherwise all of it
+    has degree 0 under a trivial grading, and under a nontrivial one the
+    domain has no homogeneous basis (DecompositionIncomplete)."""
     if der.components is not None:
         return {sigma: len(rows) for sigma, rows in der.components.items()}
     if der.algebra.group.kind != "trivial":
@@ -297,6 +294,8 @@ def maximal_quotients(alg, graded=False, budget=None):
         # the coordinates of [d_i, d_j], None outside the span; it is
         # antisymmetric, so each unordered pair is composed once, and
         # a o b takes r_s to row s of coords[b] @ values[a]
+        if i == j:
+            return (f.zero,) * d
         if (j, i) in done:
             return tuple(f.neg(c) for c in done[j, i])
         ab = mat_mul(coords[j], values[i], f)

@@ -482,13 +482,8 @@ class TkkData:
         return (f.zero,) * (self.pair.dim_plus + self.ider.dim) + tuple(y)
 
     def embed_delta(self, x, y):
-        f = self.algebra.field
-        flat = _delta_flat(self.pair, x, y)
-        co = self.ider.subspace.coords(flat)
-        if co is None:
-            raise ValidationError("inner derivation left its own span")
-        return (f.zero,) * self.pair.dim_plus + tuple(co) + \
-            (f.zero,) * self.pair.dim_minus
+        """delta(x, y) = [x+, y-]."""
+        return self.algebra.bracket(self.embed_plus(x), self.embed_minus(y))
 
     def plus_part(self, v):
         return tuple(v[:self.pair.dim_plus])
@@ -544,11 +539,18 @@ def tkk_data(pair):
             add(1, -1, [_delta_flat(pair, x2, y)])
         return tuple(map(f.reduce, acc))
 
-    def read(u):
-        co = ider.subspace.coords(u[1]) if any(u[1]) else (f.zero,) * d
-        return None if co is None else u[0] + tuple(co) + u[2]
+    done = {}
 
-    table = induced(bracket, (basis, basis), read,
+    def cell(i, j):
+        # antisymmetric, so each unordered pair is bracketed once
+        if (j, i) in done:
+            return tuple(f.neg(c) for c in done[j, i])
+        x, mid, y = bracket(basis[i], basis[j])
+        co = ider.subspace.coords(mid) if any(mid) else (f.zero,) * d
+        done[i, j] = None if co is None else x + tuple(co) + y
+        return done[i, j]
+
+    table = induced(cell, (range(len(basis)),) * 2, lambda c: c,
                     "bracket of basis {} and {} left the inner derivations")
     alg = GradedLieAlgebra(f, names, table, GradingGroup.integers(), degrees)
     data = pair.memo["tkk"] = TkkData(alg, ider, pair)
@@ -824,13 +826,12 @@ class PairEmbedding:
                            "subspaces are not closed under the triple "
                            "products")
 
-        table_plus, table_minus = build(1), build(-1)
         self.big = big
         self.sub = sub
         self.small = JordanPair(
             big.field, tuple("v%d" % i for i in range(sub.plus.dim)),
             tuple("w%d" % i for i in range(sub.minus.dim)),
-            table_plus, table_minus)
+            build(1), build(-1))
 
 
 def _absorber_sets(emb, sign, q):
