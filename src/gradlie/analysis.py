@@ -467,18 +467,6 @@ def is_semiprime(alg, graded=False, budget=None):
     return _ideal_structure(alg, graded, budget).semiprime
 
 
-def semiprime_witness(alg, graded=False, budget=None):
-    """A nonzero abelian (graded) ideal, or None when semiprime.
-
-    Over F_p this is Soc ∩ Ann(Soc), the sum of the abelian minimal
-    (graded) ideals."""
-    if alg.field.p is None:
-        return abelian_ideal_witness(alg)
-    soc = _ideal_structure(alg, graded, budget).socle
-    witness = soc.intersect(alg.annihilator(soc))
-    return None if witness.is_zero() else witness
-
-
 def absolute_zero_divisor_witness(alg, graded=False, budget=None):
     """A nonzero (homogeneous) x with (ad x)^2 = 0, or None.
 
@@ -540,14 +528,6 @@ def socle(alg, budget=None):
     if alg.field.p is None and is_semiprime(alg):
         return alg.full_space()
     return _ideal_structure(alg, False, budget).socle
-
-
-def minimal_graded_ideals(alg, budget=None):
-    """Minimal nonzero graded ideals: over F_p the minimal ideals
-    generated by one homogeneous element, over Q (semiprime input only)
-    the parts of the split of minimal_ideals, with A taking the degree
-    projections when a centroid cuts a part."""
-    return _minimal_ideals(alg, True, budget)
 
 
 def graded_socle(alg, budget=None):

@@ -18,11 +18,11 @@ import sys
 from .analysis import structure_report
 from .assoc import AssocAlgebra
 from .derivations import (
-    QuotientEmbedding,
     is_quotient,
     is_weak_quotient,
     maximal_quotients,
 )
+from .enumeration import resolve_budget
 from .errors import (
     GradlieError,
     NonzeroCenter,
@@ -34,7 +34,6 @@ from .jordan import (
     JordanAlgebra,
     JordanPair,
     JordanTriple,
-    PairEmbedding,
     is_pair_of_quotients,
     maximal_jordan_algebra_quotients,
     maximal_pair_quotients,
@@ -206,10 +205,10 @@ def cmd_qmax(args):
 def cmd_check_quotient(args):
     af = load_path(args.file)
     alg = af.algebra
-    if not isinstance(alg, GradedLieAlgebra) or af.subspace is None:
+    emb = af.embedding
+    if not isinstance(alg, GradedLieAlgebra) or emb is None:
         raise GradlieError("check-quotient expects a lie file with a "
                            "subalgebra entry")
-    emb = QuotientEmbedding(alg, af.subspace)
     if args.weak:
         v = is_weak_quotient(emb, graded=args.graded, budget=args.budget)
     else:
@@ -240,11 +239,10 @@ def cmd_tkk(args):
 
 def cmd_mquotients(args):
     af = load_path(args.file)
-    if not isinstance(af.algebra, JordanPair) or af.subspace is None:
+    if not isinstance(af.algebra, JordanPair) or af.embedding is None:
         raise GradlieError("mquotients expects a jordan_pair file with a "
                            "subpair entry")
-    emb = PairEmbedding(af.algebra, af.subspace)
-    v = is_pair_of_quotients(emb, budget=args.budget)
+    v = is_pair_of_quotients(af.embedding, budget=args.budget)
     report = {"verdict": v.value, "reason": v.reason}
     lines = ["verdict: %s" % v.value]
     if v.witness is not None:
@@ -382,7 +380,7 @@ def build_parser():
         sp.set_defaults(fn=fn)
         sp.add_argument("--format", choices=("text", "json"),
                         default="text")
-        sp.add_argument("--budget", type=int, default=None,
+        sp.add_argument("--budget", default=None,
                         help="enumeration cap (overrides GRADLIE_BUDGET)")
         return sp
 
@@ -426,6 +424,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a malformed budget is invalid input, whatever the command
+        args.budget = resolve_budget(args.budget)
         return args.fn(args)
     except UndecidedError as exc:
         print("undecided: %s" % exc, file=sys.stderr)

@@ -39,7 +39,7 @@ from .linalg import (
     preimage,
     span,
 )
-from .tables import induced
+from .tables import antisymmetric
 
 
 @dataclass
@@ -126,14 +126,6 @@ class DerivationSpace:
     @property
     def dim(self):
         return len(self.basis)
-
-    def matrix(self, i):
-        """Basis map i as a (dim I) x (dim L) tuple of rows."""
-        n = self.algebra.dim
-        m = self.domain.dim
-        flat = self.basis[i]
-        return tuple(tuple(flat[u * n + k] for k in range(n))
-                     for u in range(m))
 
 
 def _map_degree(alg, domain_degrees, u, k):
@@ -288,24 +280,17 @@ def maximal_quotients(alg, graded=False, budget=None):
     if any(None in cs for cs in coords):
         raise ValidationError("derivation image left the essential ideal")
     basis_space = span(f, m * n, list(der.basis))
-    done = {}
 
     def commutator(i, j):
-        # the coordinates of [d_i, d_j], None outside the span; it is
-        # antisymmetric, so each unordered pair is composed once, and
-        # a o b takes r_s to row s of coords[b] @ values[a]
-        if i == j:
-            return (f.zero,) * d
-        if (j, i) in done:
-            return tuple(f.neg(c) for c in done[j, i])
+        # the coordinates of [d_i, d_j], None outside the span; a o b
+        # takes r_s to row s of coords[b] @ values[a]
         ab = mat_mul(coords[j], values[i], f)
         ba = mat_mul(coords[i], values[j], f)
-        done[i, j] = basis_space.coords(tuple(
+        return basis_space.coords(tuple(
             f.of(x - y) for r, t in zip(ab, ba) for x, y in zip(r, t)))
-        return done[i, j]
 
-    table = induced(commutator, (range(d), range(d)), lambda c: c,
-                    "commutator left the derivation space")
+    table = antisymmetric(f, commutator, range(d), lambda c: c,
+                          "commutator left the derivation space")
 
     if der.components is not None:
         deg_of_row = {}

@@ -27,19 +27,29 @@ from __future__ import annotations
 
 import os
 
-from .errors import DimensionTooLarge, ValidationError
+from .errors import DimensionTooLarge, GradlieError, ValidationError
 from .linalg import span
 
 DEFAULT_BUDGET = 10 ** 6
 
 
 def resolve_budget(budget=None):
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get("GRADLIE_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    """The budget given, else GRADLIE_BUDGET, else DEFAULT_BUDGET; a
+    value that is not a nonnegative integer raises GradlieError naming
+    where it came from."""
+    source = "--budget"
+    if budget is None:
+        budget, source = os.environ.get("GRADLIE_BUDGET"), "GRADLIE_BUDGET"
+        if not budget:
+            return DEFAULT_BUDGET
+    try:
+        cap = int(budget)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise GradlieError("%s must be a nonnegative integer, not %r"
+                           % (source, budget))
+    return cap
 
 
 def projective_count(p, dim):

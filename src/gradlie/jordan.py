@@ -36,7 +36,11 @@ over Q and F_p alike: both take their candidates from the absolute zero
 divisors of TKK(V) of degree 1 or -1 (_divisor_candidates), and no pair
 ideal is scanned.  TKK(V) is built once per pair and memoized on it
 (JordanPair.memo), like every result that analysis, enumeration and
-derivations memoize on an algebra.
+derivations memoize on an algebra.  Its table is antisymmetric
+(tables.antisymmetric): each unordered pair of basis vectors is
+bracketed once, reading only the blocks V+, IDer(V), V- that the two
+touch.  A PairEmbedding is built once per marked file too: loading the
+file builds it to check the mark, and the commands decide on it.
 """
 
 from __future__ import annotations
@@ -56,8 +60,8 @@ from .lie import GradedLieAlgebra, GradingGroup
 from .linalg import (
     Subspace,
     closure,
+    mat_identity,
     mat_mul,
-    mat_sub,
     mat_vec,
     preimage,
     rank,
@@ -65,6 +69,7 @@ from .linalg import (
     span,
 )
 from .tables import (
+    antisymmetric,
     bilinear,
     cell_tree,
     freeze,
@@ -132,11 +137,6 @@ def _agree(f, lhs, rhs):
     return True
 
 
-def _basis(field, n):
-    return [tuple(field.one if i == j else field.zero for i in range(n))
-            for j in range(n)]
-
-
 def _cut(f, idx, v):
     """The coordinates of v on the block idx, or None when v has a
     nonzero coordinate outside the block; the read of the tables
@@ -161,7 +161,7 @@ class JordanPair:
     """
 
     __slots__ = ("field", "names_plus", "names_minus", "table_plus",
-                 "table_minus", "cells", "half", "memo", "_key")
+                 "table_minus", "cells", "memo", "_key")
 
     def __init__(self, field, names_plus, names_minus, table_plus,
                  table_minus):
@@ -176,7 +176,6 @@ class JordanPair:
         self.table_minus = freeze(field, table_minus, (m, n, m, m))
         self.cells = {1: cell_tree(self.table_plus, 3),
                       -1: cell_tree(self.table_minus, 3)}
-        self.half = field.inv(field.of(2))
         self.memo = {}
         self._key = (field.p, self.names_plus, self.names_minus,
                      self.table_plus, self.table_minus)
@@ -219,16 +218,7 @@ class JordanPair:
     def d_matrix(self, sign, x, y):
         """Matrix of D_{x,y} on the sign side (row convention v @ M)."""
         return tuple(self.triple(sign, x, y, e)
-                     for e in _basis(self.field, self.dim(sign)))
-
-    def q_matrix(self, sign, x):
-        """Matrix of Q_x: row j is Q_x b_j."""
-        return tuple(self.q_apply(sign, x, e)
-                     for e in _basis(self.field, self.dim(-sign)))
-
-    def q_apply(self, sign, x, y):
-        f = self.field
-        return tuple(f.of(self.half * c) for c in self.triple(sign, x, y, x))
+                     for e in mat_identity(self.field, self.dim(sign)))
 
     def _validate(self):
         for sign in (1, -1):
@@ -308,23 +298,17 @@ def full_subpair(pair):
                    Subspace.full(f, pair.dim_minus))
 
 
-def zero_subpair(pair):
-    f = pair.field
-    return SubPair(Subspace.zero(f, pair.dim_plus),
-                   Subspace.zero(f, pair.dim_minus))
-
-
 def _side_maps(pair, sign, ys, vs):
     """The matrices of z -> {z, y, v} on V^sign, for y in ys (on the
     opposite side) and v in vs (on the sign side)."""
-    es = _basis(pair.field, pair.dim(sign))
+    es = mat_identity(pair.field, pair.dim(sign))
     return [[pair.triple(sign, e, y, v) for e in es] for y in ys for v in vs]
 
 
 def _cross_maps(pair, sign, ys, ws):
     """The matrices of z -> {y, z, w} from V^sign to V^-sign, for y in ys
     and w in ws (both on the opposite side)."""
-    es = _basis(pair.field, pair.dim(sign))
+    es = mat_identity(pair.field, pair.dim(sign))
     return [[pair.triple(-sign, y, e, w) for e in es] for y in ys for w in ws]
 
 
@@ -372,7 +356,7 @@ def pair_ideal_generated(pair, sub):
     """
     f = pair.field
     n, m = pair.dim_plus, pair.dim_minus
-    basis = {1: _basis(f, n), -1: _basis(f, m)}
+    basis = {1: mat_identity(f, n), -1: mat_identity(f, m)}
 
     def joined(sign, v):
         if sign > 0:
@@ -452,8 +436,8 @@ def inner_derivations(pair):
     f = pair.field
     n, m = pair.dim_plus, pair.dim_minus
     rows = []
-    for x in _basis(f, n):
-        for y in _basis(f, m):
+    for x in mat_identity(f, n):
+        for y in mat_identity(f, m):
             rows.append(_delta_flat(pair, x, y))
     sub = span(f, n * n + m * m, rows)
     return InnerDerivationSpace(pair, sub.rows, sub)
@@ -505,53 +489,41 @@ def tkk_data(pair):
         tuple(nm + "-" for nm in pair.names_minus)
     degrees = (1,) * n + (0,) * d + (-1,) * m
 
-    # an element is a triple (x+, gamma, y-), gamma None or the matrices
-    # (gamma+, gamma-) of an inner derivation in the row convention v @ M
-    x0, y0 = pair.zero(1), pair.zero(-1)
-    basis = ([(x, None, y0) for x in _basis(f, n)]
-             + [(x0, (ider.plus_matrix(g), ider.minus_matrix(g)), y0)
-                for g in ider.basis]
-             + [(x0, None, y) for y in _basis(f, m)])
+    # the matrices (gamma+, gamma-) of each inner derivation in the row
+    # convention v @ M, so row i of gamma+ is b+_i gamma+
+    plus = [ider.plus_matrix(g) for g in ider.basis]
+    minus = [ider.minus_matrix(g) for g in ider.basis]
+    ep, em = mat_identity(f, n), mat_identity(f, m)
+    zero = (f.zero,) * (n + d + m)
 
-    def bracket(u, v):
-        """[x+g+y, x'+g'+y'] = (g x' - g' x) + ([g, g'] + delta(x, y') -
-        delta(x', y)) + (g y' - g' y), the middle flattened as in ider;
-        the composite g o g' has matrix M' @ M."""
-        (x, g, y), (x2, g2, y2) = u, v
-        acc = ([0] * n, [0] * (n * n + m * m), [0] * m)
-
-        def add(part, sign, rows):
-            for k, c in enumerate(c for r in rows for c in r):
-                acc[part][k] += sign * c
-
-        if g:
-            add(0, 1, [mat_vec(x2, g[0], f)])
-            add(2, 1, [mat_vec(y2, g[1], f)])
-        if g2:
-            add(0, -1, [mat_vec(x, g2[0], f)])
-            add(2, -1, [mat_vec(y, g2[1], f)])
-        if g and g2:
-            add(1, 1, [r for a, b in zip(g, g2)
-                       for r in mat_sub(mat_mul(b, a, f), mat_mul(a, b, f), f)])
-        if any(x) and any(y2):
-            add(1, 1, [_delta_flat(pair, x, y2)])
-        if any(x2) and any(y):
-            add(1, -1, [_delta_flat(pair, x2, y)])
-        return tuple(map(f.reduce, acc))
-
-    done = {}
+    def middle(flat):
+        co = ider.subspace.coords(flat)
+        return None if co is None else zero[:n] + tuple(co) + zero[:m]
 
     def cell(i, j):
-        # antisymmetric, so each unordered pair is bracketed once
-        if (j, i) in done:
-            return tuple(f.neg(c) for c in done[j, i])
-        x, mid, y = bracket(basis[i], basis[j])
-        co = ider.subspace.coords(mid) if any(mid) else (f.zero,) * d
-        done[i, j] = None if co is None else x + tuple(co) + y
-        return done[i, j]
+        # i < j, read on the blocks V+ | IDer(V) | V- that the two basis
+        # vectors touch: [x+, gamma] = -(x gamma+), [x+, y-] = delta(x, y),
+        # [gamma, y-] = y gamma-, [gamma, mu] the commutator of operators
+        # (matrix M_mu M_gamma - M_gamma M_mu), and V+, V- are abelian
+        if j < n or i >= n + d:
+            return zero
+        if i < n:
+            if j < n + d:
+                return tuple(map(f.neg, plus[j - n][i])) + zero[:d + m]
+            return middle(_delta_flat(pair, ep[i], em[j - n - d]))
+        a = i - n
+        if j >= n + d:
+            return zero[:n + d] + minus[a][j - n - d]
+        b = j - n
+        return middle(tuple(
+            f.of(x - y) for mats in (plus, minus)
+            for r, t in zip(mat_mul(mats[b], mats[a], f),
+                            mat_mul(mats[a], mats[b], f))
+            for x, y in zip(r, t)))
 
-    table = induced(cell, (range(len(basis)),) * 2, lambda c: c,
-                    "bracket of basis {} and {} left the inner derivations")
+    table = antisymmetric(f, cell, range(n + d + m), lambda c: c,
+                          "bracket of basis {} and {} left the inner "
+                          "derivations")
     alg = GradedLieAlgebra(f, names, table, GradingGroup.integers(), degrees)
     data = pair.memo["tkk"] = TkkData(alg, ider, pair)
     return data
@@ -580,9 +552,9 @@ def tkk_ideal(pair, sub):
     for r in sub.minus.rows:
         rows.append(data.embed_minus(r))
     for r in sub.plus.rows:
-        for y in _basis(f, pair.dim_minus):
+        for y in mat_identity(f, pair.dim_minus):
             rows.append(data.embed_delta(r, y))
-    for x in _basis(f, pair.dim_plus):
+    for x in mat_identity(f, pair.dim_plus):
         for r in sub.minus.rows:
             rows.append(data.embed_delta(x, r))
     return span(f, data.algebra.dim, rows)
@@ -645,7 +617,7 @@ def associated_pair(alg, budget=None):
     data = tkk_data(pair)
     t = data.algebra
     n, m = len(plus_idx), len(minus_idx)
-    ep, em = _basis(f, n), _basis(f, m)
+    ep, em = mat_identity(f, n), mat_identity(f, m)
 
     # bracket pairs [e_i^+, e_j^-] span L_0; solve for preimages of the
     # standard degree-0 coordinates
@@ -793,7 +765,7 @@ def distinct_principal_pair_ideals(pair, budget=None):
     seen = {}
     for sign in (1, -1):
         n = pair.dim(sign)
-        for x in iter_projective(f.p, _basis(f, n)):
+        for x in iter_projective(f.p, mat_identity(f, n)):
             gen = span(f, n, [x])
             other = Subspace.zero(f, pair.dim(-sign))
             sub = SubPair(gen, other) if sign > 0 else SubPair(other, gen)
@@ -873,7 +845,7 @@ def _certificate(emb):
     big, f = emb.big, emb.big.field
     bound = emb.sub
     for sign in (1, -1):
-        for q in _basis(f, big.dim(sign)):
+        for q in mat_identity(f, big.dim(sign)):
             bound = bound.intersect(_absorber_sets(emb, sign, q))
     i0 = largest_pair_ideal_inside(emb, bound)
     if i0.is_zero() or not all(_killers(big, s, i0, emb.sub).is_zero()
@@ -922,7 +894,7 @@ def is_pair_of_quotients(emb, budget=None):
         check_budget(sum(projective_count(f.p, big.dim(s)) for s in (1, -1)),
                      budget)
         for sign in (1, -1):
-            for q in iter_projective(f.p, _basis(f, big.dim(sign))):
+            for q in iter_projective(f.p, mat_identity(f, big.dim(sign))):
                 if not examine(sign, q):
                     return Verdict("false", witness=(sign, q),
                                    reason="no admissible ideal absorbs this "
@@ -930,7 +902,7 @@ def is_pair_of_quotients(emb, budget=None):
         return Verdict("true", reason="exhaustive scan over both sides")
 
     for sign in (1, -1):
-        for i, q in enumerate(_basis(f, big.dim(sign))):
+        for i, q in enumerate(mat_identity(f, big.dim(sign))):
             if not examine(sign, q):
                 return Verdict("false", witness=(sign, q),
                                reason="basis element %s fails"
@@ -1081,7 +1053,7 @@ def _exchange_matrix(data):
         rows.append(tuple(v))
     mat = tuple(rows)
     # involutive automorphism
-    if mat_mul(mat, mat, f) != tuple(_basis(f, alg.dim)):
+    if mat_mul(mat, mat, f) != mat_identity(f, alg.dim):
         raise ValidationError("exchange squared is not the identity")
     require_preserved(f, alg.table, (mat, mat), mat, alg.bracket,
                       "exchange is not an automorphism")
@@ -1201,7 +1173,7 @@ class JordanAlgebra:
     def derived_triple(self):
         """The triple {x,y,z} = 2(x(zy) + z(xy) - (xz)y)."""
         f = self.field
-        es = _basis(f, self.dim)
+        es = mat_identity(f, self.dim)
         two = f.of(2)
         mul = self.product
 
@@ -1239,7 +1211,7 @@ def maximal_jordan_algebra_quotients(jalg, budget=None):
     nb = big_t.dim
     e_img = mat_vec(e, emb, f)
     half = f.inv(f.of(2))
-    es = _basis(f, nb)
+    es = mat_identity(f, nb)
     table = induced(
         lambda x, y: tuple(f.of(half * c) for c in big_t.triple(x, e_img, y)),
         (es, es), tuple, "unreachable: tuple is never None")

@@ -35,8 +35,8 @@ from .errors import (
 )
 from .linalg import Subspace, closure, preimage, span
 from .scalars import Field
-from .tables import (bilinear, cell_tree, freeze, induced, integral_trees,
-                     require_graded)
+from .tables import (antisymmetric, bilinear, cell_tree, freeze,
+                     integral_trees, require_graded)
 
 
 class GradingGroup:
@@ -200,12 +200,9 @@ class GradedLieAlgebra:
     def dim(self):
         return len(self.names)
 
-    def _e(self, i):
+    def basis_vector(self, i):
         z = self.field.zero
         return tuple(self.field.one if j == i else z for j in range(self.dim))
-
-    def basis_vector(self, i):
-        return self._e(i)
 
     def zero_vector(self):
         return (self.field.zero,) * self.dim
@@ -261,7 +258,8 @@ class GradedLieAlgebra:
 
     def degree_component(self, d):
         d = self.group.canon(d)
-        rows = [self._e(i) for i in range(self.dim) if self.degrees[i] == d]
+        rows = [self.basis_vector(i) for i in range(self.dim)
+                if self.degrees[i] == d]
         return span(self.field, self.dim, rows)
 
     def homogeneous_decompose(self, v):
@@ -322,7 +320,7 @@ class GradedLieAlgebra:
                    for a, b in itertools.combinations(s.rows, 2))
 
     def is_ideal(self, s):
-        return all(s.contains(self.bracket(self._e(i), r))
+        return all(s.contains(self.bracket(self.basis_vector(i), r))
                    for i in range(self.dim) for r in s.rows)
 
     def require_ideal(self, s, what="subspace"):
@@ -411,19 +409,16 @@ class GradedLieAlgebra:
         f = self.field
         pivots = ideal.pivots()
         kept = [c for c in range(self.dim) if c not in pivots]
-        q = len(kept)
 
         def project(v):
             red = ideal.reduce(v)
             return tuple(red[c] for c in kept)
 
-        proj = tuple(project(self._e(i)) for i in range(self.dim))
-        zero = f.zero
-        section = tuple(tuple(f.one if j == kept[a] else zero
-                              for j in range(self.dim)) for a in range(q))
+        proj = tuple(project(self.basis_vector(i)) for i in range(self.dim))
+        section = tuple(self.basis_vector(c) for c in kept)
         names = tuple(self.names[c] for c in kept)
-        table = induced(self.bracket, (section, section), project,
-                        "unreachable: project is never None")
+        table = antisymmetric(f, self.bracket, section, project,
+                              "unreachable: project is never None")
         degrees = tuple(self.degrees[c] for c in kept)
         quo = GradedLieAlgebra(f, names, table, self.group, degrees)
         return quo, proj, section
@@ -439,8 +434,8 @@ class GradedLieAlgebra:
         well defined degrees).
         """
         rows = sub.rows
-        table = induced(self.bracket, (rows, rows), sub.coords,
-                        "subspace is not closed under the bracket")
+        table = antisymmetric(self.field, self.bracket, rows, sub.coords,
+                              "subspace is not closed under the bracket")
         if self.group.kind != "trivial" and require_graded:
             self.graded_closure_check(sub)
             degrees = tuple(self.degree_of(r) if any(c != self.field.zero for c in r)

@@ -201,13 +201,8 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient):
-        rows = []
-        for i in range(ambient):
-            row = [field.zero] * ambient
-            row[i] = field.one
-            rows.append(tuple(row))
-        return cls(field, ambient, rows, _canonical=True,
-                   _pivots=tuple(range(ambient)))
+        return cls(field, ambient, mat_identity(field, ambient),
+                   _canonical=True, _pivots=tuple(range(ambient)))
 
     @property
     def dim(self):
@@ -464,8 +459,10 @@ def mat_mul(a, b, field):
 
 
 def mat_identity(field, n):
+    """The n x n identity: its rows are the unit vectors of field^n."""
     one, z = field.one, field.zero
-    return [[one if i == j else z for j in range(n)] for i in range(n)]
+    return tuple(tuple(one if i == j else z for j in range(n))
+                 for i in range(n))
 
 
 def mat_scale(m, c, field):

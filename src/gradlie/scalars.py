@@ -134,12 +134,6 @@ class Field:
         p = self.p
         return not any(acc) if p is None else all(a % p == 0 for a in acc)
 
-    def invertible_int(self, n) -> bool:
-        """Whether the integer n is invertible as a scalar (2, 3, 6 checks)."""
-        if self.p is None:
-            return n != 0
-        return n % self.p != 0
-
 
 QQ = Field()
 

@@ -30,6 +30,9 @@ class AlgebraFile:
     kind: str
     algebra: object
     subspace: object = None   # Subspace (lie/assoc) or SubPair (jordan_pair)
+    # the QuotientEmbedding (lie) or PairEmbedding (jordan_pair) built to
+    # check the marked subspace when the file was loaded
+    embedding: object = None
 
     @property
     def field(self):
@@ -365,7 +368,7 @@ def parse_algebra(text):
                                     len(names), symmetric=True)
         alg = JordanAlgebra(field, names, table)
 
-    subspace = None
+    subspace = embedding = None
     if "subalgebra" in doc:
         if kind not in ("lie", "assoc"):
             raise ParseError("subalgebra only applies to lie/assoc files")
@@ -375,7 +378,7 @@ def parse_algebra(text):
         if kind == "lie":
             # raises ValidationError unless it is closed, and graded when
             # the grading is nontrivial
-            QuotientEmbedding(alg, subspace)
+            embedding = QuotientEmbedding(alg, subspace)
     if "subpair" in doc:
         if kind != "jordan_pair":
             raise ParseError("subpair only applies to jordan_pair files")
@@ -390,17 +393,10 @@ def parse_algebra(text):
         subspace = SubPair(span(field, alg.dim_plus, pr),
                            span(field, alg.dim_minus, mr))
         # raises ValidationError unless it is closed
-        PairEmbedding(alg, subspace)
-    return AlgebraFile(kind, alg, subspace)
+        embedding = PairEmbedding(alg, subspace)
+    return AlgebraFile(kind, alg, subspace, embedding)
 
 
 def load_path(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_algebra(fh.read())
-
-
-def dump_path(path, obj, subspace=None):
-    text = serialize_algebra(obj, subspace)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return text

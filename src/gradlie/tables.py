@@ -9,7 +9,11 @@ grading, multiply, and check that a map preserves a product through the
 helpers here.  Every table induced on new bases is built here too (the
 restriction to a subalgebra or subpair, a quotient, the commutator on
 derivations, TKK(V), the pair and triple read off a Lie algebra), and
-building it is its closure check.
+building it is its closure check.  The four Lie tables among them (the
+restriction, the quotient, the commutator on derivations and TKK(V)) are
+antisymmetric and built by antisymmetric, which computes each unordered
+pair of basis vectors once and leaves the diagonal zero; the trilinear
+ones by induced.
 
 A cell tree is the sparse view of a table: tree[i][j]... holds one dict
 level per argument, keyed by the indices whose cells are not zero, and
@@ -161,3 +165,23 @@ def induced(product, ins, read, message):
                      for i, x in enumerate(ins[len(args)]))
 
     return build((), ())
+
+
+def antisymmetric(field, product, basis, read, message):
+    """The table of an antisymmetric bilinear product moved onto a new
+    basis, as induced(product, (basis, basis), read, message) builds it:
+    product runs once per unordered pair i < j, cell (j, i) is the
+    negated cell (i, j), and the diagonal is zero.  The cells that read
+    returns None for are symmetric, so the first of them in row-major
+    order has i < j, and the same ValidationError is raised there."""
+    n = len(basis)
+    zero = (field.zero,) * n
+    table = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            cell = read(product(basis[i], basis[j]))
+            if cell is None:
+                raise ValidationError(message.format(i, j))
+            table[i][j] = tuple(cell)
+            table[j][i] = tuple(map(field.neg, cell))
+    return tuple(map(tuple, table))

@@ -15,14 +15,22 @@ from the library's one containment test per degree.  The pair-of-quotients
 oracle tries every pair ideal of the small pair at every point of the big
 one, apart from the library's one canonical candidate per point.  The TKK
 oracle fills the table of TKK(V) block by block from the formulas for
-each kind of basis pair, apart from the library's one bracket on
-(x+, gamma, y-) triples."""
+each kind of basis pair, apart from the library's antisymmetric table
+builder (gradlie.tables.antisymmetric) and its cell that picks a formula
+per pair of basis indices.  q_apply, q_matrix, derivation_matrix,
+dump_path, zero_subpair, semiprime_witness and minimal_graded_ideals are
+helpers that only tests call, built on the library's product path."""
 
 import itertools
 
 from hypothesis import assume, strategies as st
 
-from gradlie.analysis import graded_socle
+from gradlie.analysis import (
+    _minimal_ideals,
+    abelian_ideal_witness,
+    graded_socle,
+    socle,
+)
 from gradlie.derivations import derivation_space
 from gradlie.enumeration import distinct_principal_ideals
 from gradlie.errors import (
@@ -37,7 +45,16 @@ from gradlie.jordan import (
     inner_derivations,
 )
 from gradlie.lie import GradedLieAlgebra
-from gradlie.linalg import mat_mul, mat_vec, rank, rref, solve_linear, span
+from gradlie.serialize import serialize_algebra
+from gradlie.linalg import (
+    Subspace,
+    mat_mul,
+    mat_vec,
+    rank,
+    rref,
+    solve_linear,
+    span,
+)
 
 
 def _first_nonzero(row):
@@ -482,6 +499,61 @@ def naive_q_products_vanish(pair, sub):
     return True
 
 
+def q_apply(pair, sign, x, y):
+    """Q_x y = half {x, y, x} for x on the sign side."""
+    f = pair.field
+    half = f.inv(f.of(2))
+    return tuple(f.of(half * c) for c in pair.triple(sign, x, y, x))
+
+
+def q_matrix(pair, sign, x):
+    """Matrix of Q_x for x on the sign side: row j is Q_x b_j."""
+    return tuple(q_apply(pair, sign, x, e)
+                 for e in _basis(pair.field, pair.dim(-sign)))
+
+
+def derivation_matrix(der, i):
+    """Basis map i of a DerivationSpace as a (dim I) x (dim L) tuple of
+    rows."""
+    n = der.algebra.dim
+    flat = der.basis[i]
+    return tuple(tuple(flat[u * n + k] for k in range(n))
+                 for u in range(der.domain.dim))
+
+
+def dump_path(path, obj, subspace=None):
+    """Write the canonical algebra file of obj (and its mark) to path."""
+    text = serialize_algebra(obj, subspace)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return text
+
+
+def zero_subpair(pair):
+    f = pair.field
+    return SubPair(Subspace.zero(f, pair.dim_plus),
+                   Subspace.zero(f, pair.dim_minus))
+
+
+def semiprime_witness(alg, graded=False):
+    """A nonzero abelian (graded) ideal, or None when semiprime: over Q
+    the library's abelian_ideal_witness, over F_p Soc ∩ Ann(Soc), the sum
+    of the abelian minimal (graded) ideals."""
+    if alg.field.p is None:
+        return abelian_ideal_witness(alg)
+    soc = (graded_socle if graded else socle)(alg)
+    witness = soc.intersect(alg.annihilator(soc))
+    return None if witness.is_zero() else witness
+
+
+def minimal_graded_ideals(alg):
+    """Minimal nonzero graded ideals: over F_p the minimal ideals
+    generated by one homogeneous element, over Q (semiprime input only)
+    the parts of the split of the minimal ideals, with the envelope taking
+    the degree projections when a centroid cuts a part."""
+    return _minimal_ideals(alg, True, None)
+
+
 def naive_pair_semiprime_witness(pair):
     """First principal pair ideal of the pair scan with Q_I I = 0, or
     None: every nonzero pair ideal contains a principal one."""
@@ -499,17 +571,17 @@ def pair_axioms_hold_at_points(pair):
     f, p = pair.field, pair.field.p
     for sign in (1, -1):
         for x in itertools.product(range(p), repeat=pair.dim(sign)):
-            qx = pair.q_matrix(sign, x)
+            qx = q_matrix(pair, sign, x)
             for y in itertools.product(range(p), repeat=pair.dim(-sign)):
                 dxy = pair.d_matrix(sign, x, y)
                 dyx = pair.d_matrix(-sign, y, x)
-                qxy = pair.q_apply(sign, x, y)
-                qyx = pair.q_apply(-sign, y, x)
-                qy = pair.q_matrix(-sign, y)
+                qxy = q_apply(pair, sign, x, y)
+                qyx = q_apply(pair, -sign, y, x)
+                qy = q_matrix(pair, -sign, y)
                 if (mat_mul(qx, dxy, f) != mat_mul(dyx, qx, f)
                         or pair.d_matrix(sign, qxy, y)
                         != pair.d_matrix(sign, x, qyx)
-                        or pair.q_matrix(sign, qxy)
+                        or q_matrix(pair, sign, qxy)
                         != mat_mul(mat_mul(qx, qy, f), qx, f)):
                     return False
     return True

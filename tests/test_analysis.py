@@ -13,10 +13,12 @@ from hypothesis import assume, given, strategies as st
 
 from _naive import (
     change_basis,
+    minimal_graded_ideals,
     naive_is_essential,
     naive_is_prime,
     naive_is_semiprime,
     naive_socle,
+    semiprime_witness,
 )
 from gradlie import analysis
 from gradlie.analysis import (
@@ -33,10 +35,8 @@ from gradlie.analysis import (
     killing_determinant,
     killing_matrix,
     killing_radical,
-    minimal_graded_ideals,
     minimal_ideals,
     require_three_graded,
-    semiprime_witness,
     socle,
     graded_socle,
     structure_report,

@@ -80,13 +80,6 @@ def test_gf_rejects_composite_moduli():
             GF(n)
 
 
-def test_field_invertible_int():
-    assert QQ.invertible_int(2)
-    assert F5.invertible_int(3)
-    assert not F5.invertible_int(10)
-    assert not GF(2).invertible_int(2)
-
-
 # -- echelon form and spans ----------------------------------------------
 
 

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from _naive import change_basis
+from _naive import change_basis, dump_path
 from gradlie.cli import main
 from gradlie.errors import JacobiViolation, ParseError, ValidationError
 from gradlie.jordan import SubPair
@@ -35,7 +35,6 @@ from gradlie.gallery import (
 )
 from gradlie.serialize import (
     load_path,
-    dump_path,
     parse_algebra,
     serialize_algebra,
 )
@@ -386,13 +385,13 @@ def test_two_dimensional_centroids_factor_without_sympy():
     # splits, or not, by its discriminant
     last = _fresh_python(
         "-c", "import sys; from gradlie import gallery; "
-        "from gradlie.analysis import is_prime, minimal_ideals, "
-        "minimal_graded_ideals, structure_report; "
+        "from gradlie.analysis import _minimal_ideals, is_prime, "
+        "minimal_ideals, structure_report; "
         "algs = [gallery.sl2sum_swap(), gallery.sl2_sqrt2()]; "
         "print([structure_report(a).prime for a in algs], "
         "[is_prime(a, graded=True) for a in algs], "
         "[[m.dim for m in minimal_ideals(a)] for a in algs], "
-        "[[m.dim for m in minimal_graded_ideals(a)] for a in algs], "
+        "[[m.dim for m in _minimal_ideals(a, True, None)] for a in algs], "
         "'loaded', sorted(set(sys.modules) & %r))" % (_HEAVY,))
     assert last == ("[False, True] [True, True] [[3, 3], [6]] [[6], [6]] "
                     "loaded []")
@@ -494,3 +493,47 @@ def test_budget_env_is_honored(tmp_path, capsys, monkeypatch):
     assert main(["analyze", str(h5)]) == 2
     monkeypatch.setenv("GRADLIE_BUDGET", "1000000")
     assert main(["analyze", str(h5)]) == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_malformed_budget_is_invalid_input(tmp_path, capsys, monkeypatch,
+                                           value):
+    # from either source: exit 2 with an error line naming the source,
+    # not a traceback
+    path = tmp_path / "pmi5.json"
+    a = p_mod_i(F5)
+    dump_path(str(path), a, subspace=p_mod_i_small(a))
+    monkeypatch.setenv("GRADLIE_BUDGET", value)
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: GradlieError: GRADLIE_BUDGET ")
+    monkeypatch.delenv("GRADLIE_BUDGET")
+    assert main(["analyze", "--budget=" + value, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: GradlieError: --budget ")
+
+
+@pytest.mark.parametrize("command, make", [
+    ("check-quotient", lambda: (p_mod_i(), p_mod_i_small(p_mod_i()))),
+    ("mquotients", lambda: (pair_padded(F5), padded_subpair(pair_padded(F5)))),
+])
+def test_each_command_embeds_its_mark_once(tmp_path, capsys, monkeypatch,
+                                           command, make):
+    # the embedding that loading the file builds to check the mark is the
+    # one the command decides on
+    from gradlie.jordan import PairEmbedding
+    from gradlie.lie import GradedLieAlgebra
+    obj, mark = make()
+    path = tmp_path / "marked.json"
+    dump_path(str(path), obj, subspace=mark)
+    calls = []
+    for cls, name in ((GradedLieAlgebra, "restrict"),
+                      (PairEmbedding, "__init__")):
+        def counted(*args, _inner=getattr(cls, name), _name=name, **kw):
+            calls.append(_name)
+            return _inner(*args, **kw)
+        monkeypatch.setattr(cls, name, counted)
+    assert main([command, str(path)]) in (0, 1)
+    capsys.readouterr()
+    assert calls == (["restrict"] if command == "check-quotient"
+                     else ["__init__"])

@@ -4,6 +4,7 @@ evaluators against the dense loops of _naive.py, on gallery objects and
 basis changes of them over Q, F5 and F7, and the tables induced on new
 bases."""
 
+import itertools
 from types import SimpleNamespace
 
 import pytest
@@ -31,12 +32,14 @@ from gradlie.gallery import (
     pair_padded,
     pair_rect,
     sl2,
+    sln_e11,
     triple_2xyz,
 )
 from gradlie.jordan import JordanAlgebra, JordanPair, JordanTriple
 from gradlie.lie import GradedLieAlgebra
 from gradlie.scalars import GF, QQ
-from gradlie.tables import induced
+from gradlie.linalg import span
+from gradlie.tables import antisymmetric, induced
 
 FIELDS = [QQ, GF(5), GF(7)]
 
@@ -178,6 +181,14 @@ def test_evaluators_match_the_dense_loops(case, data):
         assert all(type(c) is int and 0 <= c < f.p for c in got)
 
 
+def _outcome(build):
+    """The table build returns, or the class and message it raises."""
+    try:
+        return build()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
 def test_induced_tables_stop_at_the_first_unreadable_cell():
     def read(v):
         return (v,) if v < 4 else None
@@ -197,3 +208,30 @@ def test_induced_tables_stop_at_the_first_unreadable_cell():
     # (0, 1, 1) is the first product 4 of three
     with pytest.raises(ValidationError, match=r"^cell \(0, 1, 1\)$"):
         induced(product, ([1, 2], [1, 2], [1, 2]), read, "cell ({}, {}, {})")
+
+    # the antisymmetric builder multiplies once per unordered pair i < j,
+    # never on the diagonal, and negates the mirror cell
+    calls = []
+
+    def wedge(x, y):
+        calls.append((x, y))
+        return x - y
+
+    assert antisymmetric(QQ, wedge, [1, 2, 4], lambda v: (v, 0, 0), "") == (
+        ((0, 0, 0), (-1, 0, 0), (-3, 0, 0)),
+        ((1, 0, 0), (0, 0, 0), (-2, 0, 0)),
+        ((3, 0, 0), (2, 0, 0), (0, 0, 0)))
+    assert calls == [(1, 2), (1, 4), (2, 4)]
+    # on every span of four basis vectors of sl3, closed or open, it
+    # returns the table induced returns over the full square, or raises
+    # the same class with the same message at the same first cell
+    message = "bracket ({}, {}) left the subspace"
+    for f in FIELDS:
+        alg = sln_e11(3, f)
+        for idx in itertools.combinations(range(alg.dim), 4):
+            sub = span(f, alg.dim, [alg.basis_vector(i) for i in idx])
+            rows = sub.rows
+            want = _outcome(lambda: induced(alg.bracket, (rows, rows),
+                                            sub.coords, message))
+            assert _outcome(lambda: antisymmetric(
+                f, alg.bracket, rows, sub.coords, message)) == want
