@@ -139,9 +139,6 @@ class AssocAlgebra:
     def _mul_coords(self, x, y):
         return bilinear(self.field, self.cells, x, y, self.dim)
 
-    def product(self, x, y):
-        return self._mul_coords(self.vec(x), self.vec(y))
-
     def basis_vector(self, i):
         f = self.field
         return tuple(f.one if j == i else f.zero for j in range(self.dim))

@@ -283,10 +283,6 @@ class SubPair:
     def is_zero(self):
         return self.plus.is_zero() and self.minus.is_zero()
 
-    def contains(self, other):
-        return (self.plus.contains_space(other.plus)
-                and self.minus.contains_space(other.minus))
-
     def intersect(self, other):
         return SubPair(self.plus.intersect(other.plus),
                        self.minus.intersect(other.minus))
@@ -448,14 +444,6 @@ class TkkData:
     algebra: object
     ider: object
     pair: object
-
-    @property
-    def dim_plus(self):
-        return self.pair.dim_plus
-
-    @property
-    def dim_minus(self):
-        return self.pair.dim_minus
 
     def embed_plus(self, x):
         f = self.algebra.field

@@ -86,9 +86,6 @@ class GradingGroup:
     def add(self, a, b):
         return self.canon(a + b)
 
-    def neg(self, a):
-        return self.canon(-a)
-
     def __eq__(self, other):
         return (isinstance(other, GradingGroup)
                 and self.kind == other.kind and self.n == other.n)

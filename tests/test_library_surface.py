@@ -4,7 +4,8 @@ is exported in gradlie.__all__, or is named in ALLOWED with the reason it
 stays.  gallery.py is exempt as a whole, since tests, demos and perfbench
 build their inputs from it.  A caller is a reference by name (a call, an
 attribute read, a function passed as a value) outside the definition's
-own body."""
+own body.  Names are matched without types, so a method counts as called
+when any definition of the same name is referenced."""
 
 import ast
 from collections import Counter
