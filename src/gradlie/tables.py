@@ -12,8 +12,8 @@ derivations, TKK(V), the pair and triple read off a Lie algebra), and
 building it is its closure check.  The four Lie tables among them (the
 restriction, the quotient, the commutator on derivations and TKK(V)) are
 antisymmetric and built by antisymmetric, which computes each unordered
-pair of basis vectors once and leaves the diagonal zero; the trilinear
-ones by induced.
+pair of basis vectors once and leaves the diagonal zero; the others by
+induced.
 
 A cell tree is the sparse view of a table: tree[i][j]... holds one dict
 level per argument, keyed by the indices whose cells are not zero, and

@@ -16,7 +16,8 @@ import pytest
 from _naive import change_basis, dump_path
 from gradlie.cli import main
 from gradlie.errors import JacobiViolation, ParseError, ValidationError
-from gradlie.jordan import SubPair
+from gradlie.jordan import PairEmbedding, SubPair
+from gradlie.lie import GradedLieAlgebra
 from gradlie.linalg import span
 from gradlie.gallery import (
     heis3,
@@ -513,19 +514,17 @@ def test_malformed_budget_is_invalid_input(tmp_path, capsys, monkeypatch,
     assert err.startswith("error: GradlieError: --budget ")
 
 
-@pytest.mark.parametrize("command, make", [
-    ("check-quotient", lambda: (p_mod_i(), p_mod_i_small(p_mod_i()))),
-    ("mquotients", lambda: (pair_padded(F5), padded_subpair(pair_padded(F5)))),
+@pytest.mark.parametrize("command, build, mark", [
+    ("check-quotient", p_mod_i, p_mod_i_small),
+    ("mquotients", lambda: pair_padded(F5), padded_subpair),
 ])
 def test_each_command_embeds_its_mark_once(tmp_path, capsys, monkeypatch,
-                                           command, make):
+                                           command, build, mark):
     # the embedding that loading the file builds to check the mark is the
     # one the command decides on
-    from gradlie.jordan import PairEmbedding
-    from gradlie.lie import GradedLieAlgebra
-    obj, mark = make()
+    obj = build()
     path = tmp_path / "marked.json"
-    dump_path(str(path), obj, subspace=mark)
+    dump_path(str(path), obj, subspace=mark(obj))
     calls = []
     for cls, name in ((GradedLieAlgebra, "restrict"),
                       (PairEmbedding, "__init__")):
