@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from .derivations import QuotientEmbedding, is_quotient
 from .errors import (
     AssociativityViolation,
     InvolutionViolation,
@@ -285,12 +286,15 @@ def check_central_quotients(a, q=None, inclusion=None, variant="K"):
     verified to copy A minus.  That Q sits inside the symmetric overring
     of A is the caller's assertion, recorded in the report.
     """
-    from .derivations import QuotientEmbedding, is_quotient
-
     if variant not in VARIANTS:
         raise ValidationError("variant must be one of %s" % (VARIANTS,))
     if q is None:
         q = a
+    if inclusion is None:
+        if a.dim != q.dim:
+            raise ValidationError("an inclusion matrix is required when "
+                                  "A and Q differ")
+        inclusion = tuple(q.basis_vector(i) for i in range(q.dim))
     f = a.field
     report = CentralQuotientReport(None, variant)
 
@@ -300,29 +304,16 @@ def check_central_quotients(a, q=None, inclusion=None, variant="K"):
         dbl_q, _ = exchange_skew_iso(q)
         report.exchange_checked = True
         inner = "K" if variant == "minus" else "KK"
-        if inclusion is None:
-            if a.dim != q.dim:
-                raise ValidationError("an inclusion matrix is required when "
-                                      "A and Q differ")
-            inclusion = tuple(q.basis_vector(i) for i in range(q.dim))
         dbl_inc = []
         for row in inclusion:
             dbl_inc.append(tuple(row) + (f.zero,) * q.dim)
         for row in inclusion:
             dbl_inc.append((f.zero,) * q.dim + tuple(row))
         return _run_check(dbl_a, dbl_q, tuple(dbl_inc), inner, report)
-
-    if inclusion is None:
-        if a.dim != q.dim:
-            raise ValidationError("an inclusion matrix is required when "
-                                  "A and Q differ")
-        inclusion = tuple(q.basis_vector(i) for i in range(q.dim))
     return _run_check(a, q, tuple(inclusion), variant, report)
 
 
 def _run_check(a, q, inclusion, variant, report):
-    from .derivations import QuotientEmbedding, is_quotient
-
     f = a.field
     # the inclusion must respect products and stars on basis vectors
     require_preserved(f, a.table, (inclusion, inclusion), inclusion,

@@ -148,9 +148,11 @@ def cmd_analyze(args):
             put("skew_dim", alg.skew_elements().dim)
     elif isinstance(alg, JordanPair):
         put("dims", list(alg.dims()))
-        put("semiprime", pair_is_semiprime(alg, budget=args.budget))
-        put("strongly_nondegenerate",
-            pair_is_strongly_nondegenerate(alg, budget=args.budget))
+        # a pair without absolute zero divisors is semiprime, and both
+        # walks charge the budget alike, so the first walk can answer both
+        strong = pair_is_strongly_nondegenerate(alg, budget=args.budget)
+        put("semiprime", strong or pair_is_semiprime(alg, budget=args.budget))
+        put("strongly_nondegenerate", strong)
         put("tkk_dim", tkk(alg).dim)
     elif isinstance(alg, JordanTriple):
         put("dim", alg.dim)

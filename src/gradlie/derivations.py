@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .analysis import graded_socle, is_semiprime, socle
+from .analysis import (graded_core, graded_socle, is_essential_ideal,
+                       is_semiprime, socle)
 from .enumeration import scan_points
 from .errors import (
     DecompositionIncomplete,
@@ -47,7 +48,6 @@ class Verdict:
     value: str  # true | false | verified-on-witnesses | undecided
     witness: object = None
     reason: str = ""
-    data: dict = dc_field(default_factory=dict)
 
     def __bool__(self):
         return self.value == "true"
@@ -120,21 +120,27 @@ def denominator_ideal(emb, q):
 class DerivationSpace:
     algebra: object          # the target L
     domain: object           # Subspace: the ideal I
-    basis: tuple             # flattened maps, canonical echelon order
-    components: object       # dict degree -> tuple of flattened maps, or None
+    space: object            # Subspace of the flattened maps
+    degrees: tuple           # degree of each basis map; None when the
+                             # domain is not graded
+
+    @property
+    def basis(self):
+        return self.space.rows
 
     @property
     def dim(self):
-        return len(self.basis)
+        return self.space.dim
 
-
-def _map_degree(alg, domain_degrees, u, k):
-    # degree of the elementary map r_u |-> b_k
-    if alg.group.kind == "Z":
-        return alg.degrees[k] - domain_degrees[u]
-    if alg.group.kind == "Zn":
-        return (alg.degrees[k] - domain_degrees[u]) % alg.group.n
-    return 0
+    @property
+    def components(self):
+        """dict degree -> tuple of flattened maps, or None."""
+        if self.degrees is None:
+            return None
+        comps = {}
+        for sigma, row in zip(self.degrees, self.basis):
+            comps.setdefault(sigma, []).append(row)
+        return {sigma: tuple(rows) for sigma, rows in comps.items()}
 
 
 def derivation_space(alg, ideal):
@@ -143,32 +149,34 @@ def derivation_space(alg, ideal):
     A map is a (dim I) x (dim L) matrix D with row u the image of the
     canonical basis row r_u.  For every pair s < t the constraint is
     D(coords of [r_s, r_t]) = D[s] @ R(r_t) - D[t] @ R(r_s).  When I is
-    graded (homogeneous canonical rows) each scalar equation only touches
-    matrix cells of a single map degree, so the system splits into
-    independent degree blocks and the solution space is the direct sum of
-    its graded components; the blocks are solved separately and the union
-    is re-echelonized in the fixed row-major flattening for a canonical
-    basis.  Otherwise all cells form one block and components is None.
+    graded (homogeneous canonical rows) the equation at column k only
+    touches cells (u, j) of the map degree deg b_k - deg r_s - deg r_t =
+    deg b_j - deg r_u, so the system splits into independent degree
+    blocks and the solution space is the direct sum of its graded
+    components.  The blocks occupy disjoint cells, each listed in the
+    row-major flattening, so their canonical kernels, sorted by pivot,
+    are the canonical basis of the whole space.  Otherwise all cells
+    form one block and degrees is None.
     """
     alg.require_ideal(ideal)
     f = alg.field
     rows = ideal.rows
     m, n = len(rows), alg.dim
     if m == 0:
-        return DerivationSpace(alg, ideal, (), {})
+        return DerivationSpace(alg, ideal, Subspace.zero(f, 0), ())
     rmats = [alg.right_matrix(r) for r in rows]
     graded = alg.group.kind != "trivial" and alg.is_graded_subspace(ideal)
-    dom_deg = tuple(alg.degree_of(r) for r in rows) if graded else None
+    canon = (alg.group if graded else GradingGroup.trivial()).canon
+    dom_deg = tuple(alg.degree_of(r) for r in rows) if graded else (0,) * m
 
-    # cells (u, k) of the map matrix, grouped by map degree; block_of
-    # gives each cell's degree and its position inside that block
+    # cells (u, k) of the map matrix, grouped by map degree in flat
+    # order; pos gives each cell's position inside its block
     cells = {}
-    block_of = {}
+    pos = {}
     for u in range(m):
         for k in range(n):
-            sigma = _map_degree(alg, dom_deg, u, k) if graded else 0
-            block = cells.setdefault(sigma, [])
-            block_of[(u, k)] = (sigma, len(block))
+            block = cells.setdefault(canon(alg.degrees[k] - dom_deg[u]), [])
+            pos[u, k] = len(block)
             block.append((u, k))
 
     block_eqs = {sigma: set() for sigma in cells}
@@ -188,42 +196,29 @@ def derivation_space(alg, ideal):
                         terms.append(((t, j), c))
                 if not terms:
                     continue
-                sigmas = {block_of[cell][0] for cell, _ in terms}
-                if len(sigmas) > 1:
-                    raise ValidationError("degree bookkeeping failure")
-                sigma = sigmas.pop()
+                sigma = canon(alg.degrees[k] - dom_deg[s] - dom_deg[t])
                 eq = [f.zero] * len(cells[sigma])
                 for cell, c in terms:
-                    pos = block_of[cell][1]
-                    eq[pos] = f.of(eq[pos] + c)
+                    eq[pos[cell]] = f.of(eq[pos[cell]] + c)
                 if any(x != f.zero for x in eq):
                     block_eqs[sigma].add(tuple(eq))
 
-    all_rows = []
-    for sigma in sorted(cells):
-        sol = kernel_basis(f, block_eqs[sigma], len(cells[sigma]))
-        for row in sol.rows:
+    found = []
+    for sigma, block in cells.items():
+        sol = kernel_basis(f, block_eqs[sigma], len(block))
+        for p, row in zip(sol.pivots(), sol.rows):
             flat = [f.zero] * (m * n)
-            for (u, k), c in zip(cells[sigma], row):
+            for (u, k), c in zip(block, row):
                 flat[u * n + k] = c
-            all_rows.append(tuple(flat))
-    total = span(f, m * n, all_rows)
-    if not graded:
-        return DerivationSpace(alg, ideal, total.rows, None)
-    # rows of different degrees occupy disjoint cells, so re-echelonizing
-    # keeps each basis row inside a single degree block
-    comps = {}
-    for row in total.rows:
-        sigma = None
-        for deg, cs in cells.items():
-            if any(row[u * n + k] != f.zero for (u, k) in cs):
-                if sigma is None:
-                    sigma = deg
-                elif sigma != deg:
-                    raise ValidationError("echelon mixed degree blocks")
-        comps.setdefault(sigma, []).append(row)
-    comps = {d: tuple(v) for d, v in comps.items() if d is not None}
-    return DerivationSpace(alg, ideal, total.rows, comps)
+            u, k = block[p]
+            found.append((u * n + k, tuple(flat), sigma))
+    found.sort(key=lambda x: x[0])
+    space = Subspace(f, m * n, [row for _, row, _ in found],
+                     _canonical=True,
+                     _pivots=tuple(p for p, _, _ in found))
+    return DerivationSpace(alg, ideal, space,
+                           tuple(sigma for _, _, sigma in found)
+                           if graded else None)
 
 
 def graded_derivation_components(der):
@@ -279,29 +274,20 @@ def maximal_quotients(alg, graded=False, budget=None):
     coords = [[e0.coords(v) for v in vs] for vs in values]
     if any(None in cs for cs in coords):
         raise ValidationError("derivation image left the essential ideal")
-    basis_space = span(f, m * n, list(der.basis))
 
     def commutator(i, j):
         # the coordinates of [d_i, d_j], None outside the span; a o b
         # takes r_s to row s of coords[b] @ values[a]
         ab = mat_mul(coords[j], values[i], f)
         ba = mat_mul(coords[i], values[j], f)
-        return basis_space.coords(tuple(
+        return der.space.coords(tuple(
             f.of(x - y) for r, t in zip(ab, ba) for x, y in zip(r, t)))
 
     table = antisymmetric(f, commutator, range(d), lambda c: c,
                           "commutator left the derivation space")
 
-    if der.components is not None:
-        deg_of_row = {}
-        for sigma, rows in der.components.items():
-            for r in rows:
-                deg_of_row[r] = sigma
-        degrees = tuple(deg_of_row[r] for r in der.basis)
-        group = alg.group
-    else:
-        degrees = (0,) * d
-        group = GradingGroup.trivial()
+    group, degrees = ((alg.group, der.degrees) if der.degrees is not None
+                      else (GradingGroup.trivial(), (0,) * d))
     names = tuple("d%d" % i for i in range(d))
     qm = GradedLieAlgebra(f, names, table, group, degrees)
 
@@ -311,7 +297,7 @@ def maximal_quotients(alg, graded=False, budget=None):
         flat = []
         for r in e0.rows:
             flat.extend(alg.bracket(x, r))
-        coords = basis_space.coords(tuple(flat))
+        coords = der.space.coords(tuple(flat))
         if coords is None:
             raise ValidationError("ad x is not in the derivation space")
         embedding.append(tuple(coords))
@@ -333,8 +319,6 @@ def maximal_quotients_match(alg, budget=None):
     three ideals together, after which restriction of derivations is the
     identity matching.  Verified here rather than assumed.
     """
-    from .analysis import graded_core
-
     plain = maximal_quotients(alg, graded=False, budget=budget)
     graded = maximal_quotients(alg, graded=True, budget=budget)
     report = {
@@ -417,9 +401,7 @@ def is_quotient(emb, graded=False, budget=None):
         inter = inter.intersect(denominator_ideal(emb, big.basis_vector(i)))
     ann = big.annihilator(inter)
     if ann.is_zero():
-        return Verdict("true",
-                       reason="absorbing ideal has zero annihilator",
-                       data={"ideal_dim": inter.dim})
+        return Verdict("true", reason="absorbing ideal has zero annihilator")
 
     semi = is_semiprime(emb.small_alg, graded=graded, budget=budget)
     if semi:
@@ -427,8 +409,7 @@ def is_quotient(emb, graded=False, budget=None):
         return Verdict(
             "false", witness=witness,
             reason="nonzero annihilator of the absorbing ideal refutes "
-                   "absorption over a semiprime base",
-            data={"ideal_dim": inter.dim, "annihilator_dim": ann.dim})
+                   "absorption over a semiprime base")
 
     # basis pair scan: q runs over coordinate vectors, and any nonzero
     # annihilator of (L:q) yields a refuting element p
@@ -441,8 +422,7 @@ def is_quotient(emb, graded=False, budget=None):
             return Verdict(
                 "false", witness=witness,
                 reason="no element of L brackets this witness out of zero "
-                       "while absorbing the envelope of %s" % big.names[i],
-                data={"q_index": i})
+                       "while absorbing the envelope of %s" % big.names[i])
 
     if f.p is not None:
         for q in scan_points(big, homogeneous_only=graded, budget=budget):
@@ -451,8 +431,7 @@ def is_quotient(emb, graded=False, budget=None):
             if not aq.is_zero():
                 witness = _max_degree_witness(big, aq)
                 return Verdict("false", witness=witness,
-                               reason="exhaustive scan found a refuting pair",
-                               data={"q": q})
+                               reason="exhaustive scan found a refuting pair")
         return Verdict("true",
                        reason="exhaustive scan over all denominators passed")
     return Verdict("undecided",
@@ -558,8 +537,6 @@ def check_axiomatic(emb, budget=None):
     suffices as the single test ideal: every graded essential ideal
     contains it and restriction of derivations is injective.
     """
-    from .analysis import is_essential_ideal
-
     big = emb.big
     f = big.field
     small_alg, small_rows = emb.small_alg, emb.small_rows
@@ -596,11 +573,11 @@ def check_axiomatic(emb, budget=None):
         report.witnesses["faithful"] = _max_degree_witness(big, ann_s)
 
     der = derivation_space(small_alg, e0_small)
-    comps = der.components if der.components is not None else {0: der.basis}
+    degrees = der.degrees if der.degrees is not None else (0,) * der.dim
     n = small_alg.dim
     # row j of R(r_u) is [b_j, r_u]: the values of ad b_j on E0's rows
     rmats = [big.right_matrix(r) for r in e0_big.rows]
-    for sigma, rows in sorted(comps.items()):
+    for sigma in sorted(set(degrees)):
         # a derivation of degree sigma is realized iff its values, read in
         # S, lie in the span of ([b_j, r_u])_u over the basis vectors b_j
         # of degree sigma: one subspace per degree, one containment test
@@ -609,7 +586,7 @@ def check_axiomatic(emb, budget=None):
         ad_sigma = span(f, len(rmats) * big.dim,
                         [tuple(x for rr in rmats for x in rr[j])
                          for j in range(big.dim) if big.degrees[j] == deg])
-        for flat in rows:
+        for flat in (r for d, r in zip(degrees, der.basis) if d == sigma):
             values = tuple(x for u in range(len(rmats)) for x in mat_vec(
                 flat[u * n:(u + 1) * n], small_rows, f))
             if not ad_sigma.contains(values):

@@ -47,6 +47,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .analysis import (abelian_ideal_witness, killing_radical,
+                       require_three_graded)
+from .derivations import QuotientEmbedding, Verdict, maximal_quotients
+from .enumeration import (check_budget, iter_projective, projective_count,
+                          zero_divisor_points)
 from .errors import (
     AxiomViolation,
     BadCharacteristic,
@@ -548,6 +553,12 @@ def tkk_ideal(pair, sub):
     return span(f, data.algebra.dim, rows)
 
 
+def _outer_indices(alg):
+    """The indices of the basis vectors of degree 1 and of degree -1."""
+    return tuple(tuple(i for i, d in enumerate(alg.degrees) if d == sign)
+                 for sign in (1, -1))
+
+
 def pair_from_lie_blocks(alg, plus_idx, minus_idx):
     """Jordan pair on two coordinate blocks of a Lie algebra via
     {x,y,z} = [[x,y],z]."""
@@ -585,14 +596,11 @@ def associated_pair(alg, budget=None):
     isomorphism L / (Z(L) cap L_0) = TKK(pair).  Nothing here scans
     points, so budget is accepted and never consulted.
     """
-    from .analysis import require_three_graded
-
     require_three_graded(alg)
     f = alg.field
     if f.p == 2:
         raise BadCharacteristic("associated pairs need invertible 2")
-    plus_idx = tuple(i for i in range(alg.dim) if alg.degrees[i] == 1)
-    minus_idx = tuple(i for i in range(alg.dim) if alg.degrees[i] == -1)
+    plus_idx, minus_idx = _outer_indices(alg)
     l0 = alg.degree_component(0)
     lplus = alg.degree_component(1)
     lminus = alg.degree_component(-1)
@@ -604,43 +612,27 @@ def associated_pair(alg, budget=None):
 
     data = tkk_data(pair)
     t = data.algebra
-    n, m = len(plus_idx), len(minus_idx)
-    ep, em = mat_identity(f, n), mat_identity(f, m)
+    ep = mat_identity(f, len(plus_idx))
+    em = mat_identity(f, len(minus_idx))
 
-    # bracket pairs [e_i^+, e_j^-] span L_0; solve for preimages of the
-    # standard degree-0 coordinates
-    pair_list = [(i, j) for i in range(n) for j in range(m)]
-    bracket_vecs = []
-    for (i, j) in pair_list:
-        ei = alg.basis_vector(plus_idx[i])
-        ej = alg.basis_vector(minus_idx[j])
-        bracket_vecs.append(alg.bracket(ei, ej))
-
-    map_rows = []
-    for k in range(alg.dim):
-        deg = alg.degrees[k]
-        if deg == 1:
-            pos = plus_idx.index(k)
-            row = data.embed_plus(ep[pos])
-        elif deg == -1:
-            pos = minus_idx.index(k)
-            row = data.embed_minus(em[pos])
-        else:
-            target = alg.basis_vector(k)
-            eqs = tuple(tuple(bracket_vecs[p][c] for p in range(len(pair_list)))
-                        for c in range(alg.dim))
-            sol = solve_linear(f, eqs, target, nunknowns=len(pair_list))
-            if sol is None:
-                raise NotJordanThreeGraded(
-                    "degree-0 coordinate outside [L_1, L_-1]")
-            acc = [f.zero] * t.dim
-            for c, (i, j) in zip(sol, pair_list):
-                if c != f.zero:
-                    dv = data.embed_delta(ep[i], em[j])
-                    acc = [f.of(a + c * b) for a, b in zip(acc, dv)]
-            row = tuple(acc)
-        map_rows.append(tuple(row))
-    map_rows = tuple(map_rows)
+    # the map takes [e_i+, e_j-] to delta(e_i, e_j), and these brackets
+    # span L_0, a span of basis vectors; so in the canonical basis of the
+    # rows [e_i+, e_j-] | delta(e_i, e_j) the row with pivot k < dim L is
+    # b_k | its image, and a row with zero L-part is a relation of the
+    # brackets that the deltas break
+    graph = span(f, alg.dim + t.dim, [
+        alg.bracket(alg.basis_vector(a), alg.basis_vector(b))
+        + data.embed_delta(x, y)
+        for a, x in zip(plus_idx, ep) for b, y in zip(minus_idx, em)])
+    image = {}
+    for k, row in zip(graph.pivots(), graph.rows):
+        if k >= alg.dim:
+            raise ValidationError("canonical map fails to preserve the "
+                                  "bracket")
+        image[k] = row[alg.dim:]
+    image.update(zip(plus_idx, map(data.embed_plus, ep)))
+    image.update(zip(minus_idx, map(data.embed_minus, em)))
+    map_rows = tuple(image[k] for k in range(alg.dim))
 
     # verify: homomorphism, kernel = C_V, surjective
     require_preserved(f, alg.table, (map_rows, map_rows), map_rows,
@@ -672,10 +664,6 @@ def _divisor_candidates(pair, budget):
     scan of V^sign, whose projective points are charged to the budget
     before that side is walked.
     """
-    from .analysis import abelian_ideal_witness, killing_radical
-    from .enumeration import (check_budget, projective_count,
-                              zero_divisor_points)
-
     f = pair.field
     hull = None
     for sign in (1, -1):
@@ -743,8 +731,6 @@ def pair_semiprime_witness(pair, budget=None):
 def distinct_principal_pair_ideals(pair, budget=None):
     """All distinct ideals generated by a single element (F_p only); the
     oracle the tests check the pair predicates against."""
-    from .enumeration import iter_projective, check_budget, projective_count
-
     f = pair.field
     if f.p is None:
         raise ValidationError("principal enumeration is the F_p path")
@@ -856,9 +842,6 @@ def is_pair_of_quotients(emb, budget=None):
     basis elements give a conclusive false and passing ones only a
     sampled verdict.
     """
-    from .derivations import Verdict
-    from .enumeration import iter_projective, check_budget, projective_count
-
     big = emb.big
     f = big.field
     if not pair_is_semiprime(emb.small, budget=budget):
@@ -868,8 +851,7 @@ def is_pair_of_quotients(emb, budget=None):
     if i0 is not None:
         return Verdict("true",
                        reason="one ideal absorbs every element and "
-                              "nothing kills it",
-                       data={"ideal_dims": i0.dims()})
+                              "nothing kills it")
 
     def examine(sign, q):
         dq = largest_pair_ideal_inside(emb, _absorber_sets(emb, sign, q))
@@ -903,8 +885,6 @@ def is_pair_of_quotients(emb, budget=None):
 def tkk_embedding(emb):
     """The Lie-side picture of a subpair: the subalgebra of tkk(W)
     generated by the outer blocks of V, as a quotient embedding."""
-    from .derivations import QuotientEmbedding
-
     data = tkk_data(emb.big)
     rows = [data.embed_plus(r) for r in emb.sub.plus.rows]
     rows += [data.embed_minus(r) for r in emb.sub.minus.rows]
@@ -935,8 +915,6 @@ def maximal_pair_quotients(pair, budget=None):
     triple products; the quotients property of the result over the input
     is re-verified with the pair decider rather than assumed.
     """
-    from .derivations import maximal_quotients
-
     f = pair.field
     if not pair_is_strongly_nondegenerate(pair, budget=budget):
         raise NotStronglyNondegenerate(
@@ -946,8 +924,7 @@ def maximal_pair_quotients(pair, budget=None):
     qm = mq.algebra
     if not set(qm.support()) <= {-1, 0, 1}:
         raise ValidationError("maximal quotients left the 3-graded world")
-    plus_idx = tuple(i for i in range(qm.dim) if qm.degrees[i] == 1)
-    minus_idx = tuple(i for i in range(qm.dim) if qm.degrees[i] == -1)
+    plus_idx, minus_idx = _outer_indices(qm)
     big = pair_from_lie_blocks(qm, plus_idx, minus_idx)
 
     def block_map(rows, idx):
@@ -1063,7 +1040,6 @@ def maximal_triple_quotients(triple, budget=None):
     # of the quotients algebra; transport it to quotient coordinates
     e0 = mq.witness_ideal
     der = mq.derivations
-    basis_space = span(f, e0.dim * data.algebra.dim, list(der.basis))
     h_rows = []
     n_l = data.algebra.dim
     for flat in der.basis:
@@ -1074,14 +1050,14 @@ def maximal_triple_quotients(triple, budget=None):
             if co is None:
                 raise ValidationError("exchange moved the witness ideal")
             new_flat.extend(mat_vec(mat_vec(co, images, f), eta, f))
-        co = basis_space.coords(tuple(new_flat))
+        co = der.space.coords(tuple(new_flat))
         if co is None:
             raise ValidationError("exchange conjugation left the "
                                   "derivation space")
         h_rows.append(tuple(co))
     h = tuple(h_rows)
 
-    plus_idx = tuple(i for i in range(qm.dim) if qm.degrees[i] == 1)
+    plus_idx, _ = _outer_indices(qm)
     nb = len(plus_idx)
     e = [qm.basis_vector(i) for i in plus_idx]
     swapped = [tuple(mat_vec(ej, h, f)) for ej in e]

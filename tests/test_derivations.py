@@ -7,8 +7,14 @@ code's own internal checks.
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
-from _naive import derivation_matrix, naive_realized
+from _naive import (
+    change_basis,
+    derivation_matrix,
+    homogeneous_bases,
+    naive_realized,
+)
 from gradlie.derivations import (
     QuotientEmbedding,
     check_axiomatic,
@@ -40,7 +46,7 @@ from gradlie.gallery import (
     sl2sum_swap,
     sln_e11,
 )
-from gradlie.lie import GradedLieAlgebra
+from gradlie.lie import GradedLieAlgebra, GradingGroup
 from gradlie.linalg import mat_vec, rank, span
 from gradlie.scalars import GF, QQ
 
@@ -118,6 +124,54 @@ def test_derivations_into_algebra_from_proper_ideal():
     # summand restricted to the first is zero, so Der(I, L) is Der(I, I)
     assert der.dim == 3
     _check_leibniz(s, der)
+
+
+# the gallery Lie algebras of the canonical-basis test
+DERIVATION_ALGEBRAS = {
+    "sl2": sl2,
+    "heis3": heis3,
+    "sl2sum": sl2sum,
+    "sl2_sqrt2": sl2_sqrt2,
+    "sl2sum_swap": sl2sum_swap,
+    "sln_e11(3)": lambda f: sln_e11(3, f),
+    "p_mod_i": p_mod_i,
+}
+
+
+@pytest.mark.parametrize("name", list(DERIVATION_ALGEBRAS))
+@given(data=st.data())
+def test_derivation_basis_is_canonical_and_split_by_degree(name, data):
+    # the pivot-sorted block kernels are the canonical basis of the whole
+    # space, and each basis map lives in the cells of its recorded degree;
+    # the ideal is the full space or the one generated by a vector with
+    # two degrees, which need not be graded
+    f = data.draw(st.sampled_from([QQ, F5]))
+    base = DERIVATION_ALGEBRAS[name](f)
+    alg = change_basis(base, data.draw(homogeneous_bases(base)))
+    if data.draw(st.booleans()):
+        alg = GradedLieAlgebra(f, alg.names, alg.table, GradingGroup.mod(2),
+                               [d % 2 for d in alg.degrees])
+    if data.draw(st.booleans()):
+        ideal = alg.full_space()
+    else:
+        i, j = alg.degrees.index(min(alg.degrees)), alg.degrees.index(
+            max(alg.degrees))
+        ideal = alg.ideal_generated([tuple(
+            f.one if c in (i, j) else f.zero for c in range(alg.dim))])
+    der = derivation_space(alg, ideal)
+    m, n = ideal.dim, alg.dim
+    assert der.basis == span(f, m * n, der.basis).rows
+    if not alg.is_graded_subspace(ideal):
+        assert der.degrees is None
+    else:
+        assert len(der.degrees) == der.dim
+        for sigma, flat in zip(der.degrees, der.basis):
+            for u, r in enumerate(ideal.rows):
+                for k in range(n):
+                    if flat[u * n + k] != f.zero:
+                        assert alg.group.canon(
+                            alg.degrees[k] - alg.degree_of(r)) == sigma
+    _check_leibniz(alg, der)
 
 
 def test_quotient_embedding_rejects_open_or_non_graded_spaces():

@@ -67,3 +67,26 @@ def test_allowed_names_still_exist():
              for qualified, _, _ in _definitions(
                  ast.parse(path.read_text(encoding="utf-8")))}
     assert set(ALLOWED) <= names
+
+
+def _package_import(node):
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or node.module.split(".")[0] == "gradlie"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "gradlie" for alias in node.names)
+
+
+def test_package_imports_sit_at_module_level():
+    # an import of the package inside a function hides a dependency of
+    # its module; the one kept breaks a real cycle, since analysis
+    # imports enumeration at module level
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if _package_import(node):
+                        found[path.name, node.lineno] = (func.name,
+                                                         node.module)
+    assert sorted(found.values()) == [
+        ("find_absolute_zero_divisor", "analysis")]

@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+import gradlie.jordan as J
 from _naive import change_basis, dump_path
 from gradlie.cli import main
 from gradlie.errors import JacobiViolation, ParseError, ValidationError
@@ -536,3 +537,28 @@ def test_each_command_embeds_its_mark_once(tmp_path, capsys, monkeypatch,
     capsys.readouterr()
     assert calls == (["restrict"] if command == "check-quotient"
                      else ["__init__"])
+
+
+@pytest.mark.parametrize("build, walks, nondegenerate, semiprime", [
+    (lambda: pair_rect(1, 2, F5), 1, True, True),
+    (lambda: pair_padded(F5), 2, False, False),
+])
+def test_analyze_of_a_pair_walks_its_divisors_once_when_it_can(
+        tmp_path, capsys, monkeypatch, build, walks, nondegenerate,
+        semiprime):
+    # a pair without absolute zero divisors is semiprime, so the walk
+    # that decides strong nondegeneracy also decides semiprimeness
+    path = tmp_path / "pair.json"
+    dump_path(str(path), build())
+    calls = []
+
+    def counted(pair, budget, _inner=J._divisor_candidates):
+        calls.append(budget)
+        return _inner(pair, budget)
+
+    monkeypatch.setattr(J, "_divisor_candidates", counted)
+    assert main(["analyze", "--format", "json", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["strongly_nondegenerate"] is nondegenerate
+    assert report["semiprime"] is semiprime
+    assert len(calls) == walks
