@@ -210,8 +210,8 @@ def derivation_space(alg, ideal):
             flat = [f.zero] * (m * n)
             for (u, k), c in zip(block, row):
                 flat[u * n + k] = c
-            u, k = block[p]
-            found.append((u * n + k, tuple(flat), sigma))
+            pu, pk = block[p]
+            found.append((pu * n + pk, tuple(flat), sigma))
     found.sort(key=lambda x: x[0])
     space = Subspace(f, m * n, [row for _, row, _ in found],
                      _canonical=True,
