@@ -46,7 +46,8 @@ from .lie import GradedLieAlgebra
 from .linalg import rank
 from .scalars import GF, QQ
 from . import gallery
-from .serialize import canonical_json, load_path, serialize_algebra
+from .serialize import (canonical_json, load_path, rows_to_json,
+                        serialize_algebra)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -184,10 +185,9 @@ def cmd_qmax(args):
         "graded": bool(args.graded),
         "qmax": doc,
         "dim": qm.dim,
-        "embedding": [[f.format(c) for c in row] for row in mq.embedding],
+        "embedding": rows_to_json(f, mq.embedding),
         "embedding_rank": rank(f, mq.embedding),
-        "witness_ideal": [[f.format(c) for c in row]
-                          for row in mq.witness_ideal.rows],
+        "witness_ideal": rows_to_json(f, mq.witness_ideal.rows),
         "witness_ideal_dim": mq.witness_ideal.dim,
         "component_dims": comp,
     }
@@ -267,16 +267,13 @@ def cmd_jmax(args):
     if isinstance(alg, JordanPair):
         out = maximal_pair_quotients(alg, budget=args.budget)
         result = out.pair
-        emb_rows = [list(r) for r in out.plus_map], \
-            [list(r) for r in out.minus_map]
         doc = json.loads(serialize_algebra(result))
         report = {
             "kind": "jordan_pair",
             "result": doc,
             "dims": list(result.dims()),
-            "embedding_plus": [[f.format(c) for c in r] for r in out.plus_map],
-            "embedding_minus": [[f.format(c) for c in r]
-                                for r in out.minus_map],
+            "embedding_plus": rows_to_json(f, out.plus_map),
+            "embedding_minus": rows_to_json(f, out.minus_map),
             "verdict": out.verdict.value,
         }
         lines = ["maximal pair quotients dims: %d + %d" % result.dims(),
@@ -288,7 +285,7 @@ def cmd_jmax(args):
             "kind": "jordan_triple",
             "result": doc,
             "dim": out.triple.dim,
-            "embedding": [[f.format(c) for c in r] for r in out.embedding],
+            "embedding": rows_to_json(f, out.embedding),
             "verdict": out.pairs.verdict.value,
         }
         lines = ["maximal triple quotients dim: %d" % out.triple.dim,
@@ -300,7 +297,7 @@ def cmd_jmax(args):
             "kind": "jordan_algebra",
             "result": doc,
             "dim": out.algebra.dim,
-            "embedding": [[f.format(c) for c in r] for r in out.embedding],
+            "embedding": rows_to_json(f, out.embedding),
             "verdict": out.triples.pairs.verdict.value,
         }
         lines = ["maximal algebra quotients dim: %d" % out.algebra.dim,

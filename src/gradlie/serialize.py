@@ -4,13 +4,17 @@ One file holds one algebra (Lie, associative, Jordan pair, Jordan triple,
 or Jordan algebra), its scalars, an optional grading, an optional
 involution, and an optional distinguished subalgebra or subpair that
 downstream quotient checks run against.  Scalars are written as exact
-"num" or "num/den" strings.  Serialization is canonical: fixed key order,
-two-space indent, trailing newline; equal objects produce equal bytes.
+"num" or "num/den" strings.  Every table is written from the algebra's
+cell tree (tables.cells) and read back into the nested table its
+constructor freezes, by one encoder and one decoder whatever the kind.
+Serialization is canonical: fixed key order, two-space indent, trailing
+newline; equal objects produce equal bytes.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .assoc import AssocAlgebra
@@ -21,8 +25,18 @@ from .jordan import (JordanAlgebra, JordanPair, JordanTriple, PairEmbedding,
 from .lie import GradedLieAlgebra, GradingGroup
 from .linalg import Subspace, span
 from .scalars import Field
+from .tables import cells
 
-KINDS = ("lie", "assoc", "jordan_pair", "jordan_triple", "jordan_algebra")
+# the class of each kind of algebra
+_CLASSES = {"lie": GradedLieAlgebra, "assoc": AssocAlgebra,
+            "jordan_pair": JordanPair, "jordan_triple": JordanTriple,
+            "jordan_algebra": JordanAlgebra}
+
+# the kinds whose table lists one cell of each pair (i, j), (j, i): the
+# rule the listed (i, j) meet, its test, and whether the cell (j, i) is
+# the negated cell (i, j) (else it is equal)
+_HALVES = {"lie": ("i < j", operator.lt, True),
+           "jordan_algebra": ("i <= j", operator.le, False)}
 
 
 @dataclass
@@ -55,10 +69,6 @@ def _field_from_json(obj):
             raise ParseError("bad prime in scalars: %r" % (p,))
         return Field(p)
     raise ParseError("scalars must be \"Q\" or {\"Fp\": p}")
-
-
-def _fmt(field, c):
-    return field.format(c)
 
 
 def _scalar(field, s, what):
@@ -111,11 +121,7 @@ def _grading_from_json(obj, dim):
     return group, tuple(degrees)
 
 
-# -- sparse cells ------------------------------------------------------------
-
-
-def _cell_to_json(field, vec):
-    return [[k, _fmt(field, c)] for k, c in enumerate(vec) if c != field.zero]
+# -- sparse tables -----------------------------------------------------------
 
 
 def _entries(obj, what, shape):
@@ -136,13 +142,14 @@ def _cell_from_json(field, entries, dim):
     v = [field.zero] * dim
     for k, s in _entries(entries, "table cell", ("index", "scalar")):
         if not 0 <= k < dim:
-            raise ParseError("cell index %d out of range" % k)
+            raise ParseError("table cell index %d out of range" % k)
         v[k] = _scalar(field, s, "table cell")
-    return tuple(v)
+    return v
 
 
-def _rows_to_json(field, rows):
-    return [[_fmt(field, c) for c in row] for row in rows]
+def rows_to_json(field, rows):
+    """A matrix of scalars as JSON: one list of scalar strings per row."""
+    return [[field.format(c) for c in row] for row in rows]
 
 
 def _rows_from_json(field, obj, ambient, what):
@@ -153,82 +160,46 @@ def _rows_from_json(field, obj, ambient, what):
         if not isinstance(row, list) or len(row) != ambient:
             raise ParseError("%s rows are lists of %d scalars"
                              % (what, ambient))
-        rows.append(tuple(_scalar(field, c, what) for c in row))
+        rows.append([_scalar(field, c, what) for c in row])
     return rows
 
 
-# -- per-kind tables ---------------------------------------------------------
+def _table_to_json(field, tree, half=None):
+    """The entries [indices..., [[k, scalar], ...]] of the nonzero cells
+    of a cell tree, in index order; with half (an entry of _HALVES) only
+    the index pairs it stores."""
+    return [[*idx, [[k, field.format(c)] for k, c in cell]]
+            for idx, cell in cells(tree) if half is None or half[1](*idx)]
 
 
-def _lie_table_to_json(alg):
-    f = alg.field
-    out = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            cell = _cell_to_json(f, alg.table[i][j])
-            if cell:
-                out.append([i, j, cell])
-    return out
+def _table_from_json(field, obj, what, shape, half=None):
+    """The nested table of the given shape (as freeze takes it) whose
+    nonzero cells the sparse entries obj list.  With half (an entry of
+    _HALVES) each listed index pair must meet its rule, and the mirror
+    cell is filled in."""
+    dim = shape[-1]
 
+    def zeros(level):
+        if level == len(shape) - 1:
+            return (field.zero,) * dim
+        return [zeros(level + 1) for _ in range(shape[level])]
 
-def _lie_table_from_json(field, obj, dim):
-    zero = (field.zero,) * dim
-    table = [[zero] * dim for _ in range(dim)]
-    for i, j, cell in _entries(obj, "lie table", ("i", "j", "cell")):
-        if not (0 <= i < dim and 0 <= j < dim and i < j):
-            raise ParseError("lie table stores each bracket once, i < j")
-        v = _cell_from_json(field, cell, dim)
-        table[i][j] = v
-        table[j][i] = tuple(field.neg(c) for c in v)
-    return tuple(tuple(r) for r in table)
-
-
-def _bilinear_to_json(alg, symmetric):
-    f = alg.field
-    out = []
-    for i in range(alg.dim):
-        jstart = i if symmetric else 0
-        for j in range(jstart, alg.dim):
-            cell = _cell_to_json(f, alg.table[i][j])
-            if cell:
-                out.append([i, j, cell])
-    return out
-
-
-def _bilinear_from_json(field, obj, dim, symmetric):
-    zero = (field.zero,) * dim
-    table = [[zero] * dim for _ in range(dim)]
-    for i, j, cell in _entries(obj, "table", ("i", "j", "cell")):
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise ParseError("table index out of range")
-        if symmetric and i > j:
-            raise ParseError("symmetric table stores each product once")
-        v = _cell_from_json(field, cell, dim)
-        table[i][j] = v
-        if symmetric:
-            table[j][i] = v
-    return tuple(tuple(r) for r in table)
-
-
-def _trilinear_to_json(field, table):
-    out = []
-    for i, plane in enumerate(table):
-        for j, row in enumerate(plane):
-            for l, vec in enumerate(row):
-                cell = _cell_to_json(field, vec)
-                if cell:
-                    out.append([i, j, l, cell])
-    return out
-
-
-def _trilinear_from_json(field, obj, na, nb, what="table"):
-    zero = (field.zero,) * na
-    table = [[[zero] * na for _ in range(nb)] for _ in range(na)]
-    for i, j, l, cell in _entries(obj, what, ("i", "j", "l", "cell")):
-        if not (0 <= i < na and 0 <= j < nb and 0 <= l < na):
-            raise ParseError("trilinear index out of range")
-        table[i][j][l] = _cell_from_json(field, cell, na)
-    return tuple(tuple(tuple(r) for r in p) for p in table)
+    table = zeros(0)
+    for *idx, cell in _entries(obj, what, ("i", "j", "l")[:len(shape) - 1]
+                               + ("cell",)):
+        if not all(0 <= i < n for i, n in zip(idx, shape)):
+            raise ParseError("%s index out of range" % what)
+        if half is not None and not half[1](*idx):
+            raise ParseError("%s stores each product once, %s"
+                             % (what, half[0]))
+        node = table
+        for i in idx[:-1]:
+            node = node[i]
+        v = node[idx[-1]] = _cell_from_json(field, cell, dim)
+        if half is not None:
+            i, j = idx
+            table[j][i] = tuple(map(field.neg, v)) if half[2] else v
+    return table
 
 
 # -- top level ---------------------------------------------------------------
@@ -237,53 +208,34 @@ def _trilinear_from_json(field, obj, na, nb, what="table"):
 def serialize_algebra(obj, subspace=None):
     """Canonical JSON text for an algebra plus an optional marked
     subalgebra (Subspace) or subpair (SubPair)."""
-    doc = {"format": "algebra-file", "version": 1}
-    if isinstance(obj, GradedLieAlgebra):
-        f = obj.field
-        doc["kind"] = "lie"
-        doc["scalars"] = _field_to_json(f)
-        doc["basis"] = list(obj.names)
-        doc["table"] = _lie_table_to_json(obj)
-        doc["grading"] = _grading_to_json(obj.group, obj.degrees)
-    elif isinstance(obj, AssocAlgebra):
-        f = obj.field
-        doc["kind"] = "assoc"
-        doc["scalars"] = _field_to_json(f)
-        doc["basis"] = list(obj.names)
-        doc["table"] = _bilinear_to_json(obj, symmetric=False)
-        doc["grading"] = _grading_to_json(obj.group, obj.degrees)
-        if obj.involution is not None:
-            doc["involution"] = _rows_to_json(f, obj.involution)
-    elif isinstance(obj, JordanPair):
-        f = obj.field
-        doc["kind"] = "jordan_pair"
-        doc["scalars"] = _field_to_json(f)
-        doc["basis"] = [list(obj.names_plus), list(obj.names_minus)]
-        doc["table"] = {"plus": _trilinear_to_json(f, obj.table_plus),
-                        "minus": _trilinear_to_json(f, obj.table_minus)}
-    elif isinstance(obj, JordanTriple):
-        f = obj.field
-        doc["kind"] = "jordan_triple"
-        doc["scalars"] = _field_to_json(f)
-        doc["basis"] = list(obj.names)
-        doc["table"] = _trilinear_to_json(f, obj.table)
-    elif isinstance(obj, JordanAlgebra):
-        f = obj.field
-        doc["kind"] = "jordan_algebra"
-        doc["scalars"] = _field_to_json(f)
-        doc["basis"] = list(obj.names)
-        doc["table"] = _bilinear_to_json(obj, symmetric=True)
-    else:
+    kind = next((k for k, cls in _CLASSES.items() if isinstance(obj, cls)),
+                None)
+    if kind is None:
         raise ParseError("cannot serialize %r" % type(obj).__name__)
+    f = obj.field
+    doc = {"format": "algebra-file", "version": 1, "kind": kind,
+           "scalars": _field_to_json(f)}
+    if kind == "jordan_pair":
+        doc["basis"] = [list(obj.names_plus), list(obj.names_minus)]
+        doc["table"] = {"plus": _table_to_json(f, obj.cells[1]),
+                        "minus": _table_to_json(f, obj.cells[-1])}
+    else:
+        doc["basis"] = list(obj.names)
+        tree = obj.double.cells[1] if kind == "jordan_triple" else obj.cells
+        doc["table"] = _table_to_json(f, tree, _HALVES.get(kind))
+    if kind in ("lie", "assoc"):
+        doc["grading"] = _grading_to_json(obj.group, obj.degrees)
+    if kind == "assoc" and obj.involution is not None:
+        doc["involution"] = rows_to_json(f, obj.involution)
 
     if subspace is not None:
         if isinstance(subspace, SubPair):
             doc["subpair"] = {
-                "plus": _rows_to_json(f, subspace.plus.rows),
-                "minus": _rows_to_json(f, subspace.minus.rows),
+                "plus": rows_to_json(f, subspace.plus.rows),
+                "minus": rows_to_json(f, subspace.minus.rows),
             }
         elif isinstance(subspace, Subspace):
-            doc["subalgebra"] = _rows_to_json(f, subspace.rows)
+            doc["subalgebra"] = rows_to_json(f, subspace.rows)
         else:
             raise ParseError("marked subspace must be a Subspace or SubPair")
     return canonical_json(doc)
@@ -309,8 +261,8 @@ def parse_algebra(text):
     if doc.get("version") != 1:
         raise ParseError("unsupported version %r" % doc.get("version"))
     kind = doc.get("kind")
-    if kind not in KINDS:
-        raise ParseError("kind must be one of %s" % (KINDS,))
+    if kind not in _CLASSES:
+        raise ParseError("kind must be one of %s" % (tuple(_CLASSES),))
     field = _field_from_json(doc.get("scalars"))
     if "subalgebra" in doc and "subpair" in doc:
         raise ParseError("a file marks at most one of subalgebra/subpair")
@@ -321,60 +273,44 @@ def parse_algebra(text):
             raise ParseError("%s must be a nonempty list of strings" % what)
         return tuple(ns)
 
-    if kind == "lie":
-        names = name_list(doc.get("basis"))
-        dim = len(names)
-        table = _lie_table_from_json(field, doc.get("table", []), dim)
-        group, degrees = _grading_from_json(doc.get("grading"), dim)
-        alg = GradedLieAlgebra(field, names, table, group, degrees)
-    elif kind == "assoc":
-        names = name_list(doc.get("basis"))
-        dim = len(names)
-        table = _bilinear_from_json(field, doc.get("table", []), dim,
-                                    symmetric=False)
-        group, degrees = _grading_from_json(doc.get("grading"), dim)
-        inv = None
-        if "involution" in doc:
-            rows = _rows_from_json(field, doc["involution"], dim,
-                                   "involution")
-            if len(rows) != dim:
-                raise ParseError("involution matrix needs one row per "
-                                 "basis element")
-            inv = tuple(rows)
-        alg = AssocAlgebra(field, names, table, group, degrees,
-                           involution=inv)
-    elif kind == "jordan_pair":
+    if kind == "jordan_pair":
         b = doc.get("basis")
         if not (isinstance(b, list) and len(b) == 2):
             raise ParseError("pair basis is a list of two name lists")
-        names_p = name_list(b[0], "plus basis")
-        names_m = name_list(b[1], "minus basis")
+        names = (name_list(b[0], "plus basis"),
+                 name_list(b[1], "minus basis"))
         t = doc.get("table")
         if not (isinstance(t, dict) and set(t) <= {"plus", "minus"}):
             raise ParseError("pair table has \"plus\" and \"minus\" parts")
-        tp = _trilinear_from_json(field, t.get("plus", []),
-                                  len(names_p), len(names_m), "table plus")
-        tm = _trilinear_from_json(field, t.get("minus", []),
-                                  len(names_m), len(names_p), "table minus")
-        alg = JordanPair(field, names_p, names_m, tp, tm)
-    elif kind == "jordan_triple":
-        names = name_list(doc.get("basis"))
-        table = _trilinear_from_json(field, doc.get("table", []),
-                                     len(names), len(names))
-        alg = JordanTriple(field, names, table)
+        n, m = map(len, names)
+        args = names + (
+            _table_from_json(field, t.get("plus", []), "table plus",
+                             (n, m, n, n)),
+            _table_from_json(field, t.get("minus", []), "table minus",
+                             (m, n, m, m)))
     else:
         names = name_list(doc.get("basis"))
-        table = _bilinear_from_json(field, doc.get("table", []),
-                                    len(names), symmetric=True)
-        alg = JordanAlgebra(field, names, table)
+        n = len(names)
+        args = (names, _table_from_json(
+            field, doc.get("table", []),
+            "lie table" if kind == "lie" else "table",
+            (n,) * (4 if kind == "jordan_triple" else 3), _HALVES.get(kind)))
+    if kind in ("lie", "assoc"):
+        args += _grading_from_json(doc.get("grading"), n)
+    if kind == "assoc" and "involution" in doc:
+        rows = _rows_from_json(field, doc["involution"], n, "involution")
+        if len(rows) != n:
+            raise ParseError("involution matrix needs one row per "
+                             "basis element")
+        args += (rows,)
+    alg = _CLASSES[kind](field, *args)
 
     subspace = embedding = None
     if "subalgebra" in doc:
         if kind not in ("lie", "assoc"):
             raise ParseError("subalgebra only applies to lie/assoc files")
-        rows = _rows_from_json(field, doc["subalgebra"], len(alg.names),
-                               "subalgebra")
-        subspace = span(field, len(alg.names), rows)
+        rows = _rows_from_json(field, doc["subalgebra"], n, "subalgebra")
+        subspace = span(field, n, rows)
         if kind == "lie":
             # raises ValidationError unless it is closed, and graded when
             # the grading is nontrivial
@@ -386,12 +322,9 @@ def parse_algebra(text):
         if not isinstance(sp, dict):
             raise ParseError("subpair must be an object with \"plus\" and "
                              "\"minus\" rows")
-        pr = _rows_from_json(field, sp.get("plus", []), alg.dim_plus,
-                             "subpair plus")
-        mr = _rows_from_json(field, sp.get("minus", []), alg.dim_minus,
-                             "subpair minus")
-        subspace = SubPair(span(field, alg.dim_plus, pr),
-                           span(field, alg.dim_minus, mr))
+        pr = _rows_from_json(field, sp.get("plus", []), n, "subpair plus")
+        mr = _rows_from_json(field, sp.get("minus", []), m, "subpair minus")
+        subspace = SubPair(span(field, n, pr), span(field, m, mr))
         # raises ValidationError unless it is closed
         embedding = PairEmbedding(alg, subspace)
     return AlgebraFile(kind, alg, subspace, embedding)

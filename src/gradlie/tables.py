@@ -19,7 +19,8 @@ A cell tree is the sparse view of a table: tree[i][j]... holds one dict
 level per argument, keyed by the indices whose cells are not zero, and
 ends in the (k, c) of each cell's nonzero entries.  The products walk it,
 accumulate exactly and reduce once per result through Field.reduce, so
-over Q an integral result is an int.
+over Q an integral result is an int.  cells lists its nonzero cells in
+index order; algebra files are written from that list.
 """
 
 from __future__ import annotations
@@ -60,12 +61,14 @@ def cell_tree(table, arity):
     return tree
 
 
-def _leaves(node):
-    if isinstance(node, list):
-        yield node
-        return
-    for sub in node.values():
-        yield from _leaves(sub)
+def cells(tree, idx=()):
+    """(indices, [(k, c), ...]) of each nonzero cell of a cell tree, in
+    index order."""
+    for i, sub in tree.items():
+        if isinstance(sub, list):
+            yield idx + (i,), sub
+        else:
+            yield from cells(sub, idx + (i,))
 
 
 def integral_trees(field, trees):
@@ -74,8 +77,8 @@ def integral_trees(field, trees):
     (Field.integral).  An identity homogeneous in the tables can then be
     checked on ints, both sides carrying the same power of d.  With d = 1
     (always over F_p) the trees come back unchanged."""
-    d, ints = field.integral(c for t in trees for leaf in _leaves(t)
-                             for _, c in leaf)
+    d, ints = field.integral(c for t in trees for _, cell in cells(t)
+                             for _, c in cell)
     if d == 1:
         return d, trees
     ints = iter(ints)

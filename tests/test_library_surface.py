@@ -5,7 +5,10 @@ stays.  gallery.py is exempt as a whole, since tests, demos and perfbench
 build their inputs from it.  A caller is a reference by name (a call, an
 attribute read, a function passed as a value) outside the definition's
 own body.  Names are matched without types, so a method counts as called
-when any definition of the same name is referenced."""
+when any definition of the same name is referenced; SHARED therefore
+lists the names defined more than once, each definition with the caller
+that keeps it, and a name that joins or leaves that set fails until it
+has been checked by hand."""
 
 import ast
 from collections import Counter
@@ -21,6 +24,40 @@ ALLOWED = {
     "rref": "bound by perfbench/tracer.py; the tests' echelon oracle",
     "GradedLieAlgebra.is_subalgebra": "called by perfbench/tests",
     "AxiomaticReport.passed": "read by perfbench/questions.py",
+}
+
+
+# name: {definition: the caller, module and function, that keeps it}
+SHARED = {
+    "add": {"GradingGroup.add": "lie.py GradedLieAlgebra.__init__",
+            "Subspace.add": "analysis.py _from_scan"},
+    "basis_vector": {
+        "AssocAlgebra.basis_vector": "assoc.py check_central_quotients",
+        "GradedLieAlgebra.basis_vector": "derivations.py maximal_quotients"},
+    "dim": {"AssocAlgebra.dim": "assoc.py check_central_quotients",
+            "DerivationSpace.dim": "derivations.py check_axiomatic",
+            "JordanPair.dim": "jordan.py _killers",
+            "InnerDerivationSpace.dim": "jordan.py _exchange_matrix",
+            "JordanTriple.dim": "cli.py cmd_jmax",
+            "JordanAlgebra.dim": "cli.py cmd_jmax",
+            "GradedLieAlgebra.dim": "lie.py GradedLieAlgebra.zero_space",
+            "Subspace.dim": "cli.py cmd_qmax"},
+    "dims": {"JordanPair.dims": "cli.py cmd_validate",
+             "SubPair.dims": "cli.py cmd_validate"},
+    "intersect": {"SubPair.intersect": "jordan.py _certificate",
+                  "Subspace.intersect": "derivations.py is_quotient"},
+    "is_zero": {"SubPair.is_zero": "jordan.py _certificate",
+                "Subspace.is_zero": "analysis.py _last_derived_term"},
+    "reduce": {"Subspace.reduce": "lie.py GradedLieAlgebra.quotient_by_ideal",
+               "Field.reduce": "tables.py bilinear"},
+    "triple": {"JordanPair.triple": "jordan.py JordanPair.d_matrix",
+               "JordanTriple.triple":
+                   "jordan.py maximal_jordan_algebra_quotients"},
+    "vec": {"AssocAlgebra.vec": "assoc.py AssocAlgebra.star",
+            "GradedLieAlgebra.vec": "derivations.py envelope"},
+    "zero": {"JordanPair.zero": "jordan.py pair_ideal_generated",
+             "GradingGroup.zero": "assoc.py AssocAlgebra.__init__",
+             "Subspace.zero": "analysis.py _components"},
 }
 
 
@@ -67,6 +104,17 @@ def test_allowed_names_still_exist():
              for qualified, _, _ in _definitions(
                  ast.parse(path.read_text(encoding="utf-8")))}
     assert set(ALLOWED) <= names
+
+
+def test_names_defined_twice_are_checked_by_hand():
+    defined = {}
+    for path in SRC.glob("*.py"):
+        for qualified, name, _ in _definitions(
+                ast.parse(path.read_text(encoding="utf-8"))):
+            defined.setdefault(name, set()).add(qualified)
+    assert {name: qualified for name, qualified in defined.items()
+            if len(qualified) > 1} == {name: set(callers) for name, callers
+                                       in SHARED.items()}
 
 
 def _package_import(node):

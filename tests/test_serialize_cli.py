@@ -7,6 +7,7 @@ start-up checks run a fresh interpreter, since in-process imports are
 already cached.
 """
 
+import itertools
 import json
 import subprocess
 import sys
@@ -100,6 +101,19 @@ def test_subpair_marker_roundtrip():
     assert serialize_algebra(af.algebra, subspace=af.subspace) == text
 
 
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_every_kind_roundtrips_byte_identically(field):
+    pmi, pp = p_mod_i(field), pair_padded(field)
+    cases = [(pmi, None), (pmi, p_mod_i_small(pmi)),
+             (m_n_transpose(2, field), None), (pp, None),
+             (pp, padded_subpair(pp)), (triple_2xyz(field), None),
+             (jordan_sym2(field), None)]
+    for obj, subspace in cases:
+        text = serialize_algebra(obj, subspace)
+        af = parse_algebra(text)
+        assert serialize_algebra(af.algebra, subspace) == text
+
+
 # -- parse and validation failures ---------------------------------------------
 
 
@@ -138,6 +152,28 @@ def _malformed_documents():
         d = doc(sl2())
         d["table"][0][2][0][1] = scalar
         out.append(("table cell", d))
+    # each table lists the index tuples its kind stores: i < j for lie,
+    # i <= j for jordan_algebra, every one for the other kinds
+    for i, j in ((1, 0), (1, 1)):
+        d = doc(sl2())
+        d["table"][0][:2] = [i, j]
+        out.append(("lie table", d))
+    d = doc(jordan_sym2())
+    d["table"][1][:2] = [1, 0]
+    out.append(("table", d))
+    # an index out of range in a table of each kind, at every position
+    tables = [("lie table", sl2(), None, 2),
+              ("table", m_n_transpose(2), None, 2),
+              ("table", jordan_sym2(), None, 2),
+              ("table", triple_2xyz(), None, 3),
+              ("table plus", pair_rect(1, 2), "plus", 3),
+              ("table minus", pair_rect(1, 2), "minus", 3)]
+    for field, obj, part, arity in tables:
+        for pos, index in itertools.product(range(arity), (-1, 9)):
+            d = doc(obj)
+            entries = d["table"][part] if part else d["table"]
+            entries[0][pos] = index
+            out.append((field, d))
     return out
 
 
