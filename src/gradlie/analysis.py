@@ -36,6 +36,7 @@ from fractions import Fraction
 from .enumeration import (
     distinct_principal_ideals,
     find_absolute_zero_divisor,
+    iter_projective,
     resolve_budget,
 )
 from .errors import NotThreeGraded, UndecidedError, ValidationError
@@ -82,9 +83,13 @@ def killing_determinant(alg):
 
 
 def killing_radical(alg):
-    """Kernel of the Killing form; over Q this is the solvable radical."""
-    k = killing_matrix(alg)
-    return kernel_basis(alg.field, k, alg.dim)
+    """Kernel of the Killing form; over Q this is the solvable radical.
+    Memoized on the algebra."""
+    got = alg.memo.get("killing_radical")
+    if got is None:
+        got = alg.memo["killing_radical"] = kernel_basis(
+            alg.field, killing_matrix(alg), alg.dim)
+    return got
 
 
 def _last_derived_term(alg, sub):
@@ -112,6 +117,32 @@ def abelian_ideal_witness(alg):
     if rad.is_zero():
         return None
     return _last_derived_term(alg, rad)
+
+
+def zero_divisors(alg, block):
+    """The candidates for nonzero absolute zero divisors inside a subspace
+    block, charging no budget: each caller charges its own.
+
+    Over F_p, the projective points x of K ∩ block with (ad x)^2 = 0, in
+    the order of their coordinates in its canonical basis, which is the
+    order in which a scan of the block meets them.  K is all of L when
+    p = 2 and the Killing radical otherwise: with a = ad x, a^2 = 0 gives
+    0 = ad [x, [x, y]] = -2 a (ad y) a, so (a ad y)^2 = 0 and
+    tr(a ad y) = 0.  Over Q, the canonical basis of A ∩ block, A the
+    abelian ideal of abelian_ideal_witness, whose elements all are
+    absolute zero divisors; a semisimple algebra has none at all (such an
+    element would embed in an sl2 triple with impossible weights).
+    """
+    f = alg.field
+    if f.p is None:
+        witness = abelian_ideal_witness(alg)
+        if witness is not None:
+            yield from witness.intersect(block).rows
+        return
+    rad = alg.full_space() if f.p == 2 else killing_radical(alg)
+    for x in iter_projective(f.p, rad.intersect(block).rows):
+        if alg.is_in_quadratic_annihilator(x):
+            yield x
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +440,7 @@ def _summands(alg, graded, budget):
         return tuple(_centroid_summands(alg, graded, budget))
     out = []
     for part in (ideal, alg.annihilator(ideal)):
-        sub, rows = alg.restrict(part, require_graded=graded)
+        sub, rows = alg.restrict(part)
         out += [span(f, n, [mat_vec(r, rows, f) for r in piece.rows])
                 for piece in _summands(sub, graded, budget)]
     return tuple(out)
@@ -468,23 +499,17 @@ def is_semiprime(alg, graded=False, budget=None):
 
 
 def absolute_zero_divisor_witness(alg, graded=False, budget=None):
-    """A nonzero (homogeneous) x with (ad x)^2 = 0, or None.
-
-    Over Q this is decided in both directions: a semisimple algebra has no
-    nonzero absolute zero divisors at all (such an element would embed in
-    an sl2 triple with impossible weights), while any nonzero abelian
-    ideal consists of them.  Over F_p: exhaustive scan.
+    """A nonzero (homogeneous) x with (ad x)^2 = 0, or None: the first of
+    zero_divisors.  Over F_p the scan charges the budget first
+    (find_absolute_zero_divisor); over Q the walk is free, and graded it
+    takes the degree components from the top degree down.
     """
     if alg.field.p is not None:
         return find_absolute_zero_divisor(alg, homogeneous_only=graded,
                                           budget=budget)
-    witness = abelian_ideal_witness(alg)
-    if witness is None:
-        return None
-    # every row is homogeneous and kills the algebra twice over
-    if not graded:
-        return witness.rows[0]
-    return max(witness.rows, key=lambda r: alg.degree_of(r) or 0)
+    blocks = ([alg.degree_component(d) for d in reversed(alg.support())]
+              if graded else [alg.full_space()])
+    return next((x for b in blocks for x in zero_divisors(alg, b)), None)
 
 
 def is_strongly_nondegenerate(alg, graded=False, budget=None):

@@ -396,9 +396,11 @@ def is_quotient(emb, graded=False, budget=None):
     f = big.field
     emb.require_zero_center()
 
+    dens = [denominator_ideal(emb, big.basis_vector(i))
+            for i in range(big.dim)]
     inter = big.full_space()
-    for i in range(big.dim):
-        inter = inter.intersect(denominator_ideal(emb, big.basis_vector(i)))
+    for dq in dens:
+        inter = inter.intersect(dq)
     ann = big.annihilator(inter)
     if ann.is_zero():
         return Verdict("true", reason="absorbing ideal has zero annihilator")
@@ -413,9 +415,7 @@ def is_quotient(emb, graded=False, budget=None):
 
     # basis pair scan: q runs over coordinate vectors, and any nonzero
     # annihilator of (L:q) yields a refuting element p
-    for i in range(big.dim):
-        q = big.basis_vector(i)
-        dq = denominator_ideal(emb, q)
+    for i, dq in enumerate(dens):
         aq = big.annihilator(dq)
         if not aq.is_zero():
             witness = _max_degree_witness(big, aq)

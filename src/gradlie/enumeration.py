@@ -16,11 +16,13 @@ Both scans are exact Python integer arithmetic on the sparse structure
 constants of the algebra (GradedLieAlgebra.nonzero), so no prime is too
 large for them and no value wraps around: the principal-ideal scan closes
 one point at a time through GradedLieAlgebra.ideal_generated, and the
-absolute-zero-divisor scan (zero_divisor_points) yields the points passing
+absolute-zero-divisor scan charges its blocks here and walks each with
+analysis.zero_divisors, which yields the points passing
 GradedLieAlgebra.is_in_quadratic_annihilator, testing only the points of
 the Killing radical, where every absolute zero divisor lies when p != 2.
-The Jordan pair predicates walk the same points, in the outer components
-of the TKK algebra of the pair, and charge their own budget per side.
+The Jordan pair predicates take their candidates from the same walk, in
+the outer components of the TKK algebra of the pair, and charge their
+own budget per side.
 """
 
 from __future__ import annotations
@@ -150,38 +152,20 @@ def distinct_principal_ideals(alg, homogeneous_only=False, budget=None):
     return out
 
 
-def zero_divisor_points(alg, rad, block):
-    """The projective points x of rad ∩ block with (ad x)^2 = 0, in scan
-    order.
-
-    The points of the intersection are walked in the order of their
-    coordinates in its canonical basis, which is the order in which a
-    scan of the whole block meets them, so the first hit is the same.
-    The caller charges the budget.
-    """
-    for x in iter_projective(alg.field.p, rad.intersect(block).rows):
-        if alg.is_in_quadratic_annihilator(x):
-            yield x
-
-
 def find_absolute_zero_divisor(alg, homogeneous_only=False, budget=None):
     """First projective point x with (ad x)^2 = 0, or None, in the order
     of scan_points.
 
     Quadratic in the argument, so projective representatives suffice.
-    For p != 2 every such x lies in the radical K of the Killing form:
-    with a = ad x, a^2 = 0 gives 0 = ad [x, [x, y]] = -2 a (ad y) a, so
-    (a ad y)^2 = 0 and tr(a ad y) = 0.  So only the points of K inside
-    each scanned block are tested (zero_divisor_points).  The budget is
-    charged for the whole scan.
+    The budget is charged for the whole scan first; then each block is
+    walked by analysis.zero_divisors, which tests only the points of the
+    Killing radical when p != 2.
     """
-    from .analysis import killing_radical  # analysis imports this module
+    from .analysis import zero_divisors  # analysis imports this module
 
-    p, n = alg.field.p, alg.dim
-    blocks = scan_blocks(alg, homogeneous_only, budget)
-    rad = alg.full_space() if p == 2 else killing_radical(alg)
-    for b in blocks:
-        block = span(alg.field, n, [alg.basis_vector(i) for i in b])
-        for x in zero_divisor_points(alg, rad, block):
+    f, n = alg.field, alg.dim
+    for b in scan_blocks(alg, homogeneous_only, budget):
+        block = span(f, n, [alg.basis_vector(i) for i in b])
+        for x in zero_divisors(alg, block):
             return x
     return None

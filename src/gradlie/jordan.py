@@ -33,8 +33,9 @@ _cross_maps), and so are pair ideals and annihilators.
 
 Semiprimeness and strong nondegeneracy of a pair are read off TKK(V),
 over Q and F_p alike: both take their candidates from the absolute zero
-divisors of TKK(V) of degree 1 or -1 (_divisor_candidates), and no pair
-ideal is scanned.  TKK(V) is built once per pair and memoized on it
+divisors of TKK(V) of degree 1 or -1 (_divisor_candidates), which reads
+them off analysis.zero_divisors, the walk the Lie predicates use, and no
+pair ideal is scanned.  TKK(V) is built once per pair and memoized on it
 (JordanPair.memo), like every result that analysis, enumeration and
 derivations memoize on an algebra.  Its table is antisymmetric
 (tables.antisymmetric): each unordered pair of basis vectors is
@@ -47,11 +48,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import (abelian_ideal_witness, killing_radical,
-                       require_three_graded)
+from .analysis import require_three_graded, zero_divisors
 from .derivations import QuotientEmbedding, Verdict, maximal_quotients
-from .enumeration import (check_budget, iter_projective, projective_count,
-                          zero_divisor_points)
+from .enumeration import check_budget, iter_projective, projective_count
 from .errors import (
     AxiomViolation,
     BadCharacteristic,
@@ -226,7 +225,10 @@ class JordanPair:
                      for e in mat_identity(self.field, self.dim(sign)))
 
     def _validate(self):
-        for sign in (1, -1):
+        # with equal tables (the double pair of a triple) the sign -1
+        # identities are the sign +1 ones over again
+        signs = (1,) if self.table_minus == self.table_plus else (1, -1)
+        for sign in signs:
             t = self.table(sign)
             n, m = self.dim(sign), self.dim(-sign)
             for i in range(n):
@@ -236,9 +238,9 @@ class JordanPair:
                             raise AxiomViolation(
                                 "outer symmetry",
                                 " at (%d, %d, %d), sign %+d" % (i, j, l, sign))
-        self._check_axioms_formal()
+        self._check_axioms_formal(signs)
 
-    def _check_axioms_formal(self):
+    def _check_axioms_formal(self, signs):
         f = self.field
         _d, trees = integral_trees(f, (self.cells[1], self.cells[-1]))
         trees = dict(zip((1, -1), trees))
@@ -251,7 +253,7 @@ class JordanPair:
         def q(sign, a, b):
             return tri(sign, a, b, a)
 
-        for sign in (1, -1):
+        for sign in signs:
             n, m = self.dim(sign), self.dim(-sign)
             x, y = _formal(0, n), _formal(n, m)
             z, w = _formal(n + m, n), _formal(2 * n + m, m)
@@ -403,6 +405,7 @@ class InnerDerivationSpace:
     pair: object
     basis: tuple       # flattened (plus-block | minus-block) rows
     subspace: object   # the same rows as a canonical Subspace
+    deltas: tuple      # delta(e_i, e_j) flattened, at i * dim_minus + j
 
     @property
     def dim(self):
@@ -436,12 +439,10 @@ def _delta_flat(pair, x, y):
 def inner_derivations(pair):
     f = pair.field
     n, m = pair.dim_plus, pair.dim_minus
-    rows = []
-    for x in mat_identity(f, n):
-        for y in mat_identity(f, m):
-            rows.append(_delta_flat(pair, x, y))
-    sub = span(f, n * n + m * m, rows)
-    return InnerDerivationSpace(pair, sub.rows, sub)
+    deltas = tuple(_delta_flat(pair, x, y) for x in mat_identity(f, n)
+                   for y in mat_identity(f, m))
+    sub = span(f, n * n + m * m, deltas)
+    return InnerDerivationSpace(pair, sub.rows, sub, deltas)
 
 
 @dataclass
@@ -486,7 +487,6 @@ def tkk_data(pair):
     # convention v @ M, so row i of gamma+ is b+_i gamma+
     plus = [ider.plus_matrix(g) for g in ider.basis]
     minus = [ider.minus_matrix(g) for g in ider.basis]
-    ep, em = mat_identity(f, n), mat_identity(f, m)
     zero = (f.zero,) * (n + d + m)
 
     def middle(flat):
@@ -503,7 +503,7 @@ def tkk_data(pair):
         if i < n:
             if j < n + d:
                 return tuple(map(f.neg, plus[j - n][i])) + zero[:d + m]
-            return middle(_delta_flat(pair, ep[i], em[j - n - d]))
+            return middle(ider.deltas[i * m + j - n - d])
         a = i - n
         if j >= n + d:
             return zero[:n + d] + minus[a][j - n - d]
@@ -559,19 +559,23 @@ def _outer_indices(alg):
                  for sign in (1, -1))
 
 
+def _block_triples(alg, idx, ys):
+    """The table of {x, y, z} = [[x, y], z] for x, z the basis vectors of
+    a Lie algebra at the positions idx and y in ys, in the coordinates of
+    that block."""
+    es = [alg.basis_vector(i) for i in idx]
+    return induced(lambda x, y, z: alg.bracket(alg.bracket(x, y), z),
+                   (es, ys, es), lambda v: _cut(alg.field, idx, v),
+                   "triple product ({}, {}, {}) left its block")
+
+
 def pair_from_lie_blocks(alg, plus_idx, minus_idx):
     """Jordan pair on two coordinate blocks of a Lie algebra via
     {x,y,z} = [[x,y],z]."""
-    f = alg.field
-
     def build(idx_a, idx_b):
-        ea = [alg.basis_vector(i) for i in idx_a]
-        eb = [alg.basis_vector(j) for j in idx_b]
-        return induced(lambda x, y, z: alg.bracket(alg.bracket(x, y), z),
-                       (ea, eb, ea), lambda v: _cut(f, idx_a, v),
-                       "triple product ({}, {}, {}) left its block")
+        return _block_triples(alg, idx_a, [alg.basis_vector(j) for j in idx_b])
 
-    return JordanPair(f, tuple(alg.names[i] for i in plus_idx),
+    return JordanPair(alg.field, tuple(alg.names[i] for i in plus_idx),
                       tuple(alg.names[i] for i in minus_idx),
                       build(plus_idx, minus_idx), build(minus_idx, plus_idx))
 
@@ -612,26 +616,25 @@ def associated_pair(alg, budget=None):
 
     data = tkk_data(pair)
     t = data.algebra
-    ep = mat_identity(f, len(plus_idx))
-    em = mat_identity(f, len(minus_idx))
 
     # the map takes [e_i+, e_j-] to delta(e_i, e_j), and these brackets
     # span L_0, a span of basis vectors; so in the canonical basis of the
     # rows [e_i+, e_j-] | delta(e_i, e_j) the row with pivot k < dim L is
     # b_k | its image, and a row with zero L-part is a relation of the
     # brackets that the deltas break
+    n, d = len(plus_idx), data.ider.dim
     graph = span(f, alg.dim + t.dim, [
-        alg.bracket(alg.basis_vector(a), alg.basis_vector(b))
-        + data.embed_delta(x, y)
-        for a, x in zip(plus_idx, ep) for b, y in zip(minus_idx, em)])
+        alg.table[a][b] + t.table[i][n + d + j]
+        for i, a in enumerate(plus_idx) for j, b in enumerate(minus_idx)])
     image = {}
     for k, row in zip(graph.pivots(), graph.rows):
         if k >= alg.dim:
             raise ValidationError("canonical map fails to preserve the "
                                   "bracket")
         image[k] = row[alg.dim:]
-    image.update(zip(plus_idx, map(data.embed_plus, ep)))
-    image.update(zip(minus_idx, map(data.embed_minus, em)))
+    image.update((a, t.basis_vector(i)) for i, a in enumerate(plus_idx))
+    image.update((b, t.basis_vector(n + d + j))
+                 for j, b in enumerate(minus_idx))
     map_rows = tuple(image[k] for k in range(alg.dim))
 
     # verify: homomorphism, kernel = C_V, surjective
@@ -656,27 +659,19 @@ def _divisor_candidates(pair, budget):
 
     For x in V^sign, (ad x)^2 is -2 Q_x on V^-sign and 0 on the other two
     components, so these x are exactly the absolute zero divisors of the
-    pair.  For p != 2 they lie in the Killing radical K of TKK(V), and so
-    does every abelian ideal, in any characteristic.  Over Q, x runs over
-    the canonical basis of A ∩ V^sign, A the abelian graded ideal that
-    abelian_ideal_witness reads off K (none when K = 0).  Over F_p, x runs
-    over the points of K ∩ V^sign with (ad x)^2 = 0 in the order of a
-    scan of V^sign, whose projective points are charged to the budget
-    before that side is walked.
+    pair.  They are the zero_divisors of TKK(V) in V^sign: over Q the
+    canonical basis of A ∩ V^sign, A the abelian graded ideal read off the
+    Killing radical K (none when K = 0); over F_p the points of
+    K ∩ V^sign with (ad x)^2 = 0 in the order of a scan of V^sign, whose
+    projective points are charged to the budget before that side is
+    walked.
     """
     f = pair.field
-    hull = None
     for sign in (1, -1):
         if f.p is not None:
             check_budget(projective_count(f.p, pair.dim(sign)), budget)
-        if hull is None:
-            t = tkk(pair)
-            hull = (killing_radical(t) if f.p is not None
-                    else abelian_ideal_witness(t) or t.zero_space())
-        comp = t.degree_component(sign)
-        xs = (hull.intersect(comp).rows if f.p is None
-              else zero_divisor_points(t, hull, comp))
-        for x in xs:
+        t = tkk(pair)
+        for x in zero_divisors(t, t.degree_component(sign)):
             yield sign, x
 
 
@@ -989,36 +984,19 @@ def _exchange_matrix(data):
     m = data.pair.dim_minus
     if n != m:
         raise ValidationError("exchange needs a double pair")
-    d = data.ider.dim
-    rows = []
-    for i in range(n):
-        v = [f.zero] * alg.dim
-        v[n + d + i] = f.one
-        rows.append(tuple(v))
-    for a in range(d):
-        flat = data.ider.basis[a]
-        pm = data.ider.plus_matrix(flat)
-        mm = data.ider.minus_matrix(flat)
-        swapped = []
-        for row in mm:
-            swapped.extend(row)
-        for row in pm:
-            swapped.extend(row)
-        co = data.ider.subspace.coords(tuple(swapped))
+    eye = mat_identity(f, alg.dim)
+    zero = (f.zero,) * n
+    middle = []
+    for flat in data.ider.basis:
+        # (gamma+, gamma-) goes to (gamma-, gamma+), blocks of n * n cells
+        co = data.ider.subspace.coords(flat[n * n:] + flat[:n * n])
         if co is None:
             raise ValidationError("exchange does not preserve inner "
                                   "derivations")
-        v = [f.zero] * alg.dim
-        for b, c in enumerate(co):
-            v[n + b] = c
-        rows.append(tuple(v))
-    for i in range(n):
-        v = [f.zero] * alg.dim
-        v[i] = f.one
-        rows.append(tuple(v))
-    mat = tuple(rows)
+        middle.append(zero + tuple(co) + zero)
+    mat = eye[alg.dim - n:] + tuple(middle) + eye[:n]
     # involutive automorphism
-    if mat_mul(mat, mat, f) != mat_identity(f, alg.dim):
+    if mat_mul(mat, mat, f) != eye:
         raise ValidationError("exchange squared is not the identity")
     require_preserved(f, alg.table, (mat, mat), mat, alg.bracket,
                       "exchange is not an automorphism")
@@ -1058,14 +1036,9 @@ def maximal_triple_quotients(triple, budget=None):
     h = tuple(h_rows)
 
     plus_idx, _ = _outer_indices(qm)
-    nb = len(plus_idx)
-    e = [qm.basis_vector(i) for i in plus_idx]
-    swapped = [tuple(mat_vec(ej, h, f)) for ej in e]
-    table = induced(lambda x, y, z: qm.bracket(qm.bracket(x, y), z),
-                    (e, swapped, e), lambda v: _cut(f, plus_idx, v),
-                    "triple product left the plus block")
-    names = tuple("t%d" % i for i in range(nb))
-    result = JordanTriple(f, names, table)
+    swapped = [mat_vec(qm.basis_vector(i), h, f) for i in plus_idx]
+    names = tuple("t%d" % i for i in range(len(plus_idx)))
+    result = JordanTriple(f, names, _block_triples(qm, plus_idx, swapped))
 
     embedding = mpq.plus_map
     require_preserved(f, triple.table, (embedding,) * 3, embedding,

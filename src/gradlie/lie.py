@@ -105,9 +105,9 @@ class GradedLieAlgebra:
     table[i][j] is the coordinate tuple of [b_i, b_j], cells its cell
     tree, and nonzero[i] the (j, k, c) with table[i][j][k] = c != 0.
     memo holds what analysis, enumeration and derivations derive about
-    this algebra (ideal lattices, principal ideals, maximal quotients),
-    keyed by the function and its graded flag; it takes no part in
-    equality.  Construction checks the shape of the table, then
+    this algebra (the Killing radical, ideal lattices, principal ideals,
+    maximal quotients), keyed by the function and its graded flag where
+    it has one; it takes no part in equality.  Construction checks the shape of the table, then
     antisymmetry, the grading compatibility, and Jacobi, in that order,
     raising the matching ValidationError subclass on failure.
     """
@@ -420,29 +420,23 @@ class GradedLieAlgebra:
         quo = GradedLieAlgebra(f, names, table, self.group, degrees)
         return quo, proj, section
 
-    def restrict(self, sub, require_graded=True):
-        """Lie algebra structure on a bracket closed subspace.
+    def restrict(self, sub):
+        """Lie algebra structure on a bracket closed graded subspace.
 
         Returns (A, rows) where rows are the canonical basis of the
         subspace; coordinates of A refer to that basis.  Building the table
         is the closure check: a bracket of two rows outside the subspace
-        raises ValidationError.  With a nontrivial grading the subspace
-        must then be graded (its canonical rows are homogeneous and carry
-        well defined degrees).
+        raises ValidationError.  The subspace must then be graded (its
+        canonical rows are homogeneous and carry well defined degrees),
+        which every subspace is under the trivial grading.
         """
         rows = sub.rows
         table = antisymmetric(self.field, self.bracket, rows, sub.coords,
                               "subspace is not closed under the bracket")
-        if self.group.kind != "trivial" and require_graded:
-            self.graded_closure_check(sub)
-            degrees = tuple(self.degree_of(r) if any(c != self.field.zero for c in r)
-                            else 0 for r in rows)
-            group = self.group
-        else:
-            degrees = (0,) * sub.dim
-            group = GradingGroup.trivial() if not require_graded else self.group
+        self.graded_closure_check(sub)
         names = tuple("u%d" % a for a in range(sub.dim))
-        alg = GradedLieAlgebra(self.field, names, table, group, degrees)
+        alg = GradedLieAlgebra(self.field, names, table, self.group,
+                               tuple(map(self.degree_of, rows)))
         return alg, rows
 
 

@@ -267,7 +267,6 @@ class Subspace:
         """Residual of vec after eliminating this basis' pivot coordinates:
         zero at the pivot columns, vec minus the combination with the
         coefficients of coords at the others."""
-        p = self.field.p
         pivots = self.pivots()
         res = list(vec)
         for c in pivots:
@@ -279,9 +278,7 @@ class Subspace:
                 if t:
                     s -= t * e
             res[c] = s
-        if p is not None:
-            return tuple(x % p for x in res)
-        return tuple(res)
+        return self.field.reduce(res)
 
     def contains(self, vec) -> bool:
         return self.coords(vec) is not None

@@ -40,6 +40,7 @@ from gradlie.analysis import (
     socle,
     graded_socle,
     structure_report,
+    zero_divisors,
 )
 from gradlie.enumeration import distinct_principal_ideals, projective_count
 from gradlie.errors import DimensionTooLarge, NotThreeGraded, UndecidedError
@@ -54,6 +55,7 @@ from gradlie.gallery import (
     sl2sum_swap,
     sln_e11,
 )
+from gradlie.enumeration import iter_projective
 from gradlie.lie import GradedLieAlgebra, direct_sum
 from gradlie.linalg import mat_mul, mat_vec, span
 from gradlie.scalars import GF, QQ
@@ -127,6 +129,56 @@ def test_absolute_zero_divisors():
     # exhaustive check over F5 agrees
     assert is_strongly_nondegenerate(sl2(F5))
     assert not is_strongly_nondegenerate(heis3(F5))
+
+
+@pytest.mark.parametrize("make", [lambda: heis3(F5), lambda: sl2sum(F5),
+                                  lambda: heis3(GF(2)), lambda: sl2(GF(2)),
+                                  lambda: sl2(GF(3))],
+                         ids=["heis3@5", "sl2sum@5", "heis3@2", "sl2@2",
+                              "sl2@3"])
+def test_zero_divisors_over_fp_are_the_scan_hits_in_scan_order(make):
+    # only the points of the Killing radical are walked (all of L when
+    # p = 2), and they come in the order a scan of the block meets them
+    alg = make()
+    blocks = [alg.full_space()] + [alg.degree_component(d)
+                                   for d in alg.support()]
+    for block in blocks:
+        hits = [x for x in iter_projective(alg.field.p, block.rows)
+                if alg.is_in_quadratic_annihilator(x)]
+        assert list(zero_divisors(alg, block)) == hits
+
+
+@pytest.mark.parametrize("make", [heis3, p_mod_i, sl2sum],
+                         ids=["heis3", "p_mod_i", "sl2sum"])
+def test_zero_divisors_over_q_are_the_abelian_ideal_in_the_block(make):
+    alg = make()
+    ideal = abelian_ideal_witness(alg) or alg.zero_space()
+    for d in alg.support():
+        block = alg.degree_component(d)
+        got = list(zero_divisors(alg, block))
+        assert got == list(ideal.intersect(block).rows)
+        for x in got:
+            ad = alg.ad_matrix(x)
+            assert not any(c for row in mat_mul(ad, ad, QQ) for c in row)
+    # graded, the witness is the first row of the ideal's top degree
+    top = max(ideal.rows, key=alg.degree_of, default=None)
+    assert absolute_zero_divisor_witness(alg, graded=True) == top
+
+
+def test_structure_report_over_q_builds_the_killing_form_twice(monkeypatch):
+    # the determinant reads one Killing matrix, and every predicate reads
+    # the radical memoized on the algebra
+    calls = []
+
+    def counted(alg, _inner=analysis.killing_matrix):
+        calls.append(alg)
+        return _inner(alg)
+
+    monkeypatch.setattr(analysis, "killing_matrix", counted)
+    for make in (lambda: sln_e11(3), heis3, p_mod_i):
+        calls.clear()
+        structure_report(make())
+        assert len(calls) == 2
 
 
 def test_minimal_ideals_and_socle_of_a_sum():
@@ -286,6 +338,24 @@ def test_sl2_over_q_sqrt2_is_prime_with_one_minimal_ideal():
     assert minimal_graded_ideals(a) == (a.full_space(),)
     # over F7, t^2 - 2 splits and so does the algebra
     assert not is_prime(sl2_sqrt2(GF(7)))
+
+
+@pytest.mark.parametrize("make, dims", [
+    (sl2sum, [3, 3]), (lambda: direct_sum(sl2sum(), sln_e11(3)), [3, 3, 8])],
+    ids=["sl2sum", "sl2sum+sl3"])
+def test_q_ideal_lattice_of_a_z_graded_sum_matches_its_plain_copy(make,
+                                                                  dims):
+    # the parts the Q splitter restricts to are ideals generated by a
+    # basis vector and their annihilators, graded under any grading
+    alg = make()
+    plain = GradedLieAlgebra(QQ, alg.names, alg.table)
+    assert alg.group.kind == "Z" and plain.group.kind == "trivial"
+    assert minimal_ideals(alg) == minimal_ideals(plain)
+    for graded in (False, True):
+        assert (analysis._minimal_ideals(alg, graded, None)
+                == analysis._minimal_ideals(plain, graded, None))
+        assert is_prime(alg, graded=graded) is is_prime(plain, graded=graded)
+    assert sorted(m.dim for m in minimal_ideals(alg)) == dims
 
 
 def test_swap_graded_sl2sum_over_q():

@@ -15,6 +15,7 @@ from _naive import (
     homogeneous_bases,
     naive_realized,
 )
+from gradlie import derivations as D
 from gradlie.derivations import (
     QuotientEmbedding,
     check_axiomatic,
@@ -317,6 +318,26 @@ def test_polynomial_counterexample_over_f5():
     emb = QuotientEmbedding(a, p_mod_i_small(a))
     assert is_quotient(emb, graded=True).value == "false"
     assert is_weak_quotient(emb, graded=True).value == "true"
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+@pytest.mark.parametrize("graded", [False, True], ids=["plain", "graded"])
+def test_is_quotient_builds_each_basis_denominator_ideal_once(
+        monkeypatch, field, graded):
+    # the absorbing ideal and the basis-pair refutation read the same
+    # (L : b_i), one per basis vector of the 8-dimensional p_mod_i
+    calls = []
+
+    def counted(emb, q, _inner=D.denominator_ideal):
+        calls.append(q)
+        return _inner(emb, q)
+
+    monkeypatch.setattr(D, "denominator_ideal", counted)
+    a = p_mod_i(field)
+    verdict = is_quotient(QuotientEmbedding(a, p_mod_i_small(a)),
+                          graded=graded)
+    assert verdict.value == "false"
+    assert calls == [a.basis_vector(i) for i in range(8)]
 
 
 def test_central_algebras_are_refused():

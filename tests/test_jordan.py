@@ -180,6 +180,20 @@ def test_inner_derivation_dimensions():
     assert J.inner_derivations(pair_rect(1, 2)).dim == 4
 
 
+def test_tkk_computes_each_delta_once(monkeypatch):
+    # TKK(M_23, M_32): the 6 * 6 deltas span IDer(V) and fill the cells
+    # [x+_i, y-_j] of the table
+    calls = []
+
+    def counted(pair, x, y, _inner=J._delta_flat):
+        calls.append((x, y))
+        return _inner(pair, x, y)
+
+    monkeypatch.setattr(J, "_delta_flat", counted)
+    J.tkk(pair_rect(2, 3))
+    assert len(calls) == len(set(calls)) == 36
+
+
 def test_tkk_dimensions_and_grading():
     t = J.tkk(pair_field())
     assert t.dim == 3
@@ -646,6 +660,49 @@ def test_maximal_pair_quotients_fix_the_rectangles():
 def test_maximal_pair_quotients_need_nondegeneracy():
     with pytest.raises(NotStronglyNondegenerate):
         J.maximal_pair_quotients(pair_zero())
+
+
+def _counted_poly_products(monkeypatch):
+    calls = []
+
+    def counted(tree, args, out_dim, _inner=J._poly_product):
+        calls.append(out_dim)
+        return _inner(tree, args, out_dim)
+
+    monkeypatch.setattr(J, "_poly_product", counted)
+    return calls
+
+
+def test_triple_proves_its_identities_once(monkeypatch):
+    # the double pair of a triple has equal tables, so its sign -1
+    # identities are the sign +1 ones: 11 products for one side
+    trip = jordan_sym2().derived_triple()
+    calls = _counted_poly_products(monkeypatch)
+    J.JordanTriple(QQ, trip.names, trip.table)
+    assert len(calls) == 11
+    # a pair with unequal tables still proves both sides
+    calls.clear()
+    padded = pair_padded()
+    J.JordanPair(QQ, padded.names_plus, padded.names_minus,
+                 padded.table_plus, padded.table_minus)
+    assert len(calls) == 22
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_failing_triple_raises_on_the_plus_side(field):
+    trip = jordan_sym2(field).derived_triple()
+    table = [[[list(c) for c in row] for row in plane]
+             for plane in trip.table]
+    table[0][0][1][1] = field.of(7)
+    with pytest.raises(AxiomViolation) as err:
+        J.JordanTriple(field, trip.names, table)
+    assert str(err.value) == ("identity outer symmetry fails at (0, 0, 1), "
+                              "sign +1")
+    table[1][0][0][1] = field.of(7)
+    with pytest.raises(AxiomViolation) as err:
+        J.JordanTriple(field, trip.names, table)
+    assert str(err.value) == ("identity D_{x,y} Q_x = Q_x D_{y,x} fails on "
+                              "the +1 side")
 
 
 def test_triple_constructions():

@@ -28,6 +28,7 @@ from gradlie.linalg import (
     mat_vec,
     rref,
     solve_linear,
+    span,
 )
 from gradlie.scalars import QQ
 
@@ -111,6 +112,17 @@ def test_matrix_helpers_keep_the_rule(a, b, v, c):
     assert all_canonical(mat_scale(a, c, QQ))
     assert all_canonical(mat_add(a, a, QQ))
     assert all_canonical(mat_sub(a, mat_scale(a, 2, QQ), QQ))
+
+
+def test_subspace_reduce_returns_an_integral_residual_as_an_int():
+    # (1/2, 3/2) - 1/2 (1, 1) = (0, 1)
+    res = span(QQ, 2, [(1, 1)]).reduce((Fraction(1, 2), Fraction(3, 2)))
+    assert res == (0, 1) and all(type(x) is int for x in res)
+
+
+@given(matrices(2, 3), st.lists(scalars, min_size=3, max_size=3))
+def test_subspace_reduce_keeps_the_rule(m, v):
+    assert all(canonical(x) for x in span(QQ, 3, m).reduce(v))
 
 
 def test_quadratic_roots_are_never_floats():
