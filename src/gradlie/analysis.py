@@ -85,11 +85,10 @@ def killing_determinant(alg):
 def killing_radical(alg):
     """Kernel of the Killing form; over Q this is the solvable radical.
     Memoized on the algebra."""
-    got = alg.memo.get("killing_radical")
-    if got is None:
-        got = alg.memo["killing_radical"] = kernel_basis(
+    if "killing_radical" not in alg.memo:
+        alg.memo["killing_radical"] = kernel_basis(
             alg.field, killing_matrix(alg), alg.dim)
-    return got
+    return alg.memo["killing_radical"]
 
 
 def _last_derived_term(alg, sub):
@@ -109,14 +108,16 @@ def abelian_ideal_witness(alg):
     The Killing radical is a graded ideal (the grading acts by trace form
     isometries on homogeneous components), and the last nonzero term of
     its derived series is abelian and still graded, so the returned
-    subspace has a homogeneous canonical basis.
+    subspace has a homogeneous canonical basis.  Memoized on the algebra.
     """
     if alg.field.p is not None:
         raise ValidationError("abelian_ideal_witness is the char-0 path")
     rad = killing_radical(alg)
     if rad.is_zero():
         return None
-    return _last_derived_term(alg, rad)
+    if "abelian_ideal" not in alg.memo:
+        alg.memo["abelian_ideal"] = _last_derived_term(alg, rad)
+    return alg.memo["abelian_ideal"]
 
 
 def zero_divisors(alg, block):

@@ -238,9 +238,6 @@ class JordanPair:
                             raise AxiomViolation(
                                 "outer symmetry",
                                 " at (%d, %d, %d), sign %+d" % (i, j, l, sign))
-        self._check_axioms_formal(signs)
-
-    def _check_axioms_formal(self, signs):
         f = self.field
         _d, trees = integral_trees(f, (self.cells[1], self.cells[-1]))
         trees = dict(zip((1, -1), trees))

@@ -105,11 +105,12 @@ class GradedLieAlgebra:
     table[i][j] is the coordinate tuple of [b_i, b_j], cells its cell
     tree, and nonzero[i] the (j, k, c) with table[i][j][k] = c != 0.
     memo holds what analysis, enumeration and derivations derive about
-    this algebra (the Killing radical, ideal lattices, principal ideals,
-    maximal quotients), keyed by the function and its graded flag where
-    it has one; it takes no part in equality.  Construction checks the shape of the table, then
-    antisymmetry, the grading compatibility, and Jacobi, in that order,
-    raising the matching ValidationError subclass on failure.
+    this algebra (the Killing radical and its abelian ideal, ideal
+    lattices, principal ideals, maximal quotients), keyed by the function
+    and its graded flag where it has one; it takes no part in equality.
+    Construction checks the shape of the table, then antisymmetry, the
+    grading compatibility, and Jacobi, in that order, raising the
+    matching ValidationError subclass on failure.
     """
 
     __slots__ = ("field", "names", "table", "cells", "nonzero", "group",
