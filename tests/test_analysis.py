@@ -42,7 +42,8 @@ from gradlie.analysis import (
     structure_report,
     zero_divisors,
 )
-from gradlie.enumeration import distinct_principal_ideals, projective_count
+from gradlie.enumeration import (distinct_principal_ideals, iter_projective,
+                                 projective_count)
 from gradlie.errors import DimensionTooLarge, NotThreeGraded, UndecidedError
 from gradlie.gallery import (
     build_lie,
@@ -55,7 +56,6 @@ from gradlie.gallery import (
     sl2sum_swap,
     sln_e11,
 )
-from gradlie.enumeration import iter_projective
 from gradlie.lie import GradedLieAlgebra, direct_sum
 from gradlie.linalg import mat_mul, mat_vec, span
 from gradlie.scalars import GF, QQ
