@@ -78,17 +78,26 @@ def killing_matrix(alg):
     return tuple(tuple(row) for row in out)
 
 
+def _memo(alg, key, compute):
+    """alg.memo[key], filled by compute() on the first call."""
+    if key not in alg.memo:
+        alg.memo[key] = compute()
+    return alg.memo[key]
+
+
+def _killing(alg):
+    return _memo(alg, "killing_matrix", lambda: killing_matrix(alg))
+
+
 def killing_determinant(alg):
-    return determinant(alg.field, killing_matrix(alg))
+    return determinant(alg.field, _killing(alg))
 
 
 def killing_radical(alg):
     """Kernel of the Killing form; over Q this is the solvable radical.
-    Memoized on the algebra."""
-    if "killing_radical" not in alg.memo:
-        alg.memo["killing_radical"] = kernel_basis(
-            alg.field, killing_matrix(alg), alg.dim)
-    return alg.memo["killing_radical"]
+    Memoized on the algebra, as the matrix is."""
+    return _memo(alg, "killing_radical",
+                 lambda: kernel_basis(alg.field, _killing(alg), alg.dim))
 
 
 def _last_derived_term(alg, sub):
@@ -115,9 +124,7 @@ def abelian_ideal_witness(alg):
     rad = killing_radical(alg)
     if rad.is_zero():
         return None
-    if "abelian_ideal" not in alg.memo:
-        alg.memo["abelian_ideal"] = _last_derived_term(alg, rad)
-    return alg.memo["abelian_ideal"]
+    return _memo(alg, "abelian_ideal", lambda: _last_derived_term(alg, rad))
 
 
 def zero_divisors(alg, block):

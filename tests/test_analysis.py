@@ -165,9 +165,9 @@ def test_zero_divisors_over_q_are_the_abelian_ideal_in_the_block(make):
     assert absolute_zero_divisor_witness(alg, graded=True) == top
 
 
-def test_structure_report_over_q_builds_the_killing_form_twice(monkeypatch):
-    # the determinant reads one Killing matrix, and every predicate reads
-    # the radical memoized on the algebra
+def test_structure_report_over_q_builds_the_killing_form_once(monkeypatch):
+    # the determinant and the radical read one Killing matrix memoized on
+    # the algebra, and every predicate reads the memoized radical
     calls = []
 
     def counted(alg, _inner=analysis.killing_matrix):
@@ -178,7 +178,7 @@ def test_structure_report_over_q_builds_the_killing_form_twice(monkeypatch):
     for make in (lambda: sln_e11(3), heis3, p_mod_i):
         calls.clear()
         structure_report(make())
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 def test_minimal_ideals_and_socle_of_a_sum():
