@@ -1,23 +1,21 @@
 """Structural predicates: semiprime, prime, essential, socle, graded core.
 
-Two decision tiers.  Over Q a finite dimensional Lie algebra is semiprime
-(no nonzero abelian ideal) iff its Killing form is nondegenerate, and then
-it is a direct sum of simple ideals, which settles the socle and strong
-nondegeneracy in both directions.  Everything else about the ideal
-lattice is read off the ad-envelope A, the associative algebra generated
-by ad L (plus the degree projections for graded ideals): the (graded)
-ideals are the A-submodules of L, so the socle is the part of L killed by
-the Jacobson radical J(A), and semiprime and essential follow from the
-socle.  On the socle of a semiprime algebra the centroid End_A(Soc) is a
-product of fields, one per minimal (graded) ideal: prime means it is a
-field.  Over F_p the fields are counted by Frobenius; over Q, where the
-socle of a semiprime algebra is all of L, a basis vector generating a
-proper ideal splits L first, and the factors of a primitive element of
-the centroid cut out the minimal ideals of what is left.  J(A) is the
-radical of the trace form; in characteristic p that radical is certified
-nilpotent, and where the certificate fails the answers come from the
-exhaustive scan of principal ideals within the element budget instead
-(every nonzero (graded) ideal contains an ideal generated by one
+One driver, _decide, answers whether L is semiprime or prime and what its
+socle is, plain or graded: it walks the field's ladder of steps and
+returns the first answer with its method.  A step returns None where its
+certificate does not apply; one over the budget refuses before any work,
+and only the last step's refusal reaches the caller.  Over Q, L is
+semiprime iff its Killing form is nondegenerate, and then a direct sum of
+simple ideals with Soc = L; a basis vector generating a proper ideal
+proves it not prime, and otherwise its centroid is factored.  Elsewhere
+the answers are read off the ad-envelope A generated by ad L (and the
+degree projections when graded): the (graded) ideals are its submodules,
+Soc is killed by the Jacobson radical J(A), semiprime means [Soc, Soc] =
+Soc, and prime that the centroid End_A(Soc), a product of fields, one per
+minimal ideal, is a field.  J(A) is the radical of the trace form; over
+F_p that radical is certified nilpotent, and where the certificate fails
+or the envelope is over the budget the exhaustive scan of principal
+ideals decides (every nonzero (graded) ideal contains one generated by a
 (homogeneous) element, so quantifying over those is complete).
 
 "Undecided" is a first class outcome (UndecidedError), never a guess: it
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -38,6 +35,7 @@ from .enumeration import (
     find_absolute_zero_divisor,
     iter_projective,
     resolve_budget,
+    scan_blocks,
 )
 from .errors import NotThreeGraded, UndecidedError, ValidationError
 from .linalg import (
@@ -155,15 +153,6 @@ def zero_divisors(alg, block):
 
 # ---------------------------------------------------------------------------
 # the ideal lattice from the radical of the ad-envelope
-
-
-ENVELOPE_RADICAL = "envelope-radical"
-CERTIFICATE_FAILED = "exhaustive-Fp (certificate failed)"
-EXHAUSTIVE = "exhaustive-Fp"
-
-CENTROID = "centroid"
-
-_Structure = namedtuple("_Structure", "socle semiprime prime method")
 
 
 def _envelope_generators(alg, graded):
@@ -375,7 +364,7 @@ def _apply_poly(field, expr, mat):
 
 
 def _from_envelope(alg, graded):
-    """The _Structure from the radical of the envelope A of ad L
+    """{question: answer} from the radical of the envelope A of ad L
     (with the degree projections when graded), or None when the trace
     radical of A fails its nilpotence certificate in characteristic p.
 
@@ -398,17 +387,17 @@ def _from_envelope(alg, graded):
     if env.dim == n * n:
         full = alg.full_space()
         semi = alg.bracket_space(full, full).dim == n
-        return _Structure(full, semi, semi, ENVELOPE_RADICAL)
+        return dict(socle=full, semiprime=semi, prime=semi)
     rad = _trace_radical(f, n, env)
     if f.p is not None and not _is_nilpotent(alg, rad):
         return None
     soc = preimage(alg.zero_space(), rad) if rad else alg.full_space()
     if alg.bracket_space(soc, soc) != soc:
-        return _Structure(soc, False, False, ENVELOPE_RADICAL)
+        return dict(socle=soc, semiprime=False, prime=False)
     flat = _commutant(f, [[soc.coords(mat_vec(r, g, f)) for r in soc.rows]
                           for g in gens], soc.dim)
-    return _Structure(soc, True, _frobenius_fixed_dim(f, flat, soc.dim) == 1,
-                      ENVELOPE_RADICAL)
+    return dict(socle=soc, semiprime=True,
+                prime=_frobenius_fixed_dim(f, flat, soc.dim) == 1)
 
 
 def _centroid_summands(alg, graded, budget):
@@ -454,56 +443,103 @@ def _summands(alg, graded, budget):
     return tuple(out)
 
 
-def _from_scan(alg, graded, budget, method):
-    """The _Structure from the minimal ideals of the exhaustive scan:
-    L is prime iff no two minimal ideals, or one with itself, bracket to
-    zero (every nonzero ideal contains a minimal one)."""
-    minimal = _minimal_ideals(alg, graded, budget)
-    soc = alg.zero_space()
-    for m in minimal:
-        soc = soc.add(m)
-    prime = not any(alg.bracket_space(a, b).is_zero()
-                    for a, b in itertools.combinations_with_replacement(
-                        minimal, 2))
-    return _Structure(soc, alg.bracket_space(soc, soc) == soc, prime, method)
+# ---------------------------------------------------------------------------
+# the decision ladder: a step takes (alg, graded, budget, question) and
+# returns (answer, method), or None where its certificate does not apply
 
 
-def _ideal_structure(alg, graded=False, budget=None):
-    """Socle, semiprimeness and primeness of the (graded) ideal lattice,
-    and the method that decided them.
+def _killing_step(alg, graded, budget, question):
+    """Over Q, L is semiprime iff its Killing form is nondegenerate, and
+    then Soc = L; else its radical, a graded ideal, holds a nonzero
+    abelian ideal, so L is neither semiprime nor prime, graded or not."""
+    semi = killing_radical(alg).is_zero()
+    if question == "semiprime":
+        return semi, "killing-criterion"
+    if question == "socle":
+        return (alg.full_space(), "semisimple-identity") if semi else None
+    return None if semi else (False, "killing-criterion")
 
-    The a-priori cost of the envelope, dim A <= n^2 rows of n^2 cells for
-    each of at most n + (number of degrees) generators, is charged to the
-    budget before any work, also when the answer is memoized on the
-    algebra.  Over budget, or where the certificate fails, F_p falls back
-    to the exhaustive scan, which checks its own budget; Q is refused.
-    """
-    f, n = alg.field, alg.dim
-    if n ** 4 * (n + len(alg.support())) > resolve_budget(budget):
-        if f.p is None:
-            raise UndecidedError("the envelope of dimension %d is over "
-                                 "the budget" % n)
-        return _from_scan(alg, graded, budget, EXHAUSTIVE)
-    key = ("ideal_structure", graded)
-    memo = alg.memo
-    if key not in memo:
-        memo[key] = _from_envelope(alg, graded)
-    if memo[key] is None:
-        return _from_scan(alg, graded, budget, CERTIFICATE_FAILED)
-    return memo[key]
+
+def _probe_step(alg, graded, budget, question):
+    """A proper ideal generated by a basis vector and its annihilator are
+    nonzero graded ideals of a semisimple L bracketing to zero
+    (_summands): not prime, with no centroid and no budget."""
+    return None if _splitting_ideal(alg) is None else (
+        False, "principal-ideal-probe")
+
+
+def _centroid_step(alg, graded, budget, question):
+    """A semisimple L that no basis vector splits is prime iff its
+    centroid is a field."""
+    return len(_centroid_summands(alg, graded, budget)) <= 1, "centroid"
+
+
+def _envelope_charge(alg):
+    # dim A <= n^2 rows of n^2 cells for each of n + #degrees generators
+    return alg.dim ** 4 * (alg.dim + len(alg.support()))
+
+
+def _envelope_step(alg, graded, budget, question):
+    """_from_envelope, memoized on the algebra; its a-priori charge is
+    checked first, also on a memo hit."""
+    if _envelope_charge(alg) > resolve_budget(budget):
+        raise UndecidedError("the envelope of dimension %d is over the "
+                             "budget" % alg.dim)
+    st = _memo(alg, ("envelope", graded),
+               lambda: _from_envelope(alg, graded))
+    return None if st is None else (st[question], "envelope-radical")
+
+
+def _scan_step(alg, graded, budget, question):
+    """The minimal ideals of the exhaustive scan, memoized on the algebra
+    after its budget check: L is prime iff no two of them, or one with
+    itself, bracket to zero (every nonzero ideal contains a minimal one)."""
+    scan_blocks(alg, graded, budget)
+    key = ("scan", graded)
+    if key not in alg.memo:
+        minimal = _minimal_ideals(alg, graded, budget)
+        soc = alg.zero_space()
+        for m in minimal:
+            soc = soc.add(m)
+        alg.memo[key] = dict(
+            socle=soc, semiprime=alg.bracket_space(soc, soc) == soc,
+            prime=not any(alg.bracket_space(a, b).is_zero() for a, b in
+                          itertools.combinations_with_replacement(minimal, 2)))
+    over = _envelope_charge(alg) > resolve_budget(budget)
+    return alg.memo[key][question], (
+        "exhaustive-Fp" if over else "exhaustive-Fp (certificate failed)")
+
+
+# the steps of each question over Q (True) and over F_p (False)
+_LADDERS = {
+    True: {"semiprime": (_killing_step,),
+           "prime": (_killing_step, _probe_step, _centroid_step),
+           "socle": (_killing_step, _envelope_step)},
+    False: dict.fromkeys(("semiprime", "prime", "socle"),
+                         (_envelope_step, _scan_step)),
+}
+
+
+def _decide(alg, question, graded=False, budget=None):
+    """(answer, method) of "semiprime", "prime" or "socle" for the
+    (graded) ideal lattice: the first answer on the field's ladder.  A
+    step over the budget raises UndecidedError before any work, and the
+    driver moves on; only the last step's refusal reaches the caller."""
+    *steps, last = _LADDERS[alg.field.p is None][question]
+    for step in steps:
+        try:
+            got = step(alg, graded, budget, question)
+        except UndecidedError:
+            continue
+        if got is not None:
+            return got
+    return last(alg, graded, budget, question)
 
 
 def is_semiprime(alg, graded=False, budget=None):
-    """No nonzero (graded) ideal with zero self-bracket.
-
-    Over Q decided by the Killing criterion; in characteristic zero a
-    nonzero radical always contains a nonzero abelian ideal, and abelian
-    ideals sit inside the radical, so graded and ungraded agree (the
-    radical is graded).  Over F_p: [Soc, Soc] = Soc (_ideal_structure).
-    """
-    if alg.field.p is None:
-        return killing_radical(alg).is_zero()
-    return _ideal_structure(alg, graded, budget).semiprime
+    """No nonzero (graded) ideal with zero self-bracket: [Soc, Soc] = Soc,
+    or over Q the Killing criterion (_decide)."""
+    return _decide(alg, "semiprime", graded, budget)[0]
 
 
 def absolute_zero_divisor_witness(alg, graded=False, budget=None):
@@ -552,15 +588,8 @@ def minimal_ideals(alg, budget=None):
 
 
 def socle(alg, budget=None):
-    """Sum of all minimal ideals; the minimum essential ideal.
-
-    Over Q, semiprime means semisimple in finite dimension, so the socle
-    is everything (Killing criterion); other input, and F_p, read it off
-    the radical of the ad-envelope.
-    """
-    if alg.field.p is None and is_semiprime(alg):
-        return alg.full_space()
-    return _ideal_structure(alg, False, budget).socle
+    """Sum of all minimal ideals; the minimum essential ideal (_decide)."""
+    return _decide(alg, "socle", False, budget)[0]
 
 
 def graded_socle(alg, budget=None):
@@ -568,13 +597,10 @@ def graded_socle(alg, budget=None):
 
     Every graded essential ideal meets, hence contains, every minimal
     graded ideal, and in finite dimension any nonzero graded ideal
-    contains a minimal one, so this sum is graded essential and minimum.
-    Over Q a semiprime algebra splits into graded pieces under the Killing
-    form, making the graded socle the whole algebra.
+    contains a minimal one, so this sum is graded essential and minimum
+    (_decide).
     """
-    if alg.field.p is None and is_semiprime(alg):
-        return alg.full_space()
-    return _ideal_structure(alg, True, budget).socle
+    return _decide(alg, "socle", True, budget)[0]
 
 
 def is_essential_ideal(alg, ideal, graded=False, budget=None):
@@ -588,30 +614,11 @@ def is_essential_ideal(alg, ideal, graded=False, budget=None):
     return ideal.contains_space(soc)
 
 
-def _prime_over_q(alg, graded, budget):
-    """is_prime over Q and the method that decided it.  A proper ideal
-    generated by a basis vector and its annihilator are nonzero graded
-    ideals bracketing to zero (_summands): no sympy, no centroid, no
-    budget."""
-    if not is_semiprime(alg):
-        return False, "killing-criterion"  # an abelian ideal: [I, I] = 0
-    if _splitting_ideal(alg) is not None:
-        return False, "principal-ideal-probe"
-    return len(_centroid_summands(alg, graded, budget)) <= 1, CENTROID
-
-
 def is_prime(alg, graded=False, budget=None):
-    """[I, J] != 0 for all nonzero (graded) ideals I, J.
-
-    Semiprime with a single minimal (graded) ideal, i.e. the centroid
-    End_A(Soc) is a field (_ideal_structure).  Over Q two cheap steps come
-    first: the Killing criterion and a basis vector generating a proper
-    ideal each certify "not prime"; otherwise L is semisimple, Soc = L,
-    and its centroid is factored (_centroid_summands).
-    """
-    if alg.field.p is None:
-        return _prime_over_q(alg, graded, budget)[0]
-    return _ideal_structure(alg, graded, budget).prime
+    """[I, J] != 0 for all nonzero (graded) ideals I, J: semiprime with a
+    single minimal (graded) ideal, i.e. the centroid End_A(Soc) is a
+    field (_decide)."""
+    return _decide(alg, "prime", graded, budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -671,38 +678,28 @@ class StructureReport:
 
 
 def structure_report(alg, budget=None):
-    """One-stop summary used by the command line analyze output."""
-    f = alg.field
-    center = alg.center()
-    soc = None
-    if f.p is None:
-        kd = killing_determinant(alg)
-        semi = is_semiprime(alg)
-        methods = {"semiprime": "killing-criterion",
-                   "strongly-nondegenerate": "killing-criterion"}
+    """One-stop summary used by the command line analyze output: the
+    semiprime, prime and socle answers and methods of _decide, None and
+    "undecided" where a question is refused."""
+    q = alg.field.p is None
+    center_dim = alg.center().dim
+    kd = killing_determinant(alg) if q else None
+    got, methods = {}, {}
+    for question in ("semiprime", "prime", "socle"):
         try:
-            prime, methods["prime"] = _prime_over_q(alg, False, budget)
+            got[question], methods[question] = _decide(alg, question,
+                                                       budget=budget)
         except UndecidedError:
-            prime = None
-            methods["prime"] = "undecided"
-        try:
-            soc = socle(alg, budget=budget)
-            methods["socle"] = ("semisimple-identity" if semi
-                                else ENVELOPE_RADICAL)
-        except UndecidedError:
-            methods["socle"] = "undecided"
-    else:
-        kd = None
-        st = _ideal_structure(alg, budget=budget)
-        semi, prime, soc = st.semiprime, st.prime, st.socle
-        methods = {"semiprime": st.method, "prime": st.method,
-                   "socle": st.method, "strongly-nondegenerate": EXHAUSTIVE}
+            got[question], methods[question] = None, "undecided"
+    methods["strongly-nondegenerate"] = ("killing-criterion" if q
+                                         else "exhaustive-Fp")
     snd = is_strongly_nondegenerate(alg, budget=budget)
+    soc = got["socle"]
     return StructureReport(
-        center_dim=center.dim,
+        center_dim=center_dim,
         killing_det=kd,
-        semiprime=semi,
-        prime=prime,
+        semiprime=got["semiprime"],
+        prime=got["prime"],
         strongly_nondegenerate=snd,
         socle_dim=None if soc is None else soc.dim,
         socle=soc,

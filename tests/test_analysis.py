@@ -61,6 +61,7 @@ from gradlie.linalg import mat_mul, mat_vec, span
 from gradlie.scalars import GF, QQ
 
 F5 = GF(5)
+F3 = GF(3)
 
 
 def _trace(m):
@@ -316,6 +317,36 @@ def test_certificate_failure_falls_back_to_the_scan():
     line = span(F5, 5, [a.basis_vector(0)])
     assert not is_essential_ideal(a, line)
     assert is_essential_ideal(a, a.full_space())
+
+
+def test_three_questions_over_fp_cost_one_scan(monkeypatch):
+    # heis3 over F3 fails the envelope's certificate, so the scan decides
+    # semiprime, prime and the socle from one memoized structure
+    calls = []
+
+    def counted(alg, graded, budget, _inner=analysis._minimal_ideals):
+        calls.append(graded)
+        return _inner(alg, graded, budget)
+
+    monkeypatch.setattr(analysis, "_minimal_ideals", counted)
+    h = heis3(F3)
+    assert (is_semiprime(h), is_prime(h), socle(h).dim) == (False, False, 1)
+    assert structure_report(h).methods["prime"] == (
+        "exhaustive-Fp (certificate failed)")
+    assert calls == [False]
+
+
+def test_a_refusal_moves_down_the_ladder_to_the_last_step():
+    a = sl2sum(F5)
+    charge = analysis._envelope_charge(a)
+    assert analysis._decide(a, "prime", budget=charge) == (
+        False, "envelope-radical")
+    assert analysis._decide(a, "prime", budget=charge - 1) == (
+        False, "exhaustive-Fp")
+    with pytest.raises(DimensionTooLarge):  # the scan is the last step
+        analysis._decide(a, "prime", budget=1)
+    with pytest.raises(UndecidedError):  # over Q the envelope is
+        analysis._decide(heis3(), "socle", budget=1)
 
 
 def test_prime_with_a_commutant_bigger_than_the_field():

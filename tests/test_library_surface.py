@@ -30,7 +30,7 @@ ALLOWED = {
 # name: {definition: the caller, module and function, that keeps it}
 SHARED = {
     "add": {"GradingGroup.add": "lie.py GradedLieAlgebra.__init__",
-            "Subspace.add": "analysis.py _from_scan"},
+            "Subspace.add": "analysis.py _scan_step"},
     "basis_vector": {
         "AssocAlgebra.basis_vector": "assoc.py check_central_quotients",
         "GradedLieAlgebra.basis_vector": "derivations.py maximal_quotients"},
