@@ -679,8 +679,8 @@ class StructureReport:
 
 def structure_report(alg, budget=None):
     """One-stop summary used by the command line analyze output: the
-    semiprime, prime and socle answers and methods of _decide, None and
-    "undecided" where a question is refused."""
+    semiprime, prime and socle answers and methods of _decide; a refused
+    question has answer None and the refusal's message as its method."""
     q = alg.field.p is None
     center_dim = alg.center().dim
     kd = killing_determinant(alg) if q else None
@@ -689,8 +689,8 @@ def structure_report(alg, budget=None):
         try:
             got[question], methods[question] = _decide(alg, question,
                                                        budget=budget)
-        except UndecidedError:
-            got[question], methods[question] = None, "undecided"
+        except UndecidedError as exc:
+            got[question], methods[question] = None, str(exc)
     methods["strongly-nondegenerate"] = ("killing-criterion" if q
                                          else "exhaustive-Fp")
     snd = is_strongly_nondegenerate(alg, budget=budget)

@@ -317,6 +317,19 @@ def test_cli_analyze_text_and_json(sl2_file, capsys):
     assert doc["semiprime"] is True and doc["dim"] == 3
 
 
+def test_cli_analyze_says_what_refused_an_undecided_answer(tmp_path, capsys):
+    # --format json has no methods, so only the text names the refusal
+    for name, make, line in (
+            ("heis3", heis3, "socle dim: undecided (the envelope of "
+                             "dimension 3 is over the budget)"),
+            ("sl3", lambda: sln_e11(3), "prime: None (the centroid of "
+                                        "dimension 8 is over the budget)")):
+        path = tmp_path / (name + ".json")
+        dump_path(str(path), make())
+        assert main(["analyze", "--budget", "1", str(path)]) == 0
+        assert line in capsys.readouterr().out.splitlines()
+
+
 def test_cli_qmax(sl2_file, capsys):
     assert main(["qmax", "--format", "json", sl2_file]) == 0
     doc = json.loads(capsys.readouterr().out)
