@@ -30,8 +30,10 @@ from .errors import (
     ValidationError,
 )
 from .lie import GradedLieAlgebra, GradingGroup
-from .linalg import Subspace, mat_add, mat_identity, mat_vec, preimage, span
+from .linalg import (Subspace, mat_add, mat_identity, mat_sub, mat_vec,
+                     preimage, span)
 from .tables import (
+    antisymmetric,
     bilinear,
     cell_tree,
     freeze,
@@ -154,17 +156,11 @@ class AssocAlgebra:
 
     def minus_algebra(self):
         """Same module with the commutator bracket; grading carries over."""
-        f = self.field
-        n = self.dim
-        table = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                ij = self.table[i][j]
-                ji = self.table[j][i]
-                row.append(tuple(f.of(a - b) for a, b in zip(ij, ji)))
-            table.append(tuple(row))
-        return GradedLieAlgebra(f, self.names, tuple(table), self.group,
+        f, t = self.field, self.table
+        table = antisymmetric(
+            f, lambda i, j: [f.of(a - b) for a, b in zip(t[i][j], t[j][i])],
+            range(self.dim), tuple, "")
+        return GradedLieAlgebra(f, self.names, table, self.group,
                                 self.degrees)
 
     def skew_elements(self):
@@ -197,17 +193,9 @@ def exchange_double(a):
             right = a.table[j][i]
             table[n + i][n + j] = (f.zero,) * n + tuple(right)
     table = tuple(tuple(r) for r in table)
-    inv = []
-    for i in range(n):
-        row = [f.zero] * (2 * n)
-        row[n + i] = f.one
-        inv.append(tuple(row))
-    for i in range(n):
-        row = [f.zero] * (2 * n)
-        row[i] = f.one
-        inv.append(tuple(row))
+    unit = mat_identity(f, 2 * n)
     return AssocAlgebra(f, names, table, a.group, a.degrees + a.degrees,
-                        tuple(inv))
+                        unit[n:] + unit[:n])
 
 
 def exchange_skew_iso(a):
@@ -217,12 +205,8 @@ def exchange_skew_iso(a):
     n = a.dim
     dbl = exchange_double(a)
     skew = dbl.skew_elements()
-    rows = []
-    for i in range(n):
-        v = [f.zero] * (2 * n)
-        v[i] = f.one
-        v[n + i] = f.of(-1)
-        rows.append(tuple(v))
+    unit = mat_identity(f, 2 * n)
+    rows = mat_sub(unit[:n], unit[n:], f)
     image = span(f, 2 * n, rows)
     if image != skew:
         raise ValidationError("skew part of the double is not the "

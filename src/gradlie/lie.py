@@ -33,7 +33,7 @@ from .errors import (
     NotGraded,
     ValidationError,
 )
-from .linalg import Subspace, closure, preimage, span
+from .linalg import Subspace, closure, mat_identity, preimage, span
 from .scalars import Field
 from .tables import (antisymmetric, bilinear, cell_tree, freeze,
                      integral_trees, require_graded)
@@ -447,27 +447,9 @@ def direct_sum(a, b, sep="'"):
         raise ValidationError("direct sum needs a common scalar field")
     if a.group != b.group:
         raise ValidationError("direct sum needs a common grading group")
-    f = a.field
-    n, m = a.dim, b.dim
-    names = a.names + tuple(s + sep for s in b.names)
-    zero = f.zero
-
-    def pad_left(v):
-        return tuple(v) + (zero,) * m
-
-    def pad_right(v):
-        return (zero,) * n + tuple(v)
-
-    table = []
-    for i in range(n + m):
-        row = []
-        for j in range(n + m):
-            if i < n and j < n:
-                row.append(pad_left(a.table[i][j]))
-            elif i >= n and j >= n:
-                row.append(pad_right(b.table[i - n][j - n]))
-            else:
-                row.append((zero,) * (n + m))
-        table.append(row)
-    degrees = a.degrees + b.degrees
-    return GradedLieAlgebra(f, names, table, a.group, degrees)
+    f, n = a.field, a.dim
+    table = antisymmetric(
+        f, lambda x, y: a.bracket(x[:n], y[:n]) + b.bracket(x[n:], y[n:]),
+        mat_identity(f, n + b.dim), tuple, "")
+    return GradedLieAlgebra(f, a.names + tuple(s + sep for s in b.names),
+                            table, a.group, a.degrees + b.degrees)
