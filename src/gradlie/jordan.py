@@ -177,9 +177,13 @@ class JordanPair:
         self.names_minus = tuple(names_minus)
         n, m = len(self.names_plus), len(self.names_minus)
         self.table_plus = freeze(field, table_plus, (n, m, n, n))
-        self.table_minus = freeze(field, table_minus, (m, n, m, m))
-        self.cells = {1: cell_tree(self.table_plus, 3),
-                      -1: cell_tree(self.table_minus, 3)}
+        self.cells = {1: cell_tree(self.table_plus, 3)}
+        if table_minus is table_plus and n == m:
+            # the double pair of a triple: one table, frozen once
+            self.table_minus, self.cells[-1] = self.table_plus, self.cells[1]
+        else:
+            self.table_minus = freeze(field, table_minus, (m, n, m, m))
+            self.cells[-1] = cell_tree(self.table_minus, 3)
         self.memo = {}
         self._key = (field.p, self.names_plus, self.names_minus,
                      self.table_plus, self.table_minus)

@@ -688,6 +688,29 @@ def test_triple_proves_its_identities_once(monkeypatch):
     assert len(calls) == 22
 
 
+def test_triple_freezes_its_table_once(monkeypatch):
+    # the double pair shares one frozen table and one cell tree
+    calls = []
+
+    def counting(name, inner):
+        def counted(*args):
+            calls.append(name)
+            return inner(*args)
+        return counted
+
+    for name in ("freeze", "cell_tree"):
+        monkeypatch.setattr(J, name, counting(name, getattr(J, name)))
+    trip = triple_2xyz()
+    assert sorted(calls) == ["cell_tree", "freeze"]
+    assert trip.double.table_minus is trip.double.table_plus
+    assert trip.double.cells[-1] is trip.double.cells[1]
+    # a pair given two tables still freezes and walks each
+    calls.clear()
+    padded = pair_padded()
+    assert sorted(calls) == ["cell_tree", "cell_tree", "freeze", "freeze"]
+    assert padded.cells[-1] is not padded.cells[1]
+
+
 @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
 def test_failing_triple_raises_on_the_plus_side(field):
     trip = jordan_sym2(field).derived_triple()
