@@ -47,6 +47,7 @@ from gradlie.analysis import (  # noqa: E402
     socle,
     structure_report,
 )
+from gradlie.errors import GradlieError  # noqa: E402
 from gradlie.gallery import (  # noqa: E402
     build_lie,
     heis3,
@@ -183,7 +184,7 @@ def answer(alg, question, budget):
     exception class and message."""
     try:
         doc = {"answer": _encode(alg.field, question(alg, budget))}
-    except Exception as exc:  # every outcome is a record
+    except GradlieError as exc:  # a refusal or a rejection is a record
         doc = {"error": type(exc).__name__, "message": str(exc)}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -197,7 +198,7 @@ def records(ident, reverse=False):
     one algebra object in corpus order, or in the reverse order."""
     try:
         alg = build(ident)
-    except Exception as exc:
+    except GradlieError as exc:
         text = json.dumps({"error": type(exc).__name__, "message": str(exc)},
                           sort_keys=True, separators=(",", ":"))
         return {(b, name): text for b in BUDGETS for name, _ in QUESTIONS}
