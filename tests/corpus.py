@@ -226,8 +226,8 @@ def read_corpus():
     out = {}
     for line in CORPUS.read_text(encoding="utf-8").splitlines():
         if line.startswith("#"):
-            if line.startswith("# input budget "):
-                assert line == header()[1], "corpus questions changed"
+            if line.startswith("# input budget ") and line != header()[1]:
+                raise ValueError("corpus.txt asks other questions: " + line)
             continue
         ident, budget, *digests = line.split()
         out[ident, int(budget)] = digests
