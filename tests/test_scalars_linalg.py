@@ -5,18 +5,28 @@ test body (cofactor determinants, rank-nullity counts, direct membership
 loops), not against the library's own helpers.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from _naive import naive_coords, naive_reduce
+from _naive import change_basis, naive_coords, naive_reduce
 
+from gradlie import analysis, linalg
 from gradlie.errors import ParseError
-from gradlie.gallery import heis3, sl2
+from gradlie.gallery import heis3, p_mod_i, sl2, sl2sum, sln_e11
 from gradlie.linalg import (
+    PACKED_MIN_CELLS,
     Subspace,
+    _back_eliminate_p,
+    _echelon_list,
+    _echelon_p,
+    _echelon_packed,
+    _echelon_state,
     _first_nonzero,
+    _PackedEchelon,
+    _slot_code,
     closure,
     determinant,
     kernel_basis,
@@ -277,6 +287,97 @@ def test_closure_stops_at_full_rank(field):
     calls.clear()
     assert closure(full, images).rows == full.rows
     assert not calls
+
+
+# -- the two F_p echelon kernels -------------------------------------------
+
+KERNEL_PRIMES = (2, 3, 5, 7, 10007, 2 ** 31 - 1, 2 ** 61 - 1)
+
+
+@st.composite
+def fp_echelon_rows(draw):
+    """(p, rows): short or long rows, sparse or dense, with unreduced and
+    negative representatives, and some rows that are combinations of
+    earlier ones so that they reduce to zero."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    n = draw(st.sampled_from((1, 3, 8, PACKED_MIN_CELLS, 70)))
+    density = draw(st.sampled_from((0.1, 0.5, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    rows = [[rng.randrange(-p, 3 * p) if rng.random() < density else 0
+             for _ in range(n)]
+            for _ in range(draw(st.integers(1, n + 3)))]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = rng.choice(rows), rng.choice(rows)
+        k = rng.randrange(p)
+        rows.insert(rng.randrange(len(rows) + 1),
+                    [x + k * y for x, y in zip(a, b)])
+    return p, rows
+
+
+@given(fp_echelon_rows())
+def test_packed_and_list_kernels_give_the_same_echelon(case):
+    p, rows = case
+    n = len(rows[0])
+    ref = _echelon_list([list(r) for r in rows], p, {})
+    code = _slot_code(n, p)
+    if code is None:
+        # no slot fits a machine type: every echelon takes the list kernel
+        assert type(_echelon_state(n, p)) is dict
+        assert _echelon_p(rows, p) == ref
+        return
+    batch = _echelon_packed([list(r) for r in rows], p, _PackedEchelon(code))
+    carried = _PackedEchelon(code)
+    for r in rows:  # one row at a time into a carried state, as closure does
+        _echelon_packed([list(r)], p, carried)
+    assert batch == ref and carried == ref
+    assert _back_eliminate_p(carried, p) == _back_eliminate_p(ref, p)
+
+
+def test_the_kernel_is_chosen_by_row_length_and_slot_width():
+    assert type(_echelon_state(PACKED_MIN_CELLS - 1, 5)) is dict
+    assert isinstance(_echelon_state(PACKED_MIN_CELLS, 5), _PackedEchelon)
+    assert _slot_code(225, 5) == "H"  # 4 + 225 * 16 < 2^12
+    assert _slot_code(1225, 10007) == "Q"
+    assert _slot_code(1, 2 ** 61 - 1) is None  # no machine word holds it
+    assert type(_echelon_state(70, 2 ** 61 - 1)) is dict
+
+
+def _dense(alg, seed):
+    """alg in a seeded dense homogeneous basis, block by degree."""
+    f, n, rng = alg.field, alg.dim, random.Random(seed)
+    rows = [None] * n
+    for d in set(alg.degrees):
+        idx = [i for i in range(n) if alg.degrees[i] == d]
+        while True:
+            block = [[f.of(rng.randint(-2, 2)) for _ in idx] for _ in idx]
+            if rank(f, block) == len(idx):
+                break
+        for i, brow in zip(idx, block):
+            rows[i] = tuple(brow[idx.index(j)] if j in idx else 0
+                            for j in range(n))
+    return change_basis(alg, rows)
+
+
+def _envelope(alg, graded):
+    return analysis._envelope(alg.field, alg.dim,
+                              analysis._envelope_generators(alg, graded))
+
+
+def test_the_packed_envelope_of_dense_sl4_is_full():
+    a = _dense(sln_e11(4, F5), 7)
+    assert isinstance(_echelon_state(a.dim ** 2, 5), _PackedEchelon)
+    assert _envelope(a, False) == Subspace.full(F5, a.dim ** 2)
+
+
+@pytest.mark.parametrize("make", [sl2sum, p_mod_i])
+def test_packed_and_list_envelopes_agree_when_not_full(make, monkeypatch):
+    a = _dense(make(F5), 3)
+    assert a.dim ** 2 >= PACKED_MIN_CELLS
+    packed = [_envelope(a, graded) for graded in (False, True)]
+    monkeypatch.setattr(linalg, "PACKED_MIN_CELLS", a.dim ** 2 + 1)
+    listed = [_envelope(a, graded) for graded in (False, True)]
+    assert packed == listed
+    assert all(0 < e.dim < a.dim ** 2 for e in packed)
 
 
 # -- solving and determinants ---------------------------------------------
