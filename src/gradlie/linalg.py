@@ -41,7 +41,6 @@ import sys
 from array import array
 from bisect import insort
 from fractions import Fraction
-from itertools import compress, count
 from math import gcd
 
 from .scalars import QQ
@@ -210,7 +209,7 @@ def _echelon_packed(rows, p, piv):
                 r = (_pack(row, code) if r is None else r) + (p - t) * q
         if r is not None:
             row = [x % p for x in _unpack(r, code, len(row))]
-        c = next(compress(count(), row), None)
+        c = _first_nonzero(row)
         if c is not None:
             inv = pow(row[c], -1, p)
             row = piv[c] = [x * inv % p for x in row]
