@@ -497,7 +497,7 @@ def _scan_step(alg, graded, budget, question):
     scan_blocks(alg, graded, budget)
     key = ("scan", graded)
     if key not in alg.memo:
-        minimal = _minimal_ideals(alg, graded, budget)
+        minimal = _scanned_minimal_ideals(alg, graded, budget)
         soc = alg.zero_space()
         for m in minimal:
             soc = soc.add(m)
@@ -562,12 +562,27 @@ def is_strongly_nondegenerate(alg, graded=False, budget=None):
 
 
 def _minimal_ideals(alg, graded, budget):
+    """The minimal (graded) ideals.  Over F_p, when the envelope proves L
+    prime its socle is the only one (two distinct minimal ideals would
+    bracket into their intersection, 0); otherwise the scan finds them."""
     if alg.dim == 0:
         return ()
     if alg.field.p is None:
         if not is_semiprime(alg):
             raise UndecidedError("minimal ideals over Q need semiprime input")
         return _summands(alg, graded, budget)
+    try:
+        prime = _envelope_step(alg, graded, budget, "prime")
+    except UndecidedError:
+        prime = None
+    if prime is not None and prime[0]:
+        return (alg.memo[("envelope", graded)]["socle"],)
+    return _scanned_minimal_ideals(alg, graded, budget)
+
+
+def _scanned_minimal_ideals(alg, graded, budget):
+    """Over F_p, the minimal elements among the ideals generated by one
+    (homogeneous) element: every nonzero ideal contains one of them."""
     ideals = [i for i in distinct_principal_ideals(
         alg, homogeneous_only=graded, budget=budget) if not i.is_zero()]
     return tuple(i for i in ideals
@@ -579,7 +594,8 @@ def minimal_ideals(alg, budget=None):
     """All minimal nonzero ideals.
 
     Over F_p these are the minimal elements among ideals generated by one
-    element (complete: every nonzero ideal contains such an ideal).  Over
+    element (complete: every nonzero ideal contains such an ideal), or the
+    socle alone when the envelope proves the algebra prime.  Over
     Q the algebra must be semiprime; it is split at the proper ideals that
     basis vectors generate, and what no basis vector splits is cut by the
     factor fields of its centroid End_A(L) (_summands).

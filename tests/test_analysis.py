@@ -328,16 +328,33 @@ def test_three_questions_over_fp_cost_one_scan(monkeypatch):
     # semiprime, prime and the socle from one memoized structure
     calls = []
 
-    def counted(alg, graded, budget, _inner=analysis._minimal_ideals):
+    def counted(alg, graded, budget, _inner=analysis._scanned_minimal_ideals):
         calls.append(graded)
         return _inner(alg, graded, budget)
 
-    monkeypatch.setattr(analysis, "_minimal_ideals", counted)
+    monkeypatch.setattr(analysis, "_scanned_minimal_ideals", counted)
     h = heis3(F3)
     assert (is_semiprime(h), is_prime(h), socle(h).dim) == (False, False, 1)
     assert structure_report(h).methods["prime"] == (
         "exhaustive-Fp (certificate failed)")
     assert calls == [False]
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_minimal_ideals_of_a_proven_prime_algebra_skip_the_scan(graded):
+    # the plain scan of sl3 over F5 needs 97,656 points; the envelope
+    # proves it prime at a charge of 8^4 * (8 + 3) = 45,056, and its socle
+    # is then the one minimal ideal
+    a = sln_e11(3, F5)
+    assert analysis._decide(a, "prime", graded, 50000) == (
+        True, "envelope-radical")
+    got = analysis._minimal_ideals(a, graded, 50000)
+    assert got == (a.full_space(),)
+    if graded:
+        assert got == analysis._scanned_minimal_ideals(a, graded, 50000)
+    else:
+        with pytest.raises(DimensionTooLarge):
+            analysis._scanned_minimal_ideals(a, graded, 50000)
 
 
 def test_a_refusal_moves_down_the_ladder_to_the_last_step():
