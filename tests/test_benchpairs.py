@@ -52,6 +52,8 @@ def test_a_seed_without_both_sides_is_left_out_of_the_pairs():
     assert got["wall_s"]["parent"]["n"] == 2
     assert got["wall_s"]["change_better_pairs"] == "2 of 2"
     assert got["attempted"] == {"parent": 200, "change": 200}
+    one = benchpairs.summarize(runs[:2], {"wall_s": "lower"})["w"]["wall_s"]
+    assert one["parent"] == {"median": 1.0, "n": 1, "quartiles": [1.0, 1.0]}
 
 
 def test_seed_lists():

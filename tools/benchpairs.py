@@ -104,8 +104,10 @@ def summarize(runs, metrics):
             else:
                 wins = sum(c > p for p, c in zip(vals["parent"],
                                                   vals["change"]))
-            q1, _, q3 = statistics.quantiles(vals["parent"], n=4,
-                                             method="inclusive")
+            parent = vals["parent"]  # one pair: both quartiles are its value
+            q1, _, q3 = statistics.quantiles(
+                parent * 2 if len(parent) == 1 else parent, n=4,
+                method="inclusive")
             block[name] = {
                 "parent": {"median": round(med["parent"], 6),
                            "n": len(pairs),
@@ -137,7 +139,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
     metrics, bench = end_to_end()
     seconds = args.seconds or bench["run_seconds"]
-    commits = {"parent": args.parent, "change": args.change}
+    commits = {side: subprocess.run(
+        ["git", "rev-parse", "--short", commit], cwd=ROOT, check=True,
+        capture_output=True, text=True).stdout.strip()
+        for side, commit in zip(SIDES, (args.parent, args.change))}
     runs = []
     with tempfile.TemporaryDirectory(prefix="benchpairs-") as tmp:
         copies = {side: Path(tmp) / side for side in SIDES}
