@@ -39,7 +39,6 @@ maps (ideals generated by elements, envelopes, pair ideals).
 
 import sys
 from array import array
-from bisect import insort
 from fractions import Fraction
 from math import gcd
 
@@ -160,8 +159,8 @@ def _echelon_state(n, p):
 class _PackedEchelon(dict):
     """{pivot_col: row} as _echelon_list keeps it, with each row also
     packed into one int: cell c in bits [c w, (c + 1) w), w the width of
-    the array typecode `code`.  `order` lists (c, c w, packed row) by
-    pivot column c."""
+    the array typecode `code`.  `order` lists (c, c w, packed row) in
+    the order the rows were stored."""
 
     __slots__ = ("code", "order")
 
@@ -192,10 +191,14 @@ def _unpack(packed, code, n):
 def _echelon_packed(rows, p, piv):
     """The row update of _echelon_p as one int multiply-add per pivot row.
 
-    The entry t to cancel is read from the reduced row until the first
-    update packs it, and from its slot after that; adding (p - t) times
-    the packed pivot row makes it p, and no slot overflows (_slot_code),
-    so the cells stay exact and are taken mod p once, at the end.
+    The pivot rows are taken in the order they were stored: each one
+    vanishes at the pivots stored before it, so it keeps the zeros made
+    there, and the residual, zero at every pivot, is the one the column
+    order gives.  The entry t to cancel is read from the reduced row
+    until the first update packs it, and from its slot after that;
+    adding (p - t) times the packed pivot row makes it p, and no slot
+    overflows (_slot_code), so the cells stay exact and are taken mod p
+    once, at the end.
     """
     code, order = piv.code, piv.order
     width = 8 * array(code).itemsize
@@ -213,7 +216,7 @@ def _echelon_packed(rows, p, piv):
         if c is not None:
             inv = pow(row[c], -1, p)
             row = piv[c] = [x * inv % p for x in row]
-            insort(order, (c, c * width, _pack(row, code)))
+            order.append((c, c * width, _pack(row, code)))
     return piv
 
 
