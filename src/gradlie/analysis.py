@@ -576,7 +576,7 @@ def _minimal_ideals(alg, graded, budget):
     except UndecidedError:
         prime = None
     if prime is not None and prime[0]:
-        return (alg.memo[("envelope", graded)]["socle"],)
+        return (_envelope_step(alg, graded, budget, "socle")[0],)
     return _scanned_minimal_ideals(alg, graded, budget)
 
 
