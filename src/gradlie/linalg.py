@@ -111,7 +111,9 @@ def _echelon_p(rows, p, piv=None):
     """Insertion echelon mod p, rows normalized to leading 1. {pivot_col: row}.
 
     A row is reduced once by each pivot row, in column order (a pivot
-    row vanishes left of its pivot), and taken mod p at the end.  Rows
+    row vanishes left of its pivot; the packed kernel takes the order
+    the rows were stored, which leaves the same residual), and taken mod
+    p at the end.  Rows
     are inserted one at a time into piv, which may be given to continue
     an earlier echelon (made by _echelon_state); a new echelon takes its
     kernel from the length of the first row.

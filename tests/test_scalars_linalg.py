@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _naive import change_basis, naive_coords, naive_reduce
+from corpus import _basis_rows
 
 from gradlie import analysis, linalg
 from gradlie.errors import ParseError
@@ -349,19 +350,8 @@ def test_the_kernel_is_chosen_by_row_length_and_slot_width():
 
 
 def _dense(alg, seed):
-    """alg in a seeded dense homogeneous basis, block by degree."""
-    f, n, rng = alg.field, alg.dim, random.Random(seed)
-    rows = [None] * n
-    for d in set(alg.degrees):
-        idx = [i for i in range(n) if alg.degrees[i] == d]
-        while True:
-            block = [[f.of(rng.randint(-2, 2)) for _ in idx] for _ in idx]
-            if rank(f, block) == len(idx):
-                break
-        for i, brow in zip(idx, block):
-            rows[i] = tuple(brow[idx.index(j)] if j in idx else 0
-                            for j in range(n))
-    return change_basis(alg, rows)
+    """alg in a seeded dense homogeneous basis, as the corpus makes it."""
+    return change_basis(alg, _basis_rows(alg, True, random.Random(seed)))
 
 
 def _envelope(alg, graded):

@@ -46,7 +46,8 @@ def parse_seeds(text):
 
 
 def end_to_end():
-    """{metric: "lower" or "higher"} from BENCHMARK.json."""
+    """({metric: "lower" or "higher"}, the whole document) of
+    BENCHMARK.json."""
     doc = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     return {m["name"]: m["better"] for m in doc["end_to_end"]}, doc
 
