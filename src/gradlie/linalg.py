@@ -6,11 +6,12 @@ entry t is one int multiply-add, the row plus (p - t) times the packed
 pivot row.  A slot is the narrowest array machine type that holds p - 1
 plus one (p - 1)^2 per possible pivot, so cells never carry into each
 other and are taken mod p only when a row is stored.  An echelon is
-packed when its rows have at least PACKED_MIN_CELLS cells and such a
-slot exists (up to 64 bits); otherwise, as for short rows, where packing
-costs more than it saves (the two kernels break even near 16 cells), a
-row is updated one cell at a time as a list.  Both give the same
-echelon, so the canonical RREF is unchanged.
+packed when its rows have at least PACKED_MIN_CELLS (32) cells and such
+a slot exists (up to 64 bits); otherwise a row is updated one cell at a
+time as a list.  Packing has a fixed cost: on the 36-cell envelope rows
+of 6-dimensional algebras the two kernels measured equal, and from 64
+cells on the packed one was faster.  Both give the same echelon, so the
+canonical RREF is unchanged.
 
 Vectors are rows (tuples of field elements); a linear map is a matrix M of
 shape (domain, target) acting on the right, image = v @ M.  Subspaces are
@@ -45,9 +46,9 @@ from math import gcd
 from .scalars import QQ
 
 # F_p rows of at least this many cells are eliminated packed.  Packing a
-# row has a fixed cost: on random rows the two kernels break even near 16
-# cells, and on the 36-cell envelope rows of 6-dimensional algebras they
-# take the same time; from 64 cells on the packed kernel is faster.
+# row has a fixed cost: on the 36-cell envelope rows of 6-dimensional
+# algebras the two kernels take the same time, and from 64 cells on the
+# packed kernel is faster.
 PACKED_MIN_CELLS = 32
 _BIG_ENDIAN = sys.byteorder == "big"
 

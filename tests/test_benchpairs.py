@@ -44,16 +44,11 @@ def test_summary_medians_quartiles_and_pairs():
     assert got["attempted"] == {"parent": 500, "change": 450}
 
 
-def test_a_seed_without_both_sides_is_left_out_of_the_pairs():
-    runs = [_run(1, "parent", 1.0, 1.0), _run(1, "change", 0.5, 1.0),
-            _run(2, "parent", 1.0, 1.0), _run(2, "change", 0.8, 1.0),
-            _run(3, "parent", 9.0, 1.0)]
-    got = benchpairs.summarize(runs, {"wall_s": "lower"})["w"]
-    assert got["wall_s"]["parent"]["n"] == 2
-    assert got["wall_s"]["change_better_pairs"] == "2 of 2"
-    assert got["attempted"] == {"parent": 200, "change": 200}
-    one = benchpairs.summarize(runs[:2], {"wall_s": "lower"})["w"]["wall_s"]
-    assert one["parent"] == {"median": 1.0, "n": 1, "quartiles": [1.0, 1.0]}
+def test_one_pair_has_its_value_as_both_quartiles():
+    runs = [_run(1, "parent", 1.0, 1.0), _run(1, "change", 0.5, 1.0)]
+    got = benchpairs.summarize(runs, {"wall_s": "lower"})["w"]["wall_s"]
+    assert got["parent"] == {"median": 1.0, "n": 1, "quartiles": [1.0, 1.0]}
+    assert got["change_better_pairs"] == "1 of 1"
 
 
 def test_seed_lists():

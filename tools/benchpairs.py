@@ -11,9 +11,10 @@ both sides run
 
 from the root of their copy, after ``__pycache__`` and ``.perfbench_tmp``
 are removed from it; the parent goes first on the even pairs of the seed
-list, the change on the odd ones.  T is BENCHMARK.json's ``run_seconds``
-unless ``--seconds`` is given.  The last line a run prints is its JSON
-result.  The output file holds ``command``, ``protocol``, ``summary`` and
+list, the change on the odd ones.  T is BENCHMARK.json's ``run_seconds``,
+so every pair runs at the length the benchmark sets.  The last line a run
+prints is its JSON result; a run that fails stops the tool, so every seed
+has both sides.  The output file holds ``command``, ``protocol``, ``summary`` and
 ``runs`` in the shape of the BENCH_*.json records: for each end-to-end
 metric of BENCHMARK.json, each side's median, the parent's quartiles
 (inclusive method), the relative change of the medians and the pairs the
@@ -93,10 +94,9 @@ def summarize(runs, metrics):
         mine = [r for r in runs if r["workload"] == workload]
         seeds = list(dict.fromkeys(r["seed"] for r in mine))
         by = {(r["seed"], r["side"]): r for r in mine}
-        pairs = [s for s in seeds if all((s, side) in by for side in SIDES)]
         block = {"seeds": seeds}
         for name, better in metrics.items():
-            vals = {side: [by[s, side]["metrics"][name] for s in pairs]
+            vals = {side: [by[s, side]["metrics"][name] for s in seeds]
                     for side in SIDES}
             med = {side: statistics.median(v) for side, v in vals.items()}
             if better == "lower":
@@ -111,16 +111,16 @@ def summarize(runs, metrics):
                 method="inclusive")
             block[name] = {
                 "parent": {"median": round(med["parent"], 6),
-                           "n": len(pairs),
+                           "n": len(seeds),
                            "quartiles": [round(q1, 6), round(q3, 6)]},
                 "change": {"median": round(med["change"], 6),
-                           "n": len(pairs)},
+                           "n": len(seeds)},
                 "change_vs_parent": round(med["change"] / med["parent"] - 1,
                                           4),
-                "change_better_pairs": "%d of %d" % (wins, len(pairs)),
+                "change_better_pairs": "%d of %d" % (wins, len(seeds)),
             }
         for count in ("failed", "attempted"):
-            block[count] = {side: sum(by[s, side][count] for s in pairs)
+            block[count] = {side: sum(by[s, side][count] for s in seeds)
                             for side in SIDES}
         out[workload] = block
     return out
@@ -134,12 +134,10 @@ def main(argv=None):
                     help="a workload of BENCHMARK.json; may be repeated")
     ap.add_argument("--seeds", required=True, type=parse_seeds,
                     help="seeds, as 100-109 or 100,102")
-    ap.add_argument("--seconds", type=float,
-                    help="run length (default: BENCHMARK.json run_seconds)")
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
     metrics, bench = end_to_end()
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     commits = {side: subprocess.run(
         ["git", "rev-parse", "--short", commit], cwd=ROOT, check=True,
         capture_output=True, text=True).stdout.strip()
