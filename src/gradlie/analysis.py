@@ -1,22 +1,23 @@
 """Structural predicates: semiprime, prime, essential, socle, graded core.
 
-One driver, _decide, answers whether L is semiprime or prime and what its
-socle is, plain or graded: it walks the field's ladder of steps and
-returns the first answer with its method.  A step returns None where its
-certificate does not apply; one over the budget refuses before any work,
-and only the last step's refusal reaches the caller.  Over Q, L is
-semiprime iff its Killing form is nondegenerate, and then a direct sum of
-simple ideals with Soc = L; a basis vector generating a proper ideal
-proves it not prime, and otherwise its centroid is factored.  Elsewhere
-the answers are read off the ad-envelope A generated by ad L (and the
-degree projections when graded): the (graded) ideals are its submodules,
-Soc is killed by the Jacobson radical J(A), semiprime means [Soc, Soc] =
-Soc, and prime that the centroid End_A(Soc), a product of fields, one per
-minimal ideal, is a field.  J(A) is the radical of the trace form; over
-F_p that radical is certified nilpotent, and where the certificate fails
-or the envelope is over the budget the exhaustive scan of principal
-ideals decides (every nonzero (graded) ideal contains one generated by a
-(homogeneous) element, so quantifying over those is complete).
+One driver, _decide, answers five questions on the (graded) ideal
+lattice, semiprime, prime, the socle, the minimal ideals and an absolute
+zero divisor, from one table of ladders (_LADDERS): the first step of
+the field's ladder to answer gives the answer and its method.  A step
+over the budget refuses before any work, and only the last one's refusal
+reaches the caller; the driver memoizes what a step charged up front
+proves, on the algebra, and charges it again on a memo hit.  Over Q, L
+is semiprime iff its Killing form is nondegenerate, and then a direct
+sum of simple ideals (Soc = L) split by basis vectors and the factor
+fields of its centroid; the abelian ideal in its Killing radical holds
+its zero divisors.  Elsewhere the answers are read off the ad-envelope A
+of ad L (with the degree projections when graded): the (graded) ideals
+are its submodules, Soc is killed by the Jacobson radical J(A), the
+radical of the trace form, semiprime means [Soc, Soc] = Soc, and prime
+that the centroid End_A(Soc), a product of fields, one per minimal
+ideal, is a field.  Over F_p, where J(A) fails its nilpotence
+certificate or A is over the budget, the principal-ideal scan decides,
+and the zero divisors are always scanned (enumeration).
 
 "Undecided" is a first class outcome (UndecidedError), never a guess: it
 is raised over Q when a question needs an envelope or a centroid over
@@ -363,10 +364,11 @@ def _apply_poly(field, expr, mat):
     return acc
 
 
-def _from_envelope(alg, graded):
+def _envelope_step(alg, graded, budget):
     """{question: answer} from the radical of the envelope A of ad L
     (with the degree projections when graded), or None when the trace
-    radical of A fails its nilpotence certificate in characteristic p.
+    radical of A fails its nilpotence certificate in characteristic p;
+    _check_envelope charges the budget.
 
     The (graded) ideals are the A-submodules of L, so Soc(L) = {v :
     v J(A) = 0}.  A minimal ideal is abelian or perfect and distinct ones
@@ -379,25 +381,24 @@ def _from_envelope(alg, graded):
     inside the radical of the trace form, and equals it over Q (Dickson)
     or when that radical is nilpotent.  A = End(L) makes L simple as a
     module, J(A) = 0, and End_A(L) the scalars, with no trace form
-    needed.  Over Q only the socle of non-semiprime input is asked for.
+    needed.  A prime L != 0 has Soc as its one minimal ideal (two would
+    bracket into their intersection, 0).  Over Q only the socle of
+    non-semiprime input is asked for.
     """
     f, n = alg.field, alg.dim
     gens = _envelope_generators(alg, graded)
     env = _envelope(f, n, gens)
-    if env.dim == n * n:
-        full = alg.full_space()
-        semi = alg.bracket_space(full, full).dim == n
-        return dict(socle=full, semiprime=semi, prime=semi)
-    rad = _trace_radical(f, n, env)
+    rad = [] if env.dim == n * n else _trace_radical(f, n, env)
     if f.p is not None and not _is_nilpotent(alg, rad):
         return None
     soc = preimage(alg.zero_space(), rad) if rad else alg.full_space()
-    if alg.bracket_space(soc, soc) != soc:
-        return dict(socle=soc, semiprime=False, prime=False)
-    flat = _commutant(f, [[soc.coords(mat_vec(r, g, f)) for r in soc.rows]
-                          for g in gens], soc.dim)
-    return dict(socle=soc, semiprime=True,
-                prime=_frobenius_fixed_dim(f, flat, soc.dim) == 1)
+    semi = prime = alg.bracket_space(soc, soc) == soc
+    if semi and env.dim < n * n:
+        flat = _commutant(f, [[soc.coords(mat_vec(r, g, f)) for r in soc.rows]
+                              for g in gens], soc.dim)
+        prime = _frobenius_fixed_dim(f, flat, soc.dim) == 1
+    return dict(socle=soc, semiprime=semi, prime=prime,
+                minimal=((soc,) if soc.dim else ()) if prime else None)
 
 
 def _centroid_summands(alg, graded, budget):
@@ -444,34 +445,48 @@ def _summands(alg, graded, budget):
 
 
 # ---------------------------------------------------------------------------
-# the decision ladder: a step takes (alg, graded, budget, question) and
-# returns (answer, method), or None where its certificate does not apply
+# the decision ladder.  A step is (charge, run, method): charge(alg, graded,
+# budget) refuses before any work over the budget, or is None for a step
+# that is free or charges as it goes; run(alg, graded, budget) returns
+# {question: answer} for what it decides, or None if its certificate fails
 
 
-def _killing_step(alg, graded, budget, question):
+def _killing_step(alg, graded, budget):
     """Over Q, L is semiprime iff its Killing form is nondegenerate, and
     then Soc = L; else its radical, a graded ideal, holds a nonzero
     abelian ideal, so L is neither semiprime nor prime, graded or not."""
-    semi = killing_radical(alg).is_zero()
-    if question == "semiprime":
-        return semi, "killing-criterion"
-    if question == "socle":
-        return (alg.full_space(), "semisimple-identity") if semi else None
-    return None if semi else (False, "killing-criterion")
+    if killing_radical(alg).is_zero():
+        return dict(semiprime=True, socle=alg.full_space())
+    return dict(semiprime=False, prime=False)
 
 
-def _probe_step(alg, graded, budget, question):
+def _probe_step(alg, graded, budget):
     """A proper ideal generated by a basis vector and its annihilator are
     nonzero graded ideals of a semisimple L bracketing to zero
     (_summands): not prime, with no centroid and no budget."""
-    return None if _splitting_ideal(alg) is None else (
-        False, "principal-ideal-probe")
+    return {} if _splitting_ideal(alg) is None else dict(prime=False)
 
 
-def _centroid_step(alg, graded, budget, question):
+def _centroid_step(alg, graded, budget):
     """A semisimple L that no basis vector splits is prime iff its
     centroid is a field."""
-    return len(_centroid_summands(alg, graded, budget)) <= 1, "centroid"
+    return dict(prime=len(_centroid_summands(alg, graded, budget)) <= 1)
+
+
+def _summands_step(alg, graded, budget):
+    """The minimal ideals over Q, of semiprime input only (_summands)."""
+    if not is_semiprime(alg):
+        raise UndecidedError("minimal ideals over Q need semiprime input")
+    return dict(minimal=_summands(alg, graded, budget))
+
+
+def _walk_step(alg, graded, budget):
+    """The first of zero_divisors over Q, a free walk; graded, it takes
+    the degree components from the top degree down."""
+    blocks = ([alg.degree_component(d) for d in reversed(alg.support())]
+              if graded else [alg.full_space()])
+    return {"zero-divisor": next(
+        (x for b in blocks for x in zero_divisors(alg, b)), None)}
 
 
 def _envelope_charge(alg):
@@ -479,61 +494,78 @@ def _envelope_charge(alg):
     return alg.dim ** 4 * (alg.dim + len(alg.support()))
 
 
-def _envelope_step(alg, graded, budget, question):
-    """_from_envelope, memoized on the algebra; its a-priori charge is
-    checked first, also on a memo hit."""
+def _check_envelope(alg, graded, budget):
     if _envelope_charge(alg) > resolve_budget(budget):
         raise UndecidedError("the envelope of dimension %d is over the "
                              "budget" % alg.dim)
-    st = _memo(alg, ("envelope", graded),
-               lambda: _from_envelope(alg, graded))
-    return None if st is None else (st[question], "envelope-radical")
 
 
-def _scan_step(alg, graded, budget, question):
-    """The minimal ideals of the exhaustive scan, memoized on the algebra
-    after its budget check: L is prime iff no two of them, or one with
-    itself, bracket to zero (every nonzero ideal contains a minimal one)."""
-    scan_blocks(alg, graded, budget)
-    key = ("scan", graded)
-    if key not in alg.memo:
-        minimal = _scanned_minimal_ideals(alg, graded, budget)
-        soc = alg.zero_space()
-        for m in minimal:
-            soc = soc.add(m)
-        alg.memo[key] = dict(
-            socle=soc, semiprime=alg.bracket_space(soc, soc) == soc,
-            prime=not any(alg.bracket_space(a, b).is_zero() for a, b in
-                          itertools.combinations_with_replacement(minimal, 2)))
-    over = _envelope_charge(alg) > resolve_budget(budget)
-    return alg.memo[key][question], (
-        "exhaustive-Fp" if over else "exhaustive-Fp (certificate failed)")
+def _scan_step(alg, graded, budget):
+    """The minimal ideals of the exhaustive scan: L is prime iff no two
+    of them, or one with itself, bracket to zero (every nonzero ideal
+    contains a minimal one)."""
+    minimal = _scanned_minimal_ideals(alg, graded, budget)
+    soc = alg.zero_space()
+    for m in minimal:
+        soc = soc.add(m)
+    return dict(
+        minimal=minimal, socle=soc,
+        semiprime=alg.bracket_space(soc, soc) == soc,
+        prime=not any(alg.bracket_space(a, b).is_zero() for a, b in
+                      itertools.combinations_with_replacement(minimal, 2)))
+
+
+def _zero_divisor_scan_step(alg, graded, budget):
+    return {"zero-divisor": find_absolute_zero_divisor(alg, graded, budget)}
 
 
 # the steps of each question over Q (True) and over F_p (False)
+_ENVELOPE = (_check_envelope, _envelope_step, "envelope-radical")
 _LADDERS = {
-    True: {"semiprime": (_killing_step,),
-           "prime": (_killing_step, _probe_step, _centroid_step),
-           "socle": (_killing_step, _envelope_step)},
-    False: dict.fromkeys(("semiprime", "prime", "socle"),
-                         (_envelope_step, _scan_step)),
+    True: {"semiprime": ((None, _killing_step, "killing-criterion"),),
+           "prime": ((None, _killing_step, "killing-criterion"),
+                     (None, _probe_step, "principal-ideal-probe"),
+                     (None, _centroid_step, "centroid")),
+           "socle": ((None, _killing_step, "semisimple-identity"), _ENVELOPE),
+           "minimal": ((None, _summands_step, "centroid"),),
+           "zero-divisor": ((None, _walk_step, "killing-criterion"),)},
+    False: {**dict.fromkeys(("semiprime", "prime", "socle", "minimal"), (
+                _ENVELOPE, (scan_blocks, _scan_step, "exhaustive-Fp"))),
+            "zero-divisor": ((scan_blocks, _zero_divisor_scan_step,
+                              "exhaustive-Fp"),)},
 }
 
 
+def _answers(alg, step, graded, budget):
+    """A step's answers, memoized on the algebra when it has a charge,
+    which is checked first, also on a memo hit."""
+    charge, run, _ = step
+    if charge is None:
+        return run(alg, graded, budget)
+    charge(alg, graded, budget)
+    return _memo(alg, (run.__name__, graded),
+                 lambda: run(alg, graded, budget))
+
+
 def _decide(alg, question, graded=False, budget=None):
-    """(answer, method) of "semiprime", "prime" or "socle" for the
-    (graded) ideal lattice: the first answer on the field's ladder.  A
-    step over the budget raises UndecidedError before any work, and the
-    driver moves on; only the last step's refusal reaches the caller."""
+    """(answer, method) of "semiprime", "prime", "socle", "minimal" or
+    "zero-divisor" on the (graded) ideal lattice: the first answer on the
+    field's ladder.  A step over the budget refuses, and the driver moves
+    on; the last step's refusal, or its answer as is (a witness None
+    too), reaches the caller.  A method past a failed certificate says
+    so."""
     *steps, last = _LADDERS[alg.field.p is None][question]
+    note = ""
     for step in steps:
         try:
-            got = step(alg, graded, budget, question)
+            got = _answers(alg, step, graded, budget)
         except UndecidedError:
             continue
-        if got is not None:
-            return got
-    return last(alg, graded, budget, question)
+        if got is None:
+            note = " (certificate failed)"
+        elif got.get(question) is not None:
+            return got[question], step[2] + note
+    return _answers(alg, last, graded, budget)[question], last[2] + note
 
 
 def is_semiprime(alg, graded=False, budget=None):
@@ -544,40 +576,18 @@ def is_semiprime(alg, graded=False, budget=None):
 
 def absolute_zero_divisor_witness(alg, graded=False, budget=None):
     """A nonzero (homogeneous) x with (ad x)^2 = 0, or None: the first of
-    zero_divisors.  Over F_p the scan charges the budget first
-    (find_absolute_zero_divisor); over Q the walk is free, and graded it
-    takes the degree components from the top degree down.
-    """
-    if alg.field.p is not None:
-        return find_absolute_zero_divisor(alg, homogeneous_only=graded,
-                                          budget=budget)
-    blocks = ([alg.degree_component(d) for d in reversed(alg.support())]
-              if graded else [alg.full_space()])
-    return next((x for b in blocks for x in zero_divisors(alg, b)), None)
+    zero_divisors (_decide): over F_p the scan charges the budget first
+    (find_absolute_zero_divisor), over Q the walk is free."""
+    return _decide(alg, "zero-divisor", graded, budget)[0]
 
 
 def is_strongly_nondegenerate(alg, graded=False, budget=None):
-    return absolute_zero_divisor_witness(alg, graded=graded,
-                                         budget=budget) is None
+    return absolute_zero_divisor_witness(alg, graded, budget) is None
 
 
 def _minimal_ideals(alg, graded, budget):
-    """The minimal (graded) ideals.  Over F_p, when the envelope proves L
-    prime its socle is the only one (two distinct minimal ideals would
-    bracket into their intersection, 0); otherwise the scan finds them."""
-    if alg.dim == 0:
-        return ()
-    if alg.field.p is None:
-        if not is_semiprime(alg):
-            raise UndecidedError("minimal ideals over Q need semiprime input")
-        return _summands(alg, graded, budget)
-    try:
-        prime = _envelope_step(alg, graded, budget, "prime")
-    except UndecidedError:
-        prime = None
-    if prime is not None and prime[0]:
-        return (_envelope_step(alg, graded, budget, "socle")[0],)
-    return _scanned_minimal_ideals(alg, graded, budget)
+    """The minimal (graded) ideals (_decide; see minimal_ideals)."""
+    return _decide(alg, "minimal", graded, budget)[0]
 
 
 def _scanned_minimal_ideals(alg, graded, budget):
@@ -591,15 +601,10 @@ def _scanned_minimal_ideals(alg, graded, budget):
 
 
 def minimal_ideals(alg, budget=None):
-    """All minimal nonzero ideals.
-
-    Over F_p these are the minimal elements among ideals generated by one
-    element (complete: every nonzero ideal contains such an ideal), or the
-    socle alone when the envelope proves the algebra prime.  Over
-    Q the algebra must be semiprime; it is split at the proper ideals that
-    basis vectors generate, and what no basis vector splits is cut by the
-    factor fields of its centroid End_A(L) (_summands).
-    """
+    """All minimal nonzero ideals: over F_p the socle alone when the
+    envelope proves the algebra prime, else the minimal principal ideals
+    of the scan; over Q, of semiprime input only, the summands that basis
+    vectors and the centroid End_A(L) cut out (_summands)."""
     return _minimal_ideals(alg, False, budget)
 
 
@@ -695,28 +700,26 @@ class StructureReport:
 
 def structure_report(alg, budget=None):
     """One-stop summary used by the command line analyze output: the
-    semiprime, prime and socle answers and methods of _decide; a refused
-    question has answer None and the refusal's message as its method."""
-    q = alg.field.p is None
-    center_dim = alg.center().dim
-    kd = killing_determinant(alg) if q else None
+    answers and methods of _decide; a question refused with UndecidedError
+    has answer None and the refusal as its method (DimensionTooLarge
+    propagates)."""
     got, methods = {}, {}
-    for question in ("semiprime", "prime", "socle"):
+    for question, key in (("semiprime", "semiprime"), ("prime", "prime"),
+                          ("socle", "socle"),
+                          ("zero-divisor", "strongly-nondegenerate")):
         try:
-            got[question], methods[question] = _decide(alg, question,
-                                                       budget=budget)
+            got[question], methods[key] = _decide(alg, question,
+                                                  budget=budget)
         except UndecidedError as exc:
-            got[question], methods[question] = None, str(exc)
-    methods["strongly-nondegenerate"] = ("killing-criterion" if q
-                                         else "exhaustive-Fp")
-    snd = is_strongly_nondegenerate(alg, budget=budget)
-    soc = got["socle"]
+            methods[key] = str(exc)
+    soc = got.get("socle")
     return StructureReport(
-        center_dim=center_dim,
-        killing_det=kd,
-        semiprime=got["semiprime"],
-        prime=got["prime"],
-        strongly_nondegenerate=snd,
+        center_dim=alg.center().dim,
+        killing_det=killing_determinant(alg) if alg.field.p is None else None,
+        semiprime=got.get("semiprime"),
+        prime=got.get("prime"),
+        strongly_nondegenerate=(got["zero-divisor"] is None
+                                if "zero-divisor" in got else None),
         socle_dim=None if soc is None else soc.dim,
         socle=soc,
         methods=methods,

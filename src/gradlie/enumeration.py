@@ -7,22 +7,19 @@ element budget first and raises DimensionTooLarge beyond it; the default
 of 10**6 can be overridden by the GRADLIE_BUDGET environment variable or a
 per-call argument.
 
-The ideal predicates of analysis read the radical of the ad-envelope
-instead; the principal-ideal scan is their fallback, where the envelope
-is over the budget or its nilpotence certificate fails, the listing of
-minimal ideals, and the oracle the tests check them against.
+Both scans are last steps of the decision ladder of analysis._decide
+over F_p: the principal-ideal scan where the ad-envelope is over the
+budget or its certificate fails (and for the minimal ideals of an
+algebra it does not prove prime), the absolute-zero-divisor scan as the
+one step of its question.  They are the oracles of the tests as well.
 
 Both scans are exact Python integer arithmetic on the sparse structure
 constants of the algebra (GradedLieAlgebra.nonzero), so no prime is too
 large for them and no value wraps around: the principal-ideal scan closes
 one point at a time through GradedLieAlgebra.ideal_generated, and the
-absolute-zero-divisor scan charges its blocks here and walks each with
-analysis.zero_divisors, which yields the points passing
-GradedLieAlgebra.is_in_quadratic_annihilator, testing only the points of
-the Killing radical, where every absolute zero divisor lies when p != 2.
-The Jordan pair predicates take their candidates from the same walk, in
-the outer components of the TKK algebra of the pair, and charge their
-own budget per side.
+absolute-zero-divisor scan walks its blocks with analysis.zero_divisors,
+as the Jordan pair predicates walk the outer components of the TKK
+algebra of a pair, each side charged on its own.
 """
 
 from __future__ import annotations

@@ -503,9 +503,9 @@ def closure(start, images):
 
     Worklist over vectors: a vector's images are computed once, when the
     vector enters the echelon as a new dimension, so the generators of
-    the result all have their images inside it and it is stable.  Once
-    the echelon has full rank the whole space is stable, and the
-    worklist stops there.
+    the result all have their images inside it and it is stable; over
+    F_p they are queued reduced mod p.  Once the echelon has full rank
+    the whole space is stable, and the worklist stops there.
     """
     field = start.field
     n = start.ambient
@@ -524,7 +524,7 @@ def closure(start, images):
     while todo and len(piv) < n:
         for w in images(todo.pop()):
             if grows(w):
-                todo.append(w)
+                todo.append(w if p is None else [x % p for x in w])
                 if len(piv) == n:
                     break
     if len(piv) == n:

@@ -376,6 +376,24 @@ def test_packed_and_list_envelopes_agree_when_not_full(make, monkeypatch):
     assert all(0 < e.dim < a.dim ** 2 for e in packed)
 
 
+@pytest.mark.parametrize("make", [sl2sum, lambda f: sln_e11(3, f)],
+                         ids=["sl2sum", "sl3"])
+def test_the_envelope_images_only_vectors_reduced_mod_p(make, monkeypatch):
+    # closure queues each vector that grows the echelon reduced mod p, so
+    # the envelope's images(v) never multiplies entries of p or more
+    seen = []
+
+    def spy(start, images):
+        def recorded(v):
+            seen.append(v)
+            return images(v)
+        return closure(start, recorded)
+
+    monkeypatch.setattr(analysis, "closure", spy)
+    _envelope(_dense(make(F5), 3), False)
+    assert seen and all(0 <= x < 5 for v in seen for x in v)
+
+
 # -- solving and determinants ---------------------------------------------
 
 
