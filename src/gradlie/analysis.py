@@ -718,8 +718,7 @@ def structure_report(alg, budget=None):
         killing_det=killing_determinant(alg) if alg.field.p is None else None,
         semiprime=got.get("semiprime"),
         prime=got.get("prime"),
-        strongly_nondegenerate=(got["zero-divisor"] is None
-                                if "zero-divisor" in got else None),
+        strongly_nondegenerate=got["zero-divisor"] is None,
         socle_dim=None if soc is None else soc.dim,
         socle=soc,
         methods=methods,
