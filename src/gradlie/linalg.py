@@ -503,9 +503,9 @@ def closure(start, images):
 
     Worklist over vectors: a vector's images are computed once, when the
     vector enters the echelon as a new dimension, so the generators of
-    the result all have their images inside it and it is stable; over
-    F_p they are queued reduced mod p.  Once the echelon has full rank
-    the whole space is stable, and the worklist stops there.
+    the result all have their images inside it and it is stable; each
+    is queued as the echelon stores it, reduced.  At full rank the whole
+    space is stable, and the worklist stops there.
     """
     field = start.field
     n = start.ambient
@@ -513,18 +513,19 @@ def closure(start, images):
     piv = {} if p is None else _echelon_state(n, p)
 
     def grows(v):
+        # the row v adds to the echelon, as stored there, or None
         before = len(piv)
         if p is None:
             _echelon_q([v], piv)
         else:
             _echelon_p([v], p, piv)
-        return len(piv) > before
+        return piv[next(reversed(piv))] if len(piv) > before else None
 
-    todo = [v for v in start.rows if grows(v)]
+    todo = [r for r in map(grows, start.rows) if r is not None]
     while todo and len(piv) < n:
-        for w in images(todo.pop()):
-            if grows(w):
-                todo.append(w if p is None else [x % p for x in w])
+        for w in map(grows, images(todo.pop())):
+            if w is not None:
+                todo.append(w)
                 if len(piv) == n:
                     break
     if len(piv) == n:
