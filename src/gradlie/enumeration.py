@@ -7,11 +7,11 @@ element budget first and raises DimensionTooLarge beyond it; the default
 of 10**6 can be overridden by the GRADLIE_BUDGET environment variable or a
 per-call argument.
 
-Both scans are last steps of the decision ladder of analysis._decide
-over F_p: the principal-ideal scan where the ad-envelope is over the
-budget or its certificate fails (and for the minimal ideals of an
-algebra it does not prove prime), the absolute-zero-divisor scan as the
-one step of its question.  They are the oracles of the tests as well.
+On the F_p ladders of analysis._decide these scans are the last steps:
+the principal-ideal scan where the ad-envelope is over the budget or its
+certificate fails (and for the minimal ideals of an algebra it does not
+prove prime), the absolute-zero-divisor scan as the one step of its
+question.  They are the oracles of the tests as well.
 
 Both scans are exact Python integer arithmetic on the sparse structure
 constants of the algebra (GradedLieAlgebra.nonzero), so no prime is too

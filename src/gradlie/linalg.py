@@ -513,7 +513,7 @@ def closure(start, images):
     piv = {} if p is None else _echelon_state(n, p)
 
     def grows(v):
-        # the row v adds to the echelon, as stored there, or None
+        # the row v adds, as the echelon stores it (its last key), or None
         before = len(piv)
         if p is None:
             _echelon_q([v], piv)
