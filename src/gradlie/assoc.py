@@ -37,6 +37,7 @@ from .tables import (
     bilinear,
     cell_tree,
     freeze,
+    induced,
     integral_trees,
     require_graded,
     require_preserved,
@@ -179,21 +180,15 @@ def exchange_double(a):
 
     The product is (x, y)(z, w) = (xz, wy), so the second block multiplies
     in the opposite order and the exchange map is an anti-automorphism.
+    Its table is induced on the 2n unit vectors of the two blocks.
     """
     f = a.field
     n = a.dim
     names = tuple("(%s,0)" % nm for nm in a.names) + \
             tuple("(0,%s)" % nm for nm in a.names)
-    zero = (f.zero,) * (2 * n)
-    table = [[zero] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            left = a.table[i][j]
-            table[i][j] = tuple(left) + (f.zero,) * n
-            right = a.table[j][i]
-            table[n + i][n + j] = (f.zero,) * n + tuple(right)
-    table = tuple(tuple(r) for r in table)
     unit = mat_identity(f, 2 * n)
+    table = induced(lambda x, y: a._mul_coords(x[:n], y[:n])
+                    + a._mul_coords(y[n:], x[n:]), (unit, unit), tuple, "")
     return AssocAlgebra(f, names, table, a.group, a.degrees + a.degrees,
                         unit[n:] + unit[:n])
 

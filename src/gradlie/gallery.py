@@ -1,29 +1,39 @@
 """Worked examples: small graded Lie algebras, matrix algebras with
-involution, and Jordan systems used across the tests, demos, and CLI."""
+involution, and Jordan systems used across the tests, demos, and CLI.
+
+The matrix models (sl_n graded by E11, M_n with the transpose, the
+rectangular pair (M_pq, M_qp) and the symmetric 2x2 matrices) have their
+tables built by tables.induced or tables.antisymmetric from the matrix
+product of linalg.mat_mul on their basis; so have the Lie algebras given
+by a sparse bracket table (build_lie).  The one- and two-dimensional
+Jordan systems write their tables out."""
 
 from __future__ import annotations
 
+import itertools
+
 from .scalars import QQ
 from .lie import GradedLieAlgebra, GradingGroup, direct_sum
-from .linalg import span
+from .linalg import mat_add, mat_identity, mat_mul, mat_scale, mat_sub, span
 from .jordan import JordanAlgebra, JordanPair, JordanTriple, SubPair
 from .assoc import AssocAlgebra
+from .tables import antisymmetric, induced
 
 
 def build_lie(field, names, degrees, sparse, group=None):
-    """Lie algebra from a sparse upper bracket table; antisymmetry is
-    filled in, Jacobi is checked by the constructor."""
+    """Lie algebra from a sparse bracket table {(a, b): {c: k}}; the
+    mirror cells are filled in by antisymmetric, Jacobi is checked by the
+    constructor."""
     n = len(names)
     idx = {nm: i for i, nm in enumerate(names)}
-    table = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
+    upper = {}
     for (a, b), terms in sparse.items():
         i, j = idx[a], idx[b]
+        cell = upper.setdefault((min(i, j), max(i, j)), [0] * n)
         for nm, c in terms.items():
-            k = idx[nm]
-            val = field.of(c)
-            table[i][j][k] = field.of(table[i][j][k] + val)
-            table[j][i][k] = field.of(table[j][i][k] - val)
-    table = tuple(tuple(tuple(r) for r in row) for row in table)
+            cell[idx[nm]] += field.of(c) if i < j else -field.of(c)
+    table = antisymmetric(field, lambda i, j: upper.get((i, j), [0] * n),
+                          range(n), field.reduce, "")
     if group is None:
         group = GradingGroup.integers() if degrees else GradingGroup.trivial()
     return GradedLieAlgebra(field, tuple(names), table, group,
@@ -91,49 +101,25 @@ def sln_e11(n, field=QQ):
         ["H%d" % (k + 1) for k in range(n - 1)]
     deg = [1 if i == 0 else (-1 if j == 0 else 0) for (i, j) in pairs] + \
         [0] * (n - 1)
-    dim = len(names)
+    unit = mat_identity(f, n)
 
-    def mat(i, j):
-        m = [[f.zero] * n for _ in range(n)]
-        m[i][j] = f.one
-        return m
+    def e(i, j):
+        # the matrix unit E_ij
+        return [unit[j] if r == i else (f.zero,) * n for r in range(n)]
 
-    basis_mats = [mat(i, j) for (i, j) in pairs]
-    for k in range(n - 1):
-        m = [[f.zero] * n for _ in range(n)]
-        m[k][k] = f.one
-        m[k + 1][k + 1] = f.of(-1)
-        basis_mats.append(m)
-
-    def mat_br(x, y):
-        z = [[f.zero] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                s = f.zero
-                for k in range(n):
-                    s = f.of(s + x[i][k] * y[k][j] - y[i][k] * x[k][j])
-                z[i][j] = s
-        return z
+    basis = [e(i, j) for (i, j) in pairs] + [
+        mat_sub(e(k, k), e(k + 1, k + 1), f) for k in range(n - 1)]
 
     def to_coords(m):
         # off-diagonal entries map straight through; the diagonal part is
         # traceless and h_k = e_kk - e_{k+1,k+1} has partial sums as duals
-        v = [f.zero] * dim
-        for a, (i, j) in enumerate(pairs):
-            v[a] = m[i][j]
-        acc = f.zero
-        for k in range(n - 1):
-            acc = f.of(acc + m[k][k])
-            v[len(pairs) + k] = acc
-        return tuple(v)
+        return [m[i][j] for (i, j) in pairs] + list(
+            itertools.accumulate(m[k][k] for k in range(n - 1)))
 
-    table = []
-    for x in basis_mats:
-        row = []
-        for y in basis_mats:
-            row.append(to_coords(mat_br(x, y)))
-        table.append(tuple(row))
-    return GradedLieAlgebra(f, tuple(names), tuple(table),
+    table = antisymmetric(
+        f, lambda x, y: mat_sub(mat_mul(x, y, f), mat_mul(y, x, f), f),
+        basis, to_coords, "")
+    return GradedLieAlgebra(f, tuple(names), table,
                             GradingGroup.integers(), tuple(deg))
 
 
@@ -174,29 +160,22 @@ def first_component(alg, dim_first):
 # -- associative --------------------------------------------------------
 
 
+def _rows(v, cols):
+    """A flat coordinate vector as the rows of a matrix with cols columns."""
+    return tuple(v[r:r + cols] for r in range(0, len(v), cols))
+
+
 def m_n_transpose(n, field=QQ):
     """Full n x n matrix algebra with the transpose involution and the
     trivial grading."""
     f = field
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    idx = {p: a for a, p in enumerate(pairs)}
-    names = ["e%d%d" % (i + 1, j + 1) for (i, j) in pairs]
-    d = n * n
-    table = []
-    for (i, j) in pairs:
-        row = []
-        for (c, dd) in pairs:
-            v = [f.zero] * d
-            if j == c:
-                v[idx[(i, dd)]] = f.one
-            row.append(tuple(v))
-        table.append(tuple(row))
-    inv = []
-    for (i, j) in pairs:
-        v = [f.zero] * d
-        v[idx[(j, i)]] = f.one
-        inv.append(tuple(v))
-    return AssocAlgebra(f, names, tuple(table), involution=tuple(inv))
+    names = ["e%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
+    unit = mat_identity(f, n * n)
+    table = induced(lambda x, y: sum(mat_mul(_rows(x, n), _rows(y, n), f), ()),
+                    (unit, unit), tuple, "")
+    # e_ij* = e_ji
+    inv = [unit[j * n + i] for i in range(n) for j in range(n)]
+    return AssocAlgebra(f, names, table, involution=inv)
 
 
 # -- Jordan systems ------------------------------------------------------
@@ -212,49 +191,22 @@ def pair_field(field=QQ):
 def pair_rect(p, q, field=QQ):
     """Rectangular matrix pair (M_pq, M_qp), {x, y, z} = xyz + zyx."""
     f = field
-    np_, nm_ = p * q, q * p
     names_p = tuple("e%d%d" % (r + 1, c + 1)
                     for r in range(p) for c in range(q))
     names_m = tuple("f%d%d" % (r + 1, c + 1)
                     for r in range(q) for c in range(p))
 
-    def as_mat(v, rows, cols):
-        return [[v[r * cols + c] for c in range(cols)] for r in range(rows)]
+    def side(rows, cols):
+        # x, z in M_(rows x cols), y in M_(cols x rows)
+        def triple(x, y, z):
+            x, y, z = _rows(x, cols), _rows(y, rows), _rows(z, cols)
+            return sum(mat_add(mat_mul(mat_mul(x, y, f), z, f),
+                               mat_mul(mat_mul(z, y, f), x, f), f), ())
 
-    def mul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-                 for j in range(len(b[0]))] for i in range(len(a))]
+        a, b = mat_identity(f, rows * cols), mat_identity(f, cols * rows)
+        return induced(triple, (a, b, a), tuple, "")
 
-    def build(na, ra, ca):
-        nb = ca * ra
-        basis_a = []
-        for i in range(na):
-            v = [f.zero] * na
-            v[i] = f.one
-            basis_a.append(v)
-        basis_b = []
-        for j in range(nb):
-            v = [f.zero] * nb
-            v[j] = f.one
-            basis_b.append(v)
-        out = []
-        for va in basis_a:
-            plane = []
-            for vb in basis_b:
-                row = []
-                for vc in basis_a:
-                    A = as_mat(va, ra, ca)
-                    B = as_mat(vb, ca, ra)
-                    C = as_mat(vc, ra, ca)
-                    s1, s2 = mul(mul(A, B), C), mul(mul(C, B), A)
-                    row.append(tuple(f.of(x + y)
-                                     for r1, r2 in zip(s1, s2)
-                                     for x, y in zip(r1, r2)))
-                plane.append(tuple(row))
-            out.append(tuple(plane))
-        return tuple(out)
-
-    return JordanPair(f, names_p, names_m, build(np_, p, q), build(nm_, q, p))
+    return JordanPair(f, names_p, names_m, side(p, q), side(q, p))
 
 
 def pair_zero(np_=1, nm_=1, field=QQ):
@@ -306,36 +258,14 @@ def jordan_sym2(field=QQ):
     """Symmetric 2x2 matrices under x . y = (xy + yx) / 2."""
     f = field
     half = f.inv(f.of(2))
-    names = ("s11", "s12", "s22")
 
-    def as_mat(v):
-        return [[v[0], v[1]], [v[1], v[2]]]
+    def product(x, y):
+        x = ((x[0], x[1]), (x[1], x[2]))
+        y = ((y[0], y[1]), (y[1], y[2]))
+        (s11, s12), (_, s22) = mat_scale(
+            mat_add(mat_mul(x, y, f), mat_mul(y, x, f), f), half, f)
+        return s11, s12, s22
 
-    def prod(a, b):
-        A, B = as_mat(a), as_mat(b)
-        out = []
-        for i in range(2):
-            row = []
-            for j in range(2):
-                s = f.zero
-                for k in range(2):
-                    s = f.of(s + A[i][k] * B[k][j] + B[i][k] * A[k][j])
-                row.append(f.of(half * s))
-            out.append(row)
-        return (out[0][0], out[0][1], out[1][1])
-
-    basis = [(f.one, f.zero, f.zero), (f.zero, f.one, f.zero),
-             (f.zero, f.zero, f.one)]
-    tbl = tuple(tuple(prod(basis[i], basis[j]) for j in range(3))
-                for i in range(3))
-    return JordanAlgebra(f, names, tbl)
-
-
-LIE_GALLERY = {
-    "sl2": sl2,
-    "sl2sum": sl2sum,
-    "heis3": heis3,
-    "sl3": lambda field=QQ: sln_e11(3, field),
-    "sl4": lambda field=QQ: sln_e11(4, field),
-    "p_mod_i": p_mod_i,
-}
+    unit = mat_identity(f, 3)
+    return JordanAlgebra(f, ("s11", "s12", "s22"),
+                         induced(product, (unit, unit), tuple, ""))

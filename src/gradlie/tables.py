@@ -8,12 +8,14 @@ build their sparse views, scale them to ints for validation, check the
 grading, multiply, and check that a map preserves a product through the
 helpers here.  Every table induced on new bases is built here too (the
 restriction to a subalgebra or subpair, a quotient, the commutator on
-derivations, TKK(V), the pair and triple read off a Lie algebra), and
-building it is its closure check.  The four Lie tables among them (the
-restriction, the quotient, the commutator on derivations and TKK(V)) are
-antisymmetric and built by antisymmetric, which computes each unordered
-pair of basis vectors once and leaves the diagonal zero; the others by
-induced.
+derivations, TKK(V), the pair and triple read off a Lie algebra, the
+derived triple), and building it is its closure check.  So is every table
+given by a product on a basis: the commutator algebra, direct sums, the
+exchange double, and the examples of gallery (sl_n, M_n, the rectangular
+pair, the symmetric 2x2 matrices and the sparse bracket tables).  The Lie
+tables among them are antisymmetric and built by antisymmetric, which
+computes each unordered pair of basis vectors once and leaves the
+diagonal zero; the others by induced.
 
 A cell tree is the sparse view of a table: tree[i][j]... holds one dict
 level per argument, keyed by the indices whose cells are not zero, and
