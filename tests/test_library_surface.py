@@ -1,14 +1,15 @@
 """The library holds what its commands call: every module-level function
 and public method in src/gradlie has a caller in src/gradlie or demos/,
 is exported in gradlie.__all__, or is named in ALLOWED with the reason it
-stays.  gallery.py is exempt as a whole, since tests, demos and perfbench
-build their inputs from it.  A caller is a reference by name (a call, an
-attribute read, a function passed as a value) outside the definition's
-own body.  Names are matched without types, so a method counts as called
-when any definition of the same name is referenced; SHARED therefore
-lists the names defined more than once, each definition with the caller
-that keeps it, and a name that joins or leaves that set fails until it
-has been checked by hand."""
+stays.  The examples in gallery.py are inputs that tests, demos, perfbench
+and tools build, so each of its module-level functions and names needs a
+reference anywhere in src, demos, tests, perfbench or tools instead.  A
+caller is a reference by name (a call, an attribute read, a function
+passed as a value) outside the definition's own body.  Names are matched
+without types, so a method counts as called when any definition of the
+same name is referenced; SHARED therefore lists the names defined more
+than once, each definition with the caller that keeps it, and a name that
+joins or leaves that set fails until it has been checked by hand."""
 
 import ast
 from collections import Counter
@@ -80,10 +81,13 @@ def _definitions(tree):
                     yield "%s.%s" % (node.name, sub.name), sub.name, sub
 
 
+def _parse(*dirs):
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for d in dirs for path in sorted((ROOT / d).rglob("*.py"))}
+
+
 def test_every_library_function_has_a_caller():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))
-             + sorted((ROOT / "demos").glob("*.py"))}
+    trees = _parse("src/gradlie", "demos")
     refs = Counter()
     for tree in trees.values():
         refs.update(_references(tree))
@@ -97,6 +101,21 @@ def test_every_library_function_has_a_caller():
                     and qualified not in ALLOWED):
                 uncalled.append("%s: %s" % (path.name, qualified))
     assert uncalled == []
+
+
+def test_every_gallery_name_is_used():
+    trees = _parse("src", "demos", "tests", "perfbench", "tools")
+    refs = Counter()
+    for tree in trees.values():
+        refs.update(_references(tree))
+    unused = []
+    for node in trees[SRC / "gallery.py"].body:
+        names = ([node.name] if isinstance(node, ast.FunctionDef) else
+                 [t.id for t in getattr(node, "targets", ())
+                  if isinstance(t, ast.Name)])
+        unused += [name for name in names
+                   if refs[name] == _references(node)[name]]
+    assert unused == []
 
 
 def test_allowed_names_still_exist():
