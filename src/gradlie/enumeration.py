@@ -131,22 +131,16 @@ def distinct_principal_ideals(alg, homogeneous_only=False, budget=None):
     """All distinct ideals generated by a single (homogeneous) element.
 
     Every nonzero (graded) ideal contains one of these, which is what the
-    exhaustive minimal-ideal listing and the predicate oracles need.  Results
-    are memoized on the algebra (alg.memo) since the scan can take seconds
-    in dimension 8; the budget is checked first, so a memoized answer is
-    refused exactly when a fresh scan would be.
+    exhaustive minimal-ideal listing and the predicate oracles need.  The
+    budget is checked before any point is closed.  Nothing is memoized
+    here: the ladder in analysis memoizes its one caller, the scan step,
+    on the algebra.
     """
-    scan_blocks(alg, homogeneous_only, budget)
-    key = ("principal_ideals", bool(homogeneous_only))
-    got = alg.memo.get(key)
-    if got is not None:
-        return got
     seen = {}
     for v in scan_points(alg, homogeneous_only=homogeneous_only, budget=budget):
         ideal = principal_ideal_np(alg, v)
         seen.setdefault(ideal.rows, ideal)
-    out = alg.memo[key] = tuple(seen.values())
-    return out
+    return tuple(seen.values())
 
 
 def find_absolute_zero_divisor(alg, homogeneous_only=False, budget=None):

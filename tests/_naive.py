@@ -385,8 +385,13 @@ def naive_zero_divisor(alg, graded):
 
 
 def _nonzero_principal_ideals(alg, graded):
-    return [i for i in distinct_principal_ideals(alg, homogeneous_only=graded)
-            if not i.is_zero()]
+    """The scan's nonzero principal (graded) ideals, memoized on the
+    algebra: the oracles below ask for them once per ideal tested."""
+    key = ("naive_principal_ideals", graded)
+    if key not in alg.memo:
+        alg.memo[key] = [i for i in distinct_principal_ideals(
+            alg, homogeneous_only=graded) if not i.is_zero()]
+    return alg.memo[key]
 
 
 def naive_is_prime(alg, graded):
