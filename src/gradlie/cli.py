@@ -76,12 +76,19 @@ def _emit(report, fmt, lines):
             print(line)
 
 
-def _verdict_exit(v):
-    if v.value == "true":
-        return EXIT_OK
-    if v.value == "false":
-        return EXIT_FALSE
-    return EXIT_UNDECIDED
+def _emit_verdict(v, report, fmt, witness):
+    """Prints a Verdict after the report's own fields: its value, its
+    witness through witness(v.witness) when it has one, and its reason;
+    returns the exit code of its value."""
+    report.update(verdict=v.value, reason=v.reason)
+    lines = ["verdict: %s" % v.value]
+    if v.witness is not None:
+        report["witness"] = w = witness(v.witness)
+        lines.append("witness: %s" % w)
+    if v.reason:
+        lines.append("reason: %s" % v.reason)
+    _emit(report, fmt, lines)
+    return {"true": EXIT_OK, "false": EXIT_FALSE}.get(v.value, EXIT_UNDECIDED)
 
 
 # -- validate ----------------------------------------------------------------
@@ -215,17 +222,9 @@ def cmd_check_quotient(args):
         v = is_weak_quotient(emb, graded=args.graded, budget=args.budget)
     else:
         v = is_quotient(emb, graded=args.graded, budget=args.budget)
-    report = {"graded": bool(args.graded), "weak": bool(args.weak),
-              "verdict": v.value, "reason": v.reason}
-    lines = ["verdict: %s" % v.value]
-    if v.witness is not None:
-        w = format_vector(alg.field, alg.names, v.witness)
-        report["witness"] = w
-        lines.append("witness: %s" % w)
-    if v.reason:
-        lines.append("reason: %s" % v.reason)
-    _emit(report, args.format, lines)
-    return _verdict_exit(v)
+    return _emit_verdict(
+        v, {"graded": bool(args.graded), "weak": bool(args.weak)},
+        args.format, lambda w: format_vector(alg.field, alg.names, w))
 
 
 # -- jordan commands ---------------------------------------------------------
@@ -244,20 +243,17 @@ def cmd_mquotients(args):
     if not isinstance(af.algebra, JordanPair) or af.embedding is None:
         raise GradlieError("mquotients expects a jordan_pair file with a "
                            "subpair entry")
-    v = is_pair_of_quotients(af.embedding, budget=args.budget)
-    report = {"verdict": v.value, "reason": v.reason}
-    lines = ["verdict: %s" % v.value]
-    if v.witness is not None:
-        sign, vec = v.witness
-        w = "%s side: %s" % ("plus" if sign > 0 else "minus",
-                             format_vector(af.algebra.field,
-                                           af.algebra.names(sign), vec))
-        report["witness"] = w
-        lines.append("witness: %s" % w)
-    if v.reason:
-        lines.append("reason: %s" % v.reason)
-    _emit(report, args.format, lines)
-    return _verdict_exit(v)
+    pair = af.algebra
+
+    def witness(w):
+        sign, vec = w
+        return "%s side: %s" % ("plus" if sign > 0 else "minus",
+                                format_vector(pair.field, pair.names(sign),
+                                              vec))
+
+    return _emit_verdict(is_pair_of_quotients(af.embedding,
+                                              budget=args.budget),
+                         {}, args.format, witness)
 
 
 def cmd_jmax(args):
