@@ -5,8 +5,9 @@ The matrix models (sl_n graded by E11, M_n with the transpose, the
 rectangular pair (M_pq, M_qp) and the symmetric 2x2 matrices) have their
 tables built by tables.induced or tables.antisymmetric from the matrix
 product of linalg.mat_mul on their basis; so have the Lie algebras given
-by a sparse bracket table (build_lie).  The one- and two-dimensional
-Jordan systems write their tables out."""
+by a sparse bracket table (build_lie).  The small Jordan systems
+(pair_field, pair_zero, pair_padded, triple_2xyz, jordan_rank1) write
+their tables out."""
 
 from __future__ import annotations
 
