@@ -1,14 +1,20 @@
-"""A differential corpus for the ideal-lattice questions of gradlie.
+"""A differential corpus for the ideal-lattice and maximal-quotients
+questions of gradlie.
 
 The inputs are seeded Lie algebras over Q, F2, F3, F5 and F7: the gallery
-algebras; direct sums with heis3 or an abelian piece, which are not
-semiprime by construction; sums of two or three simple pieces, whose
-minimal ideals are the pieces; and a homogeneous sparse (scaled
-permutation) and dense (small integers) basis change of each.  For every
-input the questions of QUESTIONS are asked at each budget of BUDGETS, in
-that order, on one algebra object, so the later ones meet the memos the
-earlier ones filled.  An answer is the canonical JSON of the verdict and
-witness, or of the exception class and message.
+algebras; psl3, sl3 modulo its center, which over F3 has a degenerate
+Killing form and outer derivations; direct sums with heis3 or an abelian
+piece, which are not semiprime by construction; sums of two or three
+simple pieces, whose minimal ideals are the pieces; and a homogeneous
+sparse (scaled permutation) and dense (small integers) basis change of
+each.  For every input the questions of QUESTIONS are asked at each
+budget of BUDGETS, in that order, on one algebra object, so the later
+ones meet the memos the earlier ones filled.  An answer is the canonical
+JSON of the verdict and witness, or of the exception class and message.
+A maximal algebra of quotients is recorded as its algebra file, its
+embedding, its minimum essential ideal and the degrees of its derivation
+basis; the axiomatic check of the graded one as its three booleans and
+its witnesses.
 
 corpus.txt holds one line per input and budget: the input's id, the
 budget, and one 12-hex-digit SHA-256 digest per question, in the order of
@@ -47,6 +53,13 @@ from gradlie.analysis import (  # noqa: E402
     socle,
     structure_report,
 )
+from gradlie.derivations import (  # noqa: E402
+    AxiomaticReport,
+    MaximalQuotients,
+    QuotientEmbedding,
+    check_axiomatic,
+    maximal_quotients,
+)
 from gradlie.errors import GradlieError  # noqa: E402
 from gradlie.gallery import (  # noqa: E402
     build_lie,
@@ -61,7 +74,7 @@ from gradlie.gallery import (  # noqa: E402
 from gradlie.lie import direct_sum  # noqa: E402
 from gradlie.linalg import Subspace, rank  # noqa: E402
 from gradlie.scalars import GF, QQ  # noqa: E402
-from gradlie.serialize import rows_to_json  # noqa: E402
+from gradlie.serialize import rows_to_json, serialize_algebra  # noqa: E402
 
 CORPUS = HERE / "corpus.txt"
 FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5), "F7": GF(7)}
@@ -86,6 +99,17 @@ def _sln3(field):
     return sln_e11(3, field)
 
 
+def _psl3(field):
+    a = sln_e11(3, field)
+    return a.quotient_by_ideal(a.center())[0]
+
+
+def _axiomatic(alg, budget):
+    mq = maximal_quotients(alg, graded=True, budget=budget)
+    return check_axiomatic(QuotientEmbedding(mq.algebra, list(mq.embedding)),
+                           budget=budget)
+
+
 BASES = {
     "sl2": sl2,
     "sl2sum": sl2sum,
@@ -93,6 +117,7 @@ BASES = {
     "sl2sum_swap": sl2sum_swap,
     "heis3": heis3,
     "sln3": _sln3,
+    "psl3": _psl3,
     "p_mod_i": p_mod_i,
     "sl2+heis3": _sum(sl2, heis3),
     "sl2+ab": _sum(sl2, _abelian),
@@ -117,6 +142,9 @@ QUESTIONS = (
     ("azd.g", lambda a, b: absolute_zero_divisor_witness(
         a, graded=True, budget=b)),
     ("report", lambda a, b: structure_report(a, budget=b)),
+    ("qmax", lambda a, b: maximal_quotients(a, budget=b)),
+    ("qmax.g", lambda a, b: maximal_quotients(a, graded=True, budget=b)),
+    ("axiomatic.g", _axiomatic),
 )
 
 
@@ -174,6 +202,22 @@ def _encode(f, x):
                 "strongly_nondegenerate": x.strongly_nondegenerate,
                 "socle_dim": x.socle_dim, "socle": _encode(f, x.socle),
                 "methods": x.methods}
+    if isinstance(x, MaximalQuotients):
+        degrees = x.derivations.degrees
+        return {"qmax": json.loads(serialize_algebra(x.algebra)),
+                "embedding": rows_to_json(f, x.embedding),
+                "witness_ideal": _encode(f, x.witness_ideal),
+                "degrees": None if degrees is None else list(degrees)}
+    if isinstance(x, AxiomaticReport):
+        wit = dict(x.witnesses)
+        if "realized" in wit:
+            sigma, flat = wit["realized"]
+            wit["realized"] = [sigma, _encode(f, flat)]
+        for key in ("absorption", "faithful"):
+            if key in wit:
+                wit[key] = _encode(f, wit[key])
+        return {"absorption": x.absorption, "faithful": x.faithful,
+                "realized": x.realized, "witnesses": wit}
     if isinstance(x, tuple):
         return [_encode(f, y) for y in x]
     return f.format(x)
@@ -216,7 +260,8 @@ def lines(ident, reverse=False):
 
 
 def header():
-    return ["# gradlie ideal-lattice corpus (tests/corpus.py); "
+    return ["# gradlie ideal-lattice and maximal-quotients corpus "
+            "(tests/corpus.py); "
             "one line per input and budget",
             "# input budget " + " ".join(name for name, _ in QUESTIONS)]
 
