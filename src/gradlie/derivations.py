@@ -10,6 +10,11 @@ Since E0 = [E0, E0] in the semiprime case, derivations map E0 into E0 and
 the commutator closes on Der(E0, L), which therefore carries the Lie
 structure returned here.
 
+Der(E0, L) is read off a theorem where one applies: when E0 = L and the
+Killing form is nondegenerate every derivation is inner, so Q_m(L) = ad L
+and its commutator table is L's own; only otherwise is the Leibniz
+system solved.
+
 Deciders return a Verdict rather than a bare boolean: the quantifier "for
 all nonzero q" is only fully decidable when linear algebra or exhaustive
 enumeration covers it, and the outcome vocabulary {true, false(witness),
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .analysis import (graded_core, graded_socle, is_essential_ideal,
-                       is_semiprime, socle)
+                       is_semiprime, killing_radical, socle)
 from .enumeration import scan_points
 from .errors import (
     DecompositionIncomplete,
@@ -123,6 +128,8 @@ class DerivationSpace:
     space: object            # Subspace of the flattened maps
     degrees: tuple           # degree of each basis map; None when the
                              # domain is not graded
+    method: str = "leibniz"  # or inner-derivations
+    preimages: tuple = None  # the x_i with d_i = ad x_i (inner-derivations)
 
     @property
     def basis(self):
@@ -144,10 +151,42 @@ class DerivationSpace:
 
 
 def derivation_space(alg, ideal):
-    """All linear maps I -> L satisfying the Leibniz rule on I.
+    """All linear maps I -> L satisfying the Leibniz rule on I, as the
+    canonical basis of the (dim I) x (dim L) matrices D, row u the image of
+    the canonical row r_u, flattened row-major.  When I = L and the Killing
+    form is nondegenerate every derivation is inner, in any characteristic
+    (Zassenhaus; README proves it), and the space is the span of the ad b_i
+    (method inner-derivations); otherwise the Leibniz system is solved
+    (_leibniz_space, method leibniz).
+    """
+    alg.require_ideal(ideal)
+    if ideal.dim == alg.dim and killing_radical(alg).is_zero():
+        return _inner_space(alg, ideal)
+    return _leibniz_space(alg, ideal)
 
-    A map is a (dim I) x (dim L) matrix D with row u the image of the
-    canonical basis row r_u.  For every pair s < t the constraint is
+
+def _inner_space(alg, full):
+    """Der L = ad L: one elimination of the flattened ad b_i, each with
+    the unit vector e_i appended.  ad is injective (the center lies in the
+    Killing radical), so every pivot lies in the ad part and each row is a
+    canonical d_j followed by the x_j with d_j = ad x_j.  d_j has the
+    degree deg b_k - deg b_u of its pivot cell (u, k)."""
+    f, n = alg.field, alg.dim
+    both = span(f, n * n + n, [
+        tuple(x for r in alg.ad_matrix(e) for x in r) + e for e in full.rows])
+    pivots = both.pivots()
+    space = Subspace(f, n * n, [r[:n * n] for r in both.rows],
+                     _canonical=True, _pivots=pivots)
+    degrees = (tuple(alg.group.canon(alg.degrees[p % n] - alg.degrees[p // n])
+                     for p in pivots) if alg.group.kind != "trivial" else None)
+    return DerivationSpace(alg, full, space, degrees, "inner-derivations",
+                           tuple(r[n * n:] for r in both.rows))
+
+
+def _leibniz_space(alg, ideal):
+    """The solution space of the Leibniz system of an ideal I of L.
+
+    For every pair s < t of canonical rows of I the constraint is
     D(coords of [r_s, r_t]) = D[s] @ R(r_t) - D[t] @ R(r_s).  When I is
     graded (homogeneous canonical rows) the equation at column k only
     touches cells (u, j) of the map degree deg b_k - deg r_s - deg r_t =
@@ -158,7 +197,6 @@ def derivation_space(alg, ideal):
     are the canonical basis of the whole space.  Otherwise all cells
     form one block and degrees is None.
     """
-    alg.require_ideal(ideal)
     f = alg.field
     rows = ideal.rows
     m, n = len(rows), alg.dim
@@ -267,30 +305,6 @@ def maximal_quotients(alg, graded=False, budget=None):
     m, n = e0.dim, alg.dim
     d = der.dim
 
-    # per derivation: the images of E0's rows, and the same images in
-    # E0-coordinates, which exist because derivations map E0 into E0
-    values = [[flat[u * n:(u + 1) * n] for u in range(m)]
-              for flat in der.basis]
-    coords = [[e0.coords(v) for v in vs] for vs in values]
-    if any(None in cs for cs in coords):
-        raise ValidationError("derivation image left the essential ideal")
-
-    def commutator(i, j):
-        # the coordinates of [d_i, d_j], None outside the span; a o b
-        # takes r_s to row s of coords[b] @ values[a]
-        ab = mat_mul(coords[j], values[i], f)
-        ba = mat_mul(coords[i], values[j], f)
-        return der.space.coords(tuple(
-            f.of(x - y) for r, t in zip(ab, ba) for x, y in zip(r, t)))
-
-    table = antisymmetric(f, commutator, range(d), lambda c: c,
-                          "commutator left the derivation space")
-
-    group, degrees = ((alg.group, der.degrees) if der.degrees is not None
-                      else (GradingGroup.trivial(), (0,) * d))
-    names = tuple("d%d" % i for i in range(d))
-    qm = GradedLieAlgebra(f, names, table, group, degrees)
-
     embedding = []
     for i in range(n):
         x = alg.basis_vector(i)
@@ -302,6 +316,36 @@ def maximal_quotients(alg, graded=False, budget=None):
             raise ValidationError("ad x is not in the derivation space")
         embedding.append(tuple(coords))
     embedding = tuple(embedding)
+
+    if der.method == "inner-derivations":
+        # [ad x, ad y] = ad [x, y], read in d-coordinates by the embedding
+        table = antisymmetric(f, alg.bracket, der.preimages,
+                              lambda v: mat_vec(v, embedding, f),
+                              "commutator left the derivation space")
+    else:
+        # per derivation: the images of E0's rows, and the same images in
+        # E0-coordinates, which exist because derivations map E0 into E0
+        values = [[flat[u * n:(u + 1) * n] for u in range(m)]
+                  for flat in der.basis]
+        coords = [[e0.coords(v) for v in vs] for vs in values]
+        if any(None in cs for cs in coords):
+            raise ValidationError("derivation image left the essential ideal")
+
+        def commutator(i, j):
+            # the coordinates of [d_i, d_j], None outside the span; a o b
+            # takes r_s to row s of coords[b] @ values[a]
+            ab = mat_mul(coords[j], values[i], f)
+            ba = mat_mul(coords[i], values[j], f)
+            return der.space.coords(tuple(
+                f.of(x - y) for r, t in zip(ab, ba) for x, y in zip(r, t)))
+
+        table = antisymmetric(f, commutator, range(d), lambda c: c,
+                              "commutator left the derivation space")
+
+    group, degrees = ((alg.group, der.degrees) if der.degrees is not None
+                      else (GradingGroup.trivial(), (0,) * d))
+    names = tuple("d%d" % i for i in range(d))
+    qm = GradedLieAlgebra(f, names, table, group, degrees)
 
     if not preimage(qm.zero_space(), [embedding]).is_zero():
         raise ValidationError("ad-embedding unexpectedly has a kernel")
@@ -545,7 +589,8 @@ def check_axiomatic(emb, budget=None):
 
     report = AxiomaticReport(True, True, True)
 
-    for i in range(big.dim):
+    # (i) holds outright for a reflexive embedding: (L : s) = L
+    for i in range(0 if emb.is_reflexive() else big.dim):
         s_vec = big.basis_vector(i)
         # (L : s) lies in L and is an ideal of L by Jacobi, so only its
         # essentiality is in question
@@ -567,6 +612,9 @@ def check_axiomatic(emb, budget=None):
         report.witnesses["faithful"] = _max_degree_witness(big, ann_s)
 
     der = derivation_space(small_alg, e0_small)
+    if der.method == "inner-derivations":
+        # (iii) holds outright: d = ad x is realized by s = x, same degree
+        return report
     degrees = der.degrees if der.degrees is not None else (0,) * der.dim
     n = small_alg.dim
     # row j of R(r_u) is [b_j, r_u]: the values of ad b_j on E0's rows

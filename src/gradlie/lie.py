@@ -318,8 +318,10 @@ class GradedLieAlgebra:
                    for a, b in itertools.combinations(s.rows, 2))
 
     def is_ideal(self, s):
-        return all(s.contains(self.bracket(self.basis_vector(i), r))
-                   for i in range(self.dim) for r in s.rows)
+        """The full space is an ideal, with no bracket computed."""
+        return s.dim == self.dim or all(
+            s.contains(self.bracket(self.basis_vector(i), r))
+            for i in range(self.dim) for r in s.rows)
 
     def require_ideal(self, s, what="subspace"):
         if not self.is_ideal(s):

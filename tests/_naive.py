@@ -10,8 +10,9 @@ multiplies.  The Lie oracles read the dense table cell by cell, apart from
 the library's sparse kernel; the associative and Jordan validators are
 the dense loops and the formal identity check in field elements (ints
 and Fractions over Q), apart from the library's scaled integer checks;
-the realizability oracle solves one linear system per derivation, apart
-from the library's one containment test per degree.  The pair-of-quotients
+the realizability oracle solves one linear system per derivation on the
+Leibniz solution space, apart from the library's one containment test
+per degree and its inner-derivation certificate.  The pair-of-quotients
 oracle tries every pair ideal of the small pair at every point of the big
 one, apart from the library's one canonical candidate per point.  The TKK
 oracle fills the table of TKK(V) block by block from the formulas for
@@ -31,7 +32,7 @@ from gradlie.analysis import (
     graded_socle,
     socle,
 )
-from gradlie.derivations import derivation_space
+from gradlie.derivations import _leibniz_space
 from gradlie.enumeration import distinct_principal_ideals
 from gradlie.errors import (
     AssociativityViolation,
@@ -596,13 +597,15 @@ def naive_realized(emb):
     """The first (sigma, flat) of Der(E0, L), in check_axiomatic's order,
     that no s of S of degree sigma realizes as r |-> [s, r] on the rows of
     E0, or None: one solve_linear per derivation, on [s, r_u] = delta(r_u)
-    for every row r_u and s vanishing off degree sigma."""
+    for every row r_u and s vanishing off degree sigma.  Der(E0, L) is
+    the Leibniz solution space, never the inner-derivation certificate
+    that check_axiomatic may take in its place."""
     big, f = emb.big, emb.big.field
     small_alg, small_rows = emb.small_alg, emb.small_rows
     e0_small = graded_socle(small_alg)
     e0_big = span(f, big.dim,
                   [mat_vec(c, small_rows, f) for c in e0_small.rows])
-    der = derivation_space(small_alg, e0_small)
+    der = _leibniz_space(small_alg, e0_small)
     comps = der.components if der.components is not None else {0: der.basis}
     n = small_alg.dim
     for sigma, rows in sorted(comps.items()):

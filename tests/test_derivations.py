@@ -6,6 +6,8 @@ direct loops over basis pairs rather than by trusting the construction
 code's own internal checks.
 """
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -36,9 +38,11 @@ from gradlie.errors import (
     NotSemiprime,
     ValidationError,
 )
+from corpus import _basis_rows
 from gradlie.gallery import (
     first_component,
     heis3,
+    jordan_sym2,
     p_mod_i,
     p_mod_i_small,
     sl2,
@@ -47,11 +51,13 @@ from gradlie.gallery import (
     sl2sum_swap,
     sln_e11,
 )
+from gradlie.jordan import maximal_jordan_algebra_quotients
 from gradlie.lie import GradedLieAlgebra, GradingGroup
 from gradlie.linalg import mat_vec, rank, span
 from gradlie.scalars import GF, QQ
 
 F5 = GF(5)
+F7 = GF(7)
 
 
 def _check_leibniz(alg, der):
@@ -125,6 +131,77 @@ def test_derivations_into_algebra_from_proper_ideal():
     # summand restricted to the first is zero, so Der(I, L) is Der(I, I)
     assert der.dim == 3
     _check_leibniz(s, der)
+
+
+# -- inner derivations ------------------------------------------------------
+
+# algebras with a nondegenerate Killing form over Q, F5 and F7
+INNER_ALGEBRAS = {
+    "sl2": sl2,
+    "sl2sum": sl2sum,
+    "sl2_sqrt2": sl2_sqrt2,
+    "sl2sum_swap": sl2sum_swap,
+    **{"sln_e11(%d)" % n: (lambda n: lambda f: sln_e11(n, f))(n)
+       for n in (2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["plain", "graded"])
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+@pytest.mark.parametrize("field", [QQ, F5, F7], ids=["Q", "F5", "F7"])
+@pytest.mark.parametrize("name", list(INNER_ALGEBRAS))
+def test_inner_derivation_certificate_matches_the_leibniz_solve(
+        name, field, dense, graded):
+    # the certificate's span of the ad b_i is the canonical basis the
+    # Leibniz solve finds, with the same pivots and degrees, and each
+    # basis map is ad of its recorded preimage
+    base = INNER_ALGEBRAS[name](field)
+    rng = random.Random("%s %s %s" % (name, field, dense))
+    alg = change_basis(base, _basis_rows(base, dense, rng))
+    if not graded:
+        alg = GradedLieAlgebra(field, alg.names, alg.table)
+    full = alg.full_space()
+    der = derivation_space(alg, full)
+    oracle = D._leibniz_space(alg, full)
+    assert der.method == "inner-derivations"
+    assert oracle.method == "leibniz"
+    assert der.basis == oracle.basis
+    assert der.space.pivots() == oracle.space.pivots()
+    assert der.degrees == oracle.degrees
+    assert (der.degrees is None) == (not graded)
+    for x, flat in zip(der.preimages, der.basis):
+        assert tuple(c for r in alg.ad_matrix(x) for c in r) == flat
+
+
+def test_psl3_over_f3_falls_through_to_the_leibniz_solve():
+    # psl3 over F3 has a degenerate Killing form and outer derivations:
+    # the first pinned Q_m strictly larger than its algebra, 3-graded L
+    # with a Q_m supported in -2..2
+    psl3 = _psl3_f3()
+    assert psl3.dim == 7
+    der = derivation_space(psl3, psl3.full_space())
+    assert der.method == "leibniz" and der.preimages is None
+    assert der.dim == 14
+    for graded in (False, True):
+        qm = maximal_quotients(psl3, graded=graded).algebra
+        assert qm.dim == 14
+        assert sorted(qm.support()) == [-2, -1, 0, 1, 2]
+
+
+def test_product_path_over_q_solves_no_leibniz_system(monkeypatch):
+    def refuse(alg, ideal):
+        raise AssertionError("Leibniz system solved on the product path")
+
+    monkeypatch.setattr(D, "_leibniz_space", refuse)
+    a = sln_e11(3, QQ)
+    assert maximal_quotients(a).algebra.dim == 8
+    graded = maximal_quotients(a, graded=True)
+    assert graded.algebra.dim == 8
+    assert maximal_quotients_match(sln_e11(3, QQ))[2]["isomorphic"]
+    for emb in (QuotientEmbedding(a, a.full_space()),
+                QuotientEmbedding(graded.algebra, list(graded.embedding))):
+        assert check_axiomatic(emb).passed
+    assert maximal_jordan_algebra_quotients(jordan_sym2()).algebra.dim == 3
 
 
 # the gallery Lie algebras of the canonical-basis test
