@@ -348,31 +348,64 @@ def naive_jordan_violation(f, tables):
     return None
 
 
-@st.composite
-def homogeneous_bases(draw, alg):
-    """Rows of a basis of alg for change_basis, drawn degree block by
-    degree block: a scaled permutation (sparse) or small integers of full
-    rank (dense) in the coordinates of each block."""
+def _placed_blocks(alg, block):
+    """Rows of a homogeneous basis of alg for change_basis: block(k) gives
+    a k x k invertible matrix for each degree block of k basis vectors,
+    drawn in ascending degree, and its rows are placed on that block's
+    coordinates."""
     f, n = alg.field, alg.dim
-    dense = draw(st.booleans())
     rows = [None] * n
     for d in sorted(set(alg.degrees)):
         idx = [i for i in range(n) if alg.degrees[i] == d]
-        if dense:
-            block = [[f.of(draw(st.integers(-2, 2))) for _ in idx]
-                     for _ in idx]
-            assume(rank(f, block) == len(idx))
-        else:
-            perm = draw(st.permutations(range(len(idx))))
-            block = [[f.of(draw(st.sampled_from([1, 2, -1, -2])))
-                      if c == perm[r] else f.zero for c in range(len(idx))]
-                     for r in range(len(idx))]
-        for i, brow in zip(idx, block):
+        for i, brow in zip(idx, block(len(idx))):
             row = [f.zero] * n
             for c, x in zip(idx, brow):
                 row[c] = x
             rows[i] = tuple(row)
     return rows
+
+
+def seeded_homogeneous_basis(alg, dense, rng):
+    """_placed_blocks drawn from a random.Random: a scaled permutation
+    (sparse) or small integers (dense) of full rank per block, redrawn
+    until it has full rank.  The corpus seeds its basis changes here."""
+    f = alg.field
+
+    def block(k):
+        while True:
+            if dense:
+                out = [[f.of(rng.randint(-2, 2)) for _ in range(k)]
+                       for _ in range(k)]
+            else:
+                perm = list(range(k))
+                rng.shuffle(perm)
+                out = [[f.of(rng.choice((1, -1, 2, -2))) if c == perm[r]
+                        else f.zero for c in range(k)] for r in range(k)]
+            if rank(f, out) == k:
+                return out
+
+    return _placed_blocks(alg, block)
+
+
+@st.composite
+def homogeneous_bases(draw, alg):
+    """_placed_blocks drawn by hypothesis: a scaled permutation (sparse)
+    or small integers of full rank (dense) per block."""
+    f = alg.field
+    dense = draw(st.booleans())
+
+    def block(k):
+        if dense:
+            out = [[f.of(draw(st.integers(-2, 2))) for _ in range(k)]
+                   for _ in range(k)]
+            assume(rank(f, out) == k)
+            return out
+        perm = draw(st.permutations(range(k)))
+        return [[f.of(draw(st.sampled_from([1, 2, -1, -2])))
+                 if c == perm[r] else f.zero for c in range(k)]
+                for r in range(k)]
+
+    return _placed_blocks(alg, block)
 
 
 def naive_zero_divisor(alg, graded):

@@ -41,7 +41,7 @@ HERE = Path(__file__).resolve().parent
 if __name__ == "__main__":
     sys.path[:0] = [str(HERE.parent / "src")]
 
-from _naive import change_basis  # noqa: E402
+from _naive import change_basis, seeded_homogeneous_basis  # noqa: E402
 from gradlie.analysis import (  # noqa: E402
     StructureReport,
     _minimal_ideals,
@@ -72,7 +72,7 @@ from gradlie.gallery import (  # noqa: E402
     sln_e11,
 )
 from gradlie.lie import direct_sum  # noqa: E402
-from gradlie.linalg import Subspace, rank  # noqa: E402
+from gradlie.linalg import Subspace  # noqa: E402
 from gradlie.scalars import GF, QQ  # noqa: E402
 from gradlie.serialize import rows_to_json, serialize_algebra  # noqa: E402
 
@@ -148,31 +148,6 @@ QUESTIONS = (
 )
 
 
-def _basis_rows(alg, dense, rng):
-    """A homogeneous basis for change_basis, block by degree block."""
-    f, n = alg.field, alg.dim
-    rows = [None] * n
-    for d in sorted(set(alg.degrees)):
-        idx = [i for i in range(n) if alg.degrees[i] == d]
-        while True:
-            if dense:
-                block = [[f.of(rng.randint(-2, 2)) for _ in idx] for _ in idx]
-            else:
-                perm = list(range(len(idx)))
-                rng.shuffle(perm)
-                block = [[f.of(rng.choice((1, -1, 2, -2))) if c == perm[r]
-                          else f.zero for c in range(len(idx))]
-                         for r in range(len(idx))]
-            if rank(f, block) == len(idx):
-                break
-        for i, brow in zip(idx, block):
-            row = [f.zero] * n
-            for c, x in zip(idx, brow):
-                row[c] = x
-            rows[i] = tuple(row)
-    return rows
-
-
 def input_ids():
     return ["%s@%s%s" % (base, fname, var) for base in BASES
             for fname in FIELDS for var in VARIANTS]
@@ -186,7 +161,8 @@ def build(ident):
     alg = BASES[base](FIELDS[fname])
     if var:
         rng = random.Random("%d %s" % (SEED, ident))
-        alg = change_basis(alg, _basis_rows(alg, var == "d", rng))
+        rows = seeded_homogeneous_basis(alg, var == "d", rng)
+        alg = change_basis(alg, rows)
     return alg
 
 

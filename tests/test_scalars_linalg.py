@@ -11,8 +11,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _naive import change_basis, naive_coords, naive_reduce
-from corpus import _basis_rows
+from _naive import (
+    change_basis,
+    naive_coords,
+    naive_reduce,
+    seeded_homogeneous_basis,
+)
 
 from gradlie import analysis, linalg
 from gradlie.errors import ParseError
@@ -351,7 +355,8 @@ def test_the_kernel_is_chosen_by_row_length_and_slot_width():
 
 def _dense(alg, seed):
     """alg in a seeded dense homogeneous basis, as the corpus makes it."""
-    return change_basis(alg, _basis_rows(alg, True, random.Random(seed)))
+    return change_basis(alg, seeded_homogeneous_basis(
+        alg, True, random.Random(seed)))
 
 
 def _envelope(alg, graded):
