@@ -15,9 +15,12 @@ of ad L (with the degree projections when graded): the (graded) ideals
 are its submodules, Soc is killed by the Jacobson radical J(A), the
 radical of the trace form, semiprime means [Soc, Soc] = Soc, and prime
 that the centroid End_A(Soc), a product of fields, one per minimal
-ideal, is a field.  Over F_p, where J(A) fails its nilpotence
-certificate or A is over the budget, the principal-ideal scan decides,
-and the zero divisors are always scanned (enumeration).
+ideal, is a field.  Over F_p the ladder first tries Norton's
+irreducibility test (the MeatAxe's: Parker 1984; Holt and Rees 1994),
+which proves A = End(L) from spins of two vectors of L, without
+spanning A; where it cannot, the envelope decides.  Where J(A) fails its
+nilpotence certificate or A is over the budget, the principal-ideal scan
+decides, and the zero divisors are always scanned (enumeration).
 
 "Undecided" is a first class outcome (UndecidedError), never a guess: it
 is raised over Q when a question needs an envelope or a centroid over
@@ -44,6 +47,7 @@ from .linalg import (
     closure,
     determinant,
     kernel_basis,
+    mat_add,
     mat_identity,
     mat_mul,
     mat_scale,
@@ -161,20 +165,24 @@ def _envelope_generators(alg, graded):
     the ads of basis vectors generating L as a Lie algebra, chosen
     greedily in basis order (the ad of a bracket is a commutator of ads,
     so they generate A with fewer image rows than all of ad L), and the
-    degree projections when graded."""
+    degree projections when graded.  Memoized on the algebra."""
     f, n = alg.field, alg.dim
-    gens, sub = [], alg.zero_space()
-    for i in range(n):
-        b = alg.basis_vector(i)
-        if not sub.contains(b):
-            gens.append(b)
-            sub = alg.subalgebra_generated(gens)
-    mats = [alg.ad_matrix(g) for g in gens]
-    if graded and len(alg.support()) > 1:
-        mats += [tuple(tuple(f.one if i == j and alg.degrees[i] == d
-                             else f.zero for j in range(n)) for i in range(n))
-                 for d in alg.support()]
-    return mats
+
+    def compute():
+        gens, sub = [], alg.zero_space()
+        for i in range(n):
+            b = alg.basis_vector(i)
+            if not sub.contains(b):
+                gens.append(b)
+                sub = alg.subalgebra_generated(gens)
+        mats = [alg.ad_matrix(g) for g in gens]
+        if graded and len(alg.support()) > 1:
+            mats += [tuple(tuple(f.one if i == j and alg.degrees[i] == d
+                                 else f.zero for j in range(n))
+                           for i in range(n)) for d in alg.support()]
+        return tuple(mats)
+
+    return _memo(alg, ("envelope_generators", graded), compute)
 
 
 def _envelope(field, n, gens):
@@ -364,6 +372,58 @@ def _apply_poly(field, expr, mat):
     return acc
 
 
+def _norton_step(alg, graded, budget):
+    """The answers of _envelope_step for A = End(L), when Norton's test
+    proves L an absolutely irreducible A-module; {} when it cannot.
+
+    The words are a_0 = s = sum (i + 1) G_i and a_j = a_(j-1) G_(j mod g)
+    + s in the generators G_i of A.  For the first word theta with some
+    lambda in F_p at which theta - lambda has a 1-dimensional kernel, v
+    spans its left kernel and w its right one.  Take a proper nonzero
+    submodule U.  theta - lambda is singular on U or on L/U: then U holds
+    v, or the annihilator of U in the dual, which the transposed G_i
+    keep, holds w, so v or w spins to a proper subspace (Norton).  If
+    both spin to all of L, L is simple as a module, End_A(L) is a field
+    D by Schur, and the kernel, a D-space of dimension 1 over F_p, makes
+    D = F_p; Burnside's theorem (Jacobson density) then gives A = End(L),
+    so J(A) = 0 and Soc = L.  A proper spin means L has a proper (graded)
+    ideal, and the envelope decides; so does a walk that finds no such
+    word, as for a simple L whose centroid is a larger field.  So every
+    answer is a proof, and only the run time depends on the words.
+    """
+    f, n = alg.field, alg.dim
+    if n == 0:
+        return {}
+    gens = _envelope_generators(alg, graded)
+
+    def spins_to_all(v, mats):  # the least mats-stable space holding v
+        return closure(span(f, n, [v]), lambda x: [
+            mat_vec(x, m, f) for m in mats]).dim == n
+
+    word = s = [f.reduce(sum(k * g[r][c] for k, g in enumerate(gens, 1))
+                         for c in range(n)) for r in range(n)]
+    for j in range(_NORTON_WORDS):
+        if j:
+            word = mat_add(mat_mul(word, gens[j % len(gens)], f), s, f)
+        for lam in range(f.p):
+            shifted = [f.reduce(x - lam * (r == c) for c, x in enumerate(row))
+                       for r, row in enumerate(word)]
+            if rank(f, shifted) == n - 1:
+                break
+        else:
+            continue
+        v = kernel_basis(f, list(zip(*shifted)), n).rows[0]
+        w = kernel_basis(f, shifted, n).rows[0]
+        if not (spins_to_all(v, gens) and spins_to_all(
+                w, [tuple(zip(*g)) for g in gens])):
+            return {}
+        full = alg.full_space()
+        prime = alg.bracket_space(full, full) == full
+        return dict(socle=full, semiprime=prime, prime=prime,
+                    minimal=(full,) if prime else None)
+    return {}
+
+
 def _envelope_step(alg, graded, budget):
     """{question: answer} from the radical of the envelope A of ad L
     (with the degree projections when graded), or None when the trace
@@ -500,6 +560,23 @@ def _check_envelope(alg, graded, budget):
                              "budget" % alg.dim)
 
 
+_NORTON_WORDS = 16
+
+
+def _norton_charge(alg):
+    # each word: one product and up to p ranks of n x n; then two spins
+    # of at most n vectors, n^2 per image for n + #degrees generators
+    n = alg.dim
+    return n ** 3 * (_NORTON_WORDS * (alg.field.p + 1)
+                     + 4 * (n + len(alg.support())))
+
+
+def _check_norton(alg, graded, budget):
+    if _norton_charge(alg) > resolve_budget(budget):
+        raise UndecidedError("Norton's test in dimension %d is over the "
+                             "budget" % alg.dim)
+
+
 def _scan_step(alg, graded, budget):
     """The minimal ideals of the exhaustive scan: L is prime iff no two
     of them, or one with itself, bracket to zero (every nonzero ideal
@@ -521,6 +598,7 @@ def _zero_divisor_scan_step(alg, graded, budget):
 
 # the steps of each question over Q (True) and over F_p (False)
 _ENVELOPE = (_check_envelope, _envelope_step, "envelope-radical")
+_NORTON = (_check_norton, _norton_step, "norton-irreducibility")
 _LADDERS = {
     True: {"semiprime": ((None, _killing_step, "killing-criterion"),),
            "prime": ((None, _killing_step, "killing-criterion"),
@@ -530,7 +608,8 @@ _LADDERS = {
            "minimal": ((None, _summands_step, "centroid"),),
            "zero-divisor": ((None, _walk_step, "killing-criterion"),)},
     False: {**dict.fromkeys(("semiprime", "prime", "socle", "minimal"), (
-                _ENVELOPE, (scan_blocks, _scan_step, "exhaustive-Fp"))),
+                _NORTON, _ENVELOPE,
+                (scan_blocks, _scan_step, "exhaustive-Fp"))),
             "zero-divisor": ((scan_blocks, _zero_divisor_scan_step,
                               "exhaustive-Fp"),)},
 }
@@ -601,10 +680,11 @@ def _scanned_minimal_ideals(alg, graded, budget):
 
 
 def minimal_ideals(alg, budget=None):
-    """All minimal nonzero ideals: over F_p the socle alone when the
-    envelope proves the algebra prime, else the minimal principal ideals
-    of the scan; over Q, of semiprime input only, the summands that basis
-    vectors and the centroid End_A(L) cut out (_summands)."""
+    """All minimal nonzero ideals: over F_p the socle alone when Norton's
+    test or the envelope proves the algebra prime, else the minimal
+    principal ideals of the scan; over Q, of semiprime input only, the
+    summands that basis vectors and the centroid End_A(L) cut out
+    (_summands)."""
     return _minimal_ideals(alg, False, budget)
 
 

@@ -5,6 +5,7 @@ The sl2 Killing matrix is recomputed in-test from traces of adjoint
 products, independent of the library's own accumulation order.
 """
 
+import random
 import time
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from _naive import (
     naive_is_prime,
     naive_is_semiprime,
     naive_socle,
+    seeded_homogeneous_basis,
     semiprime_witness,
 )
 from gradlie import analysis
@@ -43,7 +45,7 @@ from gradlie.analysis import (
     zero_divisors,
 )
 from gradlie.enumeration import (distinct_principal_ideals, iter_projective,
-                                 projective_count)
+                                 projective_count, resolve_budget)
 from gradlie.errors import DimensionTooLarge, NotThreeGraded, UndecidedError
 from gradlie.gallery import (
     build_lie,
@@ -377,6 +379,84 @@ def test_prime_with_a_commutant_bigger_than_the_field():
     for graded in (False, True):
         assert is_prime(a, graded=graded) and naive_is_prime(a, graded)
     assert structure_report(a).methods["prime"] == "envelope-radical"
+
+
+def _psl3(field):
+    a = sln_e11(3, field)
+    return a.quotient_by_ideal(a.center())[0]
+
+
+NORTON_BASES = {"sl2": sl2, "sln3": lambda f: sln_e11(3, f),
+                "sln4": lambda f: sln_e11(4, f), "psl3": _psl3,
+                "sl2sum": sl2sum, "sl2sum_swap": sl2sum_swap,
+                "heis3": heis3, "p_mod_i": p_mod_i, "sl2_sqrt2": sl2_sqrt2}
+NORTON_CASES = ([(name, p) for name in NORTON_BASES
+                 if name not in ("sln4", "psl3") for p in (2, 3, 5, 7)]
+                + [("sln4", 7), ("psl3", 3)])
+# absolutely irreducible under ad L: the simple algebras whose centroid
+# is F_p (psl3 over F3 has a degenerate Killing form); sl2_sqrt2 over F3
+# and F5 is simple with centroid F_{p^2}, and over F7 a sum of two sl2
+ABSOLUTELY_SIMPLE = {("sl2", 3), ("sl2", 5), ("sl2", 7), ("sln3", 2),
+                     ("sln3", 5), ("sln3", 7), ("sln4", 7), ("psl3", 3)}
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+@pytest.mark.parametrize("name, p", NORTON_CASES,
+                         ids=["%s@F%d" % case for case in NORTON_CASES])
+def test_norton_step_answers_as_the_envelope_or_not_at_all(name, p, dense):
+    base = NORTON_BASES[name](GF(p))
+    rng = random.Random("%s %d %s" % (name, p, dense))
+    alg = change_basis(base, seeded_homogeneous_basis(base, dense, rng))
+    for graded in (False, True):
+        got = analysis._norton_step(alg, graded, None)
+        # graded, the swap of sl2sum_swap's summands leaves no graded ideal
+        if (name, p) in ABSOLUTELY_SIMPLE or (
+                graded and name == "sl2sum_swap" and p != 2):
+            assert got == analysis._envelope_step(alg, graded, None)
+            assert got["socle"] == alg.full_space()
+        else:
+            assert got == {}
+
+
+def test_sl4_over_f5_is_decided_without_spanning_the_envelope(monkeypatch):
+    def spanned(*args):
+        raise AssertionError("the envelope was spanned")
+
+    monkeypatch.setattr(analysis, "_envelope", spanned)
+    a = sln_e11(4, F5)
+    assert analysis._norton_charge(a) <= resolve_budget()
+    assert analysis._decide(a, "prime") == (True, "norton-irreducibility")
+    assert is_semiprime(a) and is_prime(a)
+    assert socle(a) == a.full_space()
+    assert minimal_ideals(a) == (a.full_space(),)
+
+
+def test_norton_step_is_charged_before_it_runs():
+    a = sl2(F5)
+    charge = analysis._norton_charge(a)
+    assert analysis._decide(a, "prime", budget=charge) == (
+        True, "norton-irreducibility")
+    assert analysis._decide(a, "prime", budget=charge - 1) == (
+        True, "envelope-radical")
+    # the charge grows with p: over F_10007 the envelope decides
+    assert analysis._decide(sl2(GF(10007)), "prime") == (
+        True, "envelope-radical")
+
+
+def test_the_envelope_generators_are_found_once(monkeypatch):
+    # sl2sum leaves Norton's step for the envelope, and both read one
+    # generating set, found by one greedy walk
+    walks = []
+
+    def counted(self, vectors, _inner=GradedLieAlgebra.subalgebra_generated):
+        walks.append(len(vectors))
+        return _inner(self, vectors)
+
+    monkeypatch.setattr(GradedLieAlgebra, "subalgebra_generated", counted)
+    a = sl2sum(F5)
+    assert analysis._decide(a, "prime") == (False, "envelope-radical")
+    gens = analysis._envelope_generators(a, False)
+    assert walks == list(range(1, len(gens) + 1))
 
 
 def test_sl2_over_q_sqrt2_is_prime_with_one_minimal_ideal():
