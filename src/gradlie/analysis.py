@@ -428,7 +428,7 @@ def _envelope_step(alg, graded, budget):
     """{question: answer} from the radical of the envelope A of ad L
     (with the degree projections when graded), or None when the trace
     radical of A fails its nilpotence certificate in characteristic p;
-    _check_envelope charges the budget.
+    _envelope_charge is charged to the budget.
 
     The (graded) ideals are the A-submodules of L, so Soc(L) = {v :
     v J(A) = 0}.  A minimal ideal is abelian or perfect and distinct ones
@@ -554,12 +554,6 @@ def _envelope_charge(alg):
     return alg.dim ** 4 * (alg.dim + len(alg.support()))
 
 
-def _check_envelope(alg, graded, budget):
-    if _envelope_charge(alg) > resolve_budget(budget):
-        raise UndecidedError("the envelope of dimension %d is over the "
-                             "budget" % alg.dim)
-
-
 _NORTON_WORDS = 16
 
 
@@ -571,10 +565,13 @@ def _norton_charge(alg):
                      + 4 * (n + len(alg.support())))
 
 
-def _check_norton(alg, graded, budget):
-    if _norton_charge(alg) > resolve_budget(budget):
-        raise UndecidedError("Norton's test in dimension %d is over the "
-                             "budget" % alg.dim)
+def _up_front(charge, what):
+    """A ladder charge that refuses when charge(alg) is over the budget."""
+    def check(alg, graded, budget):
+        if charge(alg) > resolve_budget(budget):
+            raise UndecidedError("%s of dimension %d is over the budget"
+                                 % (what, alg.dim))
+    return check
 
 
 def _scan_step(alg, graded, budget):
@@ -597,8 +594,10 @@ def _zero_divisor_scan_step(alg, graded, budget):
 
 
 # the steps of each question over Q (True) and over F_p (False)
-_ENVELOPE = (_check_envelope, _envelope_step, "envelope-radical")
-_NORTON = (_check_norton, _norton_step, "norton-irreducibility")
+_ENVELOPE = (_up_front(_envelope_charge, "the envelope"), _envelope_step,
+             "envelope-radical")
+_NORTON = (_up_front(_norton_charge, "Norton's test"), _norton_step,
+           "norton-irreducibility")
 _LADDERS = {
     True: {"semiprime": ((None, _killing_step, "killing-criterion"),),
            "prime": ((None, _killing_step, "killing-criterion"),
