@@ -18,7 +18,11 @@ that the centroid End_A(Soc), a product of fields, one per minimal
 ideal, is a field.  Over F_p the ladder first tries Norton's
 irreducibility test (the MeatAxe's: Parker 1984; Holt and Rees 1994),
 which proves A = End(L) from spins of two vectors of L, without
-spanning A; where it cannot, the envelope decides.  Where J(A) fails its
+spanning A; where it cannot, the envelope decides.  Over Q the same
+test, run on the reductions of A's generators modulo one prime fixed
+by the table and the Killing determinant, proves L simple (a Z_(p)
+lattice carries every ideal to a subspace mod p of its dimension)
+before the centroid is solved for.  Where J(A) fails its
 nilpotence certificate or A is over the budget, the principal-ideal scan
 decides, and the zero divisors are always scanned (enumeration).
 
@@ -58,6 +62,7 @@ from .linalg import (
     solve_linear,
     span,
 )
+from .scalars import GF
 
 def killing_matrix(alg):
     """Gram matrix of the trace form (x, y) -> tr(ad x ad y).
@@ -93,7 +98,10 @@ def _killing(alg):
 
 
 def killing_determinant(alg):
-    return determinant(alg.field, _killing(alg))
+    """det of the Killing matrix, memoized on the algebra, as the matrix
+    and its radical are."""
+    return _memo(alg, "killing_determinant",
+                 lambda: determinant(alg.field, _killing(alg)))
 
 
 def killing_radical(alg):
@@ -372,30 +380,44 @@ def _apply_poly(field, expr, mat):
     return acc
 
 
-def _norton_step(alg, graded, budget):
-    """The answers of _envelope_step for A = End(L), when Norton's test
-    proves L an absolutely irreducible A-module; {} when it cannot.
+def _norton_prime(alg):
+    """The prime Norton's test runs at: the field's own over F_p; over Q
+    the smallest prime dividing no denominator of the table and neither
+    the numerator nor the denominator of det kappa, or None when det
+    kappa = 0.  A reduction at a prime dividing det kappa has a
+    degenerate Killing form (sl_5 has det kappa = 2^24 5^25, and the
+    rule gives 3).  The prime follows from the table alone, so a
+    question gets the same answer in any process."""
+    if alg.field.p is not None:
+        return alg.field.p
+    det = killing_determinant(alg)
+    if det == 0:
+        return None
+    bad = det.numerator * det.denominator * math.lcm(
+        1, *(c.denominator for nz in alg.nonzero for _, _, c in nz))
+    return next(q for q in itertools.count(2) if bad % q and all(
+        q % d for d in range(2, math.isqrt(q) + 1)))
+
+
+def _norton_walk(f, n, gens):
+    """Whether Norton's test proves F_p^n an absolutely irreducible
+    module of the n x n matrices gens over F_p (acting as v @ g).
 
     The words are a_0 = s = sum (i + 1) G_i and a_j = a_(j-1) G_(j mod g)
-    + s in the generators G_i of A.  For the first word theta with some
-    lambda in F_p at which theta - lambda has a 1-dimensional kernel, v
-    spans its left kernel and w its right one.  Take a proper nonzero
-    submodule U.  theta - lambda is singular on U or on L/U: then U holds
-    v, or the annihilator of U in the dual, which the transposed G_i
-    keep, holds w, so v or w spins to a proper subspace (Norton).  If
-    both spin to all of L, L is simple as a module, End_A(L) is a field
-    D by Schur, and the kernel, a D-space of dimension 1 over F_p, makes
-    D = F_p; Burnside's theorem (Jacobson density) then gives A = End(L),
-    so J(A) = 0 and Soc = L.  A proper spin means L has a proper (graded)
-    ideal, and the envelope decides; so does a walk that finds no such
-    word, as for a simple L whose centroid is a larger field.  So every
-    answer is a proof, and only the run time depends on the words.
+    + s in the G_i.  For the first word theta with some lambda in F_p at
+    which theta - lambda has a 1-dimensional kernel, v spans its left
+    kernel and w its right one.  Take a proper nonzero submodule U.
+    theta - lambda is singular on U or on F_p^n / U: then U holds v, or
+    the annihilator of U in the dual, which the transposed G_i keep,
+    holds w, so v or w spins to a proper subspace (Norton).  If both
+    spin to all of F_p^n, it is simple, its endomorphisms form a field D
+    by Schur, and the kernel, a D-space of dimension 1 over F_p, makes
+    D = F_p; Burnside's theorem (Jacobson density) then says the G_i
+    generate all of End(F_p^n).  A proper spin, or a walk that finds no
+    such word (as for a simple module whose endomorphisms are a larger
+    field), gives False, so True is a proof and only the run time
+    depends on the words.
     """
-    f, n = alg.field, alg.dim
-    if n == 0:
-        return {}
-    gens = _envelope_generators(alg, graded)
-
     def spins_to_all(v, mats):  # the least mats-stable space holding v
         return closure(span(f, n, [v]), lambda x: [
             mat_vec(x, m, f) for m in mats]).dim == n
@@ -414,14 +436,41 @@ def _norton_step(alg, graded, budget):
             continue
         v = kernel_basis(f, list(zip(*shifted)), n).rows[0]
         w = kernel_basis(f, shifted, n).rows[0]
-        if not (spins_to_all(v, gens) and spins_to_all(
-                w, [tuple(zip(*g)) for g in gens])):
-            return {}
-        full = alg.full_space()
-        prime = alg.bracket_space(full, full) == full
-        return dict(socle=full, semiprime=prime, prime=prime,
-                    minimal=(full,) if prime else None)
-    return {}
+        return spins_to_all(v, gens) and spins_to_all(
+            w, [tuple(zip(*g)) for g in gens])
+    return False
+
+
+def _norton_step(alg, graded, budget):
+    """The answers of _envelope_step for A = End(L) when Norton's test
+    (_norton_walk) certifies L, acted on by the envelope's generators
+    G_i, at _norton_prime; {} when it cannot.
+
+    Over F_p the test runs on the G_i themselves: A = End(L) makes L
+    simple, J(A) = 0 and Soc = L.  Over Q it runs on their reductions
+    mod p, and certifies that L has no proper nonzero (graded) ideal.  p
+    divides no denominator of the structure constants, so the G_i (ads
+    and degree projections) map the lattice Z_(p)^n into itself.  A
+    (graded) ideal U, an A-submodule of Q^n, meets it in a pure
+    G-stable sublattice of rank dim U, whose reduction is a subspace of
+    F_p^n of the same dimension stable under the reduced G_i.  So if
+    F_p^n is irreducible under them, U is 0 or L.  A proper spin, no
+    qualifying word, no prime or dimension 0 give {}, and the next step
+    decides; over Q a simple L whose centroid is larger than Q (sl2
+    over Q(sqrt 2)) never certifies.
+    """
+    n, p = alg.dim, _norton_prime(alg)
+    if n == 0 or p is None:
+        return {}
+    f, gens = GF(p), _envelope_generators(alg, graded)
+    if f != alg.field:  # over Q, the reductions mod p
+        gens = [[[f.of(x) for x in row] for row in g] for g in gens]
+    if not _norton_walk(f, n, gens):
+        return {}
+    # [L, L] is a (graded) ideal, so it is L unless L is abelian
+    full, prime = alg.full_space(), any(alg.nonzero)
+    return dict(socle=full, semiprime=prime, prime=prime,
+                minimal=(full,) if prime else None)
 
 
 def _envelope_step(alg, graded, budget):
@@ -559,10 +608,12 @@ _NORTON_WORDS = 16
 
 def _norton_charge(alg):
     # each word: one product and up to p ranks of n x n; then two spins
-    # of at most n vectors, n^2 per image for n + #degrees generators
-    n = alg.dim
-    return n ** 3 * (_NORTON_WORDS * (alg.field.p + 1)
-                     + 4 * (n + len(alg.support())))
+    # of at most n vectors, n^2 per image for n + #degrees generators;
+    # nothing where no prime applies
+    n, p = alg.dim, _norton_prime(alg)
+    if p is None:
+        return 0
+    return n ** 3 * (_NORTON_WORDS * (p + 1) + 4 * (n + len(alg.support())))
 
 
 def _up_front(charge, what):
@@ -596,15 +647,17 @@ def _zero_divisor_scan_step(alg, graded, budget):
 # the steps of each question over Q (True) and over F_p (False)
 _ENVELOPE = (_up_front(_envelope_charge, "the envelope"), _envelope_step,
              "envelope-radical")
-_NORTON = (_up_front(_norton_charge, "Norton's test"), _norton_step,
-           "norton-irreducibility")
+_NORTON, _NORTON_MOD_P = (
+    (_up_front(_norton_charge, "Norton's test"), _norton_step, method)
+    for method in ("norton-irreducibility", "norton-mod-p"))
 _LADDERS = {
     True: {"semiprime": ((None, _killing_step, "killing-criterion"),),
            "prime": ((None, _killing_step, "killing-criterion"),
                      (None, _probe_step, "principal-ideal-probe"),
+                     _NORTON_MOD_P,
                      (None, _centroid_step, "centroid")),
            "socle": ((None, _killing_step, "semisimple-identity"), _ENVELOPE),
-           "minimal": ((None, _summands_step, "centroid"),),
+           "minimal": (_NORTON_MOD_P, (None, _summands_step, "centroid")),
            "zero-divisor": ((None, _walk_step, "killing-criterion"),)},
     False: {**dict.fromkeys(("semiprime", "prime", "socle", "minimal"), (
                 _NORTON, _ENVELOPE,

@@ -280,7 +280,7 @@ def check_central_quotients(a, q=None, inclusion=None, variant="K"):
     if variant in ("minus", "AA"):
         # reroute through the double: skew of the double copies A minus
         dbl_a, _ = exchange_skew_iso(a)
-        dbl_q, _ = exchange_skew_iso(q)
+        dbl_q = dbl_a if q is a else exchange_skew_iso(q)[0]
         report.exchange_checked = True
         inner = "K" if variant == "minus" else "KK"
         dbl_inc = []
@@ -302,11 +302,14 @@ def _run_check(a, q, inclusion, variant, report):
                           "inclusion does not commute with *")
 
     aminus, sub_a = _variant_subspace(a, variant)
-    qminus, sub_q = _variant_subspace(q, variant)
     small_a, rows_a = aminus.restrict(sub_a)
-    small_q, rows_q = qminus.restrict(sub_q)
     za = small_a.center()
-    zq = small_q.center()
+    if q is a:  # the default: the big side is the small one
+        sub_q, small_q, zq = sub_a, small_a, za
+    else:
+        qminus, sub_q = _variant_subspace(q, variant)
+        small_q, _ = qminus.restrict(sub_q)
+        zq = small_q.center()
     quot_q, proj_q, _ = small_q.quotient_by_ideal(zq)
     report.dims = {
         "lie_small": small_a.dim, "lie_big": small_q.dim,

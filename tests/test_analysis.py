@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import corpus
 from _naive import (
     change_basis,
     minimal_graded_ideals,
@@ -457,6 +458,114 @@ def test_the_envelope_generators_are_found_once(monkeypatch):
     assert analysis._decide(a, "prime") == (False, "envelope-radical")
     gens = analysis._envelope_generators(a, False)
     assert walks == list(range(1, len(gens) + 1))
+
+
+Q_CORPUS = ["%s@Q%s" % (base, var) for base in corpus.BASES
+            for var in corpus.VARIANTS]
+# simple over Q with centroid Q, so absolutely irreducible modulo the
+# prime of the rule; graded, the swap of sl2sum_swap's summands leaves no
+# graded ideal
+NORTON_MOD_P_ANSWERS = {(ident, graded) for ident in Q_CORPUS
+                        for graded in (False, True)
+                        if ident.split("@")[0] in ("sl2", "sln3", "psl3")
+                        or (graded and ident.startswith("sl2sum_swap@"))}
+
+
+def test_norton_mod_p_answers_as_the_centroid_or_not_at_all():
+    answered = set()
+    for ident in Q_CORPUS:
+        alg = corpus.build(ident)
+        for graded in (False, True):
+            got = analysis._norton_step(alg, graded, None)
+            if got == {}:
+                continue
+            answered.add((ident, graded))
+            summands = analysis._summands(alg, graded, None)
+            assert got == dict(analysis._killing_step(alg, graded, None),
+                               prime=len(summands) == 1, minimal=summands)
+            assert analysis._centroid_step(alg, graded, None) == dict(
+                prime=got["prime"])
+    assert answered == NORTON_MOD_P_ANSWERS
+
+
+@pytest.mark.parametrize("make", [sl2_sqrt2, sl2sum, heis3],
+                         ids=["sl2_sqrt2", "sl2sum", "heis3"])
+def test_norton_mod_p_leaves_what_it_cannot_prove_to_the_centroid(make):
+    # sl2 over Q(sqrt 2) is simple, but its centroid is larger than Q, so
+    # no reduction is absolutely irreducible; sl2sum has proper ideals;
+    # heis3 has det kappa = 0, so no prime applies and nothing is charged
+    a = make()
+    for graded in (False, True):
+        assert analysis._norton_step(a, graded, None) == {}
+    assert (analysis._norton_prime(a) is None) == (make is heis3)
+    assert (analysis._norton_charge(a) == 0) == (make is heis3)
+
+
+def test_the_prime_of_norton_mod_p_divides_no_denominator():
+    # det kappa of sl2 is -128, so the rule picks 3; the basis (e, f, 3h)
+    # puts [e, f] = h / 3 in the table, and the rule moves on to 5
+    a = sl2()
+    assert analysis._norton_prime(a) == 3
+    b = change_basis(a, [(1, 0, 0), (0, 1, 0), (0, 0, 3)])
+    assert Fraction(1, 3) in b.table[0][1]
+    assert analysis._norton_prime(b) == 5
+    assert analysis._decide(b, "prime") == (True, "norton-mod-p")
+    # sl5: det kappa = 2^24 5^25
+    assert analysis._norton_prime(sln_e11(5)) == 3
+
+
+def test_sl5_over_q_is_decided_without_the_commutant(monkeypatch):
+    def solved(*args):
+        raise AssertionError("the commutant was solved for")
+
+    monkeypatch.setattr(analysis, "_commutant", solved)
+    a = sln_e11(5)
+    charge = analysis._norton_charge(a)
+    assert analysis._decide(a, "prime", budget=charge) == (
+        True, "norton-mod-p")
+    assert analysis._decide(a, "minimal", budget=charge) == (
+        (a.full_space(),), "norton-mod-p")
+    assert is_prime(a, budget=charge)
+    assert minimal_ideals(a, budget=charge) == (a.full_space(),)
+    # graded, none of the 16 words has an eigenvalue in F_3 with a
+    # 1-dimensional kernel: the step falls through, and the centroid of
+    # dimension 24 is over the same budget
+    assert analysis._norton_step(a, True, None) == {}
+    with pytest.raises(UndecidedError):
+        is_prime(a, graded=True, budget=charge)
+
+
+def test_norton_mod_p_is_charged_before_any_reduction(monkeypatch):
+    a = sln_e11(3)
+    charge = analysis._norton_charge(a)
+    assert charge == 71680  # 8^3 (16 (5 + 1) + 4 (8 + 3)), p = 5
+    assert analysis._decide(a, "prime", budget=charge - 1) == (
+        True, "centroid")
+
+    def reduced(*args):
+        raise AssertionError("the generators were reduced")
+
+    monkeypatch.setattr(analysis, "_envelope_generators", reduced)
+    with pytest.raises(UndecidedError):
+        analysis._answers(a, analysis._NORTON_MOD_P, False, charge - 1)
+    monkeypatch.undo()
+    assert analysis._decide(a, "prime", budget=charge) == (
+        True, "norton-mod-p")
+
+
+def test_the_killing_determinant_is_found_once(monkeypatch):
+    # the report's field and the choice of Norton's prime share it
+    calls = []
+
+    def counted(field, m, _inner=analysis.determinant):
+        calls.append(len(m))
+        return _inner(field, m)
+
+    monkeypatch.setattr(analysis, "determinant", counted)
+    a = sln_e11(3)
+    assert structure_report(a).methods["prime"] == "norton-mod-p"
+    assert is_prime(a) and is_prime(a, graded=True)
+    assert calls == [8]
 
 
 def test_sl2_over_q_sqrt2_is_prime_with_one_minimal_ideal():

@@ -150,6 +150,31 @@ def test_central_quotient_comparison_exchange_variant():
     assert report.exchange_checked
 
 
+@pytest.mark.parametrize("variant, builds", [("K", 1), ("minus", 3)])
+def test_the_default_q_reuses_the_a_side(monkeypatch, variant, builds):
+    # Q = A builds the minus algebra, the variant subalgebra, its
+    # restriction and its center once: K builds A minus alone, and the
+    # commutator variants build A minus and the double's minus algebra
+    # in the exchange check and the double's again for the comparison
+    calls = []
+
+    def counted(self, _inner=AssocAlgebra.minus_algebra):
+        calls.append(self.dim)
+        return _inner(self)
+
+    monkeypatch.setattr(AssocAlgebra, "minus_algebra", counted)
+    size = 3 if variant == "K" else 2
+    report = check_central_quotients(m_n_transpose(size), variant=variant)
+    assert len(calls) == builds
+    calls.clear()
+    # an equal but distinct Q takes the general route to the same report
+    other = check_central_quotients(m_n_transpose(size),
+                                    q=m_n_transpose(size), variant=variant)
+    assert len(calls) == 2 * builds
+    assert (other.verdict, other.dims, other.exchange_checked) == (
+        report.verdict, report.dims, report.exchange_checked)
+
+
 def test_central_quotient_comparison_over_f5():
     report = check_central_quotients(m_n_transpose(3, F5), variant="K")
     assert report.verdict.value == "true"

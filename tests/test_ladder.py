@@ -112,7 +112,8 @@ def test_the_report_reads_every_method_off_the_ladder():
     labels = {method for _, _, method in STEPS}
     assert labels == {"killing-criterion", "principal-ideal-probe",
                       "centroid", "semisimple-identity", "envelope-radical",
-                      "norton-irreducibility", "exhaustive-Fp"}
+                      "norton-irreducibility", "norton-mod-p",
+                      "exhaustive-Fp"}
     body = _functions()["structure_report"].body[1:]  # past the docstring
     literals = {n.value for stmt in body for n in ast.walk(stmt)
                 if isinstance(n, ast.Constant) and isinstance(n.value, str)}
