@@ -647,9 +647,10 @@ def _zero_divisor_scan_step(alg, graded, budget):
 # the steps of each question over Q (True) and over F_p (False)
 _ENVELOPE = (_up_front(_envelope_charge, "the envelope"), _envelope_step,
              "envelope-radical")
-_NORTON, _NORTON_MOD_P = (
-    (_up_front(_norton_charge, "Norton's test"), _norton_step, method)
-    for method in ("norton-irreducibility", "norton-mod-p"))
+# one step on both fields: over Q it runs modulo _norton_prime
+_NORTON = (_up_front(_norton_charge, "Norton's test"), _norton_step,
+           "norton-irreducibility")
+_NORTON_MOD_P = (_NORTON[0], _norton_step, "norton-mod-p")
 _LADDERS = {
     True: {"semiprime": ((None, _killing_step, "killing-criterion"),),
            "prime": ((None, _killing_step, "killing-criterion"),

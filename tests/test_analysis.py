@@ -47,7 +47,8 @@ from gradlie.analysis import (
 )
 from gradlie.enumeration import (distinct_principal_ideals, iter_projective,
                                  projective_count, resolve_budget)
-from gradlie.errors import DimensionTooLarge, NotThreeGraded, UndecidedError
+from gradlie.errors import (DimensionTooLarge, NotThreeGraded, ParseError,
+                            UndecidedError)
 from gradlie.gallery import (
     build_lie,
     first_component,
@@ -502,12 +503,16 @@ def test_norton_mod_p_leaves_what_it_cannot_prove_to_the_centroid(make):
 
 
 def test_the_prime_of_norton_mod_p_divides_no_denominator():
-    # det kappa of sl2 is -128, so the rule picks 3; the basis (e, f, 3h)
-    # puts [e, f] = h / 3 in the table, and the rule moves on to 5
+    # det kappa of sl2 is -128, so the rule picks 3; the basis (e/3, f,
+    # 3h) keeps det kappa but puts [e/3, f] = (3h) / 9 in the table,
+    # which has no reduction mod 3, and the rule moves on to 5
     a = sl2()
     assert analysis._norton_prime(a) == 3
-    b = change_basis(a, [(1, 0, 0), (0, 1, 0), (0, 0, 3)])
-    assert Fraction(1, 3) in b.table[0][1]
+    b = change_basis(a, [(Fraction(1, 3), 0, 0), (0, 1, 0), (0, 0, 3)])
+    assert killing_determinant(b) == -128
+    assert Fraction(1, 9) in b.table[0][1]
+    with pytest.raises(ParseError):
+        F3.of(Fraction(1, 9))
     assert analysis._norton_prime(b) == 5
     assert analysis._decide(b, "prime") == (True, "norton-mod-p")
     # sl5: det kappa = 2^24 5^25
