@@ -532,12 +532,6 @@ def test_sl5_over_q_is_decided_without_the_commutant(monkeypatch):
         (a.full_space(),), "norton-mod-p")
     assert is_prime(a, budget=charge)
     assert minimal_ideals(a, budget=charge) == (a.full_space(),)
-    # graded, none of the 16 words has an eigenvalue in F_3 with a
-    # 1-dimensional kernel: the step falls through, and the centroid of
-    # dimension 24 is over the same budget
-    assert analysis._norton_step(a, True, None) == {}
-    with pytest.raises(UndecidedError):
-        is_prime(a, graded=True, budget=charge)
 
 
 def test_norton_mod_p_is_charged_before_any_reduction(monkeypatch):
