@@ -4,9 +4,9 @@ One driver, _decide, answers five questions on the (graded) ideal
 lattice, semiprime, prime, the socle, the minimal ideals and an absolute
 zero divisor, from one table of ladders (_LADDERS): the first step of
 the field's ladder to answer gives the answer and its method.  A step
-over the budget refuses before any work, and only the last one's refusal
-reaches the caller; the driver memoizes what a step charged up front
-proves, on the algebra, and charges it again on a memo hit.  Over Q, L
+over the budget refuses in its charge, before any work, and only the
+last refusal reaches the caller; the driver memoizes every step's
+answers, on the algebra, and charges it again on a memo hit.  Over Q, L
 is semiprime iff its Killing form is nondegenerate, and then a direct
 sum of simple ideals (Soc = L) split by basis vectors and the factor
 fields of its centroid; the abelian ideal in its Killing radical holds
@@ -24,7 +24,8 @@ by the table and the Killing determinant, proves L simple (a Z_(p)
 lattice carries every ideal to a subspace mod p of its dimension)
 before the centroid is solved for.  Where J(A) fails its
 nilpotence certificate or A is over the budget, the principal-ideal scan
-decides, and the zero divisors are always scanned (enumeration).
+decides.  The zero divisors are scanned over F_p (enumeration) and
+walked for free over Q.
 
 "Undecided" is a first class outcome (UndecidedError), never a guess: it
 is raised over Q when a question needs an envelope or a centroid over
@@ -510,54 +511,39 @@ def _envelope_step(alg, graded, budget):
                 minimal=((soc,) if soc.dim else ()) if prime else None)
 
 
-def _centroid_summands(alg, graded, budget):
-    """The minimal (graded) ideals of a semiprime algebra over Q, where
-    Soc = L: the components of End_A(L), the commutant of the envelope's
-    generators.  Solving for it, n^2 unknowns in n^2 equations for each
-    generator, is charged to the budget first."""
-    f, n = alg.field, alg.dim
-    if n == 0:
-        return ()
-    gens = _envelope_generators(alg, graded)
-    if len(gens) * n ** 4 > resolve_budget(budget):
-        raise UndecidedError("the centroid of dimension %d is over the "
-                             "budget" % n)
-    return _components(f, _commutant(f, gens, n), n)
-
-
 def _splitting_ideal(alg):
-    """A proper ideal generated by one basis vector, or None."""
-    for i in range(alg.dim):
-        ideal = alg.ideal_generated([alg.basis_vector(i)])
-        if ideal.dim < alg.dim:
-            return ideal
-    return None
+    """A proper ideal generated by one basis vector, or None; memoized."""
+    return _memo(alg, "splitting_ideal", lambda: next(
+        (ideal for ideal in (alg.ideal_generated([alg.basis_vector(i)])
+                             for i in range(alg.dim))
+         if ideal.dim < alg.dim), None))
 
 
-def _summands(alg, graded, budget):
-    """The minimal (graded) ideals of a semiprime algebra over Q.  It is
-    the direct sum of its simple ideals, so a proper ideal I is the sum of
-    some of them and Ann(I) the sum of the rest; when a basis vector
-    generates I, both are graded (the vector is homogeneous).  Each part
-    splits on its own, its ideals being ideals of L; a part that no basis
-    vector splits is cut by its centroid."""
-    f, n = alg.field, alg.dim
-    ideal = _splitting_ideal(alg)
-    if ideal is None:
-        return tuple(_centroid_summands(alg, graded, budget))
-    out = []
-    for part in (ideal, alg.annihilator(ideal)):
-        sub, rows = alg.restrict(part)
-        out += [span(f, n, [mat_vec(r, rows, f) for r in piece.rows])
-                for piece in _summands(sub, graded, budget)]
-    return tuple(out)
+def _summands(alg):
+    """The summands of a semiprime algebra over Q that no basis vector
+    splits, as (algebra, its basis in L), memoized.  L is the direct sum
+    of its simple ideals, so a proper ideal I is the sum of some and
+    Ann(I) of the rest, both graded when a basis vector, which is
+    homogeneous, generates I (_splitting_ideal).  Each part splits on its
+    own, its ideals being ideals of L."""
+    def compute():
+        ideal = _splitting_ideal(alg)
+        if ideal is None:
+            return ((alg, mat_identity(alg.field, alg.dim)),)
+        return tuple((piece, mat_mul(inner, rows, alg.field))
+                     for sub, rows in map(alg.restrict,
+                                          (ideal, alg.annihilator(ideal)))
+                     for piece, inner in _summands(sub))
+
+    return _memo(alg, "summands", compute)
 
 
 # ---------------------------------------------------------------------------
 # the decision ladder.  A step is (charge, run, method): charge(alg, graded,
-# budget) refuses before any work over the budget, or is None for a step
-# that is free or charges as it goes; run(alg, graded, budget) returns
-# {question: answer} for what it decides, or None if its certificate fails
+# budget) refuses over the budget before any work, or is None for a free
+# step; run(alg, graded, budget) returns {question: answer} for what it
+# decides, or None if its certificate fails.  A run reads the budget only
+# to pass it on to a scan, which repeats its charge's check
 
 
 def _killing_step(alg, graded, budget):
@@ -577,16 +563,29 @@ def _probe_step(alg, graded, budget):
 
 
 def _centroid_step(alg, graded, budget):
-    """A semisimple L that no basis vector splits is prime iff its
-    centroid is a field."""
-    return dict(prime=len(_centroid_summands(alg, graded, budget)) <= 1)
+    """The minimal (graded) ideals of a semiprime L over Q: in each
+    summand (_summands), the components of its centroid End_A, the
+    commutant of its envelope's generators; L is prime iff there is at
+    most one."""
+    f, n = alg.field, alg.dim
+    minimal = tuple(
+        span(f, n, [mat_vec(r, rows, f) for r in piece.rows])
+        for sub, rows in _summands(alg) if sub.dim
+        for piece in _components(f, _commutant(
+            f, _envelope_generators(sub, graded), sub.dim), sub.dim))
+    return dict(prime=len(minimal) <= 1, minimal=minimal)
 
 
-def _summands_step(alg, graded, budget):
-    """The minimal ideals over Q, of semiprime input only (_summands)."""
+def _centroid_charge(alg, graded, budget):
+    """Semiprime input, then for each summand in order (_summands) the
+    solve for its centroid: n^2 unknowns in n^2 equations per generator."""
     if not is_semiprime(alg):
         raise UndecidedError("minimal ideals over Q need semiprime input")
-    return dict(minimal=_summands(alg, graded, budget))
+    limit = resolve_budget(budget)
+    for sub, _ in _summands(alg):
+        if len(_envelope_generators(sub, graded)) * sub.dim ** 4 > limit:
+            raise UndecidedError("the centroid of dimension %d is over the "
+                                 "budget" % sub.dim)
 
 
 def _walk_step(alg, graded, budget):
@@ -651,14 +650,14 @@ _ENVELOPE = (_up_front(_envelope_charge, "the envelope"), _envelope_step,
 _NORTON = (_up_front(_norton_charge, "Norton's test"), _norton_step,
            "norton-irreducibility")
 _NORTON_MOD_P = (_NORTON[0], _norton_step, "norton-mod-p")
+_CENTROID = (_centroid_charge, _centroid_step, "centroid")
 _LADDERS = {
     True: {"semiprime": ((None, _killing_step, "killing-criterion"),),
            "prime": ((None, _killing_step, "killing-criterion"),
                      (None, _probe_step, "principal-ideal-probe"),
-                     _NORTON_MOD_P,
-                     (None, _centroid_step, "centroid")),
+                     _NORTON_MOD_P, _CENTROID),
            "socle": ((None, _killing_step, "semisimple-identity"), _ENVELOPE),
-           "minimal": (_NORTON_MOD_P, (None, _summands_step, "centroid")),
+           "minimal": (_NORTON_MOD_P, _CENTROID),
            "zero-divisor": ((None, _walk_step, "killing-criterion"),)},
     False: {**dict.fromkeys(("semiprime", "prime", "socle", "minimal"), (
                 _NORTON, _ENVELOPE,
@@ -669,12 +668,11 @@ _LADDERS = {
 
 
 def _answers(alg, step, graded, budget):
-    """A step's answers, memoized on the algebra when it has a charge,
-    which is checked first, also on a memo hit."""
+    """A step's answers, memoized on the algebra; its charge, if it has
+    one, is checked first, also on a memo hit."""
     charge, run, _ = step
-    if charge is None:
-        return run(alg, graded, budget)
-    charge(alg, graded, budget)
+    if charge is not None:
+        charge(alg, graded, budget)
     return _memo(alg, (run.__name__, graded),
                  lambda: run(alg, graded, budget))
 
@@ -737,7 +735,7 @@ def minimal_ideals(alg, budget=None):
     test or the envelope proves the algebra prime, else the minimal
     principal ideals of the scan; over Q, of semiprime input only, the
     summands that basis vectors and the centroid End_A(L) cut out
-    (_summands)."""
+    (_centroid_step)."""
     return _minimal_ideals(alg, False, budget)
 
 

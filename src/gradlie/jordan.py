@@ -36,8 +36,8 @@ over Q and F_p alike: both take their candidates from the absolute zero
 divisors of TKK(V) of degree 1 or -1 (_divisor_candidates), which reads
 them off analysis.zero_divisors, the walk the Lie predicates use, and no
 pair ideal is scanned.  TKK(V) is built once per pair and memoized on it
-(JordanPair.memo), like every result that analysis, enumeration and
-derivations memoize on an algebra.  Its table is antisymmetric
+(JordanPair.memo), like every result that analysis and derivations
+memoize on an algebra.  Its table is antisymmetric
 (tables.antisymmetric): each unordered pair of basis vectors is
 bracketed once, reading only the blocks V+, IDer(V), V- that the two
 touch.  A PairEmbedding is built once per marked file too: loading the

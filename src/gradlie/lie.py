@@ -104,10 +104,11 @@ class GradedLieAlgebra:
 
     table[i][j] is the coordinate tuple of [b_i, b_j], cells its cell
     tree, and nonzero[i] the (j, k, c) with table[i][j][k] = c != 0.
-    memo holds what analysis, enumeration and derivations derive about
-    this algebra (the Killing radical and its abelian ideal, ideal
-    lattices, principal ideals, maximal quotients), keyed by the function
-    and its graded flag where it has one; it takes no part in equality.
+    memo holds what analysis and derivations derive about this algebra
+    (the Killing matrix, determinant, radical and abelian ideal, the
+    envelope's generators, the splitting ideal, the summands, every
+    ladder step's answers, the maximal quotients), keyed by name and the
+    graded flag where there is one; it takes no part in equality.
     Construction checks the shape of the table, then antisymmetry, the
     grading compatibility, and Jacobi, in that order, raising the
     matching ValidationError subclass on failure.

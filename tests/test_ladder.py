@@ -3,8 +3,9 @@ questions (semiprime, prime, socle, minimal ideals, an absolute zero
 divisor) are decided through one driver, _decide.
 
 The field is chosen in the driver only, the entry points and the report
-read their methods off the ladder, and the driver, not a step, holds the
-memo of a step's answers, still charging the step on a memo hit.
+read their methods off the ladder, a step refuses only in its charge,
+before any work, and the driver, not a step, holds the memo of every
+step's answers, still charging the step on a memo hit.
 """
 
 import ast
@@ -23,9 +24,10 @@ from gradlie.analysis import (
     socle,
     structure_report,
 )
-from gradlie.errors import DimensionTooLarge
-from gradlie.gallery import heis3
-from gradlie.lie import GradedLieAlgebra
+from gradlie.enumeration import scan_blocks
+from gradlie.errors import DimensionTooLarge, UndecidedError
+from gradlie.gallery import heis3, sl2, sl2sum, sln_e11
+from gradlie.lie import GradedLieAlgebra, direct_sum
 from gradlie.scalars import GF, QQ
 
 F5 = GF(5)
@@ -128,3 +130,74 @@ def test_no_step_touches_the_memo():
                  for n in ast.walk(functions[run.__name__])
                  if isinstance(n, (ast.Name, ast.Attribute))}
         assert not names & {"memo", "_memo"}, run.__name__
+
+
+def _reached(name, functions):
+    """The module-level functions of analysis that the named one calls by
+    name, itself included, transitively."""
+    seen, todo = set(), [name]
+    while todo:
+        fn = todo.pop()
+        if fn in functions and fn not in seen:
+            seen.add(fn)
+            todo += [n.func.id for n in ast.walk(functions[fn])
+                     if isinstance(n, ast.Call)
+                     and isinstance(n.func, ast.Name)]
+    return seen
+
+
+def test_a_step_refuses_only_in_its_charge():
+    functions = _functions()
+    for charge, run, _ in STEPS:
+        for fn in _reached(run.__name__, functions):
+            for n in ast.walk(functions[fn]):
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name):
+                    assert n.func.id != "resolve_budget", (run.__name__, fn)
+                if isinstance(n, ast.Raise):
+                    raised = getattr(n.exc, "func", n.exc)  # a call or a name
+                    assert getattr(raised, "id", None) not in (
+                        "UndecidedError", "DimensionTooLarge"), (
+                        run.__name__, fn)
+        # a run reads the budget only to pass it on to a scan
+        reads = [n for n in ast.walk(functions[run.__name__])
+                 if isinstance(n, ast.Name) and n.id == "budget"]
+        assert not reads or charge is scan_blocks, run.__name__
+
+
+def test_the_centroid_refuses_before_any_commutant(monkeypatch):
+    # sl2's centroid (2 generators of 3^4 cells) is within 2,000, sl3's (8^4
+    # cells per generator) is not, and the charge sees both first
+    def solved(*args):
+        raise AssertionError("a commutant was solved for")
+
+    monkeypatch.setattr(analysis, "_commutant", solved)
+    a = direct_sum(sl2(), sln_e11(3))
+    with pytest.raises(UndecidedError, match="^the centroid of dimension 8 "
+                                             "is over the budget$"):
+        analysis._decide(a, "minimal", budget=2000)
+
+
+def test_the_q_steps_are_memoized_and_still_charged(monkeypatch):
+    solved = []
+    commutant = analysis._commutant
+    monkeypatch.setattr(analysis, "_commutant",
+                        lambda *args: solved.append(args) or commutant(*args))
+    a = direct_sum(sl2sum(), sln_e11(3))
+    for _ in range(3):
+        assert sorted(m.dim for m in minimal_ideals(a)) == [3, 3, 8]
+    assert len(solved) == 3  # one centroid per summand, once
+    with pytest.raises(UndecidedError, match="^the centroid of dimension 8 "
+                                             "is over the budget$"):
+        analysis._decide(a, "minimal", budget=2000)
+    assert len(solved) == 3
+
+    # the probe's split is found once, plain or graded
+    b = sln_e11(3)
+    structure_report(b)
+    closures = []
+    generated = GradedLieAlgebra.ideal_generated
+    monkeypatch.setattr(GradedLieAlgebra, "ideal_generated",
+                        lambda alg, vectors: closures.append(vectors)
+                        or generated(alg, vectors))
+    assert is_prime(b) and is_prime(b, graded=True)
+    assert closures == []

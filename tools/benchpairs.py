@@ -17,8 +17,9 @@ prints is its JSON result; a run that fails stops the tool, so every seed
 has both sides.  The output file holds ``command``, ``protocol``, ``summary`` and
 ``runs`` in the shape of the BENCH_*.json records: for each end-to-end
 metric of BENCHMARK.json, each side's median, the parent's quartiles
-(inclusive method), the relative change of the medians and the pairs the
-change wins (ties count for neither side), and the failed and attempted
+(inclusive method), the relative change of the medians, the pairs the
+change wins (ties count for neither side) and a reading against the
+metric's bound (see ``summarize``), and the failed and attempted
 questions of each side.
 """
 
@@ -47,10 +48,10 @@ def parse_seeds(text):
 
 
 def end_to_end():
-    """({metric: "lower" or "higher"}, the whole document) of
-    BENCHMARK.json."""
+    """({metric: its entry, with "better" and "bound"}, the whole
+    document) of BENCHMARK.json."""
     doc = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in doc["end_to_end"]}, doc
+    return {m["name"]: m for m in doc["end_to_end"]}, doc
 
 
 def unpack(commit, dest):
@@ -88,36 +89,47 @@ def run_record(workload, seed, side, result):
 
 def summarize(runs, metrics):
     """{workload: summary} of run records; metrics maps each end-to-end
-    metric to the direction that is better ("lower" or "higher")."""
+    metric to its "better" direction ("lower" or "higher") and its
+    relative "bound".  A metric reads "worse" when the change's median is
+    worse than the parent's by more than the bound; else "unresolved"
+    when the parent's interquartile spread over its median exceeds the
+    bound, unless every change run beats every parent run; else "not
+    worse"."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
         seeds = list(dict.fromkeys(r["seed"] for r in mine))
         by = {(r["seed"], r["side"]): r for r in mine}
         block = {"seeds": seeds}
-        for name, better in metrics.items():
+        for name, metric in metrics.items():
+            sign, bound = (1 if metric["better"] == "lower" else -1,
+                           metric["bound"])
             vals = {side: [by[s, side]["metrics"][name] for s in seeds]
                     for side in SIDES}
             med = {side: statistics.median(v) for side, v in vals.items()}
-            if better == "lower":
-                wins = sum(c < p for p, c in zip(vals["parent"],
-                                                  vals["change"]))
-            else:
-                wins = sum(c > p for p, c in zip(vals["parent"],
-                                                  vals["change"]))
-            parent = vals["parent"]  # one pair: both quartiles are its value
+            parent, change = vals["parent"], vals["change"]
+            wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+            # one pair: both quartiles are its value
             q1, _, q3 = statistics.quantiles(
                 parent * 2 if len(parent) == 1 else parent, n=4,
                 method="inclusive")
+            rel = med["change"] / med["parent"] - 1
+            if sign * rel > bound:
+                reading = "worse"
+            elif (q3 - q1) / med["parent"] > bound and not all(
+                    sign * (c - p) < 0 for c in change for p in parent):
+                reading = "unresolved"
+            else:
+                reading = "not worse"
             block[name] = {
                 "parent": {"median": round(med["parent"], 6),
                            "n": len(seeds),
                            "quartiles": [round(q1, 6), round(q3, 6)]},
                 "change": {"median": round(med["change"], 6),
                            "n": len(seeds)},
-                "change_vs_parent": round(med["change"] / med["parent"] - 1,
-                                          4),
+                "change_vs_parent": round(rel, 4),
                 "change_better_pairs": "%d of %d" % (wins, len(seeds)),
+                "reading": reading,
             }
         for count in ("failed", "attempted"):
             block[count] = {side: sum(by[s, side][count] for s in seeds)
