@@ -104,11 +104,15 @@ def summarize(runs, metrics):
         for name, metric in metrics.items():
             sign, bound = (1 if metric["better"] == "lower" else -1,
                            metric["bound"])
+
+            def beats(c, p):
+                return sign * (c - p) < 0
+
             vals = {side: [by[s, side]["metrics"][name] for s in seeds]
                     for side in SIDES}
             med = {side: statistics.median(v) for side, v in vals.items()}
             parent, change = vals["parent"], vals["change"]
-            wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+            wins = sum(beats(c, p) for p, c in zip(parent, change))
             # one pair: both quartiles are its value
             q1, _, q3 = statistics.quantiles(
                 parent * 2 if len(parent) == 1 else parent, n=4,
@@ -117,7 +121,7 @@ def summarize(runs, metrics):
             if sign * rel > bound:
                 reading = "worse"
             elif (q3 - q1) / med["parent"] > bound and not all(
-                    sign * (c - p) < 0 for c in change for p in parent):
+                    beats(c, p) for c in change for p in parent):
                 reading = "unresolved"
             else:
                 reading = "not worse"
