@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .enumeration import (
@@ -174,24 +173,26 @@ def _envelope_generators(alg, graded):
     the ads of basis vectors generating L as a Lie algebra, chosen
     greedily in basis order (the ad of a bracket is a commutator of ads,
     so they generate A with fewer image rows than all of ad L), and the
-    degree projections when graded.  Memoized on the algebra."""
+    degree projections when graded.  Memoized on the algebra; the greedy
+    walk runs once for both gradings."""
     f, n = alg.field, alg.dim
 
-    def compute():
+    def ads():
         gens, sub = [], alg.zero_space()
         for i in range(n):
             b = alg.basis_vector(i)
             if not sub.contains(b):
                 gens.append(b)
                 sub = alg.subalgebra_generated(gens)
-        mats = [alg.ad_matrix(g) for g in gens]
-        if graded and len(alg.support()) > 1:
-            mats += [tuple(tuple(f.one if i == j and alg.degrees[i] == d
-                                 else f.zero for j in range(n))
-                           for i in range(n)) for d in alg.support()]
-        return tuple(mats)
+        return tuple(alg.ad_matrix(g) for g in gens)
 
-    return _memo(alg, ("envelope_generators", graded), compute)
+    mats = _memo(alg, ("envelope_generators", False), ads)
+    if not graded or len(alg.support()) == 1:
+        return mats
+    return _memo(alg, ("envelope_generators", True), lambda: mats + tuple(
+        tuple(tuple(f.one if i == j and alg.degrees[i] == d else f.zero
+                    for j in range(n)) for i in range(n))
+        for d in alg.support()))
 
 
 def _envelope(field, n, gens):
@@ -817,16 +818,20 @@ def graded_core(alg, ideal):
 # aggregate report
 
 
-@dataclass
 class StructureReport:
-    center_dim: int
-    killing_det: object
-    semiprime: bool
-    prime: object
-    strongly_nondegenerate: object
-    socle_dim: object
-    socle: object
-    methods: dict = dc_field(default_factory=dict)
+    __slots__ = ("center_dim", "killing_det", "semiprime", "prime",
+                 "strongly_nondegenerate", "socle_dim", "socle", "methods")
+
+    def __init__(self, center_dim, killing_det, semiprime, prime,
+                 strongly_nondegenerate, socle_dim, socle, methods=None):
+        self.center_dim = center_dim
+        self.killing_det = killing_det
+        self.semiprime = semiprime
+        self.prime = prime
+        self.strongly_nondegenerate = strongly_nondegenerate
+        self.socle_dim = socle_dim
+        self.socle = socle
+        self.methods = {} if methods is None else methods
 
 
 def structure_report(alg, budget=None):

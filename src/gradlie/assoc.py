@@ -20,8 +20,6 @@ over F_p, d = e = 1 and values are reduced mod p only when compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .derivations import QuotientEmbedding, is_quotient
 from .errors import (
     AssociativityViolation,
@@ -245,13 +243,17 @@ def central_quotient(a, variant="K"):
     return quot
 
 
-@dataclass
 class CentralQuotientReport:
-    verdict: object
-    variant: str
-    dims: dict = dc_field(default_factory=dict)
-    exchange_checked: bool = False
-    asserted_overring: bool = True
+    __slots__ = ("verdict", "variant", "dims", "exchange_checked",
+                 "asserted_overring")
+
+    def __init__(self, verdict, variant, dims=None, exchange_checked=False,
+                 asserted_overring=True):
+        self.verdict = verdict
+        self.variant = variant
+        self.dims = {} if dims is None else dims
+        self.exchange_checked = exchange_checked
+        self.asserted_overring = asserted_overring
 
 
 def check_central_quotients(a, q=None, inclusion=None, variant="K"):

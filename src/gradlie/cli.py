@@ -6,6 +6,13 @@ same fields.  Exit codes are uniform across commands: 0 the property
 holds or the command succeeded, 1 the property is false (a witness is
 printed), 2 invalid input or a failed precondition, 3 the verdict is
 undecided or only verified on witnesses.
+
+Each command is one process, so its start-up is part of what a user
+waits for: the module level holds only what every command uses (the
+budget, the errors, the scalars, linalg and the file format), and each
+command imports the layers it needs inside its function.  analyze of a
+Lie file loads no derivations, Jordan, associative or gallery module,
+and validate or tkk of a pair file no analysis or derivations.
 """
 
 from __future__ import annotations
@@ -15,13 +22,6 @@ import json
 import re
 import sys
 
-from .analysis import structure_report
-from .assoc import AssocAlgebra
-from .derivations import (
-    is_quotient,
-    is_weak_quotient,
-    maximal_quotients,
-)
 from .enumeration import resolve_budget
 from .errors import (
     GradlieError,
@@ -30,22 +30,8 @@ from .errors import (
     ParseError,
     UndecidedError,
 )
-from .jordan import (
-    JordanAlgebra,
-    JordanPair,
-    JordanTriple,
-    is_pair_of_quotients,
-    maximal_jordan_algebra_quotients,
-    maximal_pair_quotients,
-    maximal_triple_quotients,
-    pair_is_semiprime,
-    pair_is_strongly_nondegenerate,
-    tkk,
-)
-from .lie import GradedLieAlgebra
 from .linalg import rank
 from .scalars import GF, QQ
-from . import gallery
 from .serialize import (canonical_json, load_path, rows_to_json,
                         serialize_algebra)
 
@@ -130,7 +116,8 @@ def cmd_analyze(args):
         lines.append("%s: %s" % (key.replace("_", " "),
                                  text if text is not None else value))
 
-    if isinstance(alg, GradedLieAlgebra):
+    if af.kind == "lie":
+        from .analysis import structure_report
         rep = structure_report(alg, budget=args.budget)
         put("dim", alg.dim)
         put("support", sorted(alg.support()))
@@ -148,13 +135,15 @@ def cmd_analyze(args):
             put("socle_dim", None, "undecided (%s)" % rep.methods["socle"])
         else:
             put("socle_dim", rep.socle_dim)
-    elif isinstance(alg, AssocAlgebra):
+    elif af.kind == "assoc":
         put("dim", alg.dim)
         put("support", sorted(set(alg.degrees)))
         put("has_involution", alg.involution is not None)
         if alg.involution is not None:
             put("skew_dim", alg.skew_elements().dim)
-    elif isinstance(alg, JordanPair):
+    elif af.kind == "jordan_pair":
+        from .jordan import (pair_is_semiprime,
+                             pair_is_strongly_nondegenerate, tkk)
         put("dims", list(alg.dims()))
         # a pair without absolute zero divisors is semiprime, and both
         # walks charge the budget alike, so the first walk can answer both
@@ -162,10 +151,11 @@ def cmd_analyze(args):
         put("semiprime", strong or pair_is_semiprime(alg, budget=args.budget))
         put("strongly_nondegenerate", strong)
         put("tkk_dim", tkk(alg).dim)
-    elif isinstance(alg, JordanTriple):
+    elif af.kind == "jordan_triple":
+        from .jordan import pair_is_semiprime
         put("dim", alg.dim)
         put("semiprime", pair_is_semiprime(alg.double, budget=args.budget))
-    elif isinstance(alg, JordanAlgebra):
+    elif af.kind == "jordan_algebra":
         put("dim", alg.dim)
         u = alg.unit()
         put("unital", u is not None)
@@ -179,8 +169,9 @@ def cmd_analyze(args):
 def cmd_qmax(args):
     af = load_path(args.file)
     alg = af.algebra
-    if not isinstance(alg, GradedLieAlgebra):
+    if af.kind != "lie":
         raise GradlieError("qmax expects a lie file")
+    from .derivations import maximal_quotients
     mq = maximal_quotients(alg, graded=args.graded, budget=args.budget)
     qm = mq.algebra
     f = alg.field
@@ -215,9 +206,10 @@ def cmd_check_quotient(args):
     af = load_path(args.file)
     alg = af.algebra
     emb = af.embedding
-    if not isinstance(alg, GradedLieAlgebra) or emb is None:
+    if af.kind != "lie" or emb is None:
         raise GradlieError("check-quotient expects a lie file with a "
                            "subalgebra entry")
+    from .derivations import is_quotient, is_weak_quotient
     if args.weak:
         v = is_weak_quotient(emb, graded=args.graded, budget=args.budget)
     else:
@@ -232,17 +224,19 @@ def cmd_check_quotient(args):
 
 def cmd_tkk(args):
     af = load_path(args.file)
-    if not isinstance(af.algebra, JordanPair):
+    if af.kind != "jordan_pair":
         raise GradlieError("tkk expects a jordan_pair file")
+    from .jordan import tkk
     sys.stdout.write(serialize_algebra(tkk(af.algebra)))
     return EXIT_OK
 
 
 def cmd_mquotients(args):
     af = load_path(args.file)
-    if not isinstance(af.algebra, JordanPair) or af.embedding is None:
+    if af.kind != "jordan_pair" or af.embedding is None:
         raise GradlieError("mquotients expects a jordan_pair file with a "
                            "subpair entry")
+    from .jordan import is_pair_of_quotients
     pair = af.algebra
 
     def witness(w):
@@ -260,7 +254,8 @@ def cmd_jmax(args):
     af = load_path(args.file)
     alg = af.algebra
     f = alg.field
-    if isinstance(alg, JordanPair):
+    if af.kind == "jordan_pair":
+        from .jordan import maximal_pair_quotients
         out = maximal_pair_quotients(alg, budget=args.budget)
         result = out.pair
         doc = json.loads(serialize_algebra(result))
@@ -274,7 +269,8 @@ def cmd_jmax(args):
         }
         lines = ["maximal pair quotients dims: %d + %d" % result.dims(),
                  "decider on the result: %s" % out.verdict.value]
-    elif isinstance(alg, JordanTriple):
+    elif af.kind == "jordan_triple":
+        from .jordan import maximal_triple_quotients
         out = maximal_triple_quotients(alg, budget=args.budget)
         doc = json.loads(serialize_algebra(out.triple))
         report = {
@@ -286,7 +282,8 @@ def cmd_jmax(args):
         }
         lines = ["maximal triple quotients dim: %d" % out.triple.dim,
                  "decider on the double pair: %s" % out.pairs.verdict.value]
-    elif isinstance(alg, JordanAlgebra):
+    elif af.kind == "jordan_algebra":
+        from .jordan import maximal_jordan_algebra_quotients
         out = maximal_jordan_algebra_quotients(alg, budget=args.budget)
         doc = json.loads(serialize_algebra(out.algebra))
         report = {
@@ -313,6 +310,7 @@ GALLERY_CAP = 6
 
 
 def _gallery_object(name, field):
+    from . import gallery
     m = _PARAM_RE.match(name)
     if m:
         base, params = m.group(1), [int(x) for x in m.group(2).split(",")]
@@ -351,7 +349,7 @@ def cmd_gallery(args):
     spec = args.scalars
     if spec in (None, "Q", "q"):
         field = QQ
-    elif spec.isdigit():
+    elif spec.isascii() and spec.isdigit():
         field = GF(int(spec))
     else:
         raise ParseError("scalars must be Q or a prime, got %r" % spec)

@@ -23,8 +23,6 @@ verified-on-witnesses, undecided} keeps honest track of which happened.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .analysis import (graded_core, graded_socle, is_essential_ideal,
                        is_semiprime, killing_radical, socle)
 from .enumeration import scan_points
@@ -48,11 +46,22 @@ from .linalg import (
 from .tables import antisymmetric
 
 
-@dataclass
+def _equal_fields(self, other):
+    """Two records of one class are equal when all their fields are."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+
 class Verdict:
-    value: str  # true | false | verified-on-witnesses | undecided
-    witness: object = None
-    reason: str = ""
+    # value: true | false | verified-on-witnesses | undecided
+    __slots__ = ("value", "witness", "reason")
+    __eq__ = _equal_fields
+
+    def __init__(self, value, witness=None, reason=""):
+        self.value = value
+        self.witness = witness
+        self.reason = reason
 
     def __bool__(self):
         return self.value == "true"
@@ -121,15 +130,24 @@ def denominator_ideal(emb, q):
 # derivation spaces
 
 
-@dataclass
 class DerivationSpace:
-    algebra: object          # the target L
-    domain: object           # Subspace: the ideal I
-    space: object            # Subspace of the flattened maps
-    degrees: tuple           # degree of each basis map; None when the
-                             # domain is not graded
-    method: str = "leibniz"  # or inner-derivations
-    preimages: tuple = None  # the x_i with d_i = ad x_i (inner-derivations)
+    # algebra: the target L; domain: the ideal I, a Subspace; space: a
+    # Subspace of the flattened maps; degrees: the degree of each basis
+    # map, None when the domain is not graded; method: leibniz or
+    # inner-derivations; preimages: the x_i with d_i = ad x_i
+    # (inner-derivations)
+    __slots__ = ("algebra", "domain", "space", "degrees", "method",
+                 "preimages")
+    __eq__ = _equal_fields
+
+    def __init__(self, algebra, domain, space, degrees, method="leibniz",
+                 preimages=None):
+        self.algebra = algebra
+        self.domain = domain
+        self.space = space
+        self.degrees = degrees
+        self.method = method
+        self.preimages = preimages
 
     @property
     def basis(self):
@@ -275,12 +293,19 @@ def graded_derivation_components(der):
 # the maximal algebra of quotients
 
 
-@dataclass
 class MaximalQuotients:
-    algebra: object        # GradedLieAlgebra on the derivation basis
-    embedding: tuple       # dim L x dim Q_m matrix, x |-> ad x restricted
-    witness_ideal: object  # the minimum (graded) essential ideal E0
-    derivations: object    # the underlying DerivationSpace
+    # algebra: the GradedLieAlgebra on the derivation basis; embedding:
+    # the dim L x dim Q_m matrix of x |-> ad x restricted; witness_ideal:
+    # the minimum (graded) essential ideal E0; derivations: the
+    # underlying DerivationSpace
+    __slots__ = ("algebra", "embedding", "witness_ideal", "derivations")
+    __eq__ = _equal_fields
+
+    def __init__(self, algebra, embedding, witness_ideal, derivations):
+        self.algebra = algebra
+        self.embedding = embedding
+        self.witness_ideal = witness_ideal
+        self.derivations = derivations
 
 
 def maximal_quotients(alg, graded=False, budget=None):
@@ -558,12 +583,16 @@ def is_weak_quotient(emb, graded=False, budget=None):
 # axiomatic characterization of the maximal quotients
 
 
-@dataclass
 class AxiomaticReport:
-    absorption: bool        # every homogeneous s has an essential (L:s)
-    faithful: bool          # Ann_S(E0) = 0
-    realized: bool          # every graded derivation of E0 is ad(s)
-    witnesses: dict = dc_field(default_factory=dict)
+    # absorption: every homogeneous s has an essential (L:s); faithful:
+    # Ann_S(E0) = 0; realized: every graded derivation of E0 is ad(s)
+    __slots__ = ("absorption", "faithful", "realized", "witnesses")
+
+    def __init__(self, absorption, faithful, realized, witnesses=None):
+        self.absorption = absorption
+        self.faithful = faithful
+        self.realized = realized
+        self.witnesses = {} if witnesses is None else witnesses
 
     @property
     def passed(self):

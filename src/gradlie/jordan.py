@@ -42,14 +42,16 @@ memoize on an algebra.  Its table is antisymmetric
 bracketed once, reading only the blocks V+, IDer(V), V- that the two
 touch.  A PairEmbedding is built once per marked file too: loading the
 file builds it to check the mark, and the commands decide on it.
+
+The five functions that reach the Lie ideal lattice or its quotients
+(_divisor_candidates, associated_pair, is_pair_of_quotients,
+tkk_embedding, maximal_pair_quotients) import analysis or derivations
+inside their bodies, so that building, validating and serializing a
+pair, triple or algebra, and its TKK algebra, loads neither.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .analysis import require_three_graded, zero_divisors
-from .derivations import QuotientEmbedding, Verdict, maximal_quotients
 from .enumeration import check_budget, iter_projective, projective_count
 from .errors import (
     AxiomViolation,
@@ -277,10 +279,22 @@ class JordanPair:
 # subpairs and annihilators
 
 
-@dataclass(frozen=True)
 class SubPair:
-    plus: Subspace
-    minus: Subspace
+    """The plus and minus Subspaces of a subpair; equal when both are."""
+
+    __slots__ = ("plus", "minus")
+
+    def __init__(self, plus, minus):
+        self.plus = plus
+        self.minus = minus
+
+    def __eq__(self, other):
+        if not isinstance(other, SubPair):
+            return NotImplemented
+        return self.plus == other.plus and self.minus == other.minus
+
+    def __hash__(self):
+        return hash((self.plus, self.minus))
 
     def part(self, sign):
         return self.plus if sign > 0 else self.minus
@@ -401,12 +415,17 @@ def pair_annihilator(pair, sub):
 # inner derivations and TKK
 
 
-@dataclass
 class InnerDerivationSpace:
-    pair: object
-    basis: tuple       # flattened (plus-block | minus-block) rows
-    subspace: object   # the same rows as a canonical Subspace
-    deltas: tuple      # delta(e_i, e_j) flattened, at i * dim_minus + j
+    # basis: flattened (plus-block | minus-block) rows; subspace: the same
+    # rows as a canonical Subspace; deltas: delta(e_i, e_j) flattened, at
+    # i * dim_minus + j
+    __slots__ = ("pair", "basis", "subspace", "deltas")
+
+    def __init__(self, pair, basis, subspace, deltas):
+        self.pair = pair
+        self.basis = basis
+        self.subspace = subspace
+        self.deltas = deltas
 
     @property
     def dim(self):
@@ -446,11 +465,13 @@ def inner_derivations(pair):
     return InnerDerivationSpace(pair, sub.rows, sub, deltas)
 
 
-@dataclass
 class TkkData:
-    algebra: object
-    ider: object
-    pair: object
+    __slots__ = ("algebra", "ider", "pair")
+
+    def __init__(self, algebra, ider, pair):
+        self.algebra = algebra
+        self.ider = ider
+        self.pair = pair
 
     def embed_plus(self, x):
         f = self.algebra.field
@@ -581,14 +602,20 @@ def pair_from_lie_blocks(alg, plus_idx, minus_idx):
                       build(plus_idx, minus_idx), build(minus_idx, plus_idx))
 
 
-@dataclass
 class AssociatedPair:
-    pair: object
-    c_v: object          # Z(L) cap L_0, as a subspace of L
-    tkk_algebra: object
-    map_rows: tuple      # dim L x dim TKK, the canonical quotient map
-    plus_idx: tuple
-    minus_idx: tuple
+    # c_v: Z(L) cap L_0, as a subspace of L; map_rows: dim L x dim TKK,
+    # the canonical quotient map
+    __slots__ = ("pair", "c_v", "tkk_algebra", "map_rows", "plus_idx",
+                 "minus_idx")
+
+    def __init__(self, pair, c_v, tkk_algebra, map_rows, plus_idx,
+                 minus_idx):
+        self.pair = pair
+        self.c_v = c_v
+        self.tkk_algebra = tkk_algebra
+        self.map_rows = map_rows
+        self.plus_idx = plus_idx
+        self.minus_idx = minus_idx
 
 
 def associated_pair(alg, budget=None):
@@ -601,6 +628,7 @@ def associated_pair(alg, budget=None):
     isomorphism L / (Z(L) cap L_0) = TKK(pair).  Nothing here scans
     points, so budget is accepted and never consulted.
     """
+    from .analysis import require_three_graded
     require_three_graded(alg)
     f = alg.field
     if f.p == 2:
@@ -667,6 +695,7 @@ def _divisor_candidates(pair, budget):
     projective points are charged to the budget before that side is
     walked.
     """
+    from .analysis import zero_divisors
     f = pair.field
     for sign in (1, -1):
         if f.p is not None:
@@ -838,6 +867,7 @@ def is_pair_of_quotients(emb, budget=None):
     basis elements give a conclusive false and passing ones only a
     sampled verdict.
     """
+    from .derivations import Verdict
     big = emb.big
     f = big.field
     if not pair_is_semiprime(emb.small, budget=budget):
@@ -881,6 +911,7 @@ def is_pair_of_quotients(emb, budget=None):
 def tkk_embedding(emb):
     """The Lie-side picture of a subpair: the subalgebra of tkk(W)
     generated by the outer blocks of V, as a quotient embedding."""
+    from .derivations import QuotientEmbedding
     data = tkk_data(emb.big)
     rows = [data.embed_plus(r) for r in emb.sub.plus.rows]
     rows += [data.embed_minus(r) for r in emb.sub.minus.rows]
@@ -892,13 +923,17 @@ def tkk_embedding(emb):
 # maximal quotients of pairs, triples, algebras
 
 
-@dataclass
 class MaximalPairQuotients:
-    pair: object          # the enlarged pair
-    plus_map: tuple       # V+ basis -> new plus coordinates
-    minus_map: tuple
-    lie: object           # MaximalQuotients of the TKK algebra
-    verdict: object
+    # pair: the enlarged pair; plus_map, minus_map: each V^s basis vector
+    # in the new coordinates; lie: the MaximalQuotients of the TKK algebra
+    __slots__ = ("pair", "plus_map", "minus_map", "lie", "verdict")
+
+    def __init__(self, pair, plus_map, minus_map, lie, verdict):
+        self.pair = pair
+        self.plus_map = plus_map
+        self.minus_map = minus_map
+        self.lie = lie
+        self.verdict = verdict
 
 
 def maximal_pair_quotients(pair, budget=None):
@@ -911,6 +946,7 @@ def maximal_pair_quotients(pair, budget=None):
     triple products; the quotients property of the result over the input
     is re-verified with the pair decider rather than assumed.
     """
+    from .derivations import maximal_quotients
     f = pair.field
     if not pair_is_strongly_nondegenerate(pair, budget=budget):
         raise NotStronglyNondegenerate(
@@ -968,11 +1004,14 @@ class JordanTriple:
         return self.double.triple(1, x, y, z)
 
 
-@dataclass
 class MaximalTripleQuotients:
-    triple: object
-    embedding: tuple
-    pairs: object         # the underlying MaximalPairQuotients
+    # pairs: the underlying MaximalPairQuotients
+    __slots__ = ("triple", "embedding", "pairs")
+
+    def __init__(self, triple, embedding, pairs):
+        self.triple = triple
+        self.embedding = embedding
+        self.pairs = pairs
 
 
 def _exchange_matrix(data):
@@ -1123,11 +1162,13 @@ class JordanAlgebra:
             triple, (es, es, es), tuple, "unreachable: tuple is never None"))
 
 
-@dataclass
 class MaximalJordanAlgebraQuotients:
-    algebra: object
-    embedding: tuple
-    triples: object
+    __slots__ = ("algebra", "embedding", "triples")
+
+    def __init__(self, algebra, embedding, triples):
+        self.algebra = algebra
+        self.embedding = embedding
+        self.triples = triples
 
 
 def maximal_jordan_algebra_quotients(jalg, budget=None):

@@ -9,28 +9,31 @@ cell tree (tables.cells) and read back into the nested table its
 constructor freezes, by one encoder and one decoder whatever the kind.
 Serialization is canonical: fixed key order, two-space indent, trailing
 newline; equal objects produce equal bytes.
+
+The class of each kind, and the embeddings that check a marked subspace,
+are imported when a file of that kind is first read or written: reading
+a Lie file loads no Jordan, associative or derivations module.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import operator
-from dataclasses import dataclass
+import sys
 
-from .assoc import AssocAlgebra
-from .derivations import QuotientEmbedding
 from .errors import ParseError
-from .jordan import (JordanAlgebra, JordanPair, JordanTriple, PairEmbedding,
-                     SubPair)
-from .lie import GradedLieAlgebra, GradingGroup
+from .lie import GradingGroup
 from .linalg import Subspace, span
 from .scalars import Field
 from .tables import cells
 
-# the class of each kind of algebra
-_CLASSES = {"lie": GradedLieAlgebra, "assoc": AssocAlgebra,
-            "jordan_pair": JordanPair, "jordan_triple": JordanTriple,
-            "jordan_algebra": JordanAlgebra}
+# the module and class of each kind of algebra
+_CLASSES = {"lie": ("lie", "GradedLieAlgebra"),
+            "assoc": ("assoc", "AssocAlgebra"),
+            "jordan_pair": ("jordan", "JordanPair"),
+            "jordan_triple": ("jordan", "JordanTriple"),
+            "jordan_algebra": ("jordan", "JordanAlgebra")}
 
 # the kinds whose table lists one cell of each pair (i, j), (j, i): the
 # rule the listed (i, j) meet, its test, and whether the cell (j, i) is
@@ -39,14 +42,18 @@ _HALVES = {"lie": ("i < j", operator.lt, True),
            "jordan_algebra": ("i <= j", operator.le, False)}
 
 
-@dataclass
 class AlgebraFile:
-    kind: str
-    algebra: object
-    subspace: object = None   # Subspace (lie/assoc) or SubPair (jordan_pair)
-    # the QuotientEmbedding (lie) or PairEmbedding (jordan_pair) built to
-    # check the marked subspace when the file was loaded
-    embedding: object = None
+    """A parsed file: its kind, its algebra, the marked Subspace (lie,
+    assoc) or SubPair (jordan_pair), and the QuotientEmbedding (lie) or
+    PairEmbedding (jordan_pair) built to check that mark on loading."""
+
+    __slots__ = ("kind", "algebra", "subspace", "embedding")
+
+    def __init__(self, kind, algebra, subspace=None, embedding=None):
+        self.kind = kind
+        self.algebra = algebra
+        self.subspace = subspace
+        self.embedding = embedding
 
     @property
     def field(self):
@@ -205,11 +212,20 @@ def _table_from_json(field, obj, what, shape, half=None):
 # -- top level ---------------------------------------------------------------
 
 
+def _kind(obj):
+    """The kind of an algebra object, or None.  An instance implies that
+    the module of its class is loaded, so this imports nothing."""
+    for kind, (module, name) in _CLASSES.items():
+        mod = sys.modules.get("%s.%s" % (__package__, module))
+        if mod is not None and isinstance(obj, getattr(mod, name)):
+            return kind
+    return None
+
+
 def serialize_algebra(obj, subspace=None):
     """Canonical JSON text for an algebra plus an optional marked
     subalgebra (Subspace) or subpair (SubPair)."""
-    kind = next((k for k, cls in _CLASSES.items() if isinstance(obj, cls)),
-                None)
+    kind = _kind(obj)
     if kind is None:
         raise ParseError("cannot serialize %r" % type(obj).__name__)
     f = obj.field
@@ -228,16 +244,16 @@ def serialize_algebra(obj, subspace=None):
     if kind == "assoc" and obj.involution is not None:
         doc["involution"] = rows_to_json(f, obj.involution)
 
-    if subspace is not None:
-        if isinstance(subspace, SubPair):
-            doc["subpair"] = {
-                "plus": rows_to_json(f, subspace.plus.rows),
-                "minus": rows_to_json(f, subspace.minus.rows),
-            }
-        elif isinstance(subspace, Subspace):
-            doc["subalgebra"] = rows_to_json(f, subspace.rows)
-        else:
+    if isinstance(subspace, Subspace):
+        doc["subalgebra"] = rows_to_json(f, subspace.rows)
+    elif subspace is not None:
+        from .jordan import SubPair
+        if not isinstance(subspace, SubPair):
             raise ParseError("marked subspace must be a Subspace or SubPair")
+        doc["subpair"] = {
+            "plus": rows_to_json(f, subspace.plus.rows),
+            "minus": rows_to_json(f, subspace.minus.rows),
+        }
     return canonical_json(doc)
 
 
@@ -303,7 +319,9 @@ def parse_algebra(text):
             raise ParseError("involution matrix needs one row per "
                              "basis element")
         args += (rows,)
-    alg = _CLASSES[kind](field, *args)
+    module, name = _CLASSES[kind]
+    alg = getattr(importlib.import_module("." + module, __package__),
+                  name)(field, *args)
 
     subspace = embedding = None
     if "subalgebra" in doc:
@@ -312,6 +330,7 @@ def parse_algebra(text):
         rows = _rows_from_json(field, doc["subalgebra"], n, "subalgebra")
         subspace = span(field, n, rows)
         if kind == "lie":
+            from .derivations import QuotientEmbedding
             # raises ValidationError unless it is closed, and graded when
             # the grading is nontrivial
             embedding = QuotientEmbedding(alg, subspace)
@@ -324,6 +343,7 @@ def parse_algebra(text):
                              "\"minus\" rows")
         pr = _rows_from_json(field, sp.get("plus", []), n, "subpair plus")
         mr = _rows_from_json(field, sp.get("minus", []), m, "subpair minus")
+        from .jordan import PairEmbedding, SubPair
         subspace = SubPair(span(field, n, pr), span(field, m, mr))
         # raises ValidationError unless it is closed
         embedding = PairEmbedding(alg, subspace)

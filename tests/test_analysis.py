@@ -447,7 +447,8 @@ def test_norton_step_is_charged_before_it_runs():
 
 def test_the_envelope_generators_are_found_once(monkeypatch):
     # sl2sum leaves Norton's step for the envelope, and both read one
-    # generating set, found by one greedy walk
+    # generating set, found by one greedy walk; the graded question adds
+    # the degree projections to the same ads, without a second walk
     walks = []
 
     def counted(self, vectors, _inner=GradedLieAlgebra.subalgebra_generated):
@@ -459,6 +460,11 @@ def test_the_envelope_generators_are_found_once(monkeypatch):
     assert analysis._decide(a, "prime") == (False, "envelope-radical")
     gens = analysis._envelope_generators(a, False)
     assert walks == list(range(1, len(gens) + 1))
+    assert analysis._decide(a, "prime", graded=True)[0] is False
+    graded = analysis._envelope_generators(a, True)
+    assert walks == list(range(1, len(gens) + 1))
+    assert graded[:len(gens)] == gens
+    assert len(graded) == len(gens) + len(a.support())
 
 
 Q_CORPUS = ["%s@Q%s" % (base, var) for base in corpus.BASES

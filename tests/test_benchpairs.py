@@ -87,3 +87,18 @@ def test_each_metric_has_a_reading(parent, change, metric, reading):
 def test_seed_lists():
     assert benchpairs.parse_seeds("100-103,107") == [100, 101, 102, 103, 107]
     assert benchpairs.parse_seeds("5") == [5]
+
+
+@pytest.mark.parametrize("value, flag", [("1", True), ("", False),
+                                         (None, False)])
+def test_machine_records_the_bytecode_state_of_the_runs(monkeypatch, value,
+                                                        flag):
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    got = benchpairs.machine()
+    assert got["PYTHONDONTWRITEBYTECODE"] is flag
+    assert got["cores"] >= 1
+    assert got["python"].count(".") == 2
+    assert set(got) == {"cores", "python", "sympy", "PYTHONDONTWRITEBYTECODE"}

@@ -25,6 +25,9 @@ ALLOWED = {
     "rref": "bound by perfbench/tracer.py; the tests' echelon oracle",
     "GradedLieAlgebra.is_subalgebra": "called by perfbench/tests",
     "AxiomaticReport.passed": "read by perfbench/questions.py",
+    "__getattr__": "called by the import system for a name not yet loaded "
+                   "(PEP 562)",
+    "__dir__": "called by dir(gradlie) (PEP 562)",
 }
 
 
@@ -143,17 +146,42 @@ def _package_import(node):
         alias.name.split(".")[0] == "gradlie" for alias in node.names)
 
 
+_COMMAND = "each command imports the layers it runs, no others"
+_KIND = "a file loads the layers of its kind only"
+_PAIRS = ("pairs, triples and their TKK algebras are built and checked "
+          "without the Lie ideal lattice")
+
+# (module, function, imported module): why the import waits for the call
+DEFERRED = {
+    ("enumeration.py", "find_absolute_zero_divisor", "analysis"):
+        "breaks a cycle: analysis imports enumeration at module level",
+    ("cli.py", "cmd_analyze", "analysis"): _COMMAND,
+    ("cli.py", "cmd_analyze", "jordan"): _COMMAND,
+    ("cli.py", "cmd_qmax", "derivations"): _COMMAND,
+    ("cli.py", "cmd_check_quotient", "derivations"): _COMMAND,
+    ("cli.py", "cmd_tkk", "jordan"): _COMMAND,
+    ("cli.py", "cmd_mquotients", "jordan"): _COMMAND,
+    ("cli.py", "cmd_jmax", "jordan"): _COMMAND,
+    ("cli.py", "_gallery_object", None): _COMMAND,
+    ("serialize.py", "serialize_algebra", "jordan"): _KIND,
+    ("serialize.py", "parse_algebra", "jordan"): _KIND,
+    ("serialize.py", "parse_algebra", "derivations"): _KIND,
+    ("jordan.py", "_divisor_candidates", "analysis"): _PAIRS,
+    ("jordan.py", "associated_pair", "analysis"): _PAIRS,
+    ("jordan.py", "is_pair_of_quotients", "derivations"): _PAIRS,
+    ("jordan.py", "tkk_embedding", "derivations"): _PAIRS,
+    ("jordan.py", "maximal_pair_quotients", "derivations"): _PAIRS,
+}
+
+
 def test_package_imports_sit_at_module_level():
     # an import of the package inside a function hides a dependency of
-    # its module; the one kept breaks a real cycle, since analysis
-    # imports enumeration at module level
-    found = {}
+    # its module, so each one kept is listed in DEFERRED with its reason
+    found = set()
     for path in sorted(SRC.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for node in ast.walk(func):
                     if _package_import(node):
-                        found[path.name, node.lineno] = (func.name,
-                                                         node.module)
-    assert sorted(found.values()) == [
-        ("find_absolute_zero_divisor", "analysis")]
+                        found.add((path.name, func.name, node.module))
+    assert found == set(DEFERRED)

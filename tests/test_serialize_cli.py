@@ -7,6 +7,7 @@ start-up checks run a fresh interpreter, since in-process imports are
 already cached.
 """
 
+import ast
 import itertools
 import json
 import subprocess
@@ -400,6 +401,77 @@ def test_cli_analyze_over_f5_loads_no_numpy(tmp_path):
     assert last == "exit 0 loaded []"
 
 
+# each command imports the layers it runs (gradlie.cli), so a fresh
+# process loads no other layer, and no dataclasses (with its inspect)
+_RUN_CLI_THEN_LIST_LAYERS = """
+import runpy, sys
+try:
+    runpy.run_module("gradlie", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print("exit", code, "loaded", sorted(
+    m for m in sys.modules if m.startswith("gradlie.") or m == "dataclasses"))
+"""
+
+
+def _cli_layers(*argv):
+    """(exit code, the gradlie modules and dataclasses loaded) of one
+    command in a fresh process."""
+    words = _fresh_python("-c", _RUN_CLI_THEN_LIST_LAYERS, *argv).split()
+    assert words[0] == "exit" and words[2] == "loaded"
+    return int(words[1]), set(ast.literal_eval(" ".join(words[3:])))
+
+
+def test_import_gradlie_loads_no_submodule():
+    last = _fresh_python(
+        "-c", "import sys, gradlie; print(sorted(m for m in sys.modules "
+        "if m.startswith('gradlie.')))")
+    assert last == "[]"
+
+
+def test_cli_analyze_of_a_lie_file_loads_only_the_lie_layers(sl2_file):
+    code, loaded = _cli_layers("analyze", sl2_file)
+    assert code == 0 and "gradlie.analysis" in loaded
+    assert loaded.isdisjoint({"gradlie.jordan", "gradlie.assoc",
+                              "gradlie.derivations", "gradlie.gallery",
+                              "dataclasses"})
+
+
+def test_cli_quotient_commands_load_no_jordan_layer(sl2_file, pmi_file):
+    for argv in (("qmax", sl2_file), ("check-quotient", "--graded",
+                                      pmi_file)):
+        code, loaded = _cli_layers(*argv)
+        assert code in (0, 1) and "gradlie.derivations" in loaded
+        assert loaded.isdisjoint({"gradlie.jordan", "gradlie.assoc",
+                                  "gradlie.gallery"})
+
+
+def test_cli_validate_and_tkk_of_a_pair_file_load_no_lie_lattice(tmp_path):
+    path = tmp_path / "padded.json"
+    pair = pair_padded()
+    dump_path(str(path), pair, padded_subpair(pair))
+    for command in ("validate", "tkk"):
+        code, loaded = _cli_layers(command, str(path))
+        assert code == 0 and "gradlie.jordan" in loaded
+        assert loaded.isdisjoint({"gradlie.analysis", "gradlie.derivations"})
+
+
+def test_the_lazy_package_resolves_every_exported_name():
+    # each name of __all__ is the object its module defines, through a
+    # star import and through an attribute read, and dir() lists it
+    last = _fresh_python("-c", """
+import sys, gradlie
+star = {}
+exec("from gradlie import *", star)
+homes = [m for k, m in list(sys.modules.items()) if k.startswith("gradlie.")]
+print(sorted(n for n in star if n != "__builtins__") == sorted(gradlie.__all__),
+      all(any(getattr(m, n, None) is getattr(gradlie, n) is star[n]
+              for m in homes) for n in gradlie.__all__),
+      set(gradlie.__all__) <= set(dir(gradlie)), len(gradlie.__all__))
+""")
+    assert last == "True True True 53"
+
+
 def test_structure_report_over_q_loads_no_sympy(tmp_path):
     # sl2 and sl3 have one dimensional centroids and sl2sum splits at a
     # basis vector into two pieces with one dimensional centroids, so no
@@ -528,6 +600,12 @@ def test_cli_gallery_rejects_unknown_and_oversized(capsys):
     assert main(["gallery", "sln_e11(9)"]) == 2
     capsys.readouterr()
     assert main(["gallery", "--scalars", "f5", "sl2"]) == 2
+
+
+def test_cli_gallery_rejects_scalars_that_are_not_ascii_digits(capsys):
+    # '²'.isdigit() holds, but int('²') raises: the spec is invalid input
+    assert main(["gallery", "--scalars", "²", "sl2"]) == 2
+    assert "scalars must be Q or a prime" in capsys.readouterr().err
 
 
 def test_cli_budget_flag_surfaces_dimension_errors(tmp_path, capsys):

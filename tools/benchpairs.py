@@ -14,8 +14,10 @@ are removed from it; the parent goes first on the even pairs of the seed
 list, the change on the odd ones.  T is BENCHMARK.json's ``run_seconds``,
 so every pair runs at the length the benchmark sets.  The last line a run
 prints is its JSON result; a run that fails stops the tool, so every seed
-has both sides.  The output file holds ``command``, ``protocol``, ``summary`` and
-``runs`` in the shape of the BENCH_*.json records: for each end-to-end
+has both sides.  The output file holds ``command``, ``machine``, ``protocol``,
+``summary`` and ``runs`` in the shape of the BENCH_*.json records: the
+cores, the Python and sympy versions and whether the runs write bytecode
+(see ``machine``); for each end-to-end
 metric of BENCHMARK.json, each side's median, the parent's quartiles
 (inclusive method), the relative change of the medians, the pairs the
 change wins (ties count for neither side) and a reading against the
@@ -26,7 +28,10 @@ questions of each side.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
+import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -52,6 +57,20 @@ def end_to_end():
     document) of BENCHMARK.json."""
     doc = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     return {m["name"]: m for m in doc["end_to_end"]}, doc
+
+
+def machine():
+    """What the runs ran on.  Each run inherits this process's
+    environment, and with PYTHONDONTWRITEBYTECODE set every process it
+    starts compiles src/gradlie again, which cli-gallery's wall_s
+    counts."""
+    try:
+        sympy = importlib.metadata.version("sympy")
+    except importlib.metadata.PackageNotFoundError:
+        sympy = "missing"
+    return {"cores": os.cpu_count(), "python": platform.python_version(),
+            "sympy": sympy, "PYTHONDONTWRITEBYTECODE": bool(
+                os.environ.get("PYTHONDONTWRITEBYTECODE"))}
 
 
 def unpack(commit, dest):
@@ -177,6 +196,7 @@ def main(argv=None):
                    "--seconds %g --trace 0 (from the root of a git archive "
                    "copy of each side; __pycache__ and .perfbench_tmp "
                    "removed before each run)" % seconds,
+        "machine": machine(),
         "protocol": "pairs at seeds %s; parent first on even pairs, change "
                     "first on odd pairs; medians over the runs of each side, "
                     "quartiles of the parent's runs (inclusive method)"
