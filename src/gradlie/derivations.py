@@ -54,12 +54,11 @@ def _equal_fields(self, other):
 
 
 class Verdict:
-    # value: true | false | verified-on-witnesses | undecided
     __slots__ = ("value", "witness", "reason")
     __eq__ = _equal_fields
 
     def __init__(self, value, witness=None, reason=""):
-        self.value = value
+        self.value = value  # true | false | verified-on-witnesses | undecided
         self.witness = witness
         self.reason = reason
 
@@ -131,23 +130,20 @@ def denominator_ideal(emb, q):
 
 
 class DerivationSpace:
-    # algebra: the target L; domain: the ideal I, a Subspace; space: a
-    # Subspace of the flattened maps; degrees: the degree of each basis
-    # map, None when the domain is not graded; method: leibniz or
-    # inner-derivations; preimages: the x_i with d_i = ad x_i
-    # (inner-derivations)
     __slots__ = ("algebra", "domain", "space", "degrees", "method",
                  "preimages")
     __eq__ = _equal_fields
 
     def __init__(self, algebra, domain, space, degrees, method="leibniz",
                  preimages=None):
-        self.algebra = algebra
-        self.domain = domain
-        self.space = space
-        self.degrees = degrees
-        self.method = method
-        self.preimages = preimages
+        self.algebra = algebra      # the target L
+        self.domain = domain        # Subspace: the ideal I
+        self.space = space          # Subspace of the flattened maps
+        self.degrees = degrees      # degree of each basis map; None when
+                                    # the domain is not graded
+        self.method = method        # or inner-derivations
+        self.preimages = preimages  # the x_i with d_i = ad x_i
+                                    # (inner-derivations)
 
     @property
     def basis(self):
@@ -294,17 +290,17 @@ def graded_derivation_components(der):
 
 
 class MaximalQuotients:
-    # algebra: the GradedLieAlgebra on the derivation basis; embedding:
-    # the dim L x dim Q_m matrix of x |-> ad x restricted; witness_ideal:
-    # the minimum (graded) essential ideal E0; derivations: the
-    # underlying DerivationSpace
     __slots__ = ("algebra", "embedding", "witness_ideal", "derivations")
     __eq__ = _equal_fields
 
     def __init__(self, algebra, embedding, witness_ideal, derivations):
+        # GradedLieAlgebra on the derivation basis
         self.algebra = algebra
+        # dim L x dim Q_m matrix, x |-> ad x restricted
         self.embedding = embedding
+        # the minimum (graded) essential ideal E0
         self.witness_ideal = witness_ideal
+        # the underlying DerivationSpace
         self.derivations = derivations
 
 
@@ -584,14 +580,14 @@ def is_weak_quotient(emb, graded=False, budget=None):
 
 
 class AxiomaticReport:
-    # absorption: every homogeneous s has an essential (L:s); faithful:
-    # Ann_S(E0) = 0; realized: every graded derivation of E0 is ad(s)
     __slots__ = ("absorption", "faithful", "realized", "witnesses")
 
     def __init__(self, absorption, faithful, realized, witnesses=None):
-        self.absorption = absorption
-        self.faithful = faithful
-        self.realized = realized
+        self.absorption = absorption  # every homogeneous s has an
+                                      # essential (L:s)
+        self.faithful = faithful      # Ann_S(E0) = 0
+        self.realized = realized      # every graded derivation of E0 is
+                                      # ad(s)
         self.witnesses = {} if witnesses is None else witnesses
 
     @property

@@ -416,16 +416,14 @@ def pair_annihilator(pair, sub):
 
 
 class InnerDerivationSpace:
-    # basis: flattened (plus-block | minus-block) rows; subspace: the same
-    # rows as a canonical Subspace; deltas: delta(e_i, e_j) flattened, at
-    # i * dim_minus + j
     __slots__ = ("pair", "basis", "subspace", "deltas")
 
     def __init__(self, pair, basis, subspace, deltas):
         self.pair = pair
-        self.basis = basis
-        self.subspace = subspace
-        self.deltas = deltas
+        self.basis = basis        # flattened (plus-block | minus-block) rows
+        self.subspace = subspace  # the same rows as a canonical Subspace
+        self.deltas = deltas      # delta(e_i, e_j) flattened, at
+                                  # i * dim_minus + j
 
     @property
     def dim(self):
@@ -603,17 +601,16 @@ def pair_from_lie_blocks(alg, plus_idx, minus_idx):
 
 
 class AssociatedPair:
-    # c_v: Z(L) cap L_0, as a subspace of L; map_rows: dim L x dim TKK,
-    # the canonical quotient map
     __slots__ = ("pair", "c_v", "tkk_algebra", "map_rows", "plus_idx",
                  "minus_idx")
 
     def __init__(self, pair, c_v, tkk_algebra, map_rows, plus_idx,
                  minus_idx):
         self.pair = pair
-        self.c_v = c_v
+        self.c_v = c_v            # Z(L) cap L_0, as a subspace of L
         self.tkk_algebra = tkk_algebra
-        self.map_rows = map_rows
+        self.map_rows = map_rows  # dim L x dim TKK, the canonical
+                                  # quotient map
         self.plus_idx = plus_idx
         self.minus_idx = minus_idx
 
@@ -924,15 +921,13 @@ def tkk_embedding(emb):
 
 
 class MaximalPairQuotients:
-    # pair: the enlarged pair; plus_map, minus_map: each V^s basis vector
-    # in the new coordinates; lie: the MaximalQuotients of the TKK algebra
     __slots__ = ("pair", "plus_map", "minus_map", "lie", "verdict")
 
     def __init__(self, pair, plus_map, minus_map, lie, verdict):
-        self.pair = pair
-        self.plus_map = plus_map
+        self.pair = pair            # the enlarged pair
+        self.plus_map = plus_map    # V+ basis -> new plus coordinates
         self.minus_map = minus_map
-        self.lie = lie
+        self.lie = lie              # MaximalQuotients of the TKK algebra
         self.verdict = verdict
 
 
@@ -1005,13 +1000,12 @@ class JordanTriple:
 
 
 class MaximalTripleQuotients:
-    # pairs: the underlying MaximalPairQuotients
     __slots__ = ("triple", "embedding", "pairs")
 
     def __init__(self, triple, embedding, pairs):
         self.triple = triple
         self.embedding = embedding
-        self.pairs = pairs
+        self.pairs = pairs  # the underlying MaximalPairQuotients
 
 
 def _exchange_matrix(data):

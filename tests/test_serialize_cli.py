@@ -464,7 +464,8 @@ import sys, gradlie
 star = {}
 exec("from gradlie import *", star)
 homes = [m for k, m in list(sys.modules.items()) if k.startswith("gradlie.")]
-print(sorted(n for n in star if n != "__builtins__") == sorted(gradlie.__all__),
+names = sorted(n for n in star if n != "__builtins__")
+print(names == sorted(gradlie.__all__),
       all(any(getattr(m, n, None) is getattr(gradlie, n) is star[n]
               for m in homes) for n in gradlie.__all__),
       set(gradlie.__all__) <= set(dir(gradlie)), len(gradlie.__all__))
