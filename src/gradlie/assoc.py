@@ -28,8 +28,8 @@ from .errors import (
     ValidationError,
 )
 from .lie import GradedLieAlgebra, GradingGroup
-from .linalg import (Subspace, mat_add, mat_identity, mat_sub, mat_vec,
-                     preimage, span)
+from .linalg import (Subspace, mat_add, mat_identity, mat_mul, mat_sub,
+                     mat_vec, preimage, span)
 from .tables import (
     antisymmetric,
     bilinear,
@@ -321,14 +321,10 @@ def _run_check(a, q, inclusion, variant, report):
 
     # push the small Lie algebra through: A-sub rows -> Q coords ->
     # K_Q coordinates -> central quotient
-    image_rows = []
-    for r in rows_a:
-        in_q = mat_vec(r, inclusion, f)
-        co = sub_q.coords(in_q)
-        if co is None:
-            raise ValidationError("variant subalgebra of A does not land "
-                                  "inside the variant subalgebra of Q")
-        image_rows.append(tuple(mat_vec(tuple(co), proj_q, f)))
+    image_rows = mat_mul(induced(
+        lambda r: mat_vec(r, inclusion, f), (rows_a,), sub_q.coords,
+        "variant subalgebra of A does not land inside the variant "
+        "subalgebra of Q"), proj_q, f)
     # the kernel of the composite must be exactly the center of the small
     # side, otherwise the induced map on central quotients is not injective
     if preimage(quot_q.zero_space(), [image_rows]) != za:

@@ -38,12 +38,13 @@ from .linalg import (
     Subspace,
     closure,
     kernel_basis,
+    mat_identity,
     mat_mul,
     mat_vec,
     preimage,
     span,
 )
-from .tables import antisymmetric
+from .tables import antisymmetric, induced
 
 
 def _equal_fields(self, other):
@@ -326,17 +327,11 @@ def maximal_quotients(alg, graded=False, budget=None):
     m, n = e0.dim, alg.dim
     d = der.dim
 
-    embedding = []
-    for i in range(n):
-        x = alg.basis_vector(i)
-        flat = []
-        for r in e0.rows:
-            flat.extend(alg.bracket(x, r))
-        coords = der.space.coords(tuple(flat))
-        if coords is None:
-            raise ValidationError("ad x is not in the derivation space")
-        embedding.append(tuple(coords))
-    embedding = tuple(embedding)
+    # ad x on E0's rows, flattened as the derivation basis is
+    embedding = induced(
+        lambda x: tuple(c for r in e0.rows for c in alg.bracket(x, r)),
+        (mat_identity(f, n),), der.space.coords,
+        "ad x is not in the derivation space")
 
     if der.method == "inner-derivations":
         # [ad x, ad y] = ad [x, y], read in d-coordinates by the embedding
@@ -348,9 +343,8 @@ def maximal_quotients(alg, graded=False, budget=None):
         # E0-coordinates, which exist because derivations map E0 into E0
         values = [[flat[u * n:(u + 1) * n] for u in range(m)]
                   for flat in der.basis]
-        coords = [[e0.coords(v) for v in vs] for vs in values]
-        if any(None in cs for cs in coords):
-            raise ValidationError("derivation image left the essential ideal")
+        coords = induced(lambda vs, u: vs[u], (values, range(m)), e0.coords,
+                         "derivation image left the essential ideal")
 
         def commutator(i, j):
             # the coordinates of [d_i, d_j], None outside the span; a o b

@@ -479,9 +479,11 @@ class TkkData:
         f = self.algebra.field
         return (f.zero,) * (self.pair.dim_plus + self.ider.dim) + tuple(y)
 
-    def embed_delta(self, x, y):
-        """delta(x, y) = [x+, y-]."""
-        return self.algebra.bracket(self.embed_plus(x), self.embed_minus(y))
+    def embed(self, sub):
+        """The rows of a subpair's plus side, then of its minus side, in
+        the coordinates of the TKK algebra."""
+        return ([self.embed_plus(r) for r in sub.plus.rows]
+                + [self.embed_minus(r) for r in sub.minus.rows])
 
     def plus_part(self, v):
         return tuple(v[:self.pair.dim_plus])
@@ -554,23 +556,18 @@ def tkk(pair):
 
 
 def tkk_ideal(pair, sub):
-    """The graded ideal I+ (+) ([I+,V-]+[V+,I-]) (+) I- of tkk(pair)."""
+    """The graded ideal I+ (+) ([I+,V-]+[V+,I-]) (+) I- of tkk(pair), the
+    ideal that I+ and I- generate.
+
+    For a pair ideal I that sum is already an ideal: V+ and V- are
+    abelian, [delta(a, y), x+] = {a, y, x}+ lies in I+ for a in I+ (and
+    likewise on the minus side), an inner derivation maps I+ and I- into
+    themselves, and by its Leibniz rule [I+,V-] + [V+,I-] into itself.
+    """
     if not is_pair_ideal(pair, sub):
         raise NotAPairIdeal("the subpair is not an ideal")
     data = tkk_data(pair)
-    f = pair.field
-    rows = []
-    for r in sub.plus.rows:
-        rows.append(data.embed_plus(r))
-    for r in sub.minus.rows:
-        rows.append(data.embed_minus(r))
-    for r in sub.plus.rows:
-        for y in mat_identity(f, pair.dim_minus):
-            rows.append(data.embed_delta(r, y))
-    for x in mat_identity(f, pair.dim_plus):
-        for r in sub.minus.rows:
-            rows.append(data.embed_delta(x, r))
-    return span(f, data.algebra.dim, rows)
+    return data.algebra.ideal_generated(data.embed(sub))
 
 
 def _outer_indices(alg):
@@ -910,9 +907,7 @@ def tkk_embedding(emb):
     generated by the outer blocks of V, as a quotient embedding."""
     from .derivations import QuotientEmbedding
     data = tkk_data(emb.big)
-    rows = [data.embed_plus(r) for r in emb.sub.plus.rows]
-    rows += [data.embed_minus(r) for r in emb.sub.minus.rows]
-    sub = data.algebra.subalgebra_generated(rows)
+    sub = data.algebra.subalgebra_generated(data.embed(emb.sub))
     return QuotientEmbedding(data.algebra, sub)
 
 
@@ -1020,15 +1015,12 @@ def _exchange_matrix(data):
         raise ValidationError("exchange needs a double pair")
     eye = mat_identity(f, alg.dim)
     zero = (f.zero,) * n
-    middle = []
-    for flat in data.ider.basis:
-        # (gamma+, gamma-) goes to (gamma-, gamma+), blocks of n * n cells
-        co = data.ider.subspace.coords(flat[n * n:] + flat[:n * n])
-        if co is None:
-            raise ValidationError("exchange does not preserve inner "
-                                  "derivations")
-        middle.append(zero + tuple(co) + zero)
-    mat = eye[alg.dim - n:] + tuple(middle) + eye[:n]
+    # (gamma+, gamma-) goes to (gamma-, gamma+), blocks of n * n cells
+    swapped = induced(lambda flat: flat[n * n:] + flat[:n * n],
+                      (data.ider.basis,), data.ider.subspace.coords,
+                      "exchange does not preserve inner derivations")
+    mat = (eye[alg.dim - n:] + tuple(zero + co + zero for co in swapped)
+           + eye[:n])
     # involutive automorphism
     if mat_mul(mat, mat, f) != eye:
         raise ValidationError("exchange squared is not the identity")
@@ -1051,23 +1043,20 @@ def maximal_triple_quotients(triple, budget=None):
     # conjugating derivations of E0 by the exchange map is an automorphism
     # of the quotients algebra; transport it to quotient coordinates
     e0 = mq.witness_ideal
-    der = mq.derivations
-    h_rows = []
     n_l = data.algebra.dim
-    for flat in der.basis:
+    # the exchanged rows of E0 in E0-coordinates, then per derivation d
+    # the images eta d eta of E0's rows, flattened as the basis is
+    moved = induced(lambda r: mat_vec(r, eta, f), (e0.rows,), e0.coords,
+                    "exchange moved the witness ideal")
+
+    def conjugate(flat):
         images = [flat[u * n_l:(u + 1) * n_l] for u in range(e0.dim)]
-        new_flat = []
-        for r in e0.rows:
-            co = e0.coords(mat_vec(r, eta, f))
-            if co is None:
-                raise ValidationError("exchange moved the witness ideal")
-            new_flat.extend(mat_vec(mat_vec(co, images, f), eta, f))
-        co = der.space.coords(tuple(new_flat))
-        if co is None:
-            raise ValidationError("exchange conjugation left the "
-                                  "derivation space")
-        h_rows.append(tuple(co))
-    h = tuple(h_rows)
+        return tuple(c for row in mat_mul(mat_mul(moved, images, f), eta, f)
+                     for c in row)
+
+    h = induced(conjugate, (mq.derivations.basis,),
+                mq.derivations.space.coords,
+                "exchange conjugation left the derivation space")
 
     plus_idx, _ = _outer_indices(qm)
     swapped = [mat_vec(qm.basis_vector(i), h, f) for i in plus_idx]

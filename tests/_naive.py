@@ -18,7 +18,9 @@ one, apart from the library's one canonical candidate per point.  The TKK
 oracle fills the table of TKK(V) block by block from the formulas for
 each kind of basis pair, apart from the library's antisymmetric table
 builder (gradlie.tables.antisymmetric) and its cell that picks a formula
-per pair of basis indices.  q_apply, q_matrix, derivation_matrix,
+per pair of basis indices.  The TKK ideal oracle spans I+, I- and the
+brackets [a+, y-] and [x+, b-] of a pair ideal I explicitly, apart from
+the library's ideal closure.  q_apply, q_matrix, derivation_matrix,
 dump_path, zero_subpair, semiprime_witness and minimal_graded_ideals are
 helpers that only tests call, built on the library's product path."""
 
@@ -44,11 +46,13 @@ from gradlie.jordan import (
     _delta_flat,
     distinct_principal_pair_ideals,
     inner_derivations,
+    tkk_data,
 )
 from gradlie.lie import GradedLieAlgebra
 from gradlie.serialize import serialize_algebra
 from gradlie.linalg import (
     Subspace,
+    mat_identity,
     mat_mul,
     mat_vec,
     rank,
@@ -726,6 +730,27 @@ def naive_tkk_table(pair):
                          for x, y in zip(r1, r2)]
             put(n + a, n + b, middle(tuple(flat)))
     return tuple(tuple(r) for r in table)
+
+
+def naive_tkk_ideal(pair, sub):
+    """I+ (+) ([I+,V-]+[V+,I-]) (+) I- in tkk(pair) for a pair ideal I, as
+    the span of I+, I-, and delta(a, y) = [a+, y-] and delta(x, b) for a
+    in I+, b in I- and x, y running over the bases of V+ and V-."""
+    data = tkk_data(pair)
+    t = data.algebra
+    f = pair.field
+    rows = []
+    for r in sub.plus.rows:
+        rows.append(data.embed_plus(r))
+    for r in sub.minus.rows:
+        rows.append(data.embed_minus(r))
+    for r in sub.plus.rows:
+        for y in mat_identity(f, pair.dim_minus):
+            rows.append(t.bracket(data.embed_plus(r), data.embed_minus(y)))
+    for x in mat_identity(f, pair.dim_plus):
+        for r in sub.minus.rows:
+            rows.append(t.bracket(data.embed_plus(x), data.embed_minus(r)))
+    return span(f, t.dim, rows)
 
 
 def _all_pair_ideals(pair):

@@ -8,6 +8,7 @@ scalar prediction.
 """
 
 import contextlib
+import random
 from fractions import Fraction as Fr
 from unittest import mock
 
@@ -16,6 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from _naive import (
     change_pair_basis,
+    naive_tkk_ideal,
     naive_tkk_table,
     naive_pair_of_quotients,
     naive_pair_semiprime_witness,
@@ -245,6 +247,72 @@ def test_tkk_ideal_construction():
     half = J.SubPair(span(QQ, 2, [(QQ.one, QQ.zero)]), Subspace.zero(QQ, 2))
     with pytest.raises(NotAPairIdeal):
         J.tkk_ideal(r, half)
+
+
+def _pair_sum(*pairs):
+    """The direct sum of pairs: block-diagonal triple tables, every
+    product that meets two summands zero."""
+    f = pairs[0].field
+
+    def table(sign):
+        n = sum(p.dim(sign) for p in pairs)
+        m = sum(p.dim(-sign) for p in pairs)
+        zero = (f.zero,) * n
+        t = [[[zero] * n for _ in range(m)] for _ in range(n)]
+        oa = ob = 0
+        for p in pairs:
+            a, b, cells = p.dim(sign), p.dim(-sign), p.table(sign)
+            for i in range(a):
+                for j in range(b):
+                    for l in range(a):
+                        t[oa + i][ob + j][oa + l] = (
+                            zero[:oa] + tuple(cells[i][j][l]) + zero[oa + a:])
+            oa, ob = oa + a, ob + b
+        return t
+
+    def names(sign):
+        return tuple("%s_%d" % (nm, k) for k, p in enumerate(pairs)
+                     for nm in p.names(sign))
+
+    return J.JordanPair(f, names(1), names(-1), table(1), table(-1))
+
+
+def _seeded_pair_ideals(pair, seeds):
+    """The pair ideals generated by one or two seeded vectors per side,
+    each coordinate drawn from -1, 0, 1, 2."""
+    f = pair.field
+    for seed in seeds:
+        rng = random.Random(seed)
+
+        def gens(sign):
+            return [tuple(f.of(rng.choice((-1, 0, 0, 1, 2)))
+                          for _ in range(pair.dim(sign)))
+                    for _ in range(rng.randint(1, 2))]
+
+        yield J.pair_ideal_generated(pair, J.SubPair(
+            span(f, pair.dim_plus, gens(1)),
+            span(f, pair.dim_minus, gens(-1))))
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_tkk_ideal_matches_the_explicit_span(field):
+    rect = pair_rect(1, 2, field)
+    pp = pair_padded(field)
+    cases = [(rect, zero_subpair(rect)), (rect, J.full_subpair(rect)),
+             (pp, padded_subpair(pp))]
+    for pair in (rect, pair_rect(2, 2, field),
+                 _pair_sum(rect, pair_rect(1, 1, field),
+                           pair_zero(1, 1, field))):
+        cases += [(pair, ideal) for ideal in _seeded_pair_ideals(
+            pair, range(6))]
+    dims = set()
+    for pair, ideal in cases:
+        got = J.tkk_ideal(pair, ideal)
+        assert got == naive_tkk_ideal(pair, ideal)
+        assert J.tkk(pair).is_ideal(got)
+        dims.add((J.tkk(pair).dim, got.dim))
+    # the seeds reach ideals strictly between zero and the whole algebra
+    assert any(0 < d < n for n, d in dims)
 
 
 # -- associated pairs ----------------------------------------------------------
