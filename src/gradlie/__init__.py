@@ -8,8 +8,6 @@ layers it touches; `gradlie.cli` imports each command's layers inside
 the command for the same reason.
 """
 
-import importlib
-
 # the module that defines each exported name
 _EXPORTS = {
     "scalars": ("QQ", "GF", "Field"),
@@ -50,7 +48,8 @@ def __getattr__(name):
     if module is None:
         # also how `from gradlie import gallery` finds a submodule
         raise AttributeError("module 'gradlie' has no attribute %r" % name)
-    value = getattr(importlib.import_module("." + module, __name__), name)
+    # python -X importtime reports __import__, not importlib.import_module
+    value = getattr(__import__(module, globals(), None, (name,), 1), name)
     globals()[name] = value
     return value
 

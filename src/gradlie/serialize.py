@@ -17,7 +17,6 @@ a Lie file loads no Jordan, associative or derivations module.
 
 from __future__ import annotations
 
-import importlib
 import json
 import operator
 import sys
@@ -277,7 +276,7 @@ def parse_algebra(text):
     if doc.get("version") != 1:
         raise ParseError("unsupported version %r" % doc.get("version"))
     kind = doc.get("kind")
-    if kind not in _CLASSES:
+    if not isinstance(kind, str) or kind not in _CLASSES:
         raise ParseError("kind must be one of %s" % (tuple(_CLASSES),))
     field = _field_from_json(doc.get("scalars"))
     if "subalgebra" in doc and "subpair" in doc:
@@ -320,7 +319,8 @@ def parse_algebra(text):
                              "basis element")
         args += (rows,)
     module, name = _CLASSES[kind]
-    alg = getattr(importlib.import_module("." + module, __package__),
+    # python -X importtime reports __import__, not importlib.import_module
+    alg = getattr(__import__(module, globals(), None, (name,), 1),
                   name)(field, *args)
 
     subspace = embedding = None

@@ -202,6 +202,21 @@ def test_cli_validate_exits_2_on_malformed_values(tmp_path, capsys):
         assert "error: ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", [[], {}], ids=["list", "object"])
+def test_a_kind_that_is_not_a_string_is_invalid_input(tmp_path, capsys,
+                                                      kind):
+    # an unhashable kind is a ParseError and exit 2, not a TypeError
+    doc = json.loads(serialize_algebra(sl2()))
+    doc["kind"] = kind
+    with pytest.raises(ParseError, match="kind"):
+        parse_algebra(json.dumps(doc))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for command in ("validate", "analyze"):
+        assert main([command, str(bad)]) == 2
+        assert "error: ParseError" in capsys.readouterr().err
+
+
 def test_open_marks_are_rejected(tmp_path, capsys):
     # sl2 marking span(e, f), whose [e, f] = h is outside, and
     # pair_rect(2, 2) marking span(e11, e22) + span(f12), whose
@@ -454,6 +469,21 @@ def test_cli_validate_and_tkk_of_a_pair_file_load_no_lie_lattice(tmp_path):
         code, loaded = _cli_layers(command, str(path))
         assert code == 0 and "gradlie.jordan" in loaded
         assert loaded.isdisjoint({"gradlie.analysis", "gradlie.derivations"})
+
+
+def test_importtime_lists_the_layers_loaded_on_demand(tmp_path):
+    # serialize loads gradlie.jordan for a pair file, and python
+    # -X importtime prints one line per module the import system loads
+    path = tmp_path / "padded.json"
+    dump_path(str(path), pair_padded())
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gradlie", "validate",
+         str(path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    timed = [line.rsplit("|", 1)[-1].strip()
+             for line in proc.stderr.splitlines()
+             if line.startswith("import time:")]
+    assert "gradlie.jordan" in timed and "gradlie.serialize" in timed
 
 
 def test_the_lazy_package_resolves_every_exported_name():
