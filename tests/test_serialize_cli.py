@@ -471,19 +471,25 @@ def test_cli_validate_and_tkk_of_a_pair_file_load_no_lie_lattice(tmp_path):
         assert loaded.isdisjoint({"gradlie.analysis", "gradlie.derivations"})
 
 
+def _importtime(*args):
+    """The modules that python -X importtime lists for one process."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return [line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")]
+
+
 def test_importtime_lists_the_layers_loaded_on_demand(tmp_path):
-    # serialize loads gradlie.jordan for a pair file, and python
-    # -X importtime prints one line per module the import system loads
+    # serialize loads gradlie.jordan for a pair file, and the package
+    # loads it for an exported name of that layer
     path = tmp_path / "padded.json"
     dump_path(str(path), pair_padded())
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "gradlie", "validate",
-         str(path)], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    timed = [line.rsplit("|", 1)[-1].strip()
-             for line in proc.stderr.splitlines()
-             if line.startswith("import time:")]
+    timed = _importtime("-m", "gradlie", "validate", str(path))
     assert "gradlie.jordan" in timed and "gradlie.serialize" in timed
+    assert "gradlie.jordan" in _importtime(
+        "-c", "import gradlie; gradlie.JordanPair")
 
 
 def test_the_lazy_package_resolves_every_exported_name():
