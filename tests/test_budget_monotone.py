@@ -45,7 +45,7 @@ def _sln3(field):
     return sln_e11(3, field)
 
 
-# (builder, field, dense basis change): a few seconds in all, each over
+# (maker, field, dense basis change): a few seconds in all, each over
 # F_p deciding some questions only above a budget that refuses them
 INPUTS = {
     "sl2@Q": (sl2, QQ, False),

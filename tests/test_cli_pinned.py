@@ -5,7 +5,7 @@ gallery.  This gate pins, over Q and over F5, ``analyze`` of an
 associative algebra with involution, a Jordan triple and a Jordan
 algebra, and ``jmax`` of the triple and the algebra, whose maximal
 quotients run through the exchange automorphism of the double pair.
-Each file is written from its gallery builder, each command runs
+Each file is written from its gallery function, each command runs
 in-process through ``cli.main`` with ``--format json``, and exit code and
 stdout must match the files under ``tests/golden/pinned/`` byte for byte.
 
@@ -27,7 +27,7 @@ from gradlie.serialize import serialize_algebra
 PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                       "pinned")
 
-BUILDERS = {
+MAKERS = {
     "m_n_transpose_2": lambda f: gallery.m_n_transpose(2, f),
     "triple_2xyz": gallery.triple_2xyz,
     "jordan_sym2": gallery.jordan_sym2,
@@ -39,7 +39,7 @@ COMMANDS = {
     "jordan_sym2": ("analyze", "jmax"),
 }
 
-CASES = [(name, field, cmd) for field in FIELDS for name in BUILDERS
+CASES = [(name, field, cmd) for field in FIELDS for name in MAKERS
          for cmd in COMMANDS[name]]
 
 
@@ -50,7 +50,7 @@ def _key(name, field, cmd):
 def _answer(name, field, cmd, directory):
     path = os.path.join(directory, "%s@%s.json" % (name, field))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_algebra(BUILDERS[name](FIELDS[field])))
+        fh.write(serialize_algebra(MAKERS[name](FIELDS[field])))
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
